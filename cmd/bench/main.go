@@ -1,8 +1,9 @@
 // Command bench runs the focused performance microbenchmark suite behind the
 // BENCH_*.json trajectory files: steady-state GP inference, incremental model
-// growth, the full per-tuple evaluation loop, the filtering fast path, the
-// hyperparameter gradient/Hessian used by online retraining, and the
-// parallel executor's end-to-end throughput at 1/2/4/8 workers.
+// growth, the full per-tuple evaluation loop (steady and fresh-tuple), the
+// λ-discrepancy bound, the filtering fast path, the hyperparameter
+// gradient/Hessian used by online retraining, and the parallel executor's
+// end-to-end throughput at 1/2/4/8 workers.
 //
 // Usage:
 //
@@ -33,6 +34,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -43,6 +45,7 @@ import (
 	"time"
 
 	"olgapro/client"
+	"olgapro/internal/astro"
 	"olgapro/internal/benchfmt"
 	"olgapro/internal/core"
 	"olgapro/internal/dist"
@@ -53,6 +56,7 @@ import (
 	"olgapro/internal/kernel"
 	"olgapro/internal/mc"
 	"olgapro/internal/query"
+	"olgapro/internal/sdss"
 	"olgapro/internal/server"
 	"olgapro/internal/udf"
 )
@@ -263,7 +267,10 @@ func warmEvaluator(pred *mc.Predicate) (*core.Evaluator, dist.Vector, [][]float6
 	return ev, in, samples
 }
 
-// benchEvalSamples measures one full steady-state EvalSamples tuple.
+// benchEvalSamples measures one full steady-state EvalSamples tuple. It
+// replays a single sample set, so after the first op the envelope's sort
+// permutations already order it and it never pays a fresh tuple's first
+// sort (benchEvalFrozenFresh does).
 func benchEvalSamples(b *testing.B) {
 	ev, _, samples := warmEvaluator(nil)
 	rng := rand.New(rand.NewSource(11))
@@ -272,6 +279,72 @@ func benchEvalSamples(b *testing.B) {
 		if _, err := ev.EvalSamples(samples, rng); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// frozenGalage learns paper query Q1's galaxy-age UDF at the paper's
+// ε=0.1, δ=0.05 (m = 1784 Monte-Carlo samples per tuple) over a fixed
+// catalog and returns a frozen clone plus held-out galaxies inside the
+// learned redshift range.
+func frozenGalage() (*core.Evaluator, []dist.Vector) {
+	ev, err := core.NewEvaluator(astro.GalAgeFunc(astro.Default()), core.Config{
+		Eps: 0.1, Delta: 0.05, Kernel: kernel.NewSqExp(4, 0.3),
+	})
+	if err != nil {
+		panic(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for _, g := range sdss.Generate(sdss.GenerateConfig{N: 64, Seed: 0}).Galaxies {
+		if _, err := ev.Eval(dist.NewIndependent(g.RedshiftDist()), rng); err != nil {
+			panic(err)
+		}
+		lo, hi = math.Min(lo, g.Redshift), math.Max(hi, g.Redshift)
+	}
+	fc, err := ev.CloneFrozen()
+	if err != nil {
+		panic(err)
+	}
+	var held []dist.Vector
+	for _, g := range sdss.Generate(sdss.GenerateConfig{N: 256, Seed: 7}).Galaxies {
+		if len(held) < 64 && g.Redshift-2*g.RedshiftErr >= lo && g.Redshift+2*g.RedshiftErr <= hi {
+			held = append(held, dist.NewIndependent(g.RedshiftDist()))
+		}
+	}
+	return fc, held
+}
+
+// benchEvalFrozenFresh measures one frozen Q1 tuple as served: each op
+// evaluates the next of 64 distinct held-out galaxies, so every op draws a
+// fresh sample set whose three envelope supports arrive unsorted.
+func benchEvalFrozenFresh(b *testing.B) {
+	fc, held := frozenGalage()
+	rng := rand.New(rand.NewSource(11))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := fc.Eval(held[i%len(held)], rng); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchDiscrepancyBound measures Algorithm 3's λ-discrepancy bound alone,
+// with reused scratch, on the envelope of one frozen Q1 tuple (three
+// 1784-point supports at the evaluator's own λ).
+func benchDiscrepancyBound(b *testing.B) {
+	fc, held := frozenGalage()
+	out, err := fc.Eval(held[0], rand.New(rand.NewSource(11)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if n := out.Envelope.Mean.Len(); n != 1784 {
+		b.Fatalf("envelope support %d, want 1784", n)
+	}
+	var s ecdf.BoundScratch
+	out.Envelope.DiscrepancyBoundWith(&s, out.Lambda) // warm
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out.Envelope.DiscrepancyBoundWith(&s, out.Lambda)
 	}
 }
 
@@ -850,6 +923,8 @@ func main() {
 		measure("gp_sparse_add_growth_8000", benchSparseAddGrowth(8000)),
 		measure("gp_sparse_predict_steady", benchSparsePredictSteady),
 		measure("eval_samples_steady", benchEvalSamples),
+		measure("eval_frozen_fresh", benchEvalFrozenFresh),
+		measure("discrepancy_bound_m1784", benchDiscrepancyBound),
 		measure("filter_fast_path", benchFilterFastPath),
 		measure("grad_hess_n300", benchGradHess),
 		measure("tuning_pick_rank1", benchTuningPick(false)),

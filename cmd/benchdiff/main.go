@@ -19,11 +19,13 @@
 //   - a baseline benchmark missing from the current run fails, so a
 //     benchmark cannot silently vanish from the gate (delete it from the
 //     committed baseline deliberately instead);
-//   - names matching -exempt (default ^(parallel|server|fleet)_) are
-//     reported but not gated: throughput and replication-lag benchmarks
-//     depend on the host's core count, scheduler, and network stack, which
-//     differ between the machine that committed the baseline and the CI
-//     runner;
+//   - names matching -exempt (default ^(parallel|server|fleet)_) skip the
+//     ns/op rule: throughput and replication-lag timings depend on the
+//     host's core count, scheduler, and network stack, which differ between
+//     the machine that committed the baseline and the CI runner. Their
+//     allocs/op rule still applies — allocation counts do not depend on the
+//     host — so an allocation regression on the serving path fails the
+//     gate;
 //   - benchmarks present in the current run but missing from the baseline
 //     are listed as "new (not gated)" and summarized, so additions (e.g.
 //     the BENCH_PR4 tuning_pick_* pair) are visible in CI output rather
@@ -58,7 +60,7 @@ func main() {
 	current := flag.String("current", "", "fresh bench run to gate (required)")
 	maxRegress := flag.Float64("max-regress", 0.35, "allowed fractional ns/op regression")
 	allocSlack := flag.Float64("alloc-slack", 0.005, "allowed fractional allocs/op increase, floored per benchmark (0 for baselines < 1/slack, keeping low-count gates strict)")
-	exempt := flag.String("exempt", "^(parallel|server|fleet)_", "regexp of benchmark names reported but not gated")
+	exempt := flag.String("exempt", "^(parallel|server|fleet)_", "regexp of benchmark names exempt from the ns/op rule (allocs/op is still gated)")
 	flag.Parse()
 
 	if *baseline == "" || *current == "" {

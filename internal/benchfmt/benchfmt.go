@@ -52,8 +52,10 @@ type Comparison struct {
 type DiffOptions struct {
 	// MaxRegress is the allowed fractional ns/op regression (0.35 = +35%).
 	MaxRegress float64
-	// Exempt matches benchmark names that are reported but never gated
-	// (host-dependent throughput families). Nil gates every name.
+	// Exempt matches benchmark names whose ns/op is reported but never gated
+	// (host-dependent throughput families); their allocs/op stays gated,
+	// since allocation counts do not depend on the host's cores. Nil gates
+	// every name.
 	Exempt *regexp.Regexp
 	// AllocSlack is the allowed fractional allocs/op increase, floored per
 	// benchmark to an absolute count, so it only ever relaxes large-count
@@ -91,7 +93,7 @@ type DiffEntry struct {
 //     invariant stays a hard gate, not a soft budget;
 //   - a baseline benchmark missing from the current run fails, so a
 //     benchmark cannot silently vanish from the gate;
-//   - exempt names are reported but not gated;
+//   - exempt names are not gated on ns/op, only on allocs/op;
 //   - benchmarks present only in the current run are reported as New and
 //     never gated, so additions stay visible in CI output instead of being
 //     silently ignored.
@@ -118,14 +120,14 @@ func Diff(base, cur *Run, opt DiffOptions) (entries []DiffEntry, failures, added
 				e.Delta = c.NsPerOp/b.NsPerOp - 1
 			}
 			switch {
-			case exempted:
-				e.Verdict = "exempt"
-			case c.NsPerOp > b.NsPerOp*(1+opt.MaxRegress):
+			case !exempted && c.NsPerOp > b.NsPerOp*(1+opt.MaxRegress):
 				e.Verdict = fmt.Sprintf("FAIL (ns/op +%.0f%% > %.0f%%)", e.Delta*100, opt.MaxRegress*100)
 				e.Failed = true
 			case c.AllocsPerOp > opt.allocBudget(b.AllocsPerOp):
 				e.Verdict = fmt.Sprintf("FAIL (allocs/op %d > %d)", c.AllocsPerOp, opt.allocBudget(b.AllocsPerOp))
 				e.Failed = true
+			case exempted:
+				e.Verdict = "exempt"
 			default:
 				e.Verdict = "ok"
 			}

@@ -135,6 +135,46 @@ func TestDiffExemptMissingDoesNotFail(t *testing.T) {
 	}
 }
 
+// Exempt families skip only the ns/op gate: an allocs/op increase beyond
+// the floor-scaled slack still fails them, while any ns/op drift and
+// within-slack alloc noise pass.
+func TestDiffExemptAllocsFence(t *testing.T) {
+	base := &Run{Results: []Result{
+		{Name: "server_eval_rps", NsPerOp: 100, AllocsPerOp: 120},
+		{Name: "server_stream_rps_w1", NsPerOp: 100, AllocsPerOp: 4500},
+		{Name: "fleet_query_scatter_3shard", NsPerOp: 100, AllocsPerOp: 4500},
+		{Name: "parallel_eval_table_w2", NsPerOp: 100, AllocsPerOp: 0},
+	}}
+	cur := &Run{Results: []Result{
+		{Name: "server_eval_rps", NsPerOp: 1000, AllocsPerOp: 121},           // +1 on a strict floor
+		{Name: "server_stream_rps_w1", NsPerOp: 50, AllocsPerOp: 4522},       // within ⌊4500×0.005⌋ = 22
+		{Name: "fleet_query_scatter_3shard", NsPerOp: 90, AllocsPerOp: 4523}, // one past the budget
+		{Name: "parallel_eval_table_w2", NsPerOp: 900, AllocsPerOp: 0},       // ns/op drift only
+	}}
+	entries, failures, _ := Diff(base, cur, DiffOptions{
+		MaxRegress: 0.35, AllocSlack: 0.005,
+		Exempt: regexp.MustCompile("^(parallel|server|fleet)_"),
+	})
+	if failures != 2 {
+		t.Fatalf("failures = %d, want 2 (server_eval_rps and fleet_query_scatter_3shard allocs)", failures)
+	}
+	for name, fail := range map[string]bool{
+		"server_eval_rps": true, "server_stream_rps_w1": false,
+		"fleet_query_scatter_3shard": true, "parallel_eval_table_w2": false,
+	} {
+		e := entryByName(t, entries, name)
+		if e.Failed != fail {
+			t.Errorf("%s: failed = %v, want %v (%s)", name, e.Failed, fail, e.Verdict)
+		}
+		if fail && !strings.Contains(e.Verdict, "allocs/op") {
+			t.Errorf("%s: verdict %q should name allocs/op", name, e.Verdict)
+		}
+		if !fail && e.Verdict != "exempt" {
+			t.Errorf("%s: verdict %q, want exempt", name, e.Verdict)
+		}
+	}
+}
+
 func TestDiffNilExemptGatesEverything(t *testing.T) {
 	base := &Run{Results: []Result{{Name: "parallel_w8", NsPerOp: 100}}}
 	cur := &Run{Results: []Result{{Name: "parallel_w8", NsPerOp: 1000}}}

@@ -1,7 +1,11 @@
 package core
 
 import (
+	"bytes"
+	"hash/fnv"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"olgapro/internal/dist"
@@ -111,5 +115,81 @@ func TestCloneFrozenIsPureAndIndependent(t *testing.T) {
 	}
 	if c1.GP().Len() != srcPoints {
 		t.Fatal("source training leaked into a clone")
+	}
+}
+
+// TestReplicaClonesMatchOwnerClones pins the replica-drift fix: a frozen
+// clone of a retrained owner and a frozen clone of the owner's snapshot
+// restored elsewhere (the replica path: WriteSnapshot → ReadSnapshot →
+// Restore → CloneFrozen) hold identical hyperparameters, so they serve
+// identical distributions. The seeded learning run below retrains to a
+// length scale whose exp/log round trip, taken twice, moves by one ulp —
+// the case in which a replica that recomputed its parameters drifted.
+func TestReplicaClonesMatchOwnerClones(t *testing.T) {
+	f := udf.FuncOf{D: 2, F: func(x []float64) float64 { return x[0]*x[0] + 0.5*x[1] + 0.3*x[0]*x[1] }}
+	owner, err := NewEvaluator(f, Config{Eps: 0.2, Delta: 0.1, Kernel: kernel.NewSqExp(1, 0.5)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(48))
+	inputs := make([]dist.Vector, 64)
+	for i := range inputs {
+		in, err := dist.IsoGaussianVec([]float64{0.3 + 0.4*rng.Float64(), 0.3 + 0.4*rng.Float64()}, 0.15)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs[i] = in
+		if i < 24 {
+			if _, err := owner.Eval(in, rng); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	twice := false
+	for _, p := range owner.Config().Kernel.Params(nil) {
+		l := math.Log(math.Exp(p))
+		twice = twice || math.Log(math.Exp(l)) != l
+	}
+	if owner.Stats().Retrainings == 0 || !twice {
+		t.Fatal("the learning run no longer retrains to a drifting parameter; pick another seed")
+	}
+	var buf bytes.Buffer
+	if err := owner.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := ReadSnapshot(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replica, err := Restore(f, owner.Config(), snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ownerClone, err := owner.CloneFrozen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	replicaClone, err := replica.CloneFrozen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o, r := ownerClone.Config().Kernel.Params(nil), replicaClone.Config().Kernel.Params(nil); !slices.Equal(o, r) {
+		t.Fatalf("kernel parameters drift: owner clone %v, replica clone %v", o, r)
+	}
+	for i, in := range inputs {
+		a, err := ownerClone.Eval(in, rand.New(rand.NewSource(int64(i))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := replicaClone.Eval(in, rand.New(rand.NewSource(int64(i))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ha, hb := fnv.New64a(), fnv.New64a()
+		digestFloats(ha, a.Dist.Values()...)
+		digestFloats(hb, b.Dist.Values()...)
+		if ha.Sum64() != hb.Sum64() {
+			t.Fatalf("tuple %d: owner clone support hash %#x, replica clone %#x", i, ha.Sum64(), hb.Sum64())
+		}
 	}
 }

@@ -218,3 +218,119 @@ func TestSortWithPermNaN(t *testing.T) {
 		}
 	}
 }
+
+// stableReference sorts a copy of vals with slices.SortStableFunc under
+// fless, carrying each value's original index — the behaviour both
+// sortWithPerm paths must reproduce bit for bit, including the order of
+// fless-equal values with different bits (−0 and +0, NaN payloads).
+func stableReference(vals []float64) ([]float64, []int) {
+	type item struct {
+		v float64
+		i int
+	}
+	items := make([]item, len(vals))
+	for i, v := range vals {
+		items[i] = item{v, i}
+	}
+	slices.SortStableFunc(items, func(a, b item) int {
+		switch {
+		case fless(a.v, b.v):
+			return -1
+		case fless(b.v, a.v):
+			return 1
+		}
+		return 0
+	})
+	outV := make([]float64, len(vals))
+	outP := make([]int, len(vals))
+	for k, it := range items {
+		outV[k], outP[k] = it.v, it.i
+	}
+	return outV, outP
+}
+
+// TestSortWithPermMatchesStableReference drives both sort paths — the
+// natural merge and the radix sort — over special values (NaNs with
+// different payloads, ±0, ±Inf), heavy duplicates, and sizes on both sides
+// of radixMinN, checking the value bits and the permutation against a
+// stable comparison sort.
+func TestSortWithPermMatchesStableReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	specials := []float64{
+		math.NaN(), math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0xfff8000000000000),
+		math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64, -math.MaxFloat64,
+	}
+	gens := map[string]func(n int) []float64{
+		"random": func(n int) []float64 {
+			out := make([]float64, n)
+			for i := range out {
+				out[i] = 11 + rng.NormFloat64()
+			}
+			return out
+		},
+		"specials": func(n int) []float64 {
+			out := make([]float64, n)
+			for i := range out {
+				if rng.Intn(4) == 0 {
+					out[i] = specials[rng.Intn(len(specials))]
+				} else {
+					out[i] = rng.NormFloat64() * 1e3
+				}
+			}
+			return out
+		},
+		"duplicates": func(n int) []float64 {
+			out := make([]float64, n)
+			for i := range out {
+				out[i] = float64(rng.Intn(7)) - 3
+				if out[i] == 0 && rng.Intn(2) == 0 {
+					out[i] = math.Copysign(0, -1)
+				}
+			}
+			return out
+		},
+		"nearly_sorted": func(n int) []float64 {
+			out := make([]float64, n)
+			for i := range out {
+				out[i] = float64(i)
+			}
+			for k := 0; k < 3; k++ {
+				if n > 1 {
+					i := rng.Intn(n - 1)
+					out[i], out[i+1] = out[i+1], out[i]
+				}
+			}
+			return out
+		},
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	var mergeV []float64
+	var mergeP []int
+	for name, gen := range gens {
+		for _, n := range []int{0, 1, 2, 3, 64, radixMinN - 1, radixMinN, radixMinN + 1, 1784, 4099} {
+			vals := gen(n)
+			wantV, wantP := stableReference(vals)
+			for _, path := range []string{"sortWithPerm", "radix"} {
+				got := slices.Clone(vals)
+				perm := make([]int, n)
+				for i := range perm {
+					perm[i] = i
+				}
+				if path == "radix" {
+					if n == 0 {
+						continue
+					}
+					radixSortWithPerm(got, perm, make([]float64, n), make([]int, n))
+				} else {
+					sortWithPerm(got, perm, &mergeV, &mergeP)
+				}
+				for k := range got {
+					if !same(got[k], wantV[k]) || perm[k] != wantP[k] {
+						t.Fatalf("%s %s n=%d: position %d holds %v (from %d), want %v (from %d)",
+							path, name, n, k, got[k], perm[k], wantV[k], wantP[k])
+					}
+				}
+			}
+		}
+	}
+}

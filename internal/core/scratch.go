@@ -304,30 +304,45 @@ func (s *envScratch) envelopeOf(means, vars []float64, zAlpha float64, n int) ec
 	}
 }
 
-// sortWithPerm sorts vals ascending while applying the same reordering to
-// perm, using a bottom-up natural merge: maximal ascending runs are detected
-// and adjacent runs merged until one remains, ping-ponging through the
-// scratch buffers. Already-sorted input is a single O(n) scan with zero
-// writes; r runs cost O(n log r); fully random input degrades gracefully to
-// an ordinary O(n log n) merge sort. This adaptivity is what the persistent
-// envelope permutations exploit.
+// Radix-path thresholds for sortWithPerm. A fresh tuple's supports arrive in
+// sample order — effectively random, one descent every other element — and
+// the natural merge then pays ~log₂(n/2) full passes; the radix sort pays a
+// fixed handful. Below radixMinN the radix sort's fixed per-pass bucket work
+// outweighs the merge's few passes, and input with fewer than n/radixDescents
+// descents (a tuning re-sort in the previous order) merges in a pass or two.
+const (
+	radixMinN     = 512
+	radixDescents = 16
+)
+
+// sortWithPerm sorts vals ascending in fless order while applying the same
+// reordering to perm, stably. Input with many descents at large n — the first
+// sort of every fresh tuple — goes through radixSortWithPerm. Otherwise a
+// bottom-up natural merge detects maximal ascending runs and merges adjacent
+// runs until one remains, ping-ponging through the scratch buffers:
+// already-sorted input is a single O(n) scan with zero writes and r runs cost
+// O(n log r). This adaptivity is what the persistent envelope permutations
+// exploit. Both paths are stable, so they produce identical values and perm.
 func sortWithPerm(vals []float64, perm []int, mergeV *[]float64, mergeP *[]int) {
 	n := len(vals)
 	if n < 2 {
 		return
 	}
-	sorted := true
+	descents := 0
 	for i := 1; i < n; i++ {
 		if fless(vals[i], vals[i-1]) {
-			sorted = false
-			break
+			descents++
 		}
 	}
-	if sorted {
+	if descents == 0 {
 		return
 	}
 	sv := resizeFloats(mergeV, n)
 	sp := resizeInts(mergeP, n)
+	if n >= radixMinN && descents >= n/radixDescents {
+		radixSortWithPerm(vals, perm, sv, sp)
+		return
+	}
 	srcV, srcP := vals, perm
 	dstV, dstP := sv, sp
 	for {
@@ -389,6 +404,69 @@ func sortWithPerm(vals []float64, perm []int, mergeV *[]float64, mergeP *[]int) 
 // shrinks every pass (plain < stalls on NaN: it breaks every run containing
 // one and the merge loops forever).
 func fless(a, b float64) bool { return a < b || (a != a && b == b) }
+
+// radixKey maps v to a uint64 whose unsigned order is fless: every NaN gets
+// key 0 (first, and all NaNs equivalent), −0 and +0 share one key (fless
+// treats them as equal), and the remaining floats follow the usual
+// sign-flip encoding. Equal keys for exactly fless's equivalence classes are
+// what make the stable radix sort reproduce the stable merge bit for bit.
+func radixKey(v float64) uint64 {
+	if v != v {
+		return 0
+	}
+	if v == 0 {
+		return 1 << 63
+	}
+	b := math.Float64bits(v)
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
+}
+
+// radixBits is the digit width of radixSortWithPerm: six 11-bit digits
+// cover a key, and samples of one output distribution typically share the
+// top digit (sign and exponent), leaving five scatter passes — two fewer
+// than byte digits, for a 2048-entry prefix sum per pass that stays small
+// next to the m ≈ 1784 sample supports it is for.
+const radixBits = 11
+
+// radixSortWithPerm is a stable LSD radix sort of vals on radixKey, carrying
+// perm along. It ping-pongs between (vals, perm) and the caller's equally
+// long (bufV, bufP) — no buffer of its own — and skips the digits every key
+// shares, on which a pass would be the identity.
+func radixSortWithPerm(vals []float64, perm []int, bufV []float64, bufP []int) {
+	const buckets = 1 << radixBits
+	var counts [(64 + radixBits - 1) / radixBits][buckets]uint32
+	for _, v := range vals {
+		k := radixKey(v)
+		for d := range counts {
+			counts[d][(k>>(radixBits*d))&(buckets-1)]++
+		}
+	}
+	n := uint32(len(vals))
+	k0 := radixKey(vals[0])
+	srcV, srcP, dstV, dstP := vals, perm, bufV, bufP
+	for d := range counts {
+		shift := uint(radixBits * d)
+		c := &counts[d]
+		if c[(k0>>shift)&(buckets-1)] == n {
+			continue
+		}
+		var off uint32
+		for b, k := range c {
+			c[b] = off
+			off += k
+		}
+		for i, v := range srcV {
+			j := &c[(radixKey(v)>>shift)&(buckets-1)]
+			dstV[*j], dstP[*j] = v, srcP[i]
+			*j++
+		}
+		srcV, srcP, dstV, dstP = dstV, dstP, srcV, srcP
+	}
+	if &srcV[0] != &vals[0] {
+		copy(vals, srcV)
+		copy(perm, srcP)
+	}
+}
 
 // resizeInts grows *buf to length n, reusing capacity, and returns it.
 func resizeInts(buf *[]int, n int) []int {

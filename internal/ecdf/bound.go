@@ -66,9 +66,12 @@ func (e Envelope) IntervalBounds(a, b float64) (lo, mid, hi float64) {
 //	          = w(b) + s(a), w = F̂ − F_L, s = F_S − F̂   otherwise
 //
 // For each left endpoint a the first regime's best b is just below the
-// crossing point b₁ where F_L first exceeds F_S(a) (found by binary search,
-// paper Step 4b), and the second regime uses a precomputed suffix maximum of
-// w (paper Step 2). Total cost is O(m log m).
+// crossing point b₁ where F_L first exceeds F_S(a) (paper Step 4b), and the
+// second regime uses a suffix maximum of w (paper Step 2). The paper finds
+// b₁ by binary search, for O(m log m); here the crossing index is monotone
+// in a, so sweeping a from the largest support point down finds every b₁ in
+// one backward scan, the suffix maxima become running maxima, and the total
+// cost is O(m) over the three sorted supports.
 func (e Envelope) DiscrepancyBound(lambda float64) float64 {
 	return e.DiscrepancyBoundWith(nil, lambda)
 }
@@ -79,70 +82,63 @@ func (e Envelope) DiscrepancyBound(lambda float64) float64 {
 type BoundScratch struct {
 	vals, bs   []float64
 	fh, fs, fl []float64
-	sufU, sufW []float64
-}
-
-// growFloats resizes buf to length n, reusing capacity.
-func growFloats(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
 }
 
 // DiscrepancyBoundWith is DiscrepancyBound with caller-provided scratch
 // buffers (nil behaves like DiscrepancyBound and allocates).
 //
-// This is the per-tuning-iteration inner loop of Algorithm 5, so on top of
-// the scratch reuse it exploits monotonicity throughout: the three supports
-// are already sorted, so the merged support and the b-candidate set are
-// linear merges rather than sorts, the CDF arrays are two-pointer walks
-// rather than per-point binary searches, and the two search indices of the
-// left-endpoint sweep (j0 at a+λ and the envelope crossing jt) only ever
-// move forward as a grows. Total cost is O(m) after envelope construction.
+// This is the per-tuple inner loop of Algorithm 5, so on top of the scratch
+// reuse it exploits monotonicity throughout: the three supports are already
+// sorted, so one streaming merge (mergeCandidates) yields the merged support,
+// the b-candidate set, and all three CDFs at every candidate; the two search
+// indices of the left-endpoint sweep (j0 at a+λ and the envelope crossing
+// jt) are monotone in a, so one pass over the candidates serves every a.
+// Total cost is O(m) after envelope construction.
 func (e Envelope) DiscrepancyBoundWith(s *BoundScratch, lambda float64) float64 {
 	if s == nil {
 		s = &BoundScratch{}
 	}
-	s.vals = mergeSorted3(s.vals, e.Mean.xs, e.Lower.xs, e.Upper.xs)
-	vals := s.vals
-	m := len(vals)
-	if m == 0 {
+	s.mergeCandidates(e.Mean.xs, e.Lower.xs, e.Upper.xs, lambda)
+	vals, bs := s.vals, s.bs
+	if len(vals) == 0 {
 		return 0
 	}
-	s.bs = mergeShifted(s.bs, vals, lambda)
-	bs := s.bs
 	mb := len(bs)
-	// CDF arrays at b-candidates, by merge walk (bs is ascending).
-	s.fh = cdfAppend(s.fh, e.Mean.xs, bs, 1)  // F̂, +∞ sentinel = 1
-	s.fs = cdfAppend(s.fs, e.Lower.xs, bs, 1) // F_S
-	s.fl = cdfAppend(s.fl, e.Upper.xs, bs, 1) // F_L
 	fh, fs, fl := s.fh, s.fs, s.fl
-	// Suffix maxima of u = F_S − F̂ and w = F̂ − F_L, including the sentinel.
-	s.sufU = growFloats(s.sufU, mb+2)
-	s.sufW = growFloats(s.sufW, mb+2)
-	sufU, sufW := s.sufU, s.sufW
-	sufU[mb+1], sufW[mb+1] = 0, 0
-	for i := mb; i >= 0; i-- {
-		sufU[i] = math.Max(fs[i]-fh[i], sufU[i+1])
-		sufW[i] = math.Max(fh[i]-fl[i], sufW[i+1])
-	}
-	var best float64
-	// j0: first b-candidate ≥ a+λ (the sentinel mb when past the end).
-	// jt: first b-candidate with F_L(b) > F_S(a).
-	// Both advance monotonically: a+λ grows with a, F_S(a) is
-	// non-decreasing in a, and fl is non-decreasing over candidates.
-	j0, jt := 0, 0
-	consider := func(fhA, fsA, flA, aPlusLambda float64) {
-		for j0 < mb && bs[j0] < aPlusLambda {
-			j0++
+	// The left endpoint a sweeps the merged support from the largest point
+	// down, then the −∞ sentinel (i = −1, where every CDF is 0). Every
+	// support point is itself a b-candidate (index p), so its three CDF
+	// values are already in fh/fs/fl. Both search indices only move
+	// backward as a shrinks:
+	// j0: first b-candidate ≥ a+λ (the sentinel mb when past the end);
+	// jt: first b-candidate with F_L(b) > F_S(a) (F_S(a) shrinks with a, and
+	// fl is non-decreasing over candidates).
+	// The suffix maxima over [j0, mb] of u = F_S − F̂ and over
+	// [max(j0, jt), mb] of w = F̂ − F_L then only grow, as running maxima;
+	// both are 0 at the +∞ sentinel.
+	j0, jt, kw, p := mb, mb, mb, mb-1
+	var best, maxU, maxW float64
+	for i := len(vals) - 1; i >= -1; i-- {
+		fhA, fsA, flA, aPlusLambda := 0.0, 0.0, 0.0, math.Inf(-1)
+		if i >= 0 {
+			a := vals[i]
+			for bs[p] > a {
+				p--
+			}
+			fhA, fsA, flA, aPlusLambda = fh[p], fs[p], fl[p], a+lambda
+		}
+		for j0 > 0 && bs[j0-1] >= aPlusLambda {
+			j0--
+			if u := fs[j0] - fh[j0]; u > maxU {
+				maxU = u
+			}
 		}
 		// Term 1: u(b) + v(a) over b ≥ a+λ.
-		if t := sufU[j0] + (fhA - flA); t > best {
+		if t := maxU + (fhA - flA); t > best {
 			best = t
 		}
-		for jt < mb && fl[jt] <= fsA {
-			jt++
+		for jt > 0 && fl[jt-1] > fsA {
+			jt--
 		}
 		// Regime 1 (ρ′_L clamped to 0): b ∈ [a+λ, b₁); F̂ is constant on
 		// candidate gaps, so its supremum there is F̂ at candidate jt−1.
@@ -163,33 +159,15 @@ func (e Envelope) DiscrepancyBoundWith(s *BoundScratch, lambda float64) float64 
 			}
 		}
 		// Regime 2: b ≥ max(a+λ, b₁) with ρ′_L > 0.
-		k0 := jt
-		if j0 > k0 {
-			k0 = j0
+		for kw > max(j0, jt) {
+			kw--
+			if w := fh[kw] - fl[kw]; w > maxW {
+				maxW = w
+			}
 		}
-		if t := sufW[k0] + (fsA - fhA); t > best {
+		if t := maxW + (fsA - fhA); t > best {
 			best = t
 		}
-	}
-	// a = −∞ sentinel.
-	consider(0, 0, 0, math.Inf(-1))
-	// a at each merged support point, with the three CDF values advanced by
-	// merge walk rather than binary search.
-	ih, is, il := 0, 0, 0
-	invH := cdfScale(e.Mean.xs)
-	invS := cdfScale(e.Lower.xs)
-	invL := cdfScale(e.Upper.xs)
-	for _, a := range vals {
-		for ih < len(e.Mean.xs) && e.Mean.xs[ih] <= a {
-			ih++
-		}
-		for is < len(e.Lower.xs) && e.Lower.xs[is] <= a {
-			is++
-		}
-		for il < len(e.Upper.xs) && e.Upper.xs[il] <= a {
-			il++
-		}
-		consider(float64(ih)*invH, float64(is)*invS, float64(il)*invL, a+lambda)
 	}
 	if best < 0 {
 		best = 0
@@ -206,80 +184,99 @@ func cdfScale(xs []float64) float64 {
 	return 1 / float64(len(xs))
 }
 
-// cdfAppend fills dst[:0] with CDF values of the sorted sample set xs at the
-// ascending query points qs, appending sentinel as a final entry — a linear
-// merge walk equivalent to calling ECDF.CDF per query.
-func cdfAppend(dst, xs, qs []float64, sentinel float64) []float64 {
-	dst = dst[:0]
-	inv := cdfScale(xs)
-	j := 0
-	for _, q := range qs {
-		for j < len(xs) && xs[j] <= q {
-			j++
+// mergeCandidates is the one streaming merge behind DiscrepancyBoundWith. It
+// fills s.vals with the ascending union of the three sorted supports hx
+// (F̂), sx (F_S), lx (F_L); s.bs with the deduplicated ascending union of
+// vals and vals+λ (the b-candidates, vals alone when λ ≤ 0); and s.fh, s.fs,
+// s.fl with each CDF at every candidate plus the +∞ sentinel 1.
+//
+// The CDFs come straight from the merge's live counters: a support's CDF at
+// b is its count of points ≤ b, and when a candidate is emitted every point
+// below the next unmerged value has been consumed — for a shifted candidate
+// vals[q]+λ, which is emitted only while it is below that next value, this
+// is exactly the points ≤ it. The shifted stream reads vals as the merge
+// writes it: vals[q]+λ ≥ vals[q], so its head never outruns the output.
+//
+// Each step emits one candidate, and which stream it comes from is data
+// dependent — a coin flip for the branch predictor — so the step is written
+// as selects (min, conditional increments) the compiler lowers without
+// branches. A value repeated within one support takes one step per copy: the
+// repeat re-emits the candidate, which overwrites the previous entry with
+// the larger counts, and appears twice in vals, which the bound's maximum
+// over left endpoints does not notice.
+func (s *BoundScratch) mergeCandidates(hx, sx, lx []float64, lambda float64) {
+	n := len(hx) + len(sx) + len(lx)
+	vals := growFloats(s.vals, n+1)
+	bs := growFloats(s.bs, 2*n+1)
+	fh := growFloats(s.fh, 2*n+1)
+	fs := growFloats(s.fs, 2*n+1)
+	fl := growFloats(s.fl, 2*n+1)
+	invH, invS, invL := cdfScale(hx), cdfScale(sx), cdfScale(lx)
+	inf := math.Inf(1)
+	last := math.NaN() // the previous candidate; NaN equals nothing
+	ih, is, il, q, nv, nb := 0, 0, 0, 0, 0, 0
+	shifted := lambda > 0
+	for {
+		// 1 while a stream has points left. An exhausted support reads as
+		// +∞ but must never advance, or a +∞ support point would over-count.
+		hOK, sOK, lOK := b2i(ih < len(hx)), b2i(is < len(sx)), b2i(il < len(lx))
+		hasC := b2i(shifted && q < nv)
+		if hOK|sOK|lOK|hasC == 0 {
+			break
 		}
-		dst = append(dst, float64(j)*inv)
+		h, sv, l := inf, inf, inf
+		if hOK == 1 {
+			h = hx[ih]
+		}
+		if sOK == 1 {
+			sv = sx[is]
+		}
+		if lOK == 1 {
+			l = lx[il]
+		}
+		v := min(h, sv, l)
+		c := inf
+		if hasC == 1 {
+			c = vals[q] + lambda
+		}
+		// u: the unshifted head is emitted; on a tie with the shifted head
+		// both streams advance, as they name the same candidate.
+		u := (hOK | sOK | lOK) & b2i(v <= c)
+		ih += u & hOK & b2i(h == v)
+		is += u & sOK & b2i(sv == v)
+		il += u & lOK & b2i(l == v)
+		q += hasC & b2i(c <= v)
+		vals[nv] = v
+		nv += u
+		e := min(v, c)
+		nb -= b2i(e == last)
+		bs[nb] = e
+		fh[nb] = float64(ih) * invH
+		fs[nb] = float64(is) * invS
+		fl[nb] = float64(il) * invL
+		nb++
+		last = e
 	}
-	return append(dst, sentinel)
+	fh[nb], fs[nb], fl[nb] = 1, 1, 1
+	s.vals, s.bs = vals[:nv], bs[:nb]
+	s.fh, s.fs, s.fl = fh[:nb+1], fs[:nb+1], fl[:nb+1]
 }
 
-// mergeSorted3 fills dst[:0] with the deduplicated ascending union of three
-// sorted slices — what appendMerged computes by concatenate-and-sort, in
-// O(m) instead of O(m log m).
-func mergeSorted3(dst, a, b, c []float64) []float64 {
-	dst = dst[:0]
-	i, j, k := 0, 0, 0
-	for i < len(a) || j < len(b) || k < len(c) {
-		v := math.Inf(1)
-		if i < len(a) {
-			v = a[i]
-		}
-		if j < len(b) && b[j] < v {
-			v = b[j]
-		}
-		if k < len(c) && c[k] < v {
-			v = c[k]
-		}
-		for i < len(a) && a[i] == v {
-			i++
-		}
-		for j < len(b) && b[j] == v {
-			j++
-		}
-		for k < len(c) && c[k] == v {
-			k++
-		}
-		dst = append(dst, v)
+// b2i is 1 for true and 0 for false; the compiler lowers it to a flag
+// move, not a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
 	}
-	return dst
+	return 0
 }
 
-// mergeShifted fills dst[:0] with the deduplicated ascending union of vals
-// and vals+λ — the bCandidates set, by linear merge of the two (already
-// sorted) sequences.
-func mergeShifted(dst, vals []float64, lambda float64) []float64 {
-	dst = dst[:0]
-	if lambda <= 0 {
-		return append(dst, vals...)
+// growFloats resizes buf to length n, reusing capacity.
+func growFloats(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
 	}
-	i, j := 0, 0
-	n := len(vals)
-	for i < n || j < n {
-		v := math.Inf(1)
-		if i < n {
-			v = vals[i]
-		}
-		if j < n && vals[j]+lambda < v {
-			v = vals[j] + lambda
-		}
-		for i < n && vals[i] == v {
-			i++
-		}
-		for j < n && vals[j]+lambda == v {
-			j++
-		}
-		dst = append(dst, v)
-	}
-	return dst
+	return buf[:n]
 }
 
 // discrepancyBoundNaive is the O(m²) reference used to validate

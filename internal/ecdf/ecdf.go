@@ -2,7 +2,7 @@
 // the accuracy metrics of the paper (§2.1): the Kolmogorov–Smirnov distance,
 // the discrepancy measure over two-sided intervals, the λ-discrepancy
 // restricted to intervals of length ≥ λ, and the envelope error bound of
-// Algorithm 3 (§4.2) computed in O(m log m).
+// Algorithm 3 (§4.2), computed in O(m) over the three sorted supports.
 //
 // Interval probabilities follow the paper's convention
 // Pr[Y ∈ [a,b]] = Pr[Y ≤ b] − Pr[Y ≤ a]; for the continuous distributions in

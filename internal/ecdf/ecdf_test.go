@@ -287,6 +287,26 @@ func TestQuickDiscrepancyBoundMatchesNaive(t *testing.T) {
 	}
 }
 
+// Infinite support points are ordinary values to the bound's merge: an
+// exhausted support must not be mistaken for one still holding +∞, and a
+// +∞ shifted candidate must dedup against the +∞ support point.
+func TestDiscrepancyBoundInfiniteSupport(t *testing.T) {
+	inf := math.Inf(1)
+	envs := []Envelope{
+		{Mean: New([]float64{0, 1, inf}), Lower: New([]float64{-1, 0.5, 2}), Upper: New([]float64{1, 2, inf})},
+		{Mean: New([]float64{-1, 3, inf}), Lower: New([]float64{-inf, 2, inf}), Upper: New([]float64{0, inf, inf})},
+		{Mean: New([]float64{2, 2}), Lower: New([]float64{-inf, 1}), Upper: New([]float64{3, 4})},
+	}
+	for i, env := range envs {
+		for _, lambda := range []float64{0, 0.5, 3} {
+			got, want := env.DiscrepancyBound(lambda), env.discrepancyBoundNaive(lambda)
+			if math.Abs(got-want) > 1e-12 || got > 1 {
+				t.Errorf("envelope %d, λ=%g: bound %g, naive %g", i, lambda, got, want)
+			}
+		}
+	}
+}
+
 // The bound must dominate the actual λ-discrepancy between the mean CDF and
 // any CDF generated by a function inside the envelope. We emulate such
 // functions by sample-wise convex combinations of the envelope outputs.

@@ -22,6 +22,7 @@ import (
 type SqExpARD struct {
 	SigmaF float64
 	Lens   []float64 // per-dimension lengthscales ℓ_j
+	logs   []logMemo // σ_f, then one per lengthscale
 }
 
 // NewSqExpARD returns an ARD kernel with the given per-dimension
@@ -89,11 +90,20 @@ func (k *SqExpARD) NumParams() int { return 1 + len(k.Lens) }
 
 // Params appends the log-space hyperparameters.
 func (k *SqExpARD) Params(dst []float64) []float64 {
-	dst = append(dst, math.Log(k.SigmaF))
-	for _, l := range k.Lens {
-		dst = append(dst, math.Log(l))
+	dst = append(dst, k.memo(0).of(k.SigmaF))
+	for j, l := range k.Lens {
+		dst = append(dst, k.memo(j+1).of(l))
 	}
 	return dst
+}
+
+// memo returns hyperparameter i's logMemo (0 is σ_f); a kernel never passed
+// through SetParams has none.
+func (k *SqExpARD) memo(i int) logMemo {
+	if i < len(k.logs) {
+		return k.logs[i]
+	}
+	return logMemo{}
 }
 
 // SetParams sets the log-space hyperparameters.
@@ -101,9 +111,12 @@ func (k *SqExpARD) SetParams(p []float64) {
 	if len(p) != k.NumParams() {
 		panic(fmt.Sprintf("kernel: ARD wants %d params, got %d", k.NumParams(), len(p)))
 	}
-	k.SigmaF = math.Exp(p[0])
+	if len(k.logs) != len(p) {
+		k.logs = make([]logMemo, len(p))
+	}
+	k.SigmaF = k.logs[0].set(p[0])
 	for j := range k.Lens {
-		k.Lens[j] = math.Exp(p[j+1])
+		k.Lens[j] = k.logs[j+1].set(p[j+1])
 	}
 }
 
@@ -147,7 +160,9 @@ func (k *SqExpARD) SecondSpectralMoment() float64 {
 
 // Clone returns a deep copy.
 func (k *SqExpARD) Clone() Kernel {
-	return NewSqExpARD(k.SigmaF, k.Lens)
+	c := NewSqExpARD(k.SigmaF, k.Lens)
+	c.logs = append([]logMemo(nil), k.logs...)
+	return c
 }
 
 // String describes the kernel.

@@ -26,6 +26,8 @@ type Kernel interface {
 	// NumParams returns the number of hyperparameters.
 	NumParams() int
 	// Params appends the log-space hyperparameters to dst and returns it.
+	// After SetParams(p) it appends exactly p, so SetParams(Params()) is
+	// the identity.
 	Params(dst []float64) []float64
 	// SetParams sets the log-space hyperparameters.
 	SetParams(p []float64)
@@ -54,6 +56,32 @@ type Kernel interface {
 type BatchEvaler interface {
 	// EvalBatch fills dst[i] = k(xs[i], y); len(dst) must equal len(xs).
 	EvalBatch(dst []float64, xs [][]float64, y []float64)
+}
+
+// logMemo remembers the log-space value SetParams last gave one
+// hyperparameter and the value it set from it. Params answers with the
+// remembered log value while the hyperparameter still holds that value, which
+// makes SetParams(Params()) the identity: recomputing log(exp(θ)) can land an
+// ulp away from θ, so a kernel passed through Params/SetParams twice (a
+// snapshot restore, then a frozen clone) would otherwise predict differently
+// from one passed through once (a frozen clone of the owner).
+type logMemo struct{ log, val float64 }
+
+// set remembers p and returns exp(p), the hyperparameter value to store.
+func (m *logMemo) set(p float64) float64 {
+	m.log, m.val = p, math.Exp(p)
+	return m.val
+}
+
+// of returns the log-space value of the hyperparameter v: the remembered
+// one if v is still what set produced, log(v) otherwise (v was never set
+// through SetParams, or was assigned directly since). The zero memo has
+// val 0, which no positive hyperparameter matches.
+func (m logMemo) of(v float64) float64 {
+	if v == m.val && v != 0 {
+		return m.log
+	}
+	return math.Log(v)
 }
 
 // Gram returns a freshly allocated n×n covariance matrix
@@ -144,6 +172,7 @@ func CrossVec(k Kernel, xs [][]float64, y []float64, dst []float64) []float64 {
 type SqExp struct {
 	SigmaF float64 // signal standard deviation σ_f
 	Len    float64 // lengthscale ℓ
+	logs   [2]logMemo
 }
 
 // NewSqExp returns a squared-exponential kernel with the given signal
@@ -166,7 +195,7 @@ func (k *SqExp) NumParams() int { return 2 }
 
 // Params appends (log σ_f, log ℓ).
 func (k *SqExp) Params(dst []float64) []float64 {
-	return append(dst, math.Log(k.SigmaF), math.Log(k.Len))
+	return append(dst, k.logs[0].of(k.SigmaF), k.logs[1].of(k.Len))
 }
 
 // SetParams sets (log σ_f, log ℓ).
@@ -174,8 +203,8 @@ func (k *SqExp) SetParams(p []float64) {
 	if len(p) != 2 {
 		panic(fmt.Sprintf("kernel: SqExp wants 2 params, got %d", len(p)))
 	}
-	k.SigmaF = math.Exp(p[0])
-	k.Len = math.Exp(p[1])
+	k.SigmaF = k.logs[0].set(p[0])
+	k.Len = k.logs[1].set(p[1])
 }
 
 // ParamGrad fills the log-space derivatives:
@@ -227,6 +256,7 @@ func (k *SqExp) String() string {
 type Matern32 struct {
 	SigmaF float64
 	Len    float64
+	logs   [2]logMemo
 }
 
 // NewMatern32 returns a Matérn 3/2 kernel.
@@ -249,7 +279,7 @@ func (k *Matern32) NumParams() int { return 2 }
 
 // Params appends (log σ_f, log ℓ).
 func (k *Matern32) Params(dst []float64) []float64 {
-	return append(dst, math.Log(k.SigmaF), math.Log(k.Len))
+	return append(dst, k.logs[0].of(k.SigmaF), k.logs[1].of(k.Len))
 }
 
 // SetParams sets (log σ_f, log ℓ).
@@ -257,8 +287,8 @@ func (k *Matern32) SetParams(p []float64) {
 	if len(p) != 2 {
 		panic(fmt.Sprintf("kernel: Matern32 wants 2 params, got %d", len(p)))
 	}
-	k.SigmaF = math.Exp(p[0])
-	k.Len = math.Exp(p[1])
+	k.SigmaF = k.logs[0].set(p[0])
+	k.Len = k.logs[1].set(p[1])
 }
 
 // ParamGrad fills the log-space derivatives; with a = √3/ℓ, t = ‖x−y‖:
@@ -310,6 +340,7 @@ func (k *Matern32) String() string {
 type Matern52 struct {
 	SigmaF float64
 	Len    float64
+	logs   [2]logMemo
 }
 
 // NewMatern52 returns a Matérn 5/2 kernel.
@@ -332,7 +363,7 @@ func (k *Matern52) NumParams() int { return 2 }
 
 // Params appends (log σ_f, log ℓ).
 func (k *Matern52) Params(dst []float64) []float64 {
-	return append(dst, math.Log(k.SigmaF), math.Log(k.Len))
+	return append(dst, k.logs[0].of(k.SigmaF), k.logs[1].of(k.Len))
 }
 
 // SetParams sets (log σ_f, log ℓ).
@@ -340,8 +371,8 @@ func (k *Matern52) SetParams(p []float64) {
 	if len(p) != 2 {
 		panic(fmt.Sprintf("kernel: Matern52 wants 2 params, got %d", len(p)))
 	}
-	k.SigmaF = math.Exp(p[0])
-	k.Len = math.Exp(p[1])
+	k.SigmaF = k.logs[0].set(p[0])
+	k.Len = k.logs[1].set(p[1])
 }
 
 // ParamGrad fills the log-space derivatives; with a = √5/ℓ, t = ‖x−y‖:

@@ -91,6 +91,56 @@ func TestParamsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSetParamsParamsIdentity pins the round trip every clone and restore
+// takes: after SetParams(p), Params returns p exactly, so a kernel rebuilt
+// from Params — once or any number of times — holds bit-identical
+// hyperparameters. Plain exp/log would drift by an ulp for many p.
+func TestSetParamsParamsIdentity(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	all := append(kernels(), NewSqExpARD(1, []float64{1, 2, 3}))
+	drifted := 0
+	for _, k := range all {
+		for trial := 0; trial < 200; trial++ {
+			p := make([]float64, k.NumParams())
+			for j := range p {
+				p[j] = rng.NormFloat64() * 3
+				if math.Log(math.Exp(p[j])) != p[j] {
+					drifted++
+				}
+			}
+			k.SetParams(p)
+			got := k.Params(nil)
+			for j := range p {
+				if got[j] != p[j] {
+					t.Fatalf("%s: Params()[%d] = %v after SetParams(%v)", k, j, got[j], p[j])
+				}
+			}
+			before := k.Clone()
+			k.SetParams(k.Params(nil))
+			x, y := []float64{0.1}, []float64{0.7}
+			if ard, ok := k.(*SqExpARD); ok {
+				x, y = randomPoints(rng, 1, ard.Dim())[0], randomPoints(rng, 1, ard.Dim())[0]
+			}
+			if k.Eval(x, y) != before.Eval(x, y) {
+				t.Fatalf("%s: SetParams(Params()) changed the kernel", k)
+			}
+			if got := before.Params(nil); got[0] != p[0] {
+				t.Fatalf("%s: Clone lost the set parameters", k)
+			}
+		}
+	}
+	if drifted == 0 {
+		t.Fatal("no drawn parameter exercises the exp/log drift")
+	}
+	// A hyperparameter assigned directly falls back to its logarithm.
+	k := NewSqExp(1, 1)
+	k.SetParams([]float64{0.3, 0.4})
+	k.Len = 2
+	if got := k.Params(nil); got[0] != 0.3 || got[1] != math.Log(2) {
+		t.Fatalf("Params after direct assignment = %v", got)
+	}
+}
+
 func TestCloneIndependent(t *testing.T) {
 	k := NewSqExp(1, 1)
 	c := k.Clone()
