@@ -328,6 +328,32 @@ func benchEvalFrozenFresh(b *testing.B) {
 	}
 }
 
+// benchPredictLocal measures the §5.3 local inference of one frozen Q1
+// tuple alone: predictInto over one held-out galaxy's 1784 samples, with the
+// local subset selected and factorized once outside the timer.
+func benchPredictLocal(b *testing.B) {
+	fc, held := frozenGalage()
+	rng := rand.New(rand.NewSource(11))
+	samples := make([][]float64, fc.SampleBudget())
+	for i := range samples {
+		samples[i] = held[0].SampleVec(rng, nil)
+	}
+	if n := len(samples); n != 1784 {
+		b.Fatalf("sample budget %d, want 1784", n)
+	}
+	predict, err := fc.PredictLocalForBench(samples)
+	if err != nil {
+		b.Fatal(err)
+	}
+	means := make([]float64, len(samples))
+	vars := make([]float64, len(samples))
+	predict(means, vars) // warm
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		predict(means, vars)
+	}
+}
+
 // benchDiscrepancyBound measures Algorithm 3's λ-discrepancy bound alone,
 // with reused scratch, on the envelope of one frozen Q1 tuple (three
 // 1784-point supports at the evaluator's own λ).
@@ -925,6 +951,7 @@ func main() {
 		measure("eval_samples_steady", benchEvalSamples),
 		measure("eval_frozen_fresh", benchEvalFrozenFresh),
 		measure("discrepancy_bound_m1784", benchDiscrepancyBound),
+		measure("predict_local_m1784", benchPredictLocal),
 		measure("filter_fast_path", benchFilterFastPath),
 		measure("grad_hess_n300", benchGradHess),
 		measure("tuning_pick_rank1", benchTuningPick(false)),

@@ -17,15 +17,16 @@ func TestFleetQueryBenchRuns(t *testing.T) {
 	}
 }
 
-// TestFrozenQ1BenchRuns smokes the fresh-tuple and bound benchmarks, whose
-// setup learns a Q1 model and checks the bound's support size.
+// TestFrozenQ1BenchRuns smokes the fresh-tuple, bound and local-predict
+// benchmarks, whose setup learns a Q1 model and checks the support size.
 func TestFrozenQ1BenchRuns(t *testing.T) {
 	if testing.Short() {
-		t.Skip("learns a Q1 model and times two benchmarks; skipped in -short")
+		t.Skip("learns a Q1 model and times three benchmarks; skipped in -short")
 	}
 	for name, f := range map[string]func(*testing.B){
 		"eval_frozen_fresh":       benchEvalFrozenFresh,
 		"discrepancy_bound_m1784": benchDiscrepancyBound,
+		"predict_local_m1784":     benchPredictLocal,
 	} {
 		if res := testing.Benchmark(f); res.N <= 0 {
 			t.Fatalf("%s did not run", name)

@@ -25,7 +25,9 @@
 //     the machine that committed the baseline and the CI runner. Their
 //     allocs/op rule still applies — allocation counts do not depend on the
 //     host — so an allocation regression on the serving path fails the
-//     gate;
+//     gate. Its slack is 4% instead of alloc-slack, since their counts vary
+//     with goroutine scheduling and with how many iterations amortize
+//     setup (see exemptAllocSlack);
 //   - benchmarks present in the current run but missing from the baseline
 //     are listed as "new (not gated)" and summarized, so additions (e.g.
 //     the BENCH_PR4 tuning_pick_* pair) are visible in CI output rather
@@ -54,6 +56,11 @@ import (
 
 	"olgapro/internal/benchfmt"
 )
+
+// exemptAllocSlack is the allocs/op slack of the -exempt families: twice the
+// largest run-to-run spread measured on them, 2.0% on parallel_eval_table_w8
+// (1529–1560 over twelve parent-commit runs on a 2-vCPU host).
+const exemptAllocSlack = 0.04
 
 func main() {
 	baseline := flag.String("baseline", "", "committed baseline BENCH_*.json (required)")
@@ -84,9 +91,10 @@ func main() {
 	}
 
 	entries, failures, added := benchfmt.Diff(base, cur, benchfmt.DiffOptions{
-		MaxRegress: *maxRegress,
-		AllocSlack: *allocSlack,
-		Exempt:     exemptRe,
+		MaxRegress:       *maxRegress,
+		AllocSlack:       *allocSlack,
+		ExemptAllocSlack: exemptAllocSlack,
+		Exempt:           exemptRe,
 	})
 	fmt.Printf("benchdiff: %s (baseline) vs %s  [max ns/op regression %.0f%%]\n",
 		*baseline, *current, *maxRegress*100)

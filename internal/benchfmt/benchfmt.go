@@ -67,11 +67,20 @@ type DiffOptions struct {
 	// gate while real leaks (+1 on a 0-alloc hot path) still fail.
 	// Zero means strict equality everywhere.
 	AllocSlack float64
+	// ExemptAllocSlack replaces AllocSlack for Exempt names, floored the
+	// same way. Their allocs/op depends on goroutine scheduling and on how
+	// many iterations amortize setup, so it spreads by more than the serial
+	// benchmarks' background noise. Zero means AllocSlack.
+	ExemptAllocSlack float64
 }
 
 // allocBudget returns the allowed allocs/op for a baseline count.
-func (o DiffOptions) allocBudget(base int64) int64 {
-	return base + int64(float64(base)*o.AllocSlack)
+func (o DiffOptions) allocBudget(base int64, exempted bool) int64 {
+	slack := o.AllocSlack
+	if exempted && o.ExemptAllocSlack != 0 {
+		slack = o.ExemptAllocSlack
+	}
+	return base + int64(float64(base)*slack)
 }
 
 // DiffEntry is one row of a baseline/current comparison.
@@ -93,7 +102,8 @@ type DiffEntry struct {
 //     invariant stays a hard gate, not a soft budget;
 //   - a baseline benchmark missing from the current run fails, so a
 //     benchmark cannot silently vanish from the gate;
-//   - exempt names are not gated on ns/op, only on allocs/op;
+//   - exempt names are not gated on ns/op, only on allocs/op, against
+//     ⌊base × ExemptAllocSlack⌋;
 //   - benchmarks present only in the current run are reported as New and
 //     never gated, so additions stay visible in CI output instead of being
 //     silently ignored.
@@ -123,8 +133,8 @@ func Diff(base, cur *Run, opt DiffOptions) (entries []DiffEntry, failures, added
 			case !exempted && c.NsPerOp > b.NsPerOp*(1+opt.MaxRegress):
 				e.Verdict = fmt.Sprintf("FAIL (ns/op +%.0f%% > %.0f%%)", e.Delta*100, opt.MaxRegress*100)
 				e.Failed = true
-			case c.AllocsPerOp > opt.allocBudget(b.AllocsPerOp):
-				e.Verdict = fmt.Sprintf("FAIL (allocs/op %d > %d)", c.AllocsPerOp, opt.allocBudget(b.AllocsPerOp))
+			case c.AllocsPerOp > opt.allocBudget(b.AllocsPerOp, exempted):
+				e.Verdict = fmt.Sprintf("FAIL (allocs/op %d > %d)", c.AllocsPerOp, opt.allocBudget(b.AllocsPerOp, exempted))
 				e.Failed = true
 			case exempted:
 				e.Verdict = "exempt"

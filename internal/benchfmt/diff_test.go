@@ -183,3 +183,44 @@ func TestDiffNilExemptGatesEverything(t *testing.T) {
 		t.Fatalf("nil Exempt must gate every name (failures=%d)", failures)
 	}
 }
+
+// ExemptAllocSlack widens only the exempt families' allocs/op budget: a
+// goroutine-heavy benchmark's scheduling noise passes under it while the
+// same increase on a serial benchmark still fails, a 0-alloc exempt
+// baseline stays strict, and leaving it zero falls back to AllocSlack.
+func TestDiffExemptAllocSlack(t *testing.T) {
+	base := &Run{Results: []Result{
+		{Name: "parallel_eval_table_w8", NsPerOp: 100, AllocsPerOp: 1535},
+		{Name: "parallel_eval_table_w1", NsPerOp: 100, AllocsPerOp: 1503},
+		{Name: "fleet_replication_lag_hints", NsPerOp: 100, AllocsPerOp: 0},
+		{Name: "query_window_n512", NsPerOp: 100, AllocsPerOp: 1517},
+	}}
+	cur := &Run{Results: []Result{
+		{Name: "parallel_eval_table_w8", NsPerOp: 100, AllocsPerOp: 1560}, // +25 ≤ ⌊1535×0.04⌋ = 61
+		{Name: "parallel_eval_table_w1", NsPerOp: 100, AllocsPerOp: 1564}, // +61 > ⌊1503×0.04⌋ = 60
+		{Name: "fleet_replication_lag_hints", NsPerOp: 100, AllocsPerOp: 1},
+		{Name: "query_window_n512", NsPerOp: 100, AllocsPerOp: 1542}, // +25 > ⌊1517×0.005⌋ = 7
+	}}
+	opt := DiffOptions{
+		MaxRegress: 0.35, AllocSlack: 0.005, ExemptAllocSlack: 0.04,
+		Exempt: regexp.MustCompile("^(parallel|server|fleet)_"),
+	}
+	entries, failures, _ := Diff(base, cur, opt)
+	for name, fail := range map[string]bool{
+		"parallel_eval_table_w8": false, "parallel_eval_table_w1": true,
+		"fleet_replication_lag_hints": true, "query_window_n512": true,
+	} {
+		if e := entryByName(t, entries, name); e.Failed != fail {
+			t.Errorf("%s: failed = %v, want %v (%s)", name, e.Failed, fail, e.Verdict)
+		}
+	}
+	if failures != 3 {
+		t.Fatalf("failures = %d, want 3", failures)
+	}
+	opt.ExemptAllocSlack = 0
+	if e := entryByName(t, entriesOf(Diff(base, cur, opt)), "parallel_eval_table_w8"); !e.Failed {
+		t.Errorf("with no exempt slack, +25/1535 must fail under the 0.5%% AllocSlack: %s", e.Verdict)
+	}
+}
+
+func entriesOf(entries []DiffEntry, _, _ int) []DiffEntry { return entries }

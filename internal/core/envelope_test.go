@@ -1,12 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"olgapro/internal/ecdf"
+	"olgapro/internal/rtree"
 )
 
 // refEnvelopeOf is the sort-based construction envelopeOf replaced: three
@@ -333,4 +335,99 @@ func TestSortWithPermMatchesStableReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// assertStableSupports checks each support of env bit for bit against a
+// stable comparison sort of the same support built in sample order.
+func assertStableSupports(t *testing.T, env ecdf.Envelope, means, vars []float64, zAlpha float64, ctx string) {
+	t.Helper()
+	n := env.Mean.Len()
+	mean := make([]float64, n)
+	lower := make([]float64, n)
+	upper := make([]float64, n)
+	for i := 0; i < n; i++ {
+		mean[i] = means[i]
+		lower[i] = means[i] - zAlpha*math.Sqrt(vars[i])
+		upper[i] = means[i] + zAlpha*math.Sqrt(vars[i])
+	}
+	for _, p := range []struct {
+		name     string
+		got, raw []float64
+	}{{"mean", env.Mean.Values(), mean}, {"lower", env.Lower.Values(), lower}, {"upper", env.Upper.Values(), upper}} {
+		want, _ := stableReference(p.raw)
+		for i := range want {
+			if math.Float64bits(p.got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: %s support[%d] = %v, stable sort gives %v", ctx, p.name, i, p.got[i], want[i])
+			}
+		}
+	}
+}
+
+// descentsInMeanOrder counts the descents of the lower support written in
+// the sorted mean's order: how far from sorted envelopeOf's side sorts start.
+func descentsInMeanOrder(s *envScratch, means, vars []float64, zAlpha float64) int {
+	d := 0
+	prev := math.Inf(-1)
+	for _, i := range s.permM[:s.permN] {
+		v := means[i] - zAlpha*math.Sqrt(vars[i])
+		if v < prev {
+			d++
+		}
+		prev = v
+	}
+	return d
+}
+
+// TestMeanSeededEnvelopeMatchesStableSort pins the lower and upper supports
+// written in the sorted mean's order to stable sorts of the supports in
+// sample order: on a fresh heteroscedastic 1784-sample tuple (radix-sorted
+// mean, nearly sorted sides), on the tuning loop's re-sorts, and on frozen
+// smooth 2-D tuples, whose band offsets vary enough across samples that the
+// mean order is a poor start for the sides.
+func TestMeanSeededEnvelopeMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	const m = 1784
+	means := make([]float64, m)
+	vars := make([]float64, m)
+	for i := range means {
+		means[i] = 4 + rng.NormFloat64()
+		vars[i] = 1e-4 * (1 + rng.Float64())
+	}
+	var s envScratch
+	for round := 0; round < 3; round++ {
+		env := s.envelopeOf(means, vars, 2.4, m)
+		assertStableSupports(t, env, means, vars, 2.4, "fresh tuple, then tuning re-sorts")
+		for i := range means {
+			means[i] += rng.NormFloat64() * 1e-3
+		}
+	}
+
+	e := goldenSmoothModel(t, 0.2)
+	fc, err := e.CloneFrozen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	worst := 0
+	for k, in := range smoothInputs(t, 17, 6) {
+		samples := make([][]float64, fc.SampleBudget())
+		for i := range samples {
+			samples[i] = in.SampleVec(rng, nil)
+		}
+		predict, err := fc.PredictLocalForBench(samples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		means := make([]float64, len(samples))
+		vars := make([]float64, len(samples))
+		predict(means, vars)
+		zA := fc.zAlpha(rtree.BoundingBox(samples))
+		var s envScratch
+		env := s.envelopeOf(means, vars, zA, len(samples))
+		assertStableSupports(t, env, means, vars, zA, fmt.Sprintf("smooth2d tuple %d", k))
+		worst = max(worst, descentsInMeanOrder(&s, means, vars, zA))
+	}
+	if worst == 0 {
+		t.Fatal("every smooth2d lower support was already in mean order; the case exercises nothing")
+	}
+	t.Logf("smooth2d: up to %d lower-support descents in mean order", worst)
 }

@@ -256,7 +256,7 @@ func (e *Evaluator) EvalSamples(samples [][]float64, rng *rand.Rand) (*Output, e
 	if e.sg != nil {
 		lc.bindSparse(e.sg)
 	} else {
-		ids, gamma := e.selectLocal(samples, e.gammaThreshold())
+		ids, gamma := e.selectLocal(samples, box, e.gammaThreshold())
 		if err := e.buildLocal(lc, ids, gamma); err != nil {
 			return nil, err
 		}

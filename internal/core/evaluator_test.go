@@ -249,7 +249,7 @@ func TestLocalInferenceRespectsGamma(t *testing.T) {
 		samples[i] = input.SampleVec(rng, nil)
 	}
 	gammaThresh := e.gammaThreshold()
-	ids, gamma := e.selectLocal(samples, gammaThresh)
+	ids, gamma := e.selectLocal(samples, e.scratch.box.bounding(samples), gammaThresh)
 	if gamma > gammaThresh {
 		t.Fatalf("γ = %g exceeds Γ = %g", gamma, gammaThresh)
 	}

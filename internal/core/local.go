@@ -47,11 +47,13 @@ func (lc *localCtx) bindSparse(sp *gp.Sparse) {
 }
 
 // predictBuf is one worker's reusable inference buffers: the kernel
-// cross-vector and the forward-solve half of the variance computation, plus
-// a gp.Scratch for the sparse path's two solve pairs.
+// cross-vector and the forward-solve half of the variance computation, their
+// four-sample blocks, plus a gp.Scratch for the sparse path's two solve
+// pairs.
 type predictBuf struct {
-	k, v []float64
-	gs   gp.Scratch
+	k, v   []float64
+	kb, vb []float64 // predictRange's four-sample blocks, 4·l each
+	gs     gp.Scratch
 }
 
 // buildLocal (re)factorizes the Gram matrix of the selected points into lc,
@@ -85,7 +87,7 @@ func (e *Evaluator) rebuildLocal(lc *localCtx, samples [][]float64) error {
 		lc.bindSparse(e.sg)
 		return nil
 	}
-	ids, gamma := e.selectLocal(samples, e.gammaThreshold())
+	ids, gamma := e.selectLocal(samples, e.scratch.box.bounding(samples), e.gammaThreshold())
 	return e.buildLocal(lc, ids, gamma)
 }
 
@@ -117,7 +119,12 @@ func (lc *localCtx) predict(e *Evaluator, x []float64, pb *predictBuf) (mean, va
 	if lc.sp != nil {
 		return lc.sp.PredictWith(&pb.gs, x)
 	}
-	prior := e.cfg.Kernel.Eval(x, x)
+	return lc.predictPrior(e, x, e.cfg.Kernel.Eval(x, x), pb)
+}
+
+// predictPrior is predict on the exact path with the prior variance
+// k(x, x) supplied by the caller.
+func (lc *localCtx) predictPrior(e *Evaluator, x []float64, prior float64, pb *predictBuf) (mean, variance float64) {
 	if len(lc.xs) == 0 {
 		return 0, prior
 	}
@@ -130,11 +137,17 @@ func (lc *localCtx) predict(e *Evaluator, x []float64, pb *predictBuf) (mean, va
 	}
 	v := resizeFloats(&pb.v, l)
 	lc.chol.ForwardSolveTo(v, k)
-	variance = prior - mat.Dot(v, v)
+	return mean, posteriorVar(prior, v)
+}
+
+// posteriorVar is the local variance k(x, x) − ‖L⁻¹k‖², clamped at 0
+// against rounding.
+func posteriorVar(prior float64, v []float64) float64 {
+	variance := prior - mat.Dot(v, v)
 	if variance < 0 {
 		variance = 0
 	}
-	return mean, variance
+	return variance
 }
 
 // predictInto fills means[i], vars[i] for samples[lo:hi], fanning the work
@@ -175,21 +188,108 @@ func (lc *localCtx) predictInto(e *Evaluator, samples [][]float64, means, vars [
 	wg.Wait()
 }
 
+// PredictLocalForBench builds the local inference context for samples as
+// EvalSamples does for a fresh tuple and returns a function that runs
+// predictInto over all of them into means and vars (each len(samples)). It
+// is the hook behind the predict_local_m1784 benchmark; the function is
+// valid until the evaluator's next Eval.
+func (e *Evaluator) PredictLocalForBench(samples [][]float64) (func(means, vars []float64), error) {
+	lc := &e.scratch.lc
+	if err := e.rebuildLocal(lc, samples); err != nil {
+		return nil, err
+	}
+	return func(means, vars []float64) {
+		lc.predictInto(e, samples, means, vars, 0, len(samples))
+	}, nil
+}
+
 // predictRange is the sequential kernel of predictInto: zero steady-state
-// heap allocations per sample.
+// heap allocations per sample. On the exact path it takes samples four at a
+// time — four kernel rows, four means, one interleaved ForwardSolve4To —
+// with each sample's arithmetic in exactly predict's order, so the blocked
+// and per-sample paths agree bit for bit. Every kernel is stationary, so
+// the prior k(x, x) is one number for all finite x and is evaluated once per
+// range; rows with a NaN or ±Inf coordinate, where it differs, keep their
+// own Eval(x, x).
 func (lc *localCtx) predictRange(e *Evaluator, samples [][]float64, means, vars []float64, lo, hi int, pb *predictBuf) {
-	for i := lo; i < hi; i++ {
-		means[i], vars[i] = lc.predict(e, samples[i], pb)
+	if lc.sp != nil {
+		for i := lo; i < hi; i++ {
+			means[i], vars[i] = lc.predict(e, samples[i], pb)
+		}
+		return
+	}
+	kern := e.cfg.Kernel
+	prior := stationaryPrior(kern, samples[lo:hi])
+	i := lo
+	if l := len(lc.xs); l > 0 {
+		kb := resizeFloats(&pb.kb, 4*l)
+		vb := resizeFloats(&pb.vb, 4*l)
+		k0, k1, k2, k3 := kb[:l:l], kb[l:2*l:2*l], kb[2*l:3*l:3*l], kb[3*l:]
+		v0, v1, v2, v3 := vb[:l:l], vb[l:2*l:2*l], vb[2*l:3*l:3*l], vb[3*l:]
+		alpha := e.g.Alpha()
+		for ; i+4 <= hi; i += 4 {
+			x0, x1, x2, x3 := samples[i], samples[i+1], samples[i+2], samples[i+3]
+			kernel.CrossVec(kern, lc.xs, x0, k0)
+			kernel.CrossVec(kern, lc.xs, x1, k1)
+			kernel.CrossVec(kern, lc.xs, x2, k2)
+			kernel.CrossVec(kern, lc.xs, x3, k3)
+			var m0, m1, m2, m3 float64
+			for j, id := range lc.ids {
+				a := alpha[id]
+				m0 += k0[j] * a
+				m1 += k1[j] * a
+				m2 += k2[j] * a
+				m3 += k3[j] * a
+			}
+			lc.chol.ForwardSolve4To(v0, v1, v2, v3, k0, k1, k2, k3)
+			means[i], vars[i] = m0, posteriorVar(priorAt(kern, x0, prior), v0)
+			means[i+1], vars[i+1] = m1, posteriorVar(priorAt(kern, x1, prior), v1)
+			means[i+2], vars[i+2] = m2, posteriorVar(priorAt(kern, x2, prior), v2)
+			means[i+3], vars[i+3] = m3, posteriorVar(priorAt(kern, x3, prior), v3)
+		}
+	}
+	for ; i < hi; i++ {
+		means[i], vars[i] = lc.predictPrior(e, samples[i], priorAt(kern, samples[i], prior), pb)
 	}
 }
 
+// stationaryPrior returns k(x, x) at the first finite row of samples — the
+// prior variance every finite row shares — or 0 when there is none.
+func stationaryPrior(k kernel.Kernel, samples [][]float64) float64 {
+	for _, x := range samples {
+		if finiteRow(x) {
+			return k.Eval(x, x)
+		}
+	}
+	return 0
+}
+
+// priorAt returns k(x, x): the range's shared prior for a finite row, the
+// row's own evaluation otherwise.
+func priorAt(k kernel.Kernel, x []float64, prior float64) float64 {
+	if finiteRow(x) {
+		return prior
+	}
+	return k.Eval(x, x)
+}
+
+// finiteRow reports whether every coordinate of x is finite.
+func finiteRow(x []float64) bool {
+	for _, v := range x {
+		if v-v != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // selectLocal chooses the training subset for the given samples: points
-// within an adaptively grown radius of the sample bounding box, grown until
+// within an adaptively grown radius of box, the samples' bounding box, until
 // the dropped-point error bound γ is at most Γ (§5.1). It returns all points
 // under global inference, for non-isotropic kernels, or for tiny models.
 // The returned ids alias evaluator scratch and are only valid until the next
 // selectLocal call (buildLocal copies them).
-func (e *Evaluator) selectLocal(samples [][]float64, gammaThresh float64) (ids []int, gamma float64) {
+func (e *Evaluator) selectLocal(samples [][]float64, box rtree.Rect, gammaThresh float64) (ids []int, gamma float64) {
 	n := e.g.Len()
 	sc := &e.scratch
 	all := func() []int {
@@ -204,7 +304,6 @@ func (e *Evaluator) selectLocal(samples [][]float64, gammaThresh float64) (ids [
 	if e.cfg.GlobalInference || !isIso || n <= 8 {
 		return all(), 0
 	}
-	box := sc.box.bounding(samples)
 	boxes := sc.box.sub(samples, box)
 	// Initial radius: optimistic — as if only the single largest-weight
 	// excluded point mattered, κ(r)·max|α| ≤ Γ. The γ bound below is the

@@ -156,7 +156,7 @@ func TestParallelInferenceMatchesSequential(t *testing.T) {
 		for i := range samples {
 			samples[i] = in.SampleVec(srng, nil)
 		}
-		ids, gamma := e.selectLocal(samples, e.gammaThreshold())
+		ids, gamma := e.selectLocal(samples, e.scratch.box.bounding(samples), e.gammaThreshold())
 		var lc localCtx
 		if err := e.buildLocal(&lc, ids, gamma); err != nil {
 			t.Fatal(err)

@@ -58,6 +58,7 @@ type evalScratch struct {
 // scratch and are valid only until the next bounding/sub call.
 type boxScratch struct {
 	lo, hi []float64          // overall bounding-box backing
+	mid    []float64          // sub's split point, the overall box center
 	cells  [1 << 3]rtree.Rect // per-cell tight boxes (d ≤ 3), backings reused
 	used   [1 << 3]bool
 	out    []rtree.Rect // returned sub-box headers
@@ -96,10 +97,14 @@ func (b *boxScratch) sub(samples [][]float64, box rtree.Rect) []rtree.Rect {
 	for k := range b.used {
 		b.used[k] = false
 	}
+	mid := resizeFloats(&b.mid, d)
+	for j := range mid {
+		mid[j] = (box.Lo[j] + box.Hi[j]) / 2
+	}
 	for _, s := range samples {
 		key := 0
-		for j := 0; j < d; j++ {
-			if s[j] > (box.Lo[j]+box.Hi[j])/2 {
+		for j, c := range mid {
+			if s[j] > c {
 				key |= 1 << j
 			}
 		}
@@ -208,20 +213,24 @@ func (m *markSet) has(id int) bool { return m.marks[id] == m.epoch }
 // size returns the number of distinct ids added since the last reset.
 func (m *markSet) size() int { return m.count }
 
-// envScratch owns the three sorted sample buffers an envelope is built from,
-// plus one sort permutation per support. The permutations persist across
-// envelopeOf calls: within a tuple's tuning loop consecutive calls see means
-// and variances that moved only slightly (one rank-1 model update), so
-// writing the new values in the previous sorted order yields a handful of
-// ascending runs and the adaptive merge below restores order in ~O(m) —
-// the steady-state loop performs no comparison sort at all, where each call
-// formerly paid three O(m log m) slices.Sort passes.
+// envScratch owns the three sorted sample buffers an envelope is built from
+// and the sort permutation of the mean support. The permutation persists
+// across envelopeOf calls: within a tuple's tuning loop consecutive calls
+// see means and variances that moved only slightly (one rank-1 model
+// update), so writing the new means in the previous sorted order yields a
+// handful of ascending runs and the adaptive merge below restores order in
+// ~O(m) — the steady-state loop performs no comparison sort at all, where
+// each call formerly paid three O(m log m) slices.Sort passes. The lower and
+// upper supports need no order of their own: written in the sorted mean's
+// order they are already nearly sorted, since a sample's band offset varies
+// far less than the means do.
 type envScratch struct {
-	mean, lower, upper  []float64
-	permM, permL, permU []int
-	permN               int       // sample count the permutations cover
-	mergeV              []float64 // natural-merge value scratch
-	mergeP              []int     // natural-merge permutation scratch
+	mean, lower, upper []float64
+	permM              []int     // sorted-mean order of the samples
+	permN              int       // sample count permM covers
+	sideP              []int     // lower/upper sort permutation, discarded
+	mergeV             []float64 // natural-merge value scratch
+	mergeP             []int     // natural-merge permutation scratch
 
 	// The three ECDF structs the returned envelope points into. Reusing
 	// them (ecdf.SetSorted) instead of allocating fresh ones per call is
@@ -232,20 +241,18 @@ type envScratch struct {
 	meanE, lowerE, upperE ecdf.ECDF
 }
 
-// syncPerms sizes the three permutations to n samples. A grown range is
+// syncPerm sizes the mean permutation to n samples. A grown range is
 // appended as identity — during chunked filtering the first permN samples
 // keep their values exactly, so the previous order stays a sorted prefix run
 // and only the new suffix needs merging. A shrunk range (new tuple with a
 // smaller budget) resets to identity.
-func (s *envScratch) syncPerms(n int) {
+func (s *envScratch) syncPerm(n int) {
 	if s.permN > n {
 		s.permN = 0
-		s.permM, s.permL, s.permU = s.permM[:0], s.permL[:0], s.permU[:0]
+		s.permM = s.permM[:0]
 	}
 	for i := s.permN; i < n; i++ {
 		s.permM = append(s.permM, i)
-		s.permL = append(s.permL, i)
-		s.permU = append(s.permU, i)
 	}
 	s.permN = n
 }
@@ -255,6 +262,14 @@ func (s *envScratch) syncPerms(n int) {
 // buffers. The returned envelope aliases them: it is valid only until the
 // next envelopeOf call on the same scratch, and must be deep-copied (see
 // ownedEnvelope) before escaping into an Output.
+//
+// Only the mean support is sorted from the persistent order; the lower and
+// upper supports are written in the sorted mean's order, which a fresh
+// tuple's supports follow with almost no descents, so their sorts finish in
+// sortWithPerm's descent scan or a merge pass instead of a radix sort. A
+// stable sort's output values do not depend on the input order (up to the
+// order of fless-equal values, ±0 and NaN payloads), so the supports are the
+// same as from any other starting order.
 func (s *envScratch) envelopeOf(means, vars []float64, zAlpha float64, n int) ecdf.Envelope {
 	mean := resizeFloats(&s.mean, n)
 	lower := resizeFloats(&s.lower, n)
@@ -266,11 +281,12 @@ func (s *envScratch) envelopeOf(means, vars []float64, zAlpha float64, n int) ec
 			Upper: s.upperE.SetSorted(upper),
 		}
 	}
-	s.syncPerms(n)
-	for k, i := range s.permM[:n] {
+	s.syncPerm(n)
+	perm := s.permM[:n]
+	for k, i := range perm {
 		mean[k] = means[i]
 	}
-	sortWithPerm(mean, s.permM[:n], &s.mergeV, &s.mergeP)
+	sortWithPerm(mean, perm, &s.mergeV, &s.mergeP)
 	// Homoscedastic fast path: with one shared variance the lower and upper
 	// supports are constant shifts of the sorted mean support, so they need
 	// no ordering work of their own (ecdf.FromSortedShifted).
@@ -289,14 +305,15 @@ func (s *envScratch) envelopeOf(means, vars []float64, zAlpha float64, n int) ec
 			Upper: s.upperE.SetSortedShifted(upper, mean, off),
 		}
 	}
-	for k, i := range s.permL[:n] {
+	for k, i := range perm {
 		lower[k] = means[i] - zAlpha*math.Sqrt(vars[i])
-	}
-	sortWithPerm(lower, s.permL[:n], &s.mergeV, &s.mergeP)
-	for k, i := range s.permU[:n] {
 		upper[k] = means[i] + zAlpha*math.Sqrt(vars[i])
 	}
-	sortWithPerm(upper, s.permU[:n], &s.mergeV, &s.mergeP)
+	// The side sorts' permutation is never read, so its contents are
+	// irrelevant and it is not reset.
+	side := resizeInts(&s.sideP, n)
+	sortWithPerm(lower, side, &s.mergeV, &s.mergeP)
+	sortWithPerm(upper, side, &s.mergeV, &s.mergeP)
 	return ecdf.Envelope{
 		Mean:  s.meanE.SetSorted(mean),
 		Lower: s.lowerE.SetSorted(lower),
@@ -321,8 +338,9 @@ const (
 // bottom-up natural merge detects maximal ascending runs and merges adjacent
 // runs until one remains, ping-ponging through the scratch buffers:
 // already-sorted input is a single O(n) scan with zero writes and r runs cost
-// O(n log r). This adaptivity is what the persistent envelope permutations
-// exploit. Both paths are stable, so they produce identical values and perm.
+// O(n log r). This adaptivity is what the persistent mean permutation and
+// the mean-ordered side supports exploit. Both paths are stable, so they
+// produce identical values and perm.
 func sortWithPerm(vals []float64, perm []int, mergeV *[]float64, mergeP *[]int) {
 	n := len(vals)
 	if n < 2 {

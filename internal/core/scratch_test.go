@@ -31,7 +31,8 @@ func seededEvaluator(t *testing.T, n int) *Evaluator {
 }
 
 // predictRange is the per-sample inner loop of Algorithm 5: with warmed
-// worker buffers it must not allocate.
+// worker buffers it must not allocate, on the four-sample blocks or on the
+// tail the odd-length range leaves.
 func TestPredictRangeZeroAllocs(t *testing.T) {
 	e := seededEvaluator(t, 40)
 	rng := rand.New(rand.NewSource(42))
@@ -40,17 +41,20 @@ func TestPredictRangeZeroAllocs(t *testing.T) {
 	for i := range samples {
 		samples[i] = in.SampleVec(rng, nil)
 	}
-	ids, gamma := e.selectLocal(samples, e.gammaThreshold())
+	ids, gamma := e.selectLocal(samples, e.scratch.box.bounding(samples), e.gammaThreshold())
 	lc := &e.scratch.lc
 	if err := e.buildLocal(lc, ids, gamma); err != nil {
 		t.Fatal(err)
 	}
 	means := make([]float64, len(samples))
 	vars := make([]float64, len(samples))
+	if len(lc.xs) == 0 {
+		t.Fatal("local subset is empty; the blocked path would not run")
+	}
 	pb := e.scratch.buf(0)
-	lc.predictRange(e, samples, means, vars, 0, len(samples), pb) // warm
+	lc.predictRange(e, samples, means, vars, 1, len(samples), pb) // warm
 	if allocs := testing.AllocsPerRun(20, func() {
-		lc.predictRange(e, samples, means, vars, 0, len(samples), pb)
+		lc.predictRange(e, samples, means, vars, 1, len(samples), pb)
 	}); allocs != 0 {
 		t.Fatalf("predictRange allocates %.1f per run, want 0", allocs)
 	}
@@ -66,10 +70,10 @@ func TestSelectLocalReusesScratch(t *testing.T) {
 	for i := range samples {
 		samples[i] = in.SampleVec(rng, nil)
 	}
-	ids1, _ := e.selectLocal(samples, e.gammaThreshold())
+	ids1, _ := e.selectLocal(samples, e.scratch.box.bounding(samples), e.gammaThreshold())
 	n1 := len(ids1)
 	allocs := testing.AllocsPerRun(20, func() {
-		ids, _ := e.selectLocal(samples, e.gammaThreshold())
+		ids, _ := e.selectLocal(samples, e.scratch.box.bounding(samples), e.gammaThreshold())
 		if len(ids) != n1 {
 			t.Fatalf("selection size changed: %d → %d", n1, len(ids))
 		}
@@ -144,7 +148,7 @@ func TestLocalExtendFailureRebuilds(t *testing.T) {
 		t.Fatalf("rebuildLocal after failed extend: %v", err)
 	}
 	var fresh localCtx
-	ids, gamma := e.selectLocal(samples, e.gammaThreshold())
+	ids, gamma := e.selectLocal(samples, e.scratch.box.bounding(samples), e.gammaThreshold())
 	if err := e.buildLocal(&fresh, ids, gamma); err != nil {
 		t.Fatal(err)
 	}
@@ -218,4 +222,80 @@ func TestMarkSet(t *testing.T) {
 	if !m.has(0) {
 		t.Fatal("post-wrap add lost")
 	}
+}
+
+// sameBits reports whether two float64s are the same value bit for bit,
+// treating any two NaNs as equal.
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b)
+}
+
+// TestPredictRangeBlockedMatchesPredict pins the four-sample blocked
+// predictRange, with its hoisted prior, to per-sample predict bit for bit:
+// every range length 0–9 at even and odd starts (the filter chunks start
+// anywhere), rows with ±Inf and NaN coordinates in every block position, an
+// empty local subset, and the Parallelism 2 fan-out.
+func TestPredictRangeBlockedMatchesPredict(t *testing.T) {
+	e := seededEvaluator(t, 40)
+	rng := rand.New(rand.NewSource(44))
+	in := gaussianInput([]float64{5, 5}, 0.6)
+	samples := make([][]float64, 600)
+	for i := range samples {
+		samples[i] = in.SampleVec(rng, nil)
+	}
+	lc := &e.scratch.lc
+	if err := e.rebuildLocal(lc, samples); err != nil {
+		t.Fatal(err)
+	}
+	if len(lc.xs) == 0 {
+		t.Fatal("local subset is empty; the blocked path would not run")
+	}
+	// Non-finite rows at block positions 0–3, including a range's first row.
+	inf := math.Inf(1)
+	samples[0] = []float64{inf, 5}
+	samples[3] = []float64{5, math.NaN()}
+	samples[6] = []float64{-inf, -inf}
+	samples[9] = []float64{math.NaN(), inf}
+	samples[13] = []float64{5, -inf}
+
+	var pb predictBuf
+	check := func(ctx string, lc *localCtx, means, vars []float64, lo, hi int) {
+		t.Helper()
+		for i := lo; i < hi; i++ {
+			m, v := lc.predict(e, samples[i], &pb)
+			if !sameBits(means[i], m) || !sameBits(vars[i], v) {
+				t.Fatalf("%s: sample %d = (%v, %v), predict gives (%v, %v)", ctx, i, means[i], vars[i], m, v)
+			}
+		}
+	}
+	sentinel := math.Float64frombits(0x7ff8dead)
+	means := make([]float64, len(samples))
+	vars := make([]float64, len(samples))
+	var empty localCtx
+	if err := e.buildLocal(&empty, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		lc   *localCtx
+	}{{"local", lc}, {"empty", &empty}} {
+		for _, lo := range []int{0, 1, 3, 6} {
+			for n := 0; n <= 9; n++ {
+				for i := range means {
+					means[i], vars[i] = sentinel, sentinel
+				}
+				c.lc.predictRange(e, samples, means, vars, lo, lo+n, e.scratch.buf(0))
+				check(c.name, c.lc, means, vars, lo, lo+n)
+				for i := range means {
+					if (i < lo || i >= lo+n) && (math.Float64bits(means[i]) != 0x7ff8dead || math.Float64bits(vars[i]) != 0x7ff8dead) {
+						t.Fatalf("%s lo=%d n=%d: wrote outside the range at %d", c.name, lo, n, i)
+					}
+				}
+			}
+		}
+	}
+	// Two workers split [1, 600) at an even offset from an odd start.
+	e.cfg.Parallelism = 2
+	lc.predictInto(e, samples, means, vars, 1, len(samples))
+	check("parallelism 2", lc, means, vars, 1, len(samples))
 }

@@ -278,7 +278,7 @@ func subsampleIndices(n, max int, rng *rand.Rand) []int {
 // candidate pools and evaluation subsets for a given rng state.
 func (e *Evaluator) PickGreedyForBench(samples [][]float64, rng *rand.Rand, useClone bool) (int, error) {
 	sc := &e.scratch
-	ids, gamma := e.selectLocal(samples, e.gammaThreshold())
+	ids, gamma := e.selectLocal(samples, sc.box.bounding(samples), e.gammaThreshold())
 	lc := &sc.lc
 	if err := e.buildLocal(lc, ids, gamma); err != nil {
 		return -1, err

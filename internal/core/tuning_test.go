@@ -47,7 +47,7 @@ func greedySetup(t *testing.T, e *Evaluator, samples [][]float64, rng *rand.Rand
 	lc *localCtx, means, vars []float64, lambda, zA float64, cands, evalIdx []int) {
 	t.Helper()
 	sc := &e.scratch
-	ids, gamma := e.selectLocal(samples, e.gammaThreshold())
+	ids, gamma := e.selectLocal(samples, e.scratch.box.bounding(samples), e.gammaThreshold())
 	lc = &sc.lc
 	if err := e.buildLocal(lc, ids, gamma); err != nil {
 		t.Fatal(err)

@@ -190,6 +190,34 @@ func (c *Cholesky) ForwardSolveTo(dst, b []float64) []float64 {
 	return dst
 }
 
+// ForwardSolve4To solves L y_j = b_j into dst_j for four right-hand sides in
+// one sweep over L. Each row of L is loaded once for all four, and the four
+// independent divide-bound dependency chains overlap; every dst_j gets
+// exactly ForwardSolveTo's operation order, so the results agree bit for
+// bit. Every slice must have length Size; dst_j may alias b_j, but no dst
+// may alias another right-hand side or destination.
+func (c *Cholesky) ForwardSolve4To(dst0, dst1, dst2, dst3, b0, b1, b2, b3 []float64) {
+	n := c.n
+	if len(dst0) != n || len(dst1) != n || len(dst2) != n || len(dst3) != n ||
+		len(b0) != n || len(b1) != n || len(b2) != n || len(b3) != n {
+		panic(fmt.Sprintf("mat: cholesky forward4 lengths %d,%d,%d,%d / %d,%d,%d,%d ≠ %d",
+			len(dst0), len(dst1), len(dst2), len(dst3), len(b0), len(b1), len(b2), len(b3), n))
+	}
+	for i := 0; i < n; i++ {
+		row := c.rowL(i)
+		s0, s1, s2, s3 := b0[i], b1[i], b2[i], b3[i]
+		p0, p1, p2, p3 := dst0[:i], dst1[:i], dst2[:i], dst3[:i]
+		for k, r := range row[:i] {
+			s0 -= r * p0[k]
+			s1 -= r * p1[k]
+			s2 -= r * p2[k]
+			s3 -= r * p3[k]
+		}
+		d := row[i]
+		dst0[i], dst1[i], dst2[i], dst3[i] = s0/d, s1/d, s2/d, s3/d
+	}
+}
+
 // BackSolveTo solves Lᵀ x = y into dst, which must have length Size.
 // dst may alias y. It completes a ForwardSolveTo half-solve into a full
 // A⁻¹ application: x = L⁻ᵀ(L⁻¹b) = A⁻¹b. It returns dst.

@@ -38,6 +38,12 @@ func TestSolveToVariantsZeroAllocs(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("QuadraticTo allocates %.1f per run, want 0", allocs)
 	}
+	d1, d2, d3 := make([]float64, n), make([]float64, n), make([]float64, n)
+	if allocs := testing.AllocsPerRun(100, func() {
+		c.ForwardSolve4To(dst, d1, d2, d3, b, b, b, b)
+	}); allocs != 0 {
+		t.Fatalf("ForwardSolve4To allocates %.1f per run, want 0", allocs)
+	}
 }
 
 // Steady-state Extend must not allocate once the packed store's capacity

@@ -164,32 +164,55 @@ func (s *Server) persist(ctx context.Context, e *udfEntry) (snapshotInfo, error)
 // mid-write never leaves a truncated snapshot for the next boot to trip
 // over, and two concurrent snapshot requests for the same UDF cannot
 // interleave bytes in a shared temp file — the loser's rename just
-// replaces the winner's whole file.
-func atomicWrite(path string, data []byte) error {
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+// replaces the winner's whole file. The temp file is synced before the
+// rename, so the renamed file is never an empty or partial inode after a
+// power loss, and the directory is synced after it, so the rename itself is
+// durable. Every failure removes the temp file.
+func atomicWrite(path string, data []byte) (err error) {
+	dir := filepath.Dir(path)
+	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
 	tmp := f.Name()
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
+	defer func() {
+		if err != nil {
+			f.Close() // closing an already closed file is harmless
+			os.Remove(tmp)
+		}
+	}()
+	if _, err = f.Write(data); err != nil {
 		return err
 	}
-	if err := f.Chmod(0o644); err != nil {
-		f.Close()
-		os.Remove(tmp)
+	if err = f.Chmod(0o644); err != nil {
 		return err
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
+	if err = syncFile(f); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	if err = f.Close(); err != nil {
 		return err
 	}
-	return nil
+	if err = os.Rename(tmp, path); err != nil {
+		return err
+	}
+	return syncDir(dir)
+}
+
+// syncFile flushes f to stable storage; a variable so tests can fail it.
+var syncFile = (*os.File).Sync
+
+// syncDir makes a rename inside dir durable by syncing the directory.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := syncFile(d); err != nil {
+		d.Close()
+		return err
+	}
+	return d.Close()
 }
 
 func (s *Server) handleSnapshotOne(w http.ResponseWriter, r *http.Request) {

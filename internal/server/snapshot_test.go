@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http/httptest"
 	"os"
@@ -142,5 +143,66 @@ func TestSnapshotLegacyRestore(t *testing.T) {
 	}
 	if e2.trainPts.Load() != e.trainPts.Load() {
 		t.Fatalf("legacy restore has %d training points, want %d", e2.trainPts.Load(), e.trainPts.Load())
+	}
+}
+
+// TestAtomicWriteLeavesNoTempFile drives atomicWrite through each failure
+// after its temp file exists — the file sync, the rename, the directory
+// sync — plus a failed create and a success, and checks that every failure
+// is returned and that no path leaves a .tmp* file behind.
+func TestAtomicWriteLeavesNoTempFile(t *testing.T) {
+	orig := syncFile
+	t.Cleanup(func() { syncFile = orig })
+	errSync := errors.New("injected sync failure")
+	failSync := func(k int) func(string) string {
+		return func(path string) string {
+			calls := 0
+			syncFile = func(f *os.File) error {
+				if calls++; calls == k {
+					return errSync
+				}
+				return orig(f)
+			}
+			return path
+		}
+	}
+	for _, c := range []struct {
+		name    string
+		setup   func(path string) string // returns the path to write
+		wantErr bool
+	}{
+		{"success", func(p string) string { return p }, false},
+		{"file sync fails", failSync(1), true},
+		{"directory sync fails", failSync(2), true},
+		{"rename onto a directory fails", func(p string) string {
+			if err := os.MkdirAll(filepath.Join(p, "occupied"), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}, true},
+		{"create in a missing directory fails", func(p string) string {
+			return filepath.Join(filepath.Dir(p), "missing", "x.snap")
+		}, true},
+	} {
+		syncFile = orig
+		dir := t.TempDir()
+		path := c.setup(filepath.Join(dir, "x.snap"))
+		err := atomicWrite(path, []byte("payload"))
+		syncFile = orig
+		if (err != nil) != c.wantErr {
+			t.Fatalf("%s: err = %v, want error %v", c.name, err, c.wantErr)
+		}
+		left, gerr := filepath.Glob(filepath.Join(dir, "*.tmp*"))
+		if gerr != nil {
+			t.Fatal(gerr)
+		}
+		if len(left) > 0 {
+			t.Fatalf("%s: temp files left behind: %v", c.name, left)
+		}
+		if !c.wantErr {
+			if got, err := os.ReadFile(path); err != nil || string(got) != "payload" {
+				t.Fatalf("%s: read back %q, %v", c.name, got, err)
+			}
+		}
 	}
 }
