@@ -397,6 +397,11 @@ func benchFilterFastPath(b *testing.B) {
 // the online retraining heuristic (§5.3) at n=300.
 func benchGradHess(b *testing.B) {
 	g := trainedGP(300)
+	// The first call grows the GP's O(n²) gradient scratch. Warm it outside
+	// the timer so allocs/op counts only the steady state: otherwise the
+	// dozen setup allocations, amortized over the ~10–14 iterations a run
+	// picks, flip the integer count between 2 and 3.
+	g.GradHess()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		grad, hess := g.GradHess()
@@ -444,6 +449,11 @@ func benchTuningPick(useClone bool) func(b *testing.B) {
 	return func(b *testing.B) {
 		ev, samples := greedyBenchSetup()
 		rng := rand.New(rand.NewSource(31))
+		// One untimed pick grows the tuning scratch, so allocs/op does not
+		// depend on how many iterations amortize it (see benchGradHess).
+		if _, err := ev.PickGreedyForBench(samples, rng, useClone); err != nil {
+			b.Fatal(err)
+		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := ev.PickGreedyForBench(samples, rng, useClone); err != nil {

@@ -27,7 +27,7 @@
 //     host — so an allocation regression on the serving path fails the
 //     gate. Its slack is 4% instead of alloc-slack, since their counts vary
 //     with goroutine scheduling and with how many iterations amortize
-//     setup (see exemptAllocSlack);
+//     setup (sized in internal/benchfmt);
 //   - benchmarks present in the current run but missing from the baseline
 //     are listed as "new (not gated)" and summarized, so additions (e.g.
 //     the BENCH_PR4 tuning_pick_* pair) are visible in CI output rather
@@ -56,11 +56,6 @@ import (
 
 	"olgapro/internal/benchfmt"
 )
-
-// exemptAllocSlack is the allocs/op slack of the -exempt families: twice the
-// largest run-to-run spread measured on them, 2.0% on parallel_eval_table_w8
-// (1529–1560 over twelve parent-commit runs on a 2-vCPU host).
-const exemptAllocSlack = 0.04
 
 func main() {
 	baseline := flag.String("baseline", "", "committed baseline BENCH_*.json (required)")
@@ -91,10 +86,9 @@ func main() {
 	}
 
 	entries, failures, added := benchfmt.Diff(base, cur, benchfmt.DiffOptions{
-		MaxRegress:       *maxRegress,
-		AllocSlack:       *allocSlack,
-		ExemptAllocSlack: exemptAllocSlack,
-		Exempt:           exemptRe,
+		MaxRegress: *maxRegress,
+		AllocSlack: *allocSlack,
+		Exempt:     exemptRe,
 	})
 	fmt.Printf("benchdiff: %s (baseline) vs %s  [max ns/op regression %.0f%%]\n",
 		*baseline, *current, *maxRegress*100)

@@ -119,12 +119,7 @@ func (lc *localCtx) predict(e *Evaluator, x []float64, pb *predictBuf) (mean, va
 	if lc.sp != nil {
 		return lc.sp.PredictWith(&pb.gs, x)
 	}
-	return lc.predictPrior(e, x, e.cfg.Kernel.Eval(x, x), pb)
-}
-
-// predictPrior is predict on the exact path with the prior variance
-// k(x, x) supplied by the caller.
-func (lc *localCtx) predictPrior(e *Evaluator, x []float64, prior float64, pb *predictBuf) (mean, variance float64) {
+	prior := e.cfg.Kernel.Eval(x, x)
 	if len(lc.xs) == 0 {
 		return 0, prior
 	}
@@ -207,10 +202,7 @@ func (e *Evaluator) PredictLocalForBench(samples [][]float64) (func(means, vars 
 // heap allocations per sample. On the exact path it takes samples four at a
 // time — four kernel rows, four means, one interleaved ForwardSolve4To —
 // with each sample's arithmetic in exactly predict's order, so the blocked
-// and per-sample paths agree bit for bit. Every kernel is stationary, so
-// the prior k(x, x) is one number for all finite x and is evaluated once per
-// range; rows with a NaN or ±Inf coordinate, where it differs, keep their
-// own Eval(x, x).
+// and per-sample paths agree bit for bit.
 func (lc *localCtx) predictRange(e *Evaluator, samples [][]float64, means, vars []float64, lo, hi int, pb *predictBuf) {
 	if lc.sp != nil {
 		for i := lo; i < hi; i++ {
@@ -219,7 +211,6 @@ func (lc *localCtx) predictRange(e *Evaluator, samples [][]float64, means, vars 
 		return
 	}
 	kern := e.cfg.Kernel
-	prior := stationaryPrior(kern, samples[lo:hi])
 	i := lo
 	if l := len(lc.xs); l > 0 {
 		kb := resizeFloats(&pb.kb, 4*l)
@@ -242,45 +233,15 @@ func (lc *localCtx) predictRange(e *Evaluator, samples [][]float64, means, vars 
 				m3 += k3[j] * a
 			}
 			lc.chol.ForwardSolve4To(v0, v1, v2, v3, k0, k1, k2, k3)
-			means[i], vars[i] = m0, posteriorVar(priorAt(kern, x0, prior), v0)
-			means[i+1], vars[i+1] = m1, posteriorVar(priorAt(kern, x1, prior), v1)
-			means[i+2], vars[i+2] = m2, posteriorVar(priorAt(kern, x2, prior), v2)
-			means[i+3], vars[i+3] = m3, posteriorVar(priorAt(kern, x3, prior), v3)
+			means[i], vars[i] = m0, posteriorVar(kern.Eval(x0, x0), v0)
+			means[i+1], vars[i+1] = m1, posteriorVar(kern.Eval(x1, x1), v1)
+			means[i+2], vars[i+2] = m2, posteriorVar(kern.Eval(x2, x2), v2)
+			means[i+3], vars[i+3] = m3, posteriorVar(kern.Eval(x3, x3), v3)
 		}
 	}
 	for ; i < hi; i++ {
-		means[i], vars[i] = lc.predictPrior(e, samples[i], priorAt(kern, samples[i], prior), pb)
+		means[i], vars[i] = lc.predict(e, samples[i], pb)
 	}
-}
-
-// stationaryPrior returns k(x, x) at the first finite row of samples — the
-// prior variance every finite row shares — or 0 when there is none.
-func stationaryPrior(k kernel.Kernel, samples [][]float64) float64 {
-	for _, x := range samples {
-		if finiteRow(x) {
-			return k.Eval(x, x)
-		}
-	}
-	return 0
-}
-
-// priorAt returns k(x, x): the range's shared prior for a finite row, the
-// row's own evaluation otherwise.
-func priorAt(k kernel.Kernel, x []float64, prior float64) float64 {
-	if finiteRow(x) {
-		return prior
-	}
-	return k.Eval(x, x)
-}
-
-// finiteRow reports whether every coordinate of x is finite.
-func finiteRow(x []float64) bool {
-	for _, v := range x {
-		if v-v != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // selectLocal chooses the training subset for the given samples: points

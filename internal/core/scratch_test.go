@@ -231,10 +231,10 @@ func sameBits(a, b float64) bool {
 }
 
 // TestPredictRangeBlockedMatchesPredict pins the four-sample blocked
-// predictRange, with its hoisted prior, to per-sample predict bit for bit:
-// every range length 0–9 at even and odd starts (the filter chunks start
-// anywhere), rows with ±Inf and NaN coordinates in every block position, an
-// empty local subset, and the Parallelism 2 fan-out.
+// predictRange to per-sample predict bit for bit: every range length 0–9 at
+// even and odd starts (the filter chunks start anywhere), rows with ±Inf and
+// NaN coordinates in every block position, an empty local subset, and the
+// Parallelism 2 fan-out.
 func TestPredictRangeBlockedMatchesPredict(t *testing.T) {
 	e := seededEvaluator(t, 40)
 	rng := rand.New(rand.NewSource(44))
