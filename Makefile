@@ -79,10 +79,12 @@ cover:
 
 # fuzz-smoke runs each native fuzz target briefly: long enough to execute the
 # committed seed corpus plus tens of thousands of mutated inputs against the
-# envelope/bound invariants, short enough for every CI run.
+# envelope/bound invariants and the query merge over hostile shard partials,
+# short enough for every CI run.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDiscrepancyBound -fuzztime=10s ./internal/ecdf
 	$(GO) test -run='^$$' -fuzz=FuzzEnvelopeOf -fuzztime=10s ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzQueryMerge -fuzztime=10s ./internal/server
 
 # e2e builds the olgaprod binary, boots it on a loopback port, and drives
 # the scripted client session: register → learn-stream 50 tuples → frozen

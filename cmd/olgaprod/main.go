@@ -3,8 +3,7 @@
 // registered UDF so the expensive online learning is paid once and reused
 // across every request — the serving form of the paper's core economics.
 //
-// API, under /v1 (unversioned aliases remain for one release; see the
-// README "Serving" section for curl examples):
+// API, all under /v1 (see the README "Serving" section for curl examples):
 //
 //	GET  /v1/healthz                  liveness + in-flight gauge
 //	GET  /v1/stats                    per-UDF counters incl. UDF-call savings vs MC

@@ -3,12 +3,18 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"olgapro/client"
 	"olgapro/internal/server"
+	"olgapro/internal/server/wire"
 )
 
 // registerVia registers one smooth-2D UDF instance deterministically: the
@@ -235,6 +241,158 @@ func TestRouterScatterRetriesDeadShard(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("failover scatter diverged:\n%s\nvs\n%s", got, want)
+	}
+}
+
+// TestShardMultiInstanceQueryMatchesRouter asserts a shard answers a
+// relation spanning two instances it hosts exactly as a two-shard router
+// answers the same rows with each instance on its own shard.
+func TestShardMultiInstanceQueryMatchesRouter(t *testing.T) {
+	_, tsA := bootShard(t, server.Config{Workers: 2})
+	_, tsB := bootShard(t, server.Config{Workers: 2})
+	_, tsSolo := bootShard(t, server.Config{Workers: 2})
+	addrs := []string{tsA.URL, tsB.URL}
+	ring, err := NewRing(addrs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []string{ownedName(t, ring, tsA.URL), ownedName(t, ring, tsB.URL)}
+	rt, err := NewRouter(Config{Shards: addrs, Replicas: 1, Cooldown: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	clRouter := client.New(newRouterServer(t, rt).URL)
+	clSolo := client.New(tsSolo.URL)
+	for _, name := range names {
+		registerVia(t, clRouter, name)
+		registerVia(t, clSolo, name)
+	}
+
+	ctx := context.Background()
+	for label, plan := range scatterPlans() {
+		req := map[string]any{"seed": 5, "rows": scatterRows(12, names)}
+		for k, v := range plan {
+			req[k] = v
+		}
+		want, err := clRouter.Query(ctx, req)
+		if err != nil {
+			t.Fatalf("%s: router query: %v", label, err)
+		}
+		got, err := clSolo.Query(ctx, req)
+		if err != nil {
+			t.Fatalf("%s: shard query: %v", label, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: two-instance shard answer diverged from the router:\n%s\nvs\n%s", label, got, want)
+		}
+	}
+}
+
+// fakeShard serves POST /v1/query/partials with a canned body and records
+// the query string of every call.
+func fakeShard(t *testing.T, body string) (*httptest.Server, func() []string) {
+	t.Helper()
+	var mu sync.Mutex
+	var queries []string
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/query/partials" {
+			http.NotFound(w, r)
+			return
+		}
+		io.Copy(io.Discard, r.Body)
+		mu.Lock()
+		queries = append(queries, r.URL.RawQuery)
+		mu.Unlock()
+		w.Header().Set("Content-Type", "application/json")
+		io.WriteString(w, body)
+	}))
+	t.Cleanup(ts.Close)
+	return ts, func() []string {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]string(nil), queries...)
+	}
+}
+
+// postQuery posts a raw /v1/query body to a router.
+func postQuery(t *testing.T, url, body string) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, out
+}
+
+// TestRouterQueryForwardsTimeout asserts the router passes ?timeout_ms= on
+// to every partials call, whether the rows use the request-level udf or
+// name their own.
+func TestRouterQueryForwardsTimeout(t *testing.T) {
+	shard, calls := fakeShard(t, `{"udf":"u0","model_seq":1,"dropped":1}`)
+	rt, err := NewRouter(Config{Shards: []string{shard.URL}, Replicas: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	url := newRouterServer(t, rt).URL + "/v1/query?timeout_ms=50"
+	input := `[{"type":"normal","mu":0.5,"sigma":0.1},{"type":"normal","mu":0.5,"sigma":0.1}]`
+	for label, body := range map[string]string{
+		"request udf": `{"udf":"u0","rows":[{"input":` + input + `}]}`,
+		"row udfs":    `{"rows":[{"input":` + input + `,"udf":"u0"},{"input":` + input + `,"udf":"u1"}]}`,
+	} {
+		before := len(calls())
+		resp, out := postQuery(t, url, body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %d %s", label, resp.StatusCode, out)
+		}
+		got := calls()[before:]
+		if len(got) == 0 {
+			t.Fatalf("%s: no partials call reached the shard", label)
+		}
+		for _, q := range got {
+			if q != "timeout_ms=50" {
+				t.Fatalf("%s: partials call carried query %q, want timeout_ms=50", label, q)
+			}
+		}
+	}
+}
+
+// TestRouterQueryHostilePartials asserts partial state that merges to an
+// unencodable answer is refused with a 500 internal envelope, never a 200
+// with an empty body.
+func TestRouterQueryHostilePartials(t *testing.T) {
+	input := `[{"type":"normal","mu":0.5,"sigma":0.1},{"type":"normal","mu":0.5,"sigma":0.1}]`
+	for label, c := range map[string]struct{ partials, query string }{
+		// A group whose avg aggregate observed no tuple finishes to NaN.
+		"avg n=0": {
+			`{"udf":"u0","model_seq":1,"dropped":0,"groups":[{"key":"s:a","vals":[{"name":"","kind":"string","str":"a"}],"ord":0,` +
+				`"aggs":[{"kind":"avg","n":0,"sure":0,"lo":0,"sure_cap":0,"all_cap":0}]}]}`,
+			`{"udf":"u0","rows":[{"input":` + input + `,"group":"a"}],"group_by":{"keys":["g"],"aggs":[{"kind":"avg","attr":"y"}]}}`,
+		},
+		// Two finite window items whose sum overflows to +Inf.
+		"window sum overflow": {
+			`{"udf":"u0","model_seq":1,"dropped":0,"rows":[{"ord":0,"items":[{"ord":0,"lo":1e308,"hi":1e308,"sure":true}]},` +
+				`{"ord":1,"items":[{"ord":1,"lo":1e308,"hi":1e308,"sure":true}]}]}`,
+			`{"udf":"u0","rows":[{"input":` + input + `},{"input":` + input + `}],"window":{"size":2,"aggs":[{"kind":"sum","attr":"y"}]}}`,
+		},
+	} {
+		shard, _ := fakeShard(t, c.partials)
+		rt, err := NewRouter(Config{Shards: []string{shard.URL}, Replicas: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, out := postQuery(t, newRouterServer(t, rt).URL+"/v1/query", c.query)
+		rt.Close()
+		var env wire.ErrorEnvelope
+		if resp.StatusCode != http.StatusInternalServerError || json.Unmarshal(out, &env) != nil || env.Error.Code != wire.CodeInternal {
+			t.Fatalf("%s: status %d body %q, want a 500 internal envelope", label, resp.StatusCode, out)
+		}
 	}
 }
 

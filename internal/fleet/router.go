@@ -11,7 +11,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"strconv"
 	"sync"
 	"time"
 
@@ -178,23 +177,17 @@ func (rt *Router) gossip(ctx context.Context) {
 	}
 }
 
-// route registers a handler under /v1 and the unversioned legacy alias.
-func (rt *Router) route(method, path string, h http.HandlerFunc) {
-	rt.mux.HandleFunc(method+" /"+wire.APIVersion+path, h)
-	rt.mux.HandleFunc(method+" "+path, h)
-}
-
 func (rt *Router) routes() {
 	rt.mux = http.NewServeMux()
-	rt.route("GET", "/healthz", rt.handleHealthz)
-	rt.route("GET", "/stats", rt.handleStats)
-	rt.route("GET", "/catalog", rt.handleCatalog)
-	rt.route("GET", "/udfs", rt.handleListUDFs)
-	rt.route("POST", "/udfs", rt.handleRegister)
-	rt.route("POST", "/udfs/{name}/eval", rt.handleEval)
-	rt.route("POST", "/udfs/{name}/stream", rt.handleStream)
-	rt.route("POST", "/udfs/{name}/snapshot", rt.handleSnapshotOne)
-	rt.route("POST", "/snapshot", rt.handleSnapshotAll)
+	rt.mux.HandleFunc("GET /v1/healthz", rt.handleHealthz)
+	rt.mux.HandleFunc("GET /v1/stats", rt.handleStats)
+	rt.mux.HandleFunc("GET /v1/catalog", rt.handleCatalog)
+	rt.mux.HandleFunc("GET /v1/udfs", rt.handleListUDFs)
+	rt.mux.HandleFunc("POST /v1/udfs", rt.handleRegister)
+	rt.mux.HandleFunc("POST /v1/udfs/{name}/eval", rt.handleEval)
+	rt.mux.HandleFunc("POST /v1/udfs/{name}/stream", rt.handleStream)
+	rt.mux.HandleFunc("POST /v1/udfs/{name}/snapshot", rt.handleSnapshotOne)
+	rt.mux.HandleFunc("POST /v1/snapshot", rt.handleSnapshotAll)
 	rt.mux.HandleFunc("POST /v1/query", rt.handleQuery)
 	rt.mux.HandleFunc("GET /v1/fleet/members", rt.handleFleetMembersGet)
 	rt.mux.HandleFunc("POST /v1/fleet/members", rt.handleFleetMembersPost)
@@ -288,10 +281,14 @@ func (rt *Router) handleFleetMembersPost(w http.ResponseWriter, r *http.Request)
 }
 
 // Handler returns the router's HTTP handler (bearer auth applied, health
-// checks exempt).
+// checks exempt, unknown routes refused with the not_found envelope).
 func (rt *Router) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if tok := rt.cfg.AuthToken; tok != "" && r.URL.Path != "/healthz" && r.URL.Path != "/v1/healthz" {
+		if _, pattern := rt.mux.Handler(r); pattern == "" {
+			rt.fail(w, http.StatusNotFound, wire.CodeNotFound, "no route %s %s", r.Method, r.URL.Path)
+			return
+		}
+		if tok := rt.cfg.AuthToken; tok != "" && r.URL.Path != "/v1/healthz" {
 			const prefix = "Bearer "
 			h := r.Header.Get("Authorization")
 			if len(h) <= len(prefix) || h[:len(prefix)] != prefix ||
@@ -306,33 +303,25 @@ func (rt *Router) Handler() http.Handler {
 
 // fail writes the structured error envelope.
 func (rt *Router) fail(w http.ResponseWriter, status int, code wire.ErrorCode, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(wire.ErrorEnvelope{Error: wire.ErrorDetail{
-		Code:    code,
-		Message: fmt.Sprintf(format, args...),
-	}})
+	server.WriteError(w, server.Errorf(status, code, format, args...))
 }
 
-// failFrom relays a client-side error: a decoded shard envelope passes
+// failFrom writes the envelope refusalOf makes of a client-side error.
+func (rt *Router) failFrom(w http.ResponseWriter, err error) { server.WriteError(w, refusalOf(err)) }
+
+// refusalOf relays a client-side error: a decoded shard envelope passes
 // through with its original status and code; transport failures become 502
 // unavailable.
-func (rt *Router) failFrom(w http.ResponseWriter, err error) {
+func refusalOf(err error) error {
 	var ae *client.APIError
 	if errors.As(err, &ae) {
-		w.Header().Set("Content-Type", "application/json")
-		if ae.RetryAfter > 0 {
-			w.Header().Set("Retry-After", strconv.Itoa(int((ae.RetryAfter+time.Second-1)/time.Second)))
-		}
-		w.WriteHeader(ae.Status)
-		json.NewEncoder(w).Encode(wire.ErrorEnvelope{Error: wire.ErrorDetail{
+		return &server.Error{Status: ae.Status, Detail: wire.ErrorDetail{
 			Code:         ae.Code,
 			Message:      ae.Message,
 			RetryAfterMS: int64(ae.RetryAfter / time.Millisecond),
-		}})
-		return
+		}}
 	}
-	rt.fail(w, http.StatusBadGateway, wire.CodeUnavailable, "no shard could serve the request: %v", err)
+	return server.Errorf(http.StatusBadGateway, wire.CodeUnavailable, "no shard could serve the request: %v", err)
 }
 
 // shardResp is one fully-buffered shard response: buffering is what makes
@@ -794,48 +783,37 @@ func (f flushWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// handleQuery answers a bounded query through server.ServeQuery: each UDF
+// instance's sub-plan goes to a frozen replica as POST /v1/query/partials,
+// retried across the replica set like any frozen read.
 func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		rt.fail(w, http.StatusBadRequest, wire.CodeBadSpec, "read body: %v", err)
-		return
-	}
-	var probe struct {
-		UDF  string `json:"udf"`
-		Rows []struct {
-			UDF string `json:"udf"`
-		} `json:"rows"`
-	}
-	if err := json.Unmarshal(body, &probe); err != nil {
-		rt.fail(w, http.StatusBadRequest, wire.CodeBadSpec, "bad query request: %v", err)
-		return
-	}
-	// A row naming its own UDF instance opts the request into the
-	// scatter-gather path — the relation may span instances owned by
-	// different shards. Single-instance requests forward whole: one shard
-	// holds everything the plan needs, and its response relays verbatim.
-	scatter := false
-	for _, row := range probe.Rows {
-		if row.UDF != "" {
-			scatter = true
-			break
-		}
-	}
-	if scatter || probe.UDF == "" {
-		rt.handleQueryScatter(w, r, body)
-		return
-	}
 	q := forwardableQuery(r)
-	sr, err := rt.fanFrozen(probe.UDF, func(addr string) (*shardResp, bool, error) {
-		sr, err := rt.forward(r.Context(), addr, http.MethodPost, "/v1/query", q, body, "application/json")
+	server.ServeQuery(w, r, func(ctx context.Context, sub *wire.QueryPartialsRequest) (*wire.QueryPartials, error) {
+		body, err := json.Marshal(sub)
 		if err != nil {
-			return nil, false, err
+			return nil, fmt.Errorf("encode partials request: %w", err)
 		}
-		return sr, retryableEnvelope(sr.status, sr.body), nil
+		sr, err := rt.fanFrozen(sub.UDF, func(addr string) (*shardResp, bool, error) {
+			sr, err := rt.forward(ctx, addr, http.MethodPost, "/v1/query/partials", q, body, "application/json")
+			if err != nil {
+				return nil, false, err
+			}
+			return sr, retryableEnvelope(sr.status, sr.body), nil
+		})
+		if err != nil {
+			return nil, refusalOf(err)
+		}
+		if sr.status != http.StatusOK {
+			var env wire.ErrorEnvelope
+			if json.Unmarshal(sr.body, &env) != nil || env.Error.Code == "" {
+				return nil, refusalOf(fmt.Errorf("shard answered %d without an error envelope", sr.status))
+			}
+			return nil, &server.Error{Status: sr.status, Detail: env.Error}
+		}
+		var qp wire.QueryPartials
+		if err := json.Unmarshal(sr.body, &qp); err != nil {
+			return nil, refusalOf(fmt.Errorf("shard partials for %q: %v", sub.UDF, err))
+		}
+		return &qp, nil
 	})
-	if err != nil {
-		rt.failFrom(w, err)
-		return
-	}
-	relay(w, sr)
 }

@@ -96,7 +96,7 @@ func TestErrorEnvelopeConformance(t *testing.T) {
 		{"snapshot without dir", "POST", "/v1/udfs/" + name + "/snapshot", "", 500, wire.CodeInternal},
 		{"query garbage", "POST", "/v1/query", `{{{`, 400, wire.CodeBadSpec},
 		{"query unknown instance", "POST", "/v1/query",
-			`{"udf":"ghost","rows":[]}`, 404, wire.CodeNotFound},
+			`{"udf":"ghost","rows":[{"input":[{"type":"normal","mu":1,"sigma":1}]}]}`, 404, wire.CodeNotFound},
 		{"replication list bad cursor", "GET", "/v1/replication/udfs?since_version=junk", "", 400, wire.CodeBadSpec},
 		{"snapshot fetch unknown instance", "GET", "/v1/udfs/ghost/snapshot", "", 404, wire.CodeNotFound},
 		{"snapshot fetch bad min_seq", "GET", "/v1/udfs/" + name + "/snapshot?min_seq=junk", "", 400, wire.CodeBadSpec},
@@ -136,8 +136,8 @@ func TestEnvelopeUnauthorized(t *testing.T) {
 
 	resp, body := do(t, "GET", ts.URL+"/v1/udfs", "", "")
 	wantEnvelope(t, resp, body, http.StatusUnauthorized, wire.CodeUnauthorized)
-	resp, body = do(t, "GET", ts.URL+"/udfs", "", "") // legacy alias guarded too
-	wantEnvelope(t, resp, body, http.StatusUnauthorized, wire.CodeUnauthorized)
+	resp, body = do(t, "GET", ts.URL+"/udfs", "", "") // unversioned paths are gone
+	wantEnvelope(t, resp, body, http.StatusNotFound, wire.CodeNotFound)
 
 	// Wrong token is refused; the right one passes.
 	req, _ := http.NewRequest("GET", ts.URL+"/v1/udfs", nil)
@@ -156,10 +156,8 @@ func TestEnvelopeUnauthorized(t *testing.T) {
 	}
 
 	// Liveness probes must work without credentials (LBs, fleet health).
-	for _, p := range []string{"/healthz", "/v1/healthz"} {
-		if resp, _ := do(t, "GET", ts.URL+p, "", ""); resp.StatusCode != 200 {
-			t.Fatalf("unauthenticated %s: %d, want 200", p, resp.StatusCode)
-		}
+	if resp, _ := do(t, "GET", ts.URL+"/v1/healthz", "", ""); resp.StatusCode != 200 {
+		t.Fatalf("unauthenticated /v1/healthz: %d, want 200", resp.StatusCode)
 	}
 }
 

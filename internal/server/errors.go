@@ -1,9 +1,9 @@
 package server
 
-// This file is the one place HTTP failures are shaped: every handler
-// refuses a request through Server.fail (or Server.failErr for evaluation-
-// path errors), so every non-2xx response on the /v1 surface — and on the
-// legacy aliases — carries the same structured JSON envelope
+// This file is the one place HTTP failures are shaped, for shards and the
+// fleet router alike: every refusal is written by WriteError, so every
+// non-2xx response on the /v1 surface carries the same structured JSON
+// envelope
 //
 //	{"error":{"code":"over_capacity","message":"…","retry_after_ms":1000}}
 //
@@ -21,33 +21,51 @@ import (
 	"olgapro/internal/server/wire"
 )
 
-// retryAfterMS is the backoff hint attached to over_capacity refusals,
+// retryAfterMS is the backoff hint attached to admission refusals (429),
 // mirrored in both the Retry-After header (seconds, rounded up) and the
 // envelope's retry_after_ms field.
 const retryAfterMS = 1000
 
-// fail writes the structured error envelope with the given status and code.
-func (s *Server) fail(w http.ResponseWriter, status int, code wire.ErrorCode, format string, args ...any) {
-	env := wire.ErrorEnvelope{Error: wire.ErrorDetail{
-		Code:    code,
-		Message: fmt.Sprintf(format, args...),
-	}}
-	if code == wire.CodeOverCapacity {
-		env.Error.RetryAfterMS = retryAfterMS
-	}
-	writeEnvelope(w, status, env)
+// Error is a refusal: the HTTP status and the envelope detail it is written
+// with. Code paths that do not own the ResponseWriter (RunQuery and its
+// fetch functions) return one to refuse with a specific status and code.
+type Error struct {
+	Status int
+	Detail wire.ErrorDetail
 }
 
-// writeEnvelope emits env as the response body; shared with the router so
-// both layers refuse requests with identical bytes for identical failures.
-func writeEnvelope(w http.ResponseWriter, status int, env wire.ErrorEnvelope) {
-	w.Header().Set("Content-Type", "application/json")
-	if env.Error.RetryAfterMS > 0 {
-		secs := (env.Error.RetryAfterMS + 999) / 1000
-		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
+func (e *Error) Error() string { return e.Detail.Message }
+
+// Errorf builds a refusal. A 429 carries the retryAfterMS backoff hint; a
+// 413 over_capacity does not, since an oversized request never shrinks on
+// retry.
+func Errorf(status int, code wire.ErrorCode, format string, args ...any) *Error {
+	e := &Error{Status: status, Detail: wire.ErrorDetail{Code: code, Message: fmt.Sprintf(format, args...)}}
+	if status == http.StatusTooManyRequests {
+		e.Detail.RetryAfterMS = retryAfterMS
 	}
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(env)
+	return e
+}
+
+// WriteError writes err as the error envelope. An *Error keeps its status
+// and detail; any other error is classified by errClass.
+func WriteError(w http.ResponseWriter, err error) {
+	var e *Error
+	if !errors.As(err, &e) {
+		status, code := errClass(err)
+		e = &Error{Status: status, Detail: wire.ErrorDetail{Code: code, Message: err.Error()}}
+	}
+	w.Header().Set("Content-Type", "application/json")
+	if ms := e.Detail.RetryAfterMS; ms > 0 {
+		w.Header().Set("Retry-After", strconv.FormatInt((ms+999)/1000, 10))
+	}
+	w.WriteHeader(e.Status)
+	json.NewEncoder(w).Encode(wire.ErrorEnvelope{Error: e.Detail})
+}
+
+// fail writes the structured error envelope with the given status and code.
+func (s *Server) fail(w http.ResponseWriter, status int, code wire.ErrorCode, format string, args ...any) {
+	WriteError(w, Errorf(status, code, format, args...))
 }
 
 // badRequest marks a client-side input error (malformed line, arity

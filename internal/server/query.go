@@ -1,21 +1,32 @@
 package server
 
-// This file is the bounded-query endpoint pair. POST /v1/query runs a whole
+// This file is the one bounded-query path. POST /v1/query runs an
 // uncertain-algebra plan — UDF application with optional §5.5 TEP filter,
 // then optional window / group-by / top-k stages with [certain, possible]
-// answers — against one registered UDF's frozen clones. POST
-// /v1/query/partials runs the per-shard sub-plan of a distributed query:
-// the same evaluation, but seeded by each tuple's global ordinal in the
-// union relation and returning mergeable partial bounded state instead of
-// finished answers, so a fleet router can gather shards into one answer
-// bit-identical to the single-shard plan over the union. Responses are a
-// deterministic function of (model state, request): per-tuple seeding plus
-// the deterministic bounded operators make the bytes replayable across
-// snapshot→restart, exactly like ?learn=false streams.
+// answers — over a relation whose rows may name different UDF instances.
+// RunQuery answers it the same way on a shard and on the fleet router: the
+// rows are split by instance, each instance's sub-plan is evaluated into
+// mergeable partial bounded state (POST /v1/query/partials, or in process
+// on a shard), and the partial states are merged into one answer. Every
+// row keeps its global ordinal in the union relation, so per-tuple seeding,
+// group first-seen order, window positions and rank tie-breaks come out
+// exactly as the serial plan over the whole relation would compute them
+// (see internal/query/partial.go for the merge algebra and its property
+// tests). A single-instance query on a shard is the one-partition case.
+//
+// Responses are a deterministic function of (model state, request), so the
+// bytes replay across snapshot→restart, exactly like ?learn=false streams.
 
 import (
+	"context"
+	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
+	"sort"
 	"strconv"
+	"strings"
+	"sync"
 
 	"olgapro/internal/core"
 	"olgapro/internal/exec"
@@ -24,316 +35,482 @@ import (
 	"olgapro/internal/server/wire"
 )
 
-// maxQueryRows caps one /v1/query relation; larger queries should stream.
-const maxQueryRows = wire.MaxQueryRows
+// PartialsFunc evaluates one UDF instance's sub-plan: in process on a shard
+// (Server.partials), over POST /v1/query/partials on the fleet router.
+type PartialsFunc func(context.Context, *wire.QueryPartialsRequest) (*wire.QueryPartials, error)
 
-// handleQuery runs one bounded query on frozen clones.
+// handleQuery answers a bounded query over the instances this shard hosts.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req wire.QueryRequest
-	if err := decodeStrict(r.Body, &req); err != nil {
-		s.fail(w, http.StatusBadRequest, wire.CodeBadSpec, "bad query request: %v", err)
-		return
-	}
-	e, ok := s.reg.Get(req.UDF)
-	if !ok {
-		s.fail(w, http.StatusNotFound, wire.CodeNotFound, "no UDF %q registered", req.UDF)
-		return
-	}
-	if len(req.Rows) == 0 {
-		s.fail(w, http.StatusBadRequest, wire.CodeBadSpec, "query needs at least one row")
-		return
-	}
-	if len(req.Rows) > maxQueryRows {
-		s.fail(w, http.StatusBadRequest, wire.CodeBadSpec, "query has %d rows, cap is %d (use /udfs/{name}/stream for bulk evaluation)",
-			len(req.Rows), maxQueryRows)
-		return
-	}
-	if min, ok := req.RequireSeq[req.UDF]; ok && e.Seq() < min {
-		s.fail(w, http.StatusConflict, wire.CodeModelCold, "UDF %q at model seq %d, request requires %d (replica catching up)",
-			req.UDF, e.Seq(), min)
-		return
-	}
-	dim := e.def.entry.Dim
-	tuples := make([]*query.Tuple, len(req.Rows))
-	for i, row := range req.Rows {
-		if row.UDF != "" && row.UDF != req.UDF {
-			s.fail(w, http.StatusBadRequest, wire.CodeBadSpec, "row %d targets UDF %q but this shard query serves %q (send multi-UDF relations to a fleet router)",
-				i, row.UDF, req.UDF)
-			return
-		}
-		if len(row.Input) != dim {
-			s.fail(w, http.StatusBadRequest, wire.CodeBadSpec, "row %d has %d attributes, UDF %q wants %d",
-				i, len(row.Input), e.spec.Name, dim)
-			return
-		}
-		t, err := row.Input.Tuple(int64(i))
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, wire.CodeBadSpec, "row %d: %v", i, err)
-			return
-		}
-		tuples[i] = t.With("g", query.Str(row.Group))
-	}
-
-	// One admission token covers the whole plan: the request is a single
-	// bounded unit of work (≤ maxQueryRows evaluations on frozen clones),
-	// and per-row tokens could deadlock against the pool's own fan-out.
-	if !s.tryAdmit() {
-		s.fail(w, http.StatusTooManyRequests, wire.CodeOverCapacity, "at capacity (%d tuples in flight)", cap(s.inflight))
-		return
-	}
-	defer s.release()
-
-	var pred *mc.Predicate
-	if req.Predicate != nil {
-		p, err := req.Predicate.Predicate()
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, wire.CodeBadSpec, "%v", err)
-			return
-		}
-		pred = p
-	}
-
-	pool, release, err := e.frozenPool(r.Context(), s.cfg.Workers)
-	if err != nil {
-		s.failErr(w, err, "%v", err)
-		return
-	}
-	defer release()
-
-	opts := exec.Options{Ctx: r.Context(), Seed: req.Seed, Predicate: pred, KeepEnvelope: true}
-	pe := pool.Apply(query.NewScan(tuples), wire.AttrNames(dim), "y", opts)
-	defer pe.Close()
-
-	plan := query.FromIterator(pe)
-	if req.Window != nil {
-		spec, err := req.Window.Spec()
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, wire.CodeBadSpec, "%v", err)
-			return
-		}
-		plan = plan.Window(spec)
-	}
-	if req.GroupBy != nil {
-		spec, err := req.GroupBy.Spec()
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, wire.CodeBadSpec, "%v", err)
-			return
-		}
-		plan = plan.GroupBy(spec)
-	}
-	if req.TopK != nil {
-		spec, err := req.TopK.Spec()
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, wire.CodeBadSpec, "%v", err)
-			return
-		}
-		plan = plan.TopK(spec)
-	}
-	out, err := plan.Run()
-	if err != nil {
-		s.failErr(w, err, "%v", err)
-		return
-	}
-	e.served.Add(int64(len(req.Rows)))
-
-	resp := wire.QueryResponse{UDF: req.UDF, Dropped: pe.Dropped, Rows: make([][]wire.QueryValue, len(out))}
-	for i, t := range out {
-		row, err := encodeQueryTuple(t, e.cfg.Eps)
-		if err != nil {
-			s.fail(w, http.StatusInternalServerError, wire.CodeInternal, "encode row %d: %v", i, err)
-			return
-		}
-		resp.Rows[i] = row
-	}
-	s.writeJSON(w, http.StatusOK, resp)
+	ServeQuery(w, r, s.partials)
 }
 
-// handleQueryPartials runs the per-shard half of a distributed query and
-// returns mergeable partial bounded state (see wire.QueryPartials). The
-// response is stamped with the model sequence it was computed at, in the
-// body and the Olgapro-Model-Seq header.
+// handleQueryPartials runs the per-instance half of a distributed query.
+// The response carries the model sequence it was computed at, in the body
+// and the Olgapro-Model-Seq header.
 func (s *Server) handleQueryPartials(w http.ResponseWriter, r *http.Request) {
 	var req wire.QueryPartialsRequest
 	if err := decodeStrict(r.Body, &req); err != nil {
 		s.fail(w, http.StatusBadRequest, wire.CodeBadSpec, "bad partials request: %v", err)
 		return
 	}
-	e, ok := s.reg.Get(req.UDF)
-	if !ok {
-		s.fail(w, http.StatusNotFound, wire.CodeNotFound, "no UDF %q registered", req.UDF)
+	resp, err := s.partials(r.Context(), &req)
+	if err != nil {
+		WriteError(w, err)
 		return
 	}
-	if len(req.Rows) == 0 {
-		s.fail(w, http.StatusBadRequest, wire.CodeBadSpec, "partials request needs at least one row")
+	w.Header().Set(wire.HeaderModelSeq, strconv.FormatInt(resp.ModelSeq, 10))
+	s.writeJSON(w, http.StatusOK, resp)
+}
+
+// ServeQuery is POST /v1/query on shard and router alike: decode the
+// request, answer it with RunQuery, write the answer with its
+// Olgapro-Query-Seqs header. The answer is marshalled before the status
+// goes out, so one that cannot be encoded is a 500 internal envelope
+// rather than a 200 with an empty body.
+func ServeQuery(w http.ResponseWriter, r *http.Request, fetch PartialsFunc) {
+	var req wire.QueryRequest
+	if err := decodeStrict(r.Body, &req); err != nil {
+		WriteError(w, Errorf(http.StatusBadRequest, wire.CodeBadSpec, "bad query request: %v", err))
 		return
 	}
-	if len(req.Rows) > maxQueryRows {
-		s.fail(w, http.StatusBadRequest, wire.CodeBadSpec, "partials request has %d rows, cap is %d", len(req.Rows), maxQueryRows)
-		return
-	}
-	stages := 0
-	for _, set := range []bool{req.Window != nil, req.GroupBy != nil, req.TopK != nil} {
-		if set {
-			stages++
+	resp, seqs, err := RunQuery(r.Context(), &req, fetch)
+	var body []byte
+	if err == nil {
+		if body, err = json.Marshal(resp); err != nil {
+			err = Errorf(http.StatusInternalServerError, wire.CodeInternal, "encode answer: %v", err)
 		}
 	}
-	if stages > 1 {
-		s.fail(w, http.StatusBadRequest, wire.CodeBadSpec, "partials request carries %d stages, want at most one (the router runs later stages on the merged state)", stages)
+	if err != nil {
+		WriteError(w, err)
 		return
+	}
+	w.Header().Set(wire.HeaderQuerySeqs, seqs)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(append(body, '\n'))
+}
+
+// RunQuery answers one bounded query: validate, split the rows by UDF
+// instance (a row with no udf uses the request's), fetch every instance's
+// partial state concurrently, and merge. Only the first stage of the plan
+// (window, then group-by, then top-k) travels with the sub-plans; later
+// stages run over the merged tuples, which by then carry only
+// self-contained values (ints, strings, bounds). It returns the answer and
+// the Olgapro-Query-Seqs value naming the model sequence each instance
+// answered at. Refusals are *Error values; fetch errors pass through.
+func RunQuery(ctx context.Context, req *wire.QueryRequest, fetch PartialsFunc) (*wire.QueryResponse, string, error) {
+	if len(req.Rows) == 0 {
+		return nil, "", Errorf(http.StatusBadRequest, wire.CodeBadSpec, "query needs at least one row")
+	}
+	if len(req.Rows) > wire.MaxQueryRows {
+		return nil, "", Errorf(http.StatusRequestEntityTooLarge, wire.CodeOverCapacity,
+			"query has %d rows, cap is %d (use /v1/udfs/{name}/stream for bulk evaluation)", len(req.Rows), wire.MaxQueryRows)
+	}
+	st, err := stagesOf(req.Predicate, req.Window, req.GroupBy, req.TopK)
+	if err != nil {
+		return nil, "", err
+	}
+
+	var subs []*wire.QueryPartialsRequest
+	byName := make(map[string]*wire.QueryPartialsRequest)
+	for i, row := range req.Rows {
+		name := row.UDF
+		if name == "" {
+			name = req.UDF
+		}
+		if name == "" {
+			return nil, "", Errorf(http.StatusBadRequest, wire.CodeBadSpec, "row %d names no udf and the request has no default", i)
+		}
+		sub, ok := byName[name]
+		if !ok {
+			sub = &wire.QueryPartialsRequest{UDF: name, Seed: req.Seed, Predicate: req.Predicate, MinSeq: req.RequireSeq[name]}
+			switch {
+			case req.Window != nil:
+				sub.Window = req.Window
+			case req.GroupBy != nil:
+				sub.GroupBy = req.GroupBy
+			case req.TopK != nil:
+				sub.TopK = req.TopK
+			}
+			byName[name] = sub
+			subs = append(subs, sub)
+		}
+		sub.Rows = append(sub.Rows, wire.PartialRowSpec{Ord: int64(i), Input: row.Input, Group: row.Group})
+	}
+	// The merge is independent of partition order; name order makes the
+	// seqs header come out sorted.
+	sort.Slice(subs, func(a, b int) bool { return subs[a].UDF < subs[b].UDF })
+
+	parts := make([]*wire.QueryPartials, len(subs))
+	errs := make([]error, len(subs))
+	var wg sync.WaitGroup
+	for i, sub := range subs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			parts[i], errs[i] = fetch(ctx, sub)
+		}()
+	}
+	wg.Wait()
+	pairs := make([]string, len(subs))
+	dropped := 0
+	for i, err := range errs {
+		if err != nil {
+			return nil, "", err
+		}
+		pairs[i] = subs[i].UDF + ":" + strconv.FormatInt(parts[i].ModelSeq, 10)
+		dropped += parts[i].Dropped
+	}
+
+	rows, err := st.merge(parts)
+	if err != nil {
+		return nil, "", Errorf(http.StatusInternalServerError, wire.CodeInternal, "merge partials: %v", err)
+	}
+	if len(rows) > wire.MaxQueryRows {
+		return nil, "", Errorf(http.StatusRequestEntityTooLarge, wire.CodeOverCapacity,
+			"merged result has %d rows, cap is %d", len(rows), wire.MaxQueryRows)
+	}
+	return &wire.QueryResponse{UDF: req.UDF, Rows: rows, Dropped: dropped}, strings.Join(pairs, ","), nil
+}
+
+// stages is a plan's converted predicate and stage specs; nil means the
+// plan has no such stage.
+type stages struct {
+	pred    *mc.Predicate
+	window  *query.WindowSpec
+	groupBy *query.GroupBySpec
+	topK    *query.RankSpec
+}
+
+// stagesOf validates and converts a plan's wire specs; a bad one is a 400
+// bad_spec refusal.
+func stagesOf(p *wire.PredicateSpec, w *wire.WindowSpec, g *wire.GroupBySpec, k *wire.TopKSpec) (stages, error) {
+	var st stages
+	var err error
+	bad := func(err error) (stages, error) {
+		return stages{}, Errorf(http.StatusBadRequest, wire.CodeBadSpec, "%v", err)
+	}
+	if p != nil {
+		if st.pred, err = p.Predicate(); err != nil {
+			return bad(err)
+		}
+	}
+	if w != nil {
+		s, err := w.Spec()
+		if err != nil {
+			return bad(err)
+		}
+		st.window = &s
+	}
+	if g != nil {
+		s, err := g.Spec()
+		if err != nil {
+			return bad(err)
+		}
+		st.groupBy = &s
+	}
+	if k != nil {
+		s, err := k.Spec()
+		if err != nil {
+			return bad(err)
+		}
+		st.topK = &s
+	}
+	return st, nil
+}
+
+// merge folds the instances' partial states into the answer rows for the
+// plan's first stage, then runs any later stages over the merged tuples.
+func (st stages) merge(parts []*wire.QueryPartials) ([][]wire.QueryValue, error) {
+	switch {
+	case st.window != nil:
+		entries := gatherRows(parts)
+		items := make([][]query.PartialItem, len(st.window.Aggs))
+		for a := range items {
+			items[a] = make([]query.PartialItem, len(entries))
+		}
+		for i, pr := range entries {
+			if len(pr.Items) != len(items) {
+				return nil, fmt.Errorf("tuple %d carries %d aggregate items, want %d", pr.Ord, len(pr.Items), len(items))
+			}
+			for a, it := range pr.Items {
+				items[a][i] = it.Item()
+			}
+		}
+		tuples, err := query.WindowPartials(*st.window, items)
+		if err != nil {
+			return nil, err
+		}
+		return runMergedPlan(tuples, st.groupBy, st.topK)
+
+	case st.groupBy != nil:
+		lists := make([][]*query.GroupPartial, len(parts))
+		for p, part := range parts {
+			lists[p] = make([]*query.GroupPartial, len(part.Groups))
+			for i, g := range part.Groups {
+				gp, err := g.GroupPartial()
+				if err != nil {
+					return nil, fmt.Errorf("instance %q group %d: %v", part.UDF, i, err)
+				}
+				lists[p][i] = gp
+			}
+		}
+		merged, err := query.MergeGroupPartials(lists...)
+		if err != nil {
+			return nil, err
+		}
+		tuples, err := query.FinishGroupPartials(*st.groupBy, merged)
+		if err != nil {
+			return nil, err
+		}
+		return runMergedPlan(tuples, nil, st.topK)
+
+	case st.topK != nil:
+		entries := gatherRows(parts)
+		keys := make([]query.RankKey, len(entries))
+		for i, pr := range entries {
+			if pr.Rank == nil {
+				return nil, fmt.Errorf("tuple %d carries no rank key", pr.Ord)
+			}
+			keys[i] = pr.Rank.Key(pr.Ord)
+		}
+		rankAttr := st.topK.RankAttr()
+		members := query.MergeRankKeys(keys, st.topK.K)
+		rows := make([][]wire.QueryValue, 0, len(members))
+		for _, m := range members {
+			row := entries[m.Idx].Row
+			if row == nil {
+				// partials prunes a row only when it is certainly outside
+				// the global top k; a pruned possible member means the
+				// invariant broke.
+				return nil, fmt.Errorf("tuple %d is a possible top-%d member but its partials pruned the row", entries[m.Idx].Ord, st.topK.K)
+			}
+			rows = append(rows, withRank(row, rankAttr, m.Rank))
+		}
+		return rows, nil
+
+	default:
+		entries := gatherRows(parts)
+		rows := make([][]wire.QueryValue, len(entries))
+		for i, pr := range entries {
+			if pr.Row == nil {
+				return nil, fmt.Errorf("tuple %d carries no row payload", pr.Ord)
+			}
+			rows[i] = pr.Row
+		}
+		return rows, nil
+	}
+}
+
+// gatherRows pools every instance's surviving rows back into global
+// ordinal order — the post-drop order of the union relation's stream.
+func gatherRows(parts []*wire.QueryPartials) []wire.PartialRow {
+	var entries []wire.PartialRow
+	for _, p := range parts {
+		entries = append(entries, p.Rows...)
+	}
+	sort.Slice(entries, func(i, k int) bool { return entries[i].Ord < entries[k].Ord })
+	return entries
+}
+
+// runMergedPlan applies the plan's remaining stages to the merged
+// first-stage output and encodes the answer tuples. Stage outputs carry
+// only self-contained values, so wire.EncodeValue covers every attribute.
+// Merged arithmetic over hostile (finite) partials can overflow, so a
+// non-finite answer value is an error rather than an unencodable answer.
+func runMergedPlan(tuples []*query.Tuple, gbspec *query.GroupBySpec, tkspec *query.RankSpec) ([][]wire.QueryValue, error) {
+	var it query.Iterator = query.NewScan(tuples)
+	if gbspec != nil {
+		it = query.NewGroupBy(it, *gbspec)
+	}
+	if tkspec != nil {
+		it = query.NewTopK(it, *tkspec)
+	}
+	out, err := query.Drain(it)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([][]wire.QueryValue, len(out))
+	for i, t := range out {
+		row := make([]wire.QueryValue, 0, t.Len())
+		for _, name := range t.Names() {
+			v := t.MustGet(name)
+			if !finite(v.F) || !finite(v.B.Lo) || !finite(v.B.Hi) {
+				return nil, fmt.Errorf("answer %d attribute %q is not finite", i, name)
+			}
+			qv, err := wire.EncodeValue(name, v)
+			if err != nil {
+				return nil, err
+			}
+			row = append(row, qv)
+		}
+		rows[i] = row
+	}
+	return rows, nil
+}
+
+func finite(f float64) bool { return !math.IsInf(f, 0) && !math.IsNaN(f) }
+
+// withRank appends the merged global rank to an instance-encoded row with
+// the same replace-or-append semantics as Tuple.With on the serial path.
+func withRank(row []wire.QueryValue, rankAttr string, rank query.Bounded) []wire.QueryValue {
+	b := wire.BoundedOf(rank)
+	qv := wire.QueryValue{Name: rankAttr, Kind: query.KindBounded.String(), Bounded: &b}
+	for i := range row {
+		if row[i].Name == rankAttr {
+			row[i] = qv
+			return row
+		}
+	}
+	return append(row, qv)
+}
+
+// partials runs one instance's sub-plan on frozen clones and returns its
+// mergeable partial state (see wire.QueryPartials), stamped with the model
+// sequence it was computed at. Any instance this shard hosts, as owner or
+// replica, can answer.
+func (s *Server) partials(ctx context.Context, req *wire.QueryPartialsRequest) (*wire.QueryPartials, error) {
+	e, ok := s.reg.Get(req.UDF)
+	if !ok {
+		return nil, Errorf(http.StatusNotFound, wire.CodeNotFound, "no UDF %q registered", req.UDF)
+	}
+	if len(req.Rows) == 0 {
+		return nil, Errorf(http.StatusBadRequest, wire.CodeBadSpec, "partials request needs at least one row")
+	}
+	if len(req.Rows) > wire.MaxQueryRows {
+		return nil, Errorf(http.StatusBadRequest, wire.CodeBadSpec, "partials request has %d rows, cap is %d", len(req.Rows), wire.MaxQueryRows)
+	}
+	st, err := stagesOf(req.Predicate, req.Window, req.GroupBy, req.TopK)
+	if err != nil {
+		return nil, err
+	}
+	stageCount := 0
+	for _, set := range []bool{st.window != nil, st.groupBy != nil, st.topK != nil} {
+		if set {
+			stageCount++
+		}
+	}
+	if stageCount > 1 {
+		return nil, Errorf(http.StatusBadRequest, wire.CodeBadSpec, "partials request carries %d stages, want at most one (later stages run on the merged state)", stageCount)
 	}
 	seq := e.Seq()
 	if seq < req.MinSeq {
-		s.fail(w, http.StatusConflict, wire.CodeModelCold, "UDF %q at model seq %d, request requires %d (replica catching up)",
+		return nil, Errorf(http.StatusConflict, wire.CodeModelCold, "UDF %q at model seq %d, request requires %d (replica catching up)",
 			req.UDF, seq, req.MinSeq)
-		return
 	}
 	dim := e.def.entry.Dim
 	tuples := make([]*query.Tuple, len(req.Rows))
+	ords := make([]int64, len(req.Rows))
 	for i, row := range req.Rows {
-		if i > 0 && row.Ord <= req.Rows[i-1].Ord {
-			s.fail(w, http.StatusBadRequest, wire.CodeBadSpec, "row %d: ordinal %d not above predecessor %d", i, row.Ord, req.Rows[i-1].Ord)
-			return
+		if i > 0 && row.Ord <= ords[i-1] {
+			return nil, Errorf(http.StatusBadRequest, wire.CodeBadSpec, "row %d: ordinal %d not above predecessor %d", i, row.Ord, ords[i-1])
 		}
 		if len(row.Input) != dim {
-			s.fail(w, http.StatusBadRequest, wire.CodeBadSpec, "row %d has %d attributes, UDF %q wants %d",
+			return nil, Errorf(http.StatusBadRequest, wire.CodeBadSpec, "row %d has %d attributes, UDF %q wants %d",
 				i, len(row.Input), e.spec.Name, dim)
-			return
 		}
 		t, err := row.Input.Tuple(row.Ord)
 		if err != nil {
-			s.fail(w, http.StatusBadRequest, wire.CodeBadSpec, "row %d: %v", i, err)
-			return
+			return nil, Errorf(http.StatusBadRequest, wire.CodeBadSpec, "row %d: %v", i, err)
 		}
 		tuples[i] = t.With("g", query.Str(row.Group))
+		ords[i] = row.Ord
 	}
 
+	// One admission token covers the whole sub-plan: it is a single bounded
+	// unit of work (≤ MaxQueryRows evaluations on frozen clones), and
+	// per-row tokens could deadlock against the pool's own fan-out.
 	if !s.tryAdmit() {
-		s.fail(w, http.StatusTooManyRequests, wire.CodeOverCapacity, "at capacity (%d tuples in flight)", cap(s.inflight))
-		return
+		return nil, Errorf(http.StatusTooManyRequests, wire.CodeOverCapacity, "at capacity (%d tuples in flight)", cap(s.inflight))
 	}
 	defer s.release()
-
-	var pred *mc.Predicate
-	if req.Predicate != nil {
-		p, err := req.Predicate.Predicate()
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, wire.CodeBadSpec, "%v", err)
-			return
-		}
-		pred = p
-	}
-
-	pool, release, err := e.frozenPool(r.Context(), s.cfg.Workers)
+	pool, release, err := e.frozenPool(ctx, s.cfg.Workers)
 	if err != nil {
-		s.failErr(w, err, "%v", err)
-		return
+		return nil, err
 	}
 	defer release()
 
-	// Each tuple's RNG stream comes from its global ordinal, so this shard
-	// evaluates its subset exactly as a single shard holding the whole union
-	// relation would.
-	ords := make([]int64, len(req.Rows))
-	for i, row := range req.Rows {
-		ords[i] = row.Ord
-	}
-	opts := exec.Options{Ctx: r.Context(), Seed: req.Seed, Ords: ords, Predicate: pred, KeepEnvelope: true}
+	// Each tuple's RNG stream comes from its global ordinal, so this
+	// instance evaluates its subset exactly as the whole union relation
+	// would.
+	opts := exec.Options{Ctx: ctx, Seed: req.Seed, Ords: ords, Predicate: st.pred, KeepEnvelope: true}
 	pe := pool.Apply(query.NewScan(tuples), wire.AttrNames(dim), "y", opts)
 	defer pe.Close()
 	survivors, err := query.Drain(pe)
 	if err != nil {
-		s.failErr(w, err, "%v", err)
-		return
+		return nil, err
 	}
 	e.served.Add(int64(len(req.Rows)))
 
-	resp := wire.QueryPartials{UDF: req.UDF, ModelSeq: seq, Dropped: pe.Dropped}
+	resp := &wire.QueryPartials{UDF: req.UDF, ModelSeq: seq, Dropped: pe.Dropped}
 	survOrds := make([]int64, len(survivors))
 	for i, t := range survivors {
 		survOrds[i] = t.MustGet("id").I
 	}
-	switch {
-	case req.Window != nil:
-		spec, err := req.Window.Spec()
+	encode := func(i int) ([]wire.QueryValue, error) {
+		row, err := encodeQueryTuple(survivors[i], e.cfg.Eps)
 		if err != nil {
-			s.fail(w, http.StatusBadRequest, wire.CodeBadSpec, "%v", err)
-			return
+			return nil, Errorf(http.StatusInternalServerError, wire.CodeInternal, "encode tuple %d: %v", survOrds[i], err)
 		}
+		return row, nil
+	}
+	switch {
+	case st.window != nil:
 		for i, t := range survivors {
 			pr := wire.PartialRow{Ord: survOrds[i]}
-			for _, agg := range spec.Aggs {
+			for _, agg := range st.window.Aggs {
 				it, err := query.PartialItemOf(t, agg, survOrds[i])
 				if err != nil {
-					s.failErr(w, err, "window item for tuple %d: %v", survOrds[i], err)
-					return
+					return nil, fmt.Errorf("window item for tuple %d: %w", survOrds[i], err)
 				}
 				pr.Items = append(pr.Items, wire.ItemOf(it))
 			}
 			resp.Rows = append(resp.Rows, pr)
 		}
-	case req.GroupBy != nil:
-		spec, err := req.GroupBy.Spec()
+	case st.groupBy != nil:
+		groups, err := query.GroupPartialsOf(survivors, survOrds, *st.groupBy)
 		if err != nil {
-			s.fail(w, http.StatusBadRequest, wire.CodeBadSpec, "%v", err)
-			return
-		}
-		groups, err := query.GroupPartialsOf(survivors, survOrds, spec)
-		if err != nil {
-			s.failErr(w, err, "%v", err)
-			return
+			return nil, err
 		}
 		for _, gp := range groups {
 			g, err := wire.GroupPartialOf(gp)
 			if err != nil {
-				s.fail(w, http.StatusInternalServerError, wire.CodeInternal, "%v", err)
-				return
+				return nil, Errorf(http.StatusInternalServerError, wire.CodeInternal, "%v", err)
 			}
 			resp.Groups = append(resp.Groups, g)
 		}
-	case req.TopK != nil:
-		spec, err := req.TopK.Spec()
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, wire.CodeBadSpec, "%v", err)
-			return
-		}
+	case st.topK != nil:
 		keys := make([]query.RankKey, len(survivors))
 		for i, t := range survivors {
-			keys[i], err = query.RankKeyOf(t, spec, survOrds[i])
-			if err != nil {
-				s.failErr(w, err, "rank key for tuple %d: %v", survOrds[i], err)
-				return
+			if keys[i], err = query.RankKeyOf(t, *st.topK, survOrds[i]); err != nil {
+				return nil, fmt.Errorf("rank key for tuple %d: %w", survOrds[i], err)
 			}
 		}
 		// Prune answer payloads the merge cannot use: a tuple already beaten
 		// by k certainly-existing local rivals is certainly outside the
-		// global top k too (rivals only accumulate across shards), so only
-		// its rank key travels.
+		// global top k too (rivals only accumulate across instances), so
+		// only its rank key travels.
 		certAbove := query.CertAbove(keys)
-		for i, t := range survivors {
+		for i := range survivors {
 			rk := wire.RankKeyOf(keys[i])
 			pr := wire.PartialRow{Ord: survOrds[i], Rank: &rk}
-			if spec.K <= 0 || certAbove[i] < spec.K {
-				row, err := encodeQueryTuple(t, e.cfg.Eps)
-				if err != nil {
-					s.fail(w, http.StatusInternalServerError, wire.CodeInternal, "encode tuple %d: %v", survOrds[i], err)
-					return
+			if st.topK.K <= 0 || certAbove[i] < st.topK.K {
+				if pr.Row, err = encode(i); err != nil {
+					return nil, err
 				}
-				pr.Row = row
 			}
 			resp.Rows = append(resp.Rows, pr)
 		}
 	default:
-		for i, t := range survivors {
-			row, err := encodeQueryTuple(t, e.cfg.Eps)
+		for i := range survivors {
+			row, err := encode(i)
 			if err != nil {
-				s.fail(w, http.StatusInternalServerError, wire.CodeInternal, "encode tuple %d: %v", survOrds[i], err)
-				return
+				return nil, err
 			}
 			resp.Rows = append(resp.Rows, wire.PartialRow{Ord: survOrds[i], Row: row})
 		}
 	}
-	w.Header().Set(wire.HeaderModelSeq, strconv.FormatInt(seq, 10))
-	s.writeJSON(w, http.StatusOK, resp)
+	return resp, nil
 }
 
 // encodeQueryTuple flattens one answer tuple into ordered wire values.

@@ -5,7 +5,7 @@
 // so one learned GP emulator is reused across many requests instead of
 // living and dying inside one process invocation. The public HTTP surface
 // lives under /v1/ (see internal/server/wire for every request/response
-// type); unversioned legacy paths remain as thin aliases for one release.
+// type); no path outside /v1 is served.
 //
 // # Concurrency model
 //

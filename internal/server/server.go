@@ -145,7 +145,11 @@ func (s *Server) Handler() http.Handler { return http.HandlerFunc(s.serve) }
 // serve applies the cross-cutting policies (bearer auth, drain refusal,
 // per-request deadline) and dispatches to the mux.
 func (s *Server) serve(w http.ResponseWriter, r *http.Request) {
-	if tok := s.cfg.AuthToken; tok != "" && !isHealthPath(r.URL.Path) {
+	if _, pattern := s.mux.Handler(r); pattern == "" {
+		s.fail(w, http.StatusNotFound, wire.CodeNotFound, "no route %s %s", r.Method, r.URL.Path)
+		return
+	}
+	if tok := s.cfg.AuthToken; tok != "" && r.URL.Path != healthPath {
 		got, ok := bearerToken(r)
 		if !ok || subtle.ConstantTimeCompare([]byte(got), []byte(tok)) != 1 {
 			s.fail(w, http.StatusUnauthorized, wire.CodeUnauthorized, "missing or invalid bearer token")
@@ -167,9 +171,9 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r.WithContext(ctx))
 }
 
-// isHealthPath exempts liveness probes from auth: load balancers and fleet
-// health checkers must be able to probe without credentials.
-func isHealthPath(p string) bool { return p == "/healthz" || p == "/v1/healthz" }
+// healthPath is exempt from auth: load balancers and fleet health checkers
+// must be able to probe without credentials.
+const healthPath = "/v1/healthz"
 
 // bearerToken extracts the Authorization bearer credential.
 func bearerToken(r *http.Request) (string, bool) {
@@ -181,26 +185,17 @@ func bearerToken(r *http.Request) (string, bool) {
 	return h[len(prefix):], true
 }
 
-// route registers a handler under the versioned /v1 path and, for one
-// release, under the unversioned legacy alias.
-func (s *Server) route(method, path string, h http.HandlerFunc) {
-	s.mux.HandleFunc(method+" /"+wire.APIVersion+path, h)
-	s.mux.HandleFunc(method+" "+path, h)
-}
-
 func (s *Server) routes() {
 	s.mux = http.NewServeMux()
-	s.route("GET", "/healthz", s.handleHealthz)
-	s.route("GET", "/stats", s.handleStats)
-	s.route("GET", "/catalog", s.handleCatalog)
-	s.route("GET", "/udfs", s.handleListUDFs)
-	s.route("POST", "/udfs", s.handleRegister)
-	s.route("POST", "/udfs/{name}/eval", s.handleEval)
-	s.route("POST", "/udfs/{name}/stream", s.handleStream)
-	s.route("POST", "/udfs/{name}/snapshot", s.handleSnapshotOne)
-	s.route("POST", "/snapshot", s.handleSnapshotAll)
-	// /v1-only surface: the bounded-query endpoint was born versioned, and
-	// the replication endpoints are new in the fleet release.
+	s.mux.HandleFunc("GET "+healthPath, s.handleHealthz)
+	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
+	s.mux.HandleFunc("GET /v1/catalog", s.handleCatalog)
+	s.mux.HandleFunc("GET /v1/udfs", s.handleListUDFs)
+	s.mux.HandleFunc("POST /v1/udfs", s.handleRegister)
+	s.mux.HandleFunc("POST /v1/udfs/{name}/eval", s.handleEval)
+	s.mux.HandleFunc("POST /v1/udfs/{name}/stream", s.handleStream)
+	s.mux.HandleFunc("POST /v1/udfs/{name}/snapshot", s.handleSnapshotOne)
+	s.mux.HandleFunc("POST /v1/snapshot", s.handleSnapshotAll)
 	s.mux.HandleFunc("POST /v1/query", s.handleQuery)
 	s.mux.HandleFunc("POST /v1/query/partials", s.handleQueryPartials)
 	s.mux.HandleFunc("GET /v1/replication/udfs", s.handleReplicationList)

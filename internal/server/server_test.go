@@ -80,7 +80,7 @@ func registerSmooth(t *testing.T, baseURL string) string {
 			{Type: "normal", Mu: 0.3 + 0.4*rng.Float64(), Sigma: 0.15},
 		}
 	}
-	resp, body := postJSON(t, baseURL+"/udfs", map[string]any{
+	resp, body := postJSON(t, baseURL+"/v1/udfs", map[string]any{
 		"udf": "poly/smooth2d", "eps": 0.2, "delta": 0.1,
 		"warmup": warmup, "warmup_seed": 77,
 	})
@@ -102,7 +102,7 @@ func TestCatalogAndHealthz(t *testing.T) {
 	var cat struct {
 		UDFs []CatalogEntry `json:"udfs"`
 	}
-	if resp := getJSON(t, ts.URL+"/catalog", &cat); resp.StatusCode != 200 {
+	if resp := getJSON(t, ts.URL+"/v1/catalog", &cat); resp.StatusCode != 200 {
 		t.Fatalf("catalog: %d", resp.StatusCode)
 	}
 	if len(cat.UDFs) < 6 {
@@ -121,7 +121,7 @@ func TestCatalogAndHealthz(t *testing.T) {
 		}
 	}
 	var hz map[string]any
-	if resp := getJSON(t, ts.URL+"/healthz", &hz); resp.StatusCode != 200 {
+	if resp := getJSON(t, ts.URL+"/v1/healthz", &hz); resp.StatusCode != 200 {
 		t.Fatalf("healthz: %d", resp.StatusCode)
 	}
 	if hz["status"] != "ok" {
@@ -145,7 +145,7 @@ func TestRegisterValidation(t *testing.T) {
 		{`{"udf":"mix/f1","warmup":[[{"type":"normal","mu":1,"sigma":1}]]}`, 400}, // dim 1 ≠ 2
 	}
 	for _, c := range cases {
-		resp, err := http.Post(ts.URL+"/udfs", "application/json", strings.NewReader(c.body))
+		resp, err := http.Post(ts.URL+"/v1/udfs", "application/json", strings.NewReader(c.body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,16 +155,16 @@ func TestRegisterValidation(t *testing.T) {
 		}
 	}
 	// Valid, then duplicate.
-	if resp, body := postJSON(t, ts.URL+"/udfs", map[string]any{"udf": "mix/f1"}); resp.StatusCode != 201 {
+	if resp, body := postJSON(t, ts.URL+"/v1/udfs", map[string]any{"udf": "mix/f1"}); resp.StatusCode != 201 {
 		t.Fatalf("register: %d %s", resp.StatusCode, body)
 	}
-	if resp, _ := postJSON(t, ts.URL+"/udfs", map[string]any{"udf": "mix/f1"}); resp.StatusCode != http.StatusConflict {
+	if resp, _ := postJSON(t, ts.URL+"/v1/udfs", map[string]any{"udf": "mix/f1"}); resp.StatusCode != http.StatusConflict {
 		t.Fatalf("duplicate register: %d, want 409", resp.StatusCode)
 	}
 	var list struct {
 		UDFs []udfInfo `json:"udfs"`
 	}
-	getJSON(t, ts.URL+"/udfs", &list)
+	getJSON(t, ts.URL+"/v1/udfs", &list)
 	if len(list.UDFs) != 1 || list.UDFs[0].Name != "mix-f1" {
 		t.Fatalf("udfs list: %+v", list.UDFs)
 	}
@@ -174,7 +174,7 @@ func TestEvalLearnAndFrozenDeterminism(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	name := registerSmooth(t, ts.URL)
 
-	evalURL := fmt.Sprintf("%s/udfs/%s/eval", ts.URL, name)
+	evalURL := fmt.Sprintf("%s/v1/udfs/%s/eval", ts.URL, name)
 	input := wire.InputSpec{
 		{Type: "normal", Mu: 0.5, Sigma: 0.1},
 		{Type: "mixture", Weights: []float64{1, 1}, Components: []wire.DistSpec{
@@ -234,9 +234,9 @@ func TestEvalLearnAndFrozenDeterminism(t *testing.T) {
 func TestEvalValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	name := registerSmooth(t, ts.URL)
-	evalURL := fmt.Sprintf("%s/udfs/%s/eval", ts.URL, name)
+	evalURL := fmt.Sprintf("%s/v1/udfs/%s/eval", ts.URL, name)
 
-	if resp, _ := postJSON(t, ts.URL+"/udfs/ghost/eval", map[string]any{"input": wire.InputSpec{}}); resp.StatusCode != 404 {
+	if resp, _ := postJSON(t, ts.URL+"/v1/udfs/ghost/eval", map[string]any{"input": wire.InputSpec{}}); resp.StatusCode != 404 {
 		t.Fatalf("unknown UDF: %d, want 404", resp.StatusCode)
 	}
 	// Wrong arity.
@@ -265,12 +265,12 @@ func TestEvalValidation(t *testing.T) {
 func TestFrozenBeforeWarmConflicts(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	// Register without warm-up: no training points.
-	resp, body := postJSON(t, ts.URL+"/udfs", map[string]any{"udf": "poly/smooth2d", "eps": 0.2})
+	resp, body := postJSON(t, ts.URL+"/v1/udfs", map[string]any{"udf": "poly/smooth2d", "eps": 0.2})
 	if resp.StatusCode != 201 {
 		t.Fatalf("register: %d %s", resp.StatusCode, body)
 	}
 	learn := false
-	resp, body = postJSON(t, ts.URL+"/udfs/poly-smooth2d/eval", map[string]any{
+	resp, body = postJSON(t, ts.URL+"/v1/udfs/poly-smooth2d/eval", map[string]any{
 		"input": wire.InputSpec{{Type: "normal", Mu: 0.5, Sigma: 0.1}, {Type: "normal", Mu: 0.5, Sigma: 0.1}},
 		"learn": &learn,
 	})
@@ -331,7 +331,7 @@ func testInputs(n int) []wire.InputSpec {
 func TestStreamLearnThenFrozenReplay(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 4})
 	name := registerSmooth(t, ts.URL)
-	streamURL := fmt.Sprintf("%s/udfs/%s/stream", ts.URL, name)
+	streamURL := fmt.Sprintf("%s/v1/udfs/%s/stream", ts.URL, name)
 	inputs := testInputs(20)
 
 	status, _, learned := streamNDJSON(t, streamURL+"?seed=11", inputs)
@@ -378,7 +378,7 @@ func TestStreamLearnThenFrozenReplay(t *testing.T) {
 
 	// The single-eval frozen path is line 0 of the stream with the same seed.
 	learn := false
-	resp, body := postJSON(t, fmt.Sprintf("%s/udfs/%s/eval", ts.URL, name),
+	resp, body := postJSON(t, fmt.Sprintf("%s/v1/udfs/%s/eval", ts.URL, name),
 		map[string]any{"input": inputs[0], "seed": 11, "learn": &learn})
 	if resp.StatusCode != 200 {
 		t.Fatalf("single frozen eval: %d %s", resp.StatusCode, body)
@@ -395,7 +395,7 @@ func TestStreamLearnThenFrozenReplay(t *testing.T) {
 func TestStreamMalformedLine(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	name := registerSmooth(t, ts.URL)
-	streamURL := fmt.Sprintf("%s/udfs/%s/stream", ts.URL, name)
+	streamURL := fmt.Sprintf("%s/v1/udfs/%s/stream", ts.URL, name)
 
 	body := `{"input":[{"type":"normal","mu":0.5,"sigma":0.1},{"type":"normal","mu":0.5,"sigma":0.1}]}
 this is not json
@@ -436,7 +436,7 @@ func TestAdmissionControl(t *testing.T) {
 		t.Fatal("could not take admission tokens")
 	}
 	defer func() { s.release(); s.release() }()
-	resp, body := postJSON(t, fmt.Sprintf("%s/udfs/%s/eval", ts.URL, name),
+	resp, body := postJSON(t, fmt.Sprintf("%s/v1/udfs/%s/eval", ts.URL, name),
 		map[string]any{"input": testInputs(1)[0]})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("at capacity: %d %s, want 429", resp.StatusCode, body)
@@ -445,7 +445,7 @@ func TestAdmissionControl(t *testing.T) {
 		t.Fatal("429 without Retry-After")
 	}
 	// Streams are refused at admission too.
-	sresp, err := http.Post(fmt.Sprintf("%s/udfs/%s/stream?learn=false", ts.URL, name),
+	sresp, err := http.Post(fmt.Sprintf("%s/v1/udfs/%s/stream?learn=false", ts.URL, name),
 		"application/x-ndjson", strings.NewReader(""))
 	if err != nil {
 		t.Fatal(err)
@@ -462,7 +462,7 @@ func TestAdmissionControl(t *testing.T) {
 func TestStreamAtMinimumCapacity(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxInFlight: 1, Workers: 2})
 	name := registerSmooth(t, ts.URL)
-	streamURL := fmt.Sprintf("%s/udfs/%s/stream", ts.URL, name)
+	streamURL := fmt.Sprintf("%s/v1/udfs/%s/stream", ts.URL, name)
 	inputs := testInputs(6)
 	if status, _, rs := streamNDJSON(t, streamURL+"?seed=2", inputs); status != 200 || len(rs) != 6 {
 		t.Fatalf("learn stream at max-inflight=1: status %d, %d lines", status, len(rs))
@@ -490,7 +490,7 @@ func TestDeadlineCancellation(t *testing.T) {
 	defer close(block)
 	time.Sleep(20 * time.Millisecond) // let the blocker reach the writer
 
-	resp, body := postJSON(t, fmt.Sprintf("%s/udfs/%s/eval?timeout_ms=50", ts.URL, name),
+	resp, body := postJSON(t, fmt.Sprintf("%s/v1/udfs/%s/eval?timeout_ms=50", ts.URL, name),
 		map[string]any{"input": testInputs(1)[0]})
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("deadline: %d %s, want 504", resp.StatusCode, body)
@@ -501,7 +501,7 @@ func TestSnapshotRoundTripAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 	s1, ts1 := newTestServer(t, Config{SnapshotDir: dir, Workers: 2})
 	name := registerSmooth(t, ts1.URL)
-	streamURL := fmt.Sprintf("%s/udfs/%s/stream", ts1.URL, name)
+	streamURL := fmt.Sprintf("%s/v1/udfs/%s/stream", ts1.URL, name)
 	inputs := testInputs(12)
 
 	// Learn, then record a frozen replay.
@@ -511,7 +511,7 @@ func TestSnapshotRoundTripAcrossRestart(t *testing.T) {
 	_, before, _ := streamNDJSON(t, streamURL+"?learn=false&seed=9", inputs)
 
 	// Snapshot everything and "restart".
-	resp, body := postJSON(t, ts1.URL+"/snapshot", nil)
+	resp, body := postJSON(t, ts1.URL+"/v1/snapshot", nil)
 	if resp.StatusCode != 200 {
 		t.Fatalf("snapshot: %d %s", resp.StatusCode, body)
 	}
@@ -539,7 +539,7 @@ func TestSnapshotRoundTripAcrossRestart(t *testing.T) {
 	var list struct {
 		UDFs []udfInfo `json:"udfs"`
 	}
-	getJSON(t, ts2.URL+"/udfs", &list)
+	getJSON(t, ts2.URL+"/v1/udfs", &list)
 	if len(list.UDFs) != 1 || list.UDFs[0].Name != name {
 		t.Fatalf("restored udfs: %+v", list.UDFs)
 	}
@@ -549,7 +549,7 @@ func TestSnapshotRoundTripAcrossRestart(t *testing.T) {
 	}
 
 	// Seeded replay on the restored server is bit-identical.
-	_, after, _ := streamNDJSON(t, fmt.Sprintf("%s/udfs/%s/stream?learn=false&seed=9", ts2.URL, name), inputs)
+	_, after, _ := streamNDJSON(t, fmt.Sprintf("%s/v1/udfs/%s/stream?learn=false&seed=9", ts2.URL, name), inputs)
 	if before != after {
 		t.Fatalf("replay after restart diverged:\n%s\nvs\n%s", before, after)
 	}
@@ -558,7 +558,7 @@ func TestSnapshotRoundTripAcrossRestart(t *testing.T) {
 func TestSnapshotWithoutDir(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	name := registerSmooth(t, ts.URL)
-	resp, body := postJSON(t, fmt.Sprintf("%s/udfs/%s/snapshot", ts.URL, name), nil)
+	resp, body := postJSON(t, fmt.Sprintf("%s/v1/udfs/%s/snapshot", ts.URL, name), nil)
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("snapshot without dir: %d %s", resp.StatusCode, body)
 	}
@@ -567,7 +567,7 @@ func TestSnapshotWithoutDir(t *testing.T) {
 func TestStatsSavings(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	name := registerSmooth(t, ts.URL)
-	streamURL := fmt.Sprintf("%s/udfs/%s/stream", ts.URL, name)
+	streamURL := fmt.Sprintf("%s/v1/udfs/%s/stream", ts.URL, name)
 	if status, _, _ := streamNDJSON(t, streamURL+"?seed=4", testInputs(10)); status != 200 {
 		t.Fatal("learn stream failed")
 	}
@@ -575,7 +575,7 @@ func TestStatsSavings(t *testing.T) {
 		UDFs            []UDFStats `json:"udfs"`
 		TotalSavedCalls int64      `json:"total_saved_calls"`
 	}
-	if resp := getJSON(t, ts.URL+"/stats", &stats); resp.StatusCode != 200 {
+	if resp := getJSON(t, ts.URL+"/v1/stats", &stats); resp.StatusCode != 200 {
 		t.Fatalf("stats: %d", resp.StatusCode)
 	}
 	if len(stats.UDFs) != 1 {
@@ -601,12 +601,12 @@ func TestDrainRefusesNewWork(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	name := registerSmooth(t, ts.URL)
 	s.Close()
-	resp, _ := postJSON(t, fmt.Sprintf("%s/udfs/%s/eval", ts.URL, name),
+	resp, _ := postJSON(t, fmt.Sprintf("%s/v1/udfs/%s/eval", ts.URL, name),
 		map[string]any{"input": testInputs(1)[0]})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("draining server: %d, want 503", resp.StatusCode)
 	}
-	if resp2 := getJSON(t, ts.URL+"/healthz", nil); resp2.StatusCode != http.StatusServiceUnavailable {
+	if resp2 := getJSON(t, ts.URL+"/v1/healthz", nil); resp2.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("draining healthz: %d, want 503", resp2.StatusCode)
 	}
 }

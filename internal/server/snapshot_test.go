@@ -81,7 +81,7 @@ func TestSnapshotRotation(t *testing.T) {
 
 	// Record a frozen replay, then restart from disk: the restored server
 	// serves the same model at the same resumed sequence.
-	streamURL := fmt.Sprintf("%s/udfs/%s/stream?learn=false&seed=6", ts.URL, name)
+	streamURL := fmt.Sprintf("%s/v1/udfs/%s/stream?learn=false&seed=6", ts.URL, name)
 	_, before, _ := streamNDJSON(t, streamURL, testInputs(6))
 	ts.Close()
 	s.Close()
@@ -101,7 +101,7 @@ func TestSnapshotRotation(t *testing.T) {
 		t.Fatalf("restored model seq %d, want %d", e2.Seq(), newest)
 	}
 	_, after, _ := streamNDJSON(t,
-		fmt.Sprintf("%s/udfs/%s/stream?learn=false&seed=6", ts2.URL, name), testInputs(6))
+		fmt.Sprintf("%s/v1/udfs/%s/stream?learn=false&seed=6", ts2.URL, name), testInputs(6))
 	if before != after {
 		t.Fatalf("replay from newest snapshot diverged:\n%s\nvs\n%s", before, after)
 	}

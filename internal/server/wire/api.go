@@ -9,8 +9,8 @@ package wire
 // encoding/json's shortest-round-trip formatting, so equal values marshal
 // to equal bytes — the property the bit-replay gates depend on.
 
-// APIVersion is the path prefix of the current wire surface. Legacy
-// unversioned paths remain as thin aliases for one release.
+// APIVersion is the path prefix of the wire surface; every route lives
+// under it.
 const APIVersion = "v1"
 
 // --- error envelope ---

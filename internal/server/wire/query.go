@@ -241,6 +241,11 @@ func (g GroupPartialJSON) GroupPartial() (*query.GroupPartial, error) {
 		gp.Vals = append(gp.Vals, v)
 	}
 	for i, a := range g.Aggs {
+		// Every group has observed at least one tuple; an empty aggregate
+		// would finish to a NaN bound.
+		if a.N == 0 {
+			return nil, fmt.Errorf("wire: group %s aggregate %d observed no tuple", g.Key, i)
+		}
 		p, err := a.Partial()
 		if err != nil {
 			return nil, fmt.Errorf("wire: group %s aggregate %d: %w", g.Key, i, err)

@@ -187,6 +187,12 @@ func TestGroupPartialRoundTrip(t *testing.T) {
 	if _, err := back.GroupPartial(); err == nil {
 		t.Fatal("rebuilt a group with an unknown aggregate kind")
 	}
+	// A group observed at least one tuple: an empty avg would finish to a
+	// NaN bound.
+	empty := GroupPartialJSON{Key: "k", Aggs: []AggPartialJSON{{Kind: "avg"}}}
+	if _, err := empty.GroupPartial(); err == nil {
+		t.Fatal("rebuilt a group whose aggregate observed no tuple")
+	}
 }
 
 func TestRegisterRequestSpec(t *testing.T) {
