@@ -596,3 +596,22 @@ func TestLateUDFFailureLeavesModelUsable(t *testing.T) {
 		t.Fatalf("model poisoned: predict(2) = %g, want ≈ %g", m, math.Sin(2))
 	}
 }
+
+// An input whose samples overflow (σ = 1e308 puts some at ±∞) gets a NaN
+// predictive variance there, so its envelope supports hold NaN. Evaluation must return — an error,
+// or an Output whose Bound is the vacuous 1 — and never panic or hang.
+func TestHugeSigmaInputReturns(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	square := udf.FuncOf{D: 1, F: func(x []float64) float64 { return x[0] * x[0] }}
+	e, err := NewEvaluator(square, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Eval(gaussianInput([]float64{3}, 0.5), rng); err != nil {
+		t.Fatal(err)
+	}
+	out, err := e.Eval(gaussianInput([]float64{3}, 1e308), rng)
+	if err == nil && !(out.Bound >= 1) {
+		t.Fatalf("σ=1e308: Bound %g with no error, want ≥ 1", out.Bound)
+	}
+}

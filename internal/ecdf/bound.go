@@ -72,6 +72,21 @@ func (e Envelope) IntervalBounds(a, b float64) (lo, mid, hi float64) {
 // in a, so sweeping a from the largest support point down finds every b₁ in
 // one backward scan, the suffix maxima become running maxima, and the total
 // cost is O(m) over the three sorted supports.
+//
+// Both endpoints range over the merged support only. A left endpoint a
+// within a step of the CDFs is dominated by the step's support point (same
+// CDF values, a wider b-window), and so is a right endpoint b: all three
+// ECDFs are right-continuous steps that jump only at support points, so
+// (F̂, F_S, F_L) at any b ≥ a+λ equals the triple at b's predecessor, the
+// last support point ≤ b. For λ > 0 the admissible b's predecessors are
+// exactly the support points from the predecessor of fl(a+λ) up — which is
+// never below a itself, since fl(a+λ) ≥ a — so the triples the supremum
+// ranges over are those of a suffix of the merged support. For λ ≤ 0 the
+// suffix starts at the first support point ≥ a+λ. A supremum over the same
+// triples is the same float, whichever points carry them.
+//
+// A NaN support point has no place in a CDF, so an envelope holding one
+// gets the vacuous bound 1.
 func (e Envelope) DiscrepancyBound(lambda float64) float64 {
 	return e.DiscrepancyBoundWith(nil, lambda)
 }
@@ -80,8 +95,7 @@ func (e Envelope) DiscrepancyBound(lambda float64) float64 {
 // The zero value is ready to use; buffers grow on demand and are retained,
 // so the per-tuning-iteration bound computation stops allocating once warm.
 type BoundScratch struct {
-	vals, bs   []float64
-	fh, fs, fl []float64
+	ds, fh, fs, fl []float64
 }
 
 // DiscrepancyBoundWith is DiscrepancyBound with caller-provided scratch
@@ -89,48 +103,65 @@ type BoundScratch struct {
 //
 // This is the per-tuple inner loop of Algorithm 5, so on top of the scratch
 // reuse it exploits monotonicity throughout: the three supports are already
-// sorted, so one streaming merge (mergeCandidates) yields the merged support,
-// the b-candidate set, and all three CDFs at every candidate; the two search
-// indices of the left-endpoint sweep (j0 at a+λ and the envelope crossing
-// jt) are monotone in a, so one pass over the candidates serves every a.
-// Total cost is O(m) after envelope construction.
+// sorted, so one streaming merge (mergeSupport) yields the distinct merged
+// support and all three CDFs at every point of it; the two search indices of
+// the left-endpoint sweep (j0 at a+λ and the envelope crossing jt) are
+// monotone in a, so one pass over the support serves every a. Total cost is
+// O(m) after envelope construction.
 func (e Envelope) DiscrepancyBoundWith(s *BoundScratch, lambda float64) float64 {
 	if s == nil {
 		s = &BoundScratch{}
 	}
-	s.mergeCandidates(e.Mean.xs, e.Lower.xs, e.Upper.xs, lambda)
-	vals, bs := s.vals, s.bs
-	if len(vals) == 0 {
+	hx, sx, lx := e.Mean.xs, e.Lower.xs, e.Upper.xs
+	if hasNaN(hx) || hasNaN(sx) || hasNaN(lx) {
+		return 1
+	}
+	s.mergeSupport(hx, sx, lx)
+	ds, fh, fs, fl := s.ds, s.fh, s.fs, s.fl
+	mb := len(ds)
+	if mb == 0 {
 		return 0
 	}
-	mb := len(bs)
-	fh, fs, fl := s.fh, s.fs, s.fl
 	// The left endpoint a sweeps the merged support from the largest point
-	// down, then the −∞ sentinel (i = −1, where every CDF is 0). Every
-	// support point is itself a b-candidate (index p), so its three CDF
-	// values are already in fh/fs/fl. Both search indices only move
-	// backward as a shrinks:
-	// j0: first b-candidate ≥ a+λ (the sentinel mb when past the end);
-	// jt: first b-candidate with F_L(b) > F_S(a) (F_S(a) shrinks with a, and
-	// fl is non-decreasing over candidates).
+	// down (index i, with its own CDF triple), then the −∞ sentinel (i = −1,
+	// where every CDF is 0). Both search indices only move backward as a
+	// shrinks:
+	// j0: the first index of the admissible suffix (see DiscrepancyBound);
+	// jt: the first index with F_L(b) > F_S(a) (F_S(a) shrinks with a, and
+	// fl is non-decreasing over the support).
 	// The suffix maxima over [j0, mb] of u = F_S − F̂ and over
 	// [max(j0, jt), mb] of w = F̂ − F_L then only grow, as running maxima;
-	// both are 0 at the +∞ sentinel.
-	j0, jt, kw, p := mb, mb, mb, mb-1
+	// both are 0 at the +∞ sentinel mb.
+	shifted := lambda > 0
+	j0, jt, kw := mb, mb, mb
 	var best, maxU, maxW float64
-	for i := len(vals) - 1; i >= -1; i-- {
+	if shifted {
+		// fl(a+λ) ≥ a, so the largest support point is admissible for every a.
+		j0 = mb - 1
+		if u := fs[j0] - fh[j0]; u > maxU {
+			maxU = u
+		}
+	}
+	for i := mb - 1; i >= -1; i-- {
 		fhA, fsA, flA, aPlusLambda := 0.0, 0.0, 0.0, math.Inf(-1)
 		if i >= 0 {
-			a := vals[i]
-			for bs[p] > a {
-				p--
-			}
-			fhA, fsA, flA, aPlusLambda = fh[p], fs[p], fl[p], a+lambda
+			fhA, fsA, flA, aPlusLambda = fh[i], fs[i], fl[i], ds[i]+lambda
 		}
-		for j0 > 0 && bs[j0-1] >= aPlusLambda {
-			j0--
-			if u := fs[j0] - fh[j0]; u > maxU {
-				maxU = u
+		if shifted {
+			// j0: the predecessor of fl(a+λ), the last ds[j0] ≤ a+λ.
+			for j0 > 0 && ds[j0] > aPlusLambda {
+				j0--
+				if u := fs[j0] - fh[j0]; u > maxU {
+					maxU = u
+				}
+			}
+		} else {
+			// j0: the first ds[j0] ≥ a+λ (mb when past the end).
+			for j0 > 0 && ds[j0-1] >= aPlusLambda {
+				j0--
+				if u := fs[j0] - fh[j0]; u > maxU {
+					maxU = u
+				}
 			}
 		}
 		// Term 1: u(b) + v(a) over b ≥ a+λ.
@@ -140,21 +171,10 @@ func (e Envelope) DiscrepancyBoundWith(s *BoundScratch, lambda float64) float64 
 		for jt > 0 && fl[jt-1] > fsA {
 			jt--
 		}
-		// Regime 1 (ρ′_L clamped to 0): b ∈ [a+λ, b₁); F̂ is constant on
-		// candidate gaps, so its supremum there is F̂ at candidate jt−1.
+		// Regime 1 (ρ′_L clamped to 0): b ∈ [a+λ, b₁); F̂ is non-decreasing,
+		// so its supremum there is F̂ at the suffix's last index before jt.
 		if jt > j0 {
 			if t := fh[jt-1] - fhA; t > best {
-				best = t
-			}
-		} else if jt == j0 && j0 < mb && bs[j0] > aPlusLambda {
-			// The gap [a+λ, bs[j0]) is regime 1 with F̂ constant at fh[j0-1]
-			// (or 0 when j0 == 0). Only matters when a+λ is not itself a
-			// candidate, which cannot happen for support a; kept for safety.
-			prev := 0.0
-			if j0 > 0 {
-				prev = fh[j0-1]
-			}
-			if t := prev - fhA; t > best {
 				best = t
 			}
 		}
@@ -175,6 +195,14 @@ func (e Envelope) DiscrepancyBoundWith(s *BoundScratch, lambda float64) float64 
 	return best
 }
 
+// hasNaN reports whether a sorted support holds a NaN. Supports sorted in
+// the NaN-first order of slices.Sort and sort.Float64s can hold one only at
+// the front; a constant shift of such a support by an infinite offset
+// (SetSortedShifted, +∞ − ∞) can also put one at the back.
+func hasNaN(xs []float64) bool {
+	return len(xs) > 0 && (xs[0] != xs[0] || xs[len(xs)-1] != xs[len(xs)-1])
+}
+
 // cdfScale returns 1/len(xs), the per-rank CDF increment (0 when empty,
 // matching ECDF.CDF's empty-distribution convention).
 func cdfScale(xs []float64) float64 {
@@ -184,44 +212,34 @@ func cdfScale(xs []float64) float64 {
 	return 1 / float64(len(xs))
 }
 
-// mergeCandidates is the one streaming merge behind DiscrepancyBoundWith. It
-// fills s.vals with the ascending union of the three sorted supports hx
-// (F̂), sx (F_S), lx (F_L); s.bs with the deduplicated ascending union of
-// vals and vals+λ (the b-candidates, vals alone when λ ≤ 0); and s.fh, s.fs,
-// s.fl with each CDF at every candidate plus the +∞ sentinel 1.
+// mergeSupport is the one streaming merge behind DiscrepancyBoundWith. It
+// fills s.ds with the distinct ascending union of the three sorted supports
+// hx (F̂), sx (F_S), lx (F_L), and s.fh, s.fs, s.fl with each CDF at every
+// point of it plus the +∞ sentinel 1. The CDFs come straight from the
+// merge's live counters: a support's CDF at v is its count of points ≤ v.
 //
-// The CDFs come straight from the merge's live counters: a support's CDF at
-// b is its count of points ≤ b, and when a candidate is emitted every point
-// below the next unmerged value has been consumed — for a shifted candidate
-// vals[q]+λ, which is emitted only while it is below that next value, this
-// is exactly the points ≤ it. The shifted stream reads vals as the merge
-// writes it: vals[q]+λ ≥ vals[q], so its head never outruns the output.
-//
-// Each step emits one candidate, and which stream it comes from is data
-// dependent — a coin flip for the branch predictor — so the step is written
-// as selects (min, conditional increments) the compiler lowers without
-// branches. A value repeated within one support takes one step per copy: the
-// repeat re-emits the candidate, which overwrites the previous entry with
-// the larger counts, and appears twice in vals, which the bound's maximum
-// over left endpoints does not notice.
-func (s *BoundScratch) mergeCandidates(hx, sx, lx []float64, lambda float64) {
+// Which support the next point comes from is data dependent — a coin flip
+// for the branch predictor — so each step is written as selects (min,
+// conditional increments) the compiler lowers without branches. A value
+// repeated within one support takes one step per copy: the repeat re-emits
+// the point, which overwrites the previous entry with the larger counts.
+// A head advances unless it is above the step's minimum, so even a NaN out
+// of sorted order (which makes the minimum NaN) cannot stall the merge.
+func (s *BoundScratch) mergeSupport(hx, sx, lx []float64) {
 	n := len(hx) + len(sx) + len(lx)
-	vals := growFloats(s.vals, n+1)
-	bs := growFloats(s.bs, 2*n+1)
-	fh := growFloats(s.fh, 2*n+1)
-	fs := growFloats(s.fs, 2*n+1)
-	fl := growFloats(s.fl, 2*n+1)
+	ds := growFloats(s.ds, n)
+	fh := growFloats(s.fh, n+1)
+	fs := growFloats(s.fs, n+1)
+	fl := growFloats(s.fl, n+1)
 	invH, invS, invL := cdfScale(hx), cdfScale(sx), cdfScale(lx)
 	inf := math.Inf(1)
-	last := math.NaN() // the previous candidate; NaN equals nothing
-	ih, is, il, q, nv, nb := 0, 0, 0, 0, 0, 0
-	shifted := lambda > 0
+	last := math.NaN() // the previous point; NaN equals nothing
+	ih, is, il, nd := 0, 0, 0, 0
 	for {
 		// 1 while a stream has points left. An exhausted support reads as
 		// +∞ but must never advance, or a +∞ support point would over-count.
 		hOK, sOK, lOK := b2i(ih < len(hx)), b2i(is < len(sx)), b2i(il < len(lx))
-		hasC := b2i(shifted && q < nv)
-		if hOK|sOK|lOK|hasC == 0 {
+		if hOK|sOK|lOK == 0 {
 			break
 		}
 		h, sv, l := inf, inf, inf
@@ -235,31 +253,20 @@ func (s *BoundScratch) mergeCandidates(hx, sx, lx []float64, lambda float64) {
 			l = lx[il]
 		}
 		v := min(h, sv, l)
-		c := inf
-		if hasC == 1 {
-			c = vals[q] + lambda
-		}
-		// u: the unshifted head is emitted; on a tie with the shifted head
-		// both streams advance, as they name the same candidate.
-		u := (hOK | sOK | lOK) & b2i(v <= c)
-		ih += u & hOK & b2i(h == v)
-		is += u & sOK & b2i(sv == v)
-		il += u & lOK & b2i(l == v)
-		q += hasC & b2i(c <= v)
-		vals[nv] = v
-		nv += u
-		e := min(v, c)
-		nb -= b2i(e == last)
-		bs[nb] = e
-		fh[nb] = float64(ih) * invH
-		fs[nb] = float64(is) * invS
-		fl[nb] = float64(il) * invL
-		nb++
-		last = e
+		ih += hOK & b2i(!(h > v))
+		is += sOK & b2i(!(sv > v))
+		il += lOK & b2i(!(l > v))
+		nd -= b2i(v == last)
+		ds[nd] = v
+		fh[nd] = float64(ih) * invH
+		fs[nd] = float64(is) * invS
+		fl[nd] = float64(il) * invL
+		nd++
+		last = v
 	}
-	fh[nb], fs[nb], fl[nb] = 1, 1, 1
-	s.vals, s.bs = vals[:nv], bs[:nb]
-	s.fh, s.fs, s.fl = fh[:nb+1], fs[:nb+1], fl[:nb+1]
+	fh[nd], fs[nd], fl[nd] = 1, 1, 1
+	s.ds = ds[:nd]
+	s.fh, s.fs, s.fl = fh[:nd+1], fs[:nd+1], fl[:nd+1]
 }
 
 // b2i is 1 for true and 0 for false; the compiler lowers it to a flag
@@ -277,35 +284,6 @@ func growFloats(buf []float64, n int) []float64 {
 		return make([]float64, n)
 	}
 	return buf[:n]
-}
-
-// discrepancyBoundNaive is the O(m²) reference used to validate
-// DiscrepancyBound in tests: it enumerates the candidate grid directly.
-func (e Envelope) discrepancyBoundNaive(lambda float64) float64 {
-	vals := mergedValues(e.Mean, e.Lower, e.Upper)
-	if len(vals) == 0 {
-		return 0
-	}
-	as := append([]float64{vals[0] - lambda - 1}, vals...)
-	bs := append(bCandidates(vals, lambda), vals[len(vals)-1]+lambda+1)
-	var best float64
-	for _, a := range as {
-		for _, b := range bs {
-			// Same floating-point admissibility expression as the fast
-			// path (see discLambdaNaive): b ≥ fl(a+λ).
-			if b < a+lambda {
-				continue
-			}
-			lo, mid, hi := e.IntervalBounds(a, b)
-			if d := hi - mid; d > best {
-				best = d
-			}
-			if d := mid - lo; d > best {
-				best = d
-			}
-		}
-	}
-	return best
 }
 
 // KSBound returns the KS-metric error bound of Proposition 4.2:

@@ -288,8 +288,8 @@ func TestQuickDiscrepancyBoundMatchesNaive(t *testing.T) {
 }
 
 // Infinite support points are ordinary values to the bound's merge: an
-// exhausted support must not be mistaken for one still holding +∞, and a
-// +∞ shifted candidate must dedup against the +∞ support point.
+// exhausted support must not be mistaken for one still holding +∞, and for
+// a +∞ support point a the right endpoint a+λ = +∞ is a itself.
 func TestDiscrepancyBoundInfiniteSupport(t *testing.T) {
 	inf := math.Inf(1)
 	envs := []Envelope{

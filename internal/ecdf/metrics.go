@@ -2,7 +2,6 @@ package ecdf
 
 import (
 	"math"
-	"sort"
 )
 
 // KS returns the Kolmogorov–Smirnov distance
@@ -25,109 +24,56 @@ func Discrepancy(f, g *ECDF) float64 {
 	return DiscrepancyLambda(f, g, 0)
 }
 
-// bCandidates returns the ascending candidate set for interval right
-// endpoints: the merged support plus every support point shifted by +λ.
-// Because every involved empirical CDF is a right-continuous step function
-// whose jumps lie in the merged support, the supremum over real intervals
-// [a, b] with a in the support (or −∞) and b ≥ a+λ is attained on this set
-// (b = a+λ exactly, or b at a support point), plus the +∞ sentinel.
-func bCandidates(vals []float64, lambda float64) []float64 {
-	return appendBCandidates(make([]float64, 0, 2*len(vals)), vals, lambda)
-}
-
-// appendBCandidates is bCandidates into a reusable buffer dst[:0].
-func appendBCandidates(dst, vals []float64, lambda float64) []float64 {
-	out := dst[:0]
-	out = append(out, vals...)
-	if lambda > 0 {
-		for _, v := range vals {
-			out = append(out, v+lambda)
-		}
-		sort.Float64s(out)
-		dedup := out[:0]
-		for i, v := range out {
-			if i == 0 || v != dedup[len(dedup)-1] {
-				dedup = append(dedup, v)
-			}
-		}
-		out = dedup
-	}
-	return out
-}
-
 // DiscrepancyLambda returns the λ-discrepancy (Definition 3)
 // sup_{b−a≥λ} |Pr_F[a,b] − Pr_G[a,b]|.
 //
 // Writing h(y) = F(y) − G(y), the interval difference is h(b) − h(a), so the
 // measure is sup over pairs (a, b) with b ≥ a+λ of |h(b) − h(a)|, where
-// a = −∞ and b = +∞ (h = 0) cover the one-sided intervals. Within a step of
-// h the left endpoint dominates for a (same h, larger b-window), so a ranges
-// over the merged support plus −∞; b additionally needs the points a+λ that
-// fall strictly inside steps, handled by bCandidates. The supremum is found
-// in O(m log m) with suffix max/min arrays over the b-candidates.
+// a = −∞ and b = +∞ (h = 0) cover the one-sided intervals. Both ECDFs are
+// right-continuous steps that jump only at points of the merged support, so
+// h at any y equals h at y's predecessor, the last support point ≤ y. Within
+// a step the support point therefore dominates as a left endpoint (same h,
+// a wider b-window), and the values h takes over b ≥ a+λ are its values on a
+// suffix of the merged support: from the predecessor of fl(a+λ) when λ > 0
+// (never below a, since fl(a+λ) ≥ a), from the first support point ≥ a+λ
+// when λ ≤ 0. The supremum is found in O(m log m) with suffix max/min
+// arrays over the support.
 func DiscrepancyLambda(f, g *ECDF, lambda float64) float64 {
 	vals := mergedValues(f, g)
 	m := len(vals)
 	if m == 0 {
 		return 0
 	}
-	bs := bCandidates(vals, lambda)
-	mb := len(bs)
-	hb := make([]float64, mb)
-	for i, v := range bs {
-		hb[i] = f.CDF(v) - g.CDF(v)
+	hv := make([]float64, m)
+	for i, v := range vals {
+		hv[i] = f.CDF(v) - g.CDF(v)
 	}
-	// Suffix maxima/minima of h over b-candidates, +∞ sentinel h = 0.
-	sufMax := make([]float64, mb+1)
-	sufMin := make([]float64, mb+1)
-	for i := mb - 1; i >= 0; i-- {
-		sufMax[i] = math.Max(hb[i], sufMax[i+1])
-		sufMin[i] = math.Min(hb[i], sufMin[i+1])
+	// Suffix maxima/minima of h over the support, +∞ sentinel h = 0.
+	sufMax := make([]float64, m+1)
+	sufMin := make([]float64, m+1)
+	for i := m - 1; i >= 0; i-- {
+		sufMax[i] = math.Max(hv[i], sufMax[i+1])
+		sufMin[i] = math.Min(hv[i], sufMin[i+1])
 	}
 	// a = −∞ sentinel: h(a) = 0, every b admissible.
 	best := math.Max(sufMax[0], -sufMin[0])
 	j := 0
 	for i := 0; i < m; i++ {
-		ha := f.CDF(vals[i]) - g.CDF(vals[i])
 		lo := vals[i] + lambda
-		for j < mb && bs[j] < lo {
-			j++
+		if lambda > 0 {
+			for j+1 < m && vals[j+1] <= lo {
+				j++
+			}
+		} else {
+			for j < m && vals[j] < lo {
+				j++
+			}
 		}
-		if rise := sufMax[j] - ha; rise > best {
+		if rise := sufMax[j] - hv[i]; rise > best {
 			best = rise
 		}
-		if fall := ha - sufMin[j]; fall > best {
+		if fall := hv[i] - sufMin[j]; fall > best {
 			best = fall
-		}
-	}
-	return best
-}
-
-// discLambdaNaive is the O(m²) reference implementation used to validate
-// DiscrepancyLambda in tests: it enumerates the same exhaustive candidate
-// grid directly.
-func discLambdaNaive(f, g *ECDF, lambda float64) float64 {
-	vals := mergedValues(f, g)
-	if len(vals) == 0 {
-		return 0
-	}
-	as := append([]float64{vals[0] - lambda - 1}, vals...) // −∞ sentinel
-	bs := append(bCandidates(vals, lambda), vals[len(vals)-1]+lambda+1)
-	var best float64
-	for _, a := range as {
-		for _, b := range bs {
-			// Admissibility must use the same floating-point expression as
-			// the fast path (b ≥ fl(a+λ)): a candidate constructed as
-			// fl(v+λ) represents an interval of width exactly λ, and
-			// re-deriving the width as b−a can round the other way and
-			// reject the pair the fast path legitimately scores.
-			if b < a+lambda {
-				continue
-			}
-			d := math.Abs((f.CDF(b) - f.CDF(a)) - (g.CDF(b) - g.CDF(a)))
-			if d > best {
-				best = d
-			}
 		}
 	}
 	return best

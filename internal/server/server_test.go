@@ -650,3 +650,43 @@ func TestLearnSeedDerivation(t *testing.T) {
 			out.Bound, out.Dist.Mean(), want.Bound, want.Dist.Mean())
 	}
 }
+
+// A σ = 1e308 normal is a valid spec whose samples overflow to ±∞, where
+// the GP's predictive variance is NaN, so the envelope holds NaN support
+// points. Every route that
+// evaluates it must answer — a 200 with well-formed JSON, or a structured
+// error envelope (or error line) — and never panic, hang or write an empty
+// 200.
+func TestHugeSigmaInputAnswers(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	name := registerSmooth(t, ts.URL)
+	input := wire.InputSpec{{Type: "normal", Mu: 3, Sigma: 1e308}, {Type: "normal", Mu: 0.5, Sigma: 0.1}}
+	evalURL := fmt.Sprintf("%s/v1/udfs/%s/eval", ts.URL, name)
+	for _, learn := range []bool{false, true} {
+		resp, body := postJSON(t, evalURL, map[string]any{"input": input, "seed": 5, "learn": &learn})
+		if resp.StatusCode == http.StatusOK {
+			var r EvalResult
+			if err := json.Unmarshal(body, &r); err != nil {
+				t.Fatalf("learn=%v: 200 with bad body %q: %v", learn, body, err)
+			}
+			continue
+		}
+		var env wire.ErrorEnvelope
+		if err := json.Unmarshal(body, &env); err != nil || env.Error.Code == "" {
+			t.Fatalf("learn=%v: %d without an error envelope: %q", learn, resp.StatusCode, body)
+		}
+	}
+	streamURL := fmt.Sprintf("%s/v1/udfs/%s/stream?learn=false&seed=1", ts.URL, name)
+	status, raw, rs := streamNDJSON(t, streamURL, []wire.InputSpec{input, testInputs(1)[0]})
+	if status != http.StatusOK || len(rs) == 0 {
+		t.Fatalf("frozen stream: %d, %d lines: %q", status, len(rs), raw)
+	}
+	if rs[0].Error == "" && rs[0].Engine == "" {
+		t.Fatalf("frozen stream: first line has neither result nor error: %q", raw)
+	}
+	// The process and its model survive: an ordinary frozen eval still works.
+	resp, body := postJSON(t, evalURL, map[string]any{"input": testInputs(1)[0], "seed": 5})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("eval after the huge-σ input: %d %s", resp.StatusCode, body)
+	}
+}
