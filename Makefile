@@ -16,7 +16,7 @@ BENCH_MAX_REGRESS ?= 0.35
 COVER_PKGS = ./internal/mat ./internal/ecdf ./internal/gp ./internal/core ./internal/server ./internal/server/wire ./internal/fleet ./client
 COVER_MIN ?= 70
 
-.PHONY: build test vet fmt fmt-fix race bench bench-json bench-diff cover fuzz-smoke e2e e2e-fleet e2e-rebalance e2e-query-fleet docs lint ci
+.PHONY: build test vet fmt fmt-fix race bench bench-json bench-diff cover fuzz-smoke e2e e2e-fleet e2e-rebalance e2e-query-fleet docs lint loc ci
 
 build:
 	$(GO) build ./...
@@ -115,8 +115,9 @@ e2e-rebalance:
 # three UDF instances are each owned by a different shard must answer a
 # group-by + top-k query spanning all three with bytes identical to a
 # single-shard fleet holding every instance, a single-instance plan must
-# answer identically forwarded or scattered, and a kill -9 of an owning
-# shard mid-scatter must leave every retried answer byte-identical.
+# answer the same bytes whether it names its instance with the request-level
+# udf or on each row, and a kill -9 of an owning shard mid-scatter must
+# leave every retried answer byte-identical.
 e2e-query-fleet:
 	$(GO) test -count=1 -v -run TestE2EQueryFleet ./e2e
 
@@ -136,5 +137,10 @@ lint:
 	@if command -v govulncheck >/dev/null 2>&1; then \
 		govulncheck ./...; \
 	else echo "lint: govulncheck not installed; skipping (go install golang.org/x/vuln/cmd/govulncheck@latest)"; fi
+
+# loc prints the non-test Go line count outside benchmark/: blank lines and
+# whole-line comments are not counted. It is a report, not a gate.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './benchmark/*' | xargs grep -v '^\s*$$' | grep -v ':\s*//' | wc -l
 
 ci: build vet fmt docs lint test race cover fuzz-smoke e2e e2e-fleet e2e-rebalance e2e-query-fleet bench bench-diff

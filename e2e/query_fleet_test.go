@@ -15,9 +15,9 @@ import (
 // where three UDF instances are each owned by a different shard must answer
 // a bounded query spanning all three — group-by + top-k over the UDF
 // outputs — with bytes identical to a single-shard fleet holding all three
-// instances, and a single-instance plan must answer identically whether the
-// router forwards it whole or decomposes it through the scatter-gather
-// path. Then the hard part: kill -9 one owning shard while queries stream
+// instances, and a single-instance plan must answer the same bytes whether
+// it names its instance with the request-level udf or on each row. Then
+// the hard part: kill -9 one owning shard while queries stream
 // and assert every answer (retried onto the surviving replica, pinned by
 // require_seq) stays byte-identical.
 func TestE2EQueryFleet(t *testing.T) {
@@ -161,9 +161,10 @@ func TestE2EQueryFleet(t *testing.T) {
 		t.Fatalf("three-shard answer diverged from single-shard fleet:\n%s\nvs\n%s", wantCross, soloCross)
 	}
 
-	// Gate 2: a single-instance plan answers identically whether forwarded
-	// whole to the shard's /v1/query or decomposed through partials — the
-	// merge algebra reproduces the serial operators bit for bit.
+	// Gate 2: a single-instance plan naming its instance with the
+	// request-level udf answers the same bytes as the same plan naming it on
+	// each row — the request-level udf is only decode sugar for rows that
+	// name none.
 	oneFwd := client.QueryRequest{
 		UDF: names[1], Seed: 23, RequireSeq: requireSeq,
 		Rows: func() []client.QueryRow {

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
@@ -13,19 +11,13 @@ import (
 )
 
 // Snapshot file format: a fixed magic string, a little-endian uint32 format
-// version, then the gob-encoded Snapshot. The version gates decoding — a
-// server restored from a snapshot written by a newer build fails loudly
-// instead of silently misreading state — while files from before the header
-// existed (bare gob) are still accepted by Load for migration.
+// version, then the gob-encoded Snapshot. The reader accepts exactly that
+// encoding at exactly SnapshotVersion, so a file written by any other build
+// fails loudly instead of being silently misread.
 const (
 	snapshotMagic = "olgapro-snap\n"
-	// SnapshotVersion is the current snapshot format version. Version 1 is
-	// the headerless gob of PR ≤ 4; version 2 added the header and the
-	// Noise field; version 3 added the sparse-model fields (SparseBudget et
-	// al.); version 4 added ModelSeq, the per-UDF model sequence number
-	// replicas order snapshots by. Gob decodes absent fields as zero
-	// values, so this build still reads v1–v3 files — they restore as
-	// exact models at sequence 0.
+	// SnapshotVersion is the snapshot format version this build writes and
+	// the only one it reads.
 	SnapshotVersion = 4
 )
 
@@ -51,16 +43,15 @@ type Snapshot struct {
 	X [][]float64
 	Y []float64
 	// ModelSeq is the per-UDF monotonic model sequence number the snapshot
-	// was taken at (version ≥ 4). It increments on every model mutation in
-	// the owning writer process; replicas compare sequence numbers to
-	// decide whether a fetched snapshot is newer than their installed
-	// state, and a restored process resumes its counter from this value so
-	// the ordering survives restarts. Zero for pre-v4 files.
+	// was taken at. It increments on every model mutation in the owning
+	// writer process; replicas compare sequence numbers to decide whether
+	// a fetched snapshot is newer than their installed state, and a
+	// restored process resumes its counter from this value so the ordering
+	// survives restarts.
 	ModelSeq int64
 	// SparseBudget, when positive, marks the snapshot as a budgeted sparse
-	// model (version ≥ 3); the remaining Sparse* fields mirror
-	// gp.SparseConfig plus the inducing-point indices into X. Zero (the gob
-	// default when decoding older files) means an exact model.
+	// model; the remaining Sparse* fields mirror gp.SparseConfig plus the
+	// inducing-point indices into X. Zero means an exact model.
 	SparseBudget int
 	// SparseTau is the admission threshold on relative novelty.
 	SparseTau float64
@@ -177,36 +168,33 @@ func WriteSnapshot(w io.Writer, s *Snapshot) error {
 	return nil
 }
 
-// ReadSnapshot decodes a snapshot from r. It accepts the current versioned
-// format (rejecting versions newer than this build understands) and, for
-// migration, the headerless bare-gob files written before the header
-// existed, which decode as Version 1.
+// ReadSnapshot decodes a snapshot from r. Input without the magic header, or
+// with any version other than SnapshotVersion, is rejected: an older file is
+// migrated by booting its snapshot directory once under a build that reads it
+// and re-saving with POST /v1/snapshot.
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(len(snapshotMagic))
-	versioned := err == nil && bytes.Equal(head, []byte(snapshotMagic))
-	var version = 1
-	if versioned {
-		if _, err := br.Discard(len(snapshotMagic)); err != nil {
-			return nil, fmt.Errorf("core: load: %w", err)
-		}
-		var ver [4]byte
-		if _, err := io.ReadFull(br, ver[:]); err != nil {
-			return nil, fmt.Errorf("core: load: truncated snapshot header: %w", err)
-		}
-		version = int(binary.LittleEndian.Uint32(ver[:]))
-		if version < 1 || version > SnapshotVersion {
-			return nil, fmt.Errorf("core: load: snapshot version %d not supported (this build reads ≤ %d)",
-				version, SnapshotVersion)
-		}
+	var head [len(snapshotMagic) + 4]byte
+	if _, err := io.ReadFull(r, head[:]); err != nil {
+		return nil, fmt.Errorf("core: load: truncated snapshot header: %w", err)
+	}
+	if string(head[:len(snapshotMagic)]) != snapshotMagic {
+		return nil, fmt.Errorf("core: load: no snapshot header (a headerless version-1 file?); this build reads only version %d%s",
+			SnapshotVersion, migrateHint)
+	}
+	if v := binary.LittleEndian.Uint32(head[len(snapshotMagic):]); v != SnapshotVersion {
+		return nil, fmt.Errorf("core: load: snapshot version %d not supported; this build reads only version %d%s",
+			v, SnapshotVersion, migrateHint)
 	}
 	var s Snapshot
-	if err := gob.NewDecoder(br).Decode(&s); err != nil {
+	if err := gob.NewDecoder(r).Decode(&s); err != nil {
 		return nil, fmt.Errorf("core: load: %w", err)
 	}
-	s.Version = version
 	return &s, nil
 }
+
+// migrateHint tells an operator holding an older snapshot how to migrate it.
+const migrateHint = "; to migrate, boot the snapshot directory once under a build that reads it " +
+	"and re-save with POST /v1/snapshot"
 
 // Restore builds an evaluator for the UDF from a snapshot: the saved kernel
 // (with its learned hyperparameters) replaces cfg.Kernel, and the saved

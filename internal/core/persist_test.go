@@ -112,9 +112,10 @@ func TestSnapshotKernelFamilies(t *testing.T) {
 	}
 }
 
-// The on-disk snapshot format is versioned: the current writer emits
-// magic+version+gob, the reader rejects future versions, and bare-gob files
-// from before the header existed still load (as version 1).
+// The on-disk snapshot format is one encoding: the writer emits
+// magic+version+gob, and the reader refuses every other version — future
+// ones and the older forms (the headerless gob, the v2 and v3 headers)
+// alike — with an error, never a panic or a silent misread.
 func TestSnapshotVersioning(t *testing.T) {
 	f := udf.FuncOf{D: 1, F: func(x []float64) float64 { return 2 * x[0] }}
 	ev, err := NewEvaluator(f, Config{})
@@ -143,37 +144,38 @@ func TestSnapshotVersioning(t *testing.T) {
 		t.Fatalf("snapshot noise %g, want the model's positive jitter", s.Noise)
 	}
 
-	// A future version must be rejected, not misread.
-	future := append([]byte(nil), raw...)
-	future[len("olgapro-snap\n")] = 0xEE // little-endian low byte of version
-	if _, err := ReadSnapshot(bytes.NewReader(future)); err == nil {
-		t.Fatal("future snapshot version accepted")
-	}
-
-	// A legacy headerless gob (the PR ≤ 4 on-disk form) still loads.
-	var legacy bytes.Buffer
 	snap, err := ev.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := gob.NewEncoder(&legacy).Encode(snap); err != nil {
+	var headerless bytes.Buffer
+	if err := gob.NewEncoder(&headerless).Encode(snap); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadSnapshot(&legacy)
-	if err != nil {
-		t.Fatalf("legacy gob rejected: %v", err)
-	}
-	if got.Version != 1 {
-		t.Fatalf("legacy snapshot read as version %d, want 1", got.Version)
-	}
-	if len(got.X) != len(snap.X) {
-		t.Fatalf("legacy snapshot lost training points: %d vs %d", len(got.X), len(snap.X))
+	for _, c := range []struct {
+		name string
+		data []byte
+		want string // substring the refusal must carry
+	}{
+		{"headerless gob", headerless.Bytes(), "no snapshot header"},
+		{"v2 header", withVersion(t, 2, snapshotV2{Version: 2, KernelName: "sqexp",
+			KernelParams: snap.KernelParams, Noise: snap.Noise, X: snap.X, Y: snap.Y}), "version 2"},
+		{"v3 header", withVersion(t, 3, snap), "version 3"},
+		{"future version", withVersion(t, 0xEE, snap), "version 238"},
+	} {
+		_, err := ReadSnapshot(bytes.NewReader(c.data))
+		if err == nil {
+			t.Fatalf("%s: snapshot accepted", c.name)
+		}
+		if !strings.Contains(err.Error(), c.want) || !strings.Contains(err.Error(), "POST /v1/snapshot") {
+			t.Fatalf("%s: refusal %q does not name %q and the migration", c.name, err, c.want)
+		}
 	}
 }
 
-// snapshotV2 is the exact field set the version-2 writer (PR 5/6) gob-encoded
-// — no Sparse* fields. Gob matches struct fields by name, so encoding this
-// local type reproduces a v2 byte stream faithfully.
+// snapshotV2 is the exact field set the version-2 writer gob-encoded — no
+// Sparse* fields and no ModelSeq. Gob matches struct fields by name, so
+// encoding this local type reproduces a v2 byte stream faithfully.
 type snapshotV2 struct {
 	Version      int
 	KernelName   string
@@ -184,68 +186,55 @@ type snapshotV2 struct {
 	Y            []float64
 }
 
-// v2Bytes hand-crafts a version-2 snapshot file: magic, little-endian
-// version word, then the v2-era gob payload.
-func v2Bytes(t *testing.T, s snapshotV2) *bytes.Buffer {
+// withVersion hand-crafts a snapshot file under an arbitrary header version:
+// magic, little-endian version word, then the gob-encoded payload.
+func withVersion(t *testing.T, version uint32, payload any) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	buf.WriteString("olgapro-snap\n")
 	var ver [4]byte
-	binary.LittleEndian.PutUint32(ver[:], 2)
+	binary.LittleEndian.PutUint32(ver[:], version)
 	buf.Write(ver[:])
-	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(payload); err != nil {
 		t.Fatal(err)
 	}
-	return &buf
+	return buf.Bytes()
 }
 
-// A v2 snapshot written before the sparse fields existed must keep loading:
-// the absent fields gob-decode to zero, which Restore reads as "exact model".
-func TestSnapshotV2BackwardCompat(t *testing.T) {
-	old := snapshotV2{
-		Version:      2,
-		KernelName:   "matern32",
-		KernelParams: kernel.NewMatern32(1.3, 0.8).Params(nil),
-		Noise:        1e-6,
-		X:            [][]float64{{1}, {2}, {3.5}},
-		Y:            []float64{2, 4, 7},
-	}
+// An exact snapshot loaded under a sparse config migrates: the pairs replay
+// through sparse admission instead of the exact factors. A replica reaches
+// this branch when it installs a peer's snapshot under a sparse spec.
+func TestSnapshotExactToSparseMigration(t *testing.T) {
 	f := udf.FuncOf{D: 1, F: func(x []float64) float64 { return 2 * x[0] }}
-
-	ev, err := Load(f, Config{}, v2Bytes(t, old))
+	ev, err := NewEvaluator(f, Config{Kernel: kernel.NewMatern32(1.3, 0.8)})
 	if err != nil {
-		t.Fatalf("v2 snapshot rejected: %v", err)
+		t.Fatal(err)
+	}
+	for _, x := range []float64{1, 2, 3.5} {
+		if err := ev.AddTrainingAt([]float64{x}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if ev.Sparse() != nil {
-		t.Fatal("v2 snapshot restored as a sparse model")
+		t.Fatal("source evaluator came up sparse")
 	}
-	if ev.GP() == nil || ev.GP().Len() != len(old.X) {
-		t.Fatalf("v2 restore lost training points: %d, want %d", ev.Points(), len(old.X))
-	}
-	if math.Abs(ev.Model().Noise()-old.Noise) > 0 {
-		t.Fatalf("v2 restore noise %g, want %g", ev.Model().Noise(), old.Noise)
-	}
-	// The interpolant reproduces its training outputs.
-	var sc gp.Scratch
-	m, _ := ev.Model().PredictWith(&sc, []float64{2})
-	if math.Abs(m-4) > 1e-3 {
-		t.Fatalf("v2 restore predicts %g at a training point with y=4", m)
-	}
-
-	// Loading the same v2 file under a sparse config migrates it: the pairs
-	// replay through sparse admission instead of the exact factors.
-	sp, err := Load(f, Config{SparseBudget: 8}, v2Bytes(t, old))
+	sp, err := Load(f, Config{SparseBudget: 8}, mustSave(t, ev))
 	if err != nil {
-		t.Fatalf("v2 → sparse migration failed: %v", err)
+		t.Fatalf("exact → sparse migration failed: %v", err)
 	}
 	if sp.Sparse() == nil {
-		t.Fatal("sparse config ignored when migrating a v2 snapshot")
+		t.Fatal("sparse config ignored when migrating an exact snapshot")
 	}
-	if sp.Points() != len(old.X) {
-		t.Fatalf("migration lost points: %d, want %d", sp.Points(), len(old.X))
+	if sp.Points() != ev.Points() {
+		t.Fatalf("migration lost points: %d, want %d", sp.Points(), ev.Points())
 	}
 	if got := sp.Sparse().InducingLen(); got < 1 || got > 8 {
 		t.Fatalf("migrated inducing set has %d points, want 1..8", got)
+	}
+	// The migrated model still interpolates its training outputs.
+	var sc gp.Scratch
+	if m, _ := sp.Model().PredictWith(&sc, []float64{2}); math.Abs(m-4) > 1e-3 {
+		t.Fatalf("migrated model predicts %g at a training point with y=4", m)
 	}
 }
 

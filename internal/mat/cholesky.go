@@ -232,25 +232,6 @@ func (c *Cholesky) BackSolveTo(dst, y []float64) []float64 {
 	return dst
 }
 
-// Solve solves A X = B column-by-column and returns X.
-func (c *Cholesky) Solve(b *Matrix) *Matrix {
-	if b.Rows() != c.n {
-		panic(fmt.Sprintf("mat: cholesky solve rows %d ≠ %d", b.Rows(), c.n))
-	}
-	out := New(c.n, b.Cols())
-	col := make([]float64, c.n)
-	for j := 0; j < b.Cols(); j++ {
-		for i := 0; i < c.n; i++ {
-			col[i] = b.At(i, j)
-		}
-		c.SolveVecTo(col, col)
-		for i := 0; i < c.n; i++ {
-			out.Set(i, j, col[i])
-		}
-	}
-	return out
-}
-
 // Inverse returns A⁻¹ computed from the factorization.
 func (c *Cholesky) Inverse() *Matrix {
 	return c.InverseTo(New(c.n, c.n))

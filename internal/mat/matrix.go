@@ -131,14 +131,6 @@ func (m *Matrix) Reset(r, c int) *Matrix {
 	return m
 }
 
-// CopyFrom overwrites m with the contents of src; dimensions must match.
-func (m *Matrix) CopyFrom(src *Matrix) {
-	if m.rows != src.rows || m.cols != src.cols {
-		panic(fmt.Sprintf("mat: copy dims %d×%d ≠ %d×%d", m.rows, m.cols, src.rows, src.cols))
-	}
-	copy(m.data, src.data)
-}
-
 // Data returns the backing slice of m (row-major).
 func (m *Matrix) Data() []float64 { return m.data }
 

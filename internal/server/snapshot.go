@@ -4,12 +4,13 @@ package server
 // /v1/udfs/{name}/snapshot writes a sequence-stamped file
 // <name>.<seq %016d>.snap (the zero-padding makes lexicographic order equal
 // numeric order) plus <name>.meta.json recording the registration spec, the
-// model sequence, and which snapshot file is current; older stamped files —
-// and the unstamped <name>.snap a pre-rotation release wrote — are garbage-
-// collected down to Config.SnapshotKeep. Boot restore re-registers every
-// UDF named by a meta file from its newest surviving snapshot, resuming the
-// model sequence counter from the snapshot's ModelSeq so replica ordering
-// survives restarts.
+// model sequence, and the snapshot file it was written with; older stamped
+// files are garbage-collected down to Config.SnapshotKeep. Boot restore
+// re-registers every UDF named by a meta file from its newest stamped
+// snapshot — never from the file the meta names, which a crash between the
+// two writes or two racing snapshot requests can leave older than the
+// newest — resuming the model sequence counter from the snapshot's ModelSeq
+// so replica ordering survives restarts.
 
 import (
 	"bytes"
@@ -27,13 +28,12 @@ import (
 	"olgapro/internal/server/wire"
 )
 
-// snapMeta is the <name>.meta.json document. Legacy metas (written before
-// rotation existed) are a bare RegisterSpec; they decode here with Spec nil
-// and are re-parsed by restoreAll.
+// snapMeta is the <name>.meta.json document.
 type snapMeta struct {
 	Spec     *RegisterSpec `json:"spec,omitempty"`
 	ModelSeq int64         `json:"model_seq,omitempty"`
-	// Snapshot is the current snapshot file name within the snapshot dir.
+	// Snapshot names the file this meta was written with, for operators;
+	// restore ignores it and takes the newest stamped file.
 	Snapshot string `json:"snapshot,omitempty"`
 	// Replica records that the entry was a read replica when persisted, so a
 	// restart reinstalls it as one instead of promoting it to a writer —
@@ -73,14 +73,7 @@ func (s *Server) metaPath(name string) string {
 	return filepath.Join(s.cfg.SnapshotDir, name+".meta.json")
 }
 
-// legacySnapPath is the unstamped snapshot path pre-rotation releases wrote.
-func (s *Server) legacySnapPath(name string) string {
-	return filepath.Join(s.cfg.SnapshotDir, name+".snap")
-}
-
-// snapFiles lists the UDF's snapshot files oldest-first. The legacy
-// unstamped file, when present, sorts before every stamped one: any stamped
-// snapshot was taken after it.
+// snapFiles lists the UDF's stamped snapshot files oldest-first.
 func (s *Server) snapFiles(name string) ([]string, error) {
 	matches, err := filepath.Glob(filepath.Join(s.cfg.SnapshotDir, name+".*.snap"))
 	if err != nil {
@@ -97,19 +90,11 @@ func (s *Server) snapFiles(name string) ([]string, error) {
 		}
 	}
 	sort.Slice(files, func(i, j int) bool { return files[i].seq < files[j].seq })
-	var out []string
-	if legacy := s.legacySnapPath(name); fileExists(legacy) {
-		out = append(out, legacy)
-	}
-	for _, f := range files {
-		out = append(out, f.path)
+	out := make([]string, len(files))
+	for i, f := range files {
+		out[i] = f.path
 	}
 	return out, nil
-}
-
-func fileExists(path string) bool {
-	_, err := os.Stat(path)
-	return err == nil
 }
 
 // gcSnapshots deletes the UDF's oldest snapshot files beyond SnapshotKeep.
@@ -265,23 +250,17 @@ func (s *Server) restoreAll() error {
 			return fmt.Errorf("server: restore %s: %w", metaFile, err)
 		}
 		var meta snapMeta
-		var spec RegisterSpec
-		if jerr := json.Unmarshal(mb, &meta); jerr == nil && meta.Spec != nil {
-			spec = *meta.Spec
-		} else if err := json.Unmarshal(mb, &spec); err != nil {
+		if err := json.Unmarshal(mb, &meta); err != nil {
 			return fmt.Errorf("server: restore %s: %w", metaFile, err)
 		}
-		path := ""
-		if meta.Snapshot != "" {
-			if p := filepath.Join(s.cfg.SnapshotDir, meta.Snapshot); fileExists(p) {
-				path = p
-			}
+		if meta.Spec == nil {
+			return fmt.Errorf("server: restore %s: meta has no \"spec\" (a bare-spec meta from an older release? "+
+				"boot the directory once under a build that reads it and POST /v1/snapshot)", metaFile)
 		}
-		if path == "" {
-			path, err = s.newestSnapshot(spec.Name)
-			if err != nil {
-				return fmt.Errorf("server: restore %q: %w", spec.Name, err)
-			}
+		spec := *meta.Spec
+		path, err := s.newestSnapshot(spec.Name)
+		if err != nil {
+			return fmt.Errorf("server: restore %q: %w", spec.Name, err)
 		}
 		f, err := os.Open(path)
 		if err != nil {

@@ -1,15 +1,16 @@
 package server
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"olgapro/internal/server/wire"
 )
 
 // TestSnapshotRotation snapshots one UDF 2K+1 times at advancing model
@@ -107,42 +108,140 @@ func TestSnapshotRotation(t *testing.T) {
 	}
 }
 
-// TestSnapshotLegacyRestore asserts a pre-rotation layout — bare-spec meta
-// JSON plus an unstamped <name>.snap — still restores.
-func TestSnapshotLegacyRestore(t *testing.T) {
+// snapshotNow persists the entry through the snapshot endpoint and returns
+// the model sequence it was stamped with.
+func snapshotNow(t *testing.T, baseURL, name string) int64 {
+	t.Helper()
+	resp, body := postJSON(t, fmt.Sprintf("%s/v1/udfs/%s/snapshot", baseURL, name), nil)
+	if resp.StatusCode != 200 {
+		t.Fatalf("snapshot: %d %s", resp.StatusCode, body)
+	}
+	var info snapshotInfo
+	if err := json.Unmarshal(body, &info); err != nil {
+		t.Fatal(err)
+	}
+	return info.ModelSeq
+}
+
+// writeMeta overwrites the UDF's meta document.
+func writeMeta(t *testing.T, dir, name string, meta any) {
+	t.Helper()
+	mb, err := json.Marshal(meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, name+".meta.json"), mb, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSnapshotRestoresNewestStamped asserts the restore rule: boot takes the
+// newest stamped file even when the meta names an older one — the state a
+// crash between the snapshot write and the meta write, or two racing
+// snapshot requests, leave behind. Restoring the meta's file would resume
+// at seq N while replicas already hold N+1, so the owner's next learned
+// point would become a different model at N+1 that replicas skip.
+func TestSnapshotRestoresNewestStamped(t *testing.T) {
 	dir := t.TempDir()
-	s, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t, Config{SnapshotDir: dir, SnapshotKeep: 4, Workers: 2})
 	name := registerSmooth(t, ts.URL)
 	e, ok := s.reg.Get(name)
 	if !ok {
 		t.Fatal("entry missing")
 	}
-	var buf bytes.Buffer
-	if _, _, err := e.snapshot(context.Background(), &buf); err != nil {
-		t.Fatal(err)
+	frozenURL := func(base string) string {
+		return fmt.Sprintf("%s/v1/udfs/%s/stream?learn=false&seed=6", base, name)
 	}
-	if err := os.WriteFile(filepath.Join(dir, name+".snap"), buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	spec, err := json.Marshal(e.Spec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, name+".meta.json"), spec, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	oldSeq := snapshotNow(t, ts.URL, name)
+	_, atOld, _ := streamNDJSON(t, frozenURL(ts.URL), testInputs(6))
 
+	// Learn far from the warm-up so the model changes, then snapshot again.
+	far := make([]wire.InputSpec, 4)
+	for i := range far {
+		far[i] = wire.InputSpec{{Type: "normal", Mu: 1.5 + 0.3*float64(i), Sigma: 0.1},
+			{Type: "normal", Mu: -0.8, Sigma: 0.1}}
+	}
+	if status, _, _ := streamNDJSON(t, fmt.Sprintf("%s/v1/udfs/%s/stream?seed=3", ts.URL, name), far); status != 200 {
+		t.Fatalf("learn stream: %d", status)
+	}
+	newSeq := snapshotNow(t, ts.URL, name)
+	if newSeq <= oldSeq {
+		t.Fatalf("learning left the model at seq %d (was %d)", newSeq, oldSeq)
+	}
+	_, atNew, _ := streamNDJSON(t, frozenURL(ts.URL), testInputs(6))
+	if atNew == atOld {
+		t.Fatal("learned model answers like the old one; the test cannot tell them apart")
+	}
+	spec := e.Spec()
+	ts.Close()
+	s.Close()
+
+	// The meta names the older file, as after a crash before its rewrite.
+	writeMeta(t, dir, name, snapMeta{Spec: &spec, ModelSeq: oldSeq, Snapshot: seqSnapName(name, oldSeq)})
 	s2, err := New(Config{SnapshotDir: dir, Workers: 2})
 	if err != nil {
-		t.Fatalf("legacy restore boot: %v", err)
+		t.Fatalf("restore boot: %v", err)
 	}
+	ts2 := httptest.NewServer(s2.Handler())
+	defer ts2.Close()
 	defer s2.Close()
 	e2, ok := s2.reg.Get(name)
 	if !ok {
-		t.Fatal("legacy entry not restored")
+		t.Fatal("restored entry missing")
 	}
-	if e2.trainPts.Load() != e.trainPts.Load() {
-		t.Fatalf("legacy restore has %d training points, want %d", e2.trainPts.Load(), e.trainPts.Load())
+	if e2.Seq() != newSeq {
+		t.Fatalf("restored model seq %d, want the newest stamped %d", e2.Seq(), newSeq)
+	}
+	if _, got, _ := streamNDJSON(t, frozenURL(ts2.URL), testInputs(6)); got != atNew {
+		t.Fatalf("replay after restore diverged from the newest model:\n%s\nvs\n%s", got, atNew)
+	}
+}
+
+// TestSnapshotLegacyRestore asserts the older directory layouts are refused
+// or ignored, never half-read: a bare-spec meta fails the boot with an error
+// naming the meta file, and an unstamped <name>.snap beside a full meta and
+// a stamped file plays no part in the restore.
+func TestSnapshotLegacyRestore(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := newTestServer(t, Config{SnapshotDir: dir, Workers: 2})
+	name := registerSmooth(t, ts.URL)
+	e, ok := s.reg.Get(name)
+	if !ok {
+		t.Fatal("entry missing")
+	}
+	seq := snapshotNow(t, ts.URL, name)
+
+	// An unstamped file holding garbage: restoring from it would fail.
+	unstamped := filepath.Join(dir, name+".snap")
+	if err := os.WriteFile(unstamped, []byte("not a snapshot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := New(Config{SnapshotDir: dir, Workers: 2})
+	if err != nil {
+		t.Fatalf("boot beside an unstamped file: %v", err)
+	}
+	e2, ok := s2.reg.Get(name)
+	if !ok {
+		t.Fatal("entry not restored")
+	}
+	if e2.Seq() != seq || e2.trainPts.Load() != e.trainPts.Load() {
+		t.Fatalf("restored seq %d with %d points, want seq %d with %d",
+			e2.Seq(), e2.trainPts.Load(), seq, e.trainPts.Load())
+	}
+	files, err := s2.snapFiles(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 1 || files[0] != filepath.Join(dir, seqSnapName(name, seq)) {
+		t.Fatalf("snapshot files %v, want only the stamped one", files)
+	}
+	s2.Close()
+
+	// A bare RegisterSpec meta is refused by name.
+	writeMeta(t, dir, name, e.Spec())
+	if _, err := New(Config{SnapshotDir: dir, Workers: 2}); err == nil ||
+		!strings.Contains(err.Error(), name+".meta.json") {
+		t.Fatalf("bare-spec meta: err = %v, want a refusal naming the meta file", err)
 	}
 }
 

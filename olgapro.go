@@ -391,7 +391,7 @@ func SqExpARDKernel(sigmaF float64, lengthscales []float64) Kernel {
 // (*Evaluator).Save. The snapshot carries the training pairs and learned
 // hyperparameters, so the restored evaluator keeps its accumulated knowledge
 // without re-paying UDF calls. Snapshots are versioned on disk
-// (core.SnapshotVersion); files from older builds load transparently.
+// (core.SnapshotVersion); a file in any other version is refused.
 func LoadEvaluator(f UDF, cfg Config, r io.Reader) (*Evaluator, error) {
 	return core.Load(f, cfg, r)
 }
