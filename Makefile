@@ -5,8 +5,8 @@ GO ?= go
 
 # Perf-trajectory knobs: where the fresh bench run lands, which committed
 # entry it is gated against, and how much ns/op drift the gate allows.
-BENCH_OUT ?= BENCH_PR15.json
-BENCH_BASELINE ?= BENCH_PR13.json
+BENCH_OUT ?= BENCH_PR17.json
+BENCH_BASELINE ?= BENCH_PR15.json
 BENCH_MAX_REGRESS ?= 0.35
 
 # Coverage gate: these packages carry the statistical-guarantee machinery

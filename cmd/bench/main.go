@@ -2,8 +2,9 @@
 // BENCH_*.json trajectory files: steady-state GP inference, incremental model
 // growth, the full per-tuple evaluation loop (steady and fresh-tuple), the
 // λ-discrepancy bound, the filtering fast path, the hyperparameter
-// gradient/Hessian used by online retraining, and the parallel executor's
-// end-to-end throughput at 1/2/4/8 workers.
+// gradient/Hessian used by online retraining, the per-tuple fixed costs
+// (tuple RNG reseeding, the z_α band multiplier), and the parallel
+// executor's end-to-end throughput at 1/2/4/8 workers.
 //
 // Usage:
 //
@@ -46,6 +47,7 @@ import (
 
 	"olgapro/client"
 	"olgapro/internal/astro"
+	"olgapro/internal/band"
 	"olgapro/internal/benchfmt"
 	"olgapro/internal/core"
 	"olgapro/internal/dist"
@@ -439,6 +441,35 @@ func greedyBenchSetup() (*core.Evaluator, [][]float64) {
 	}
 	return ev, samples
 }
+
+// benchTupleRNGSeed measures the per-tuple RNG fixed cost: reseeding one
+// reused tuple generator with the next tuple's seed, as every serving
+// path does before it samples a tuple.
+func benchTupleRNGSeed(b *testing.B) {
+	rng := query.NewTupleRand()
+	for i := 0; i < b.N; i++ {
+		rng.Seed(query.TupleSeed(7, int64(i)))
+	}
+	benchSink = rng.Int63()
+}
+
+// benchZAlpha2D measures the simultaneous band multiplier z_α (§4.2) that
+// every evaluated tuple pays once: the bisection over a 2-D sample box.
+func benchZAlpha2D(b *testing.B) {
+	k := kernel.NewSqExp(1, 0.5)
+	lo, hi := []float64{0.1, 0.2}, []float64{0.9, 1.4}
+	z := 0.0
+	for i := 0; i < b.N; i++ {
+		z += band.ZAlphaForKernel(0.05, k, lo, hi)
+	}
+	benchSinkF = z
+}
+
+// benchSink and benchSinkF keep the results of the micro benchmarks live.
+var (
+	benchSink  int64
+	benchSinkF float64
+)
 
 // benchTuningPick measures one optimal-greedy tuning pick (§5.2): every
 // candidate's simulated envelope bound over the evaluation subset. The rank-1
@@ -966,6 +997,8 @@ func main() {
 		measure("grad_hess_n300", benchGradHess),
 		measure("tuning_pick_rank1", benchTuningPick(false)),
 		measure("tuning_pick_clone", benchTuningPick(true)),
+		measure("tuple_rng_seed", benchTupleRNGSeed),
+		measure("band_zalpha_2d", benchZAlpha2D),
 	)
 	for _, w := range []int{1, 2, 4, 8} {
 		run.Results = append(run.Results, measureThroughput(

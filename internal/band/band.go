@@ -51,42 +51,51 @@ func hermite(n int, z float64) float64 {
 	return h1
 }
 
-// ecDensity returns ρ_j(z) for j ≥ 1.
-func ecDensity(j int, z float64) float64 {
-	return math.Pow(2*math.Pi, -float64(j+1)/2) * hermite(j-1, z) * math.Exp(-z*z/2)
-}
+// inlineDim is the largest box dimension whose ZAlphaForKernel scratch
+// (sides, curvatures and constants) lives on the stack; the catalog's UDFs
+// have at most four inputs.
+const inlineDim = 4
 
-// curvatures returns L_0..L_d for a box with the given side lengths under
-// second spectral moment lambda2: L_j = λ₂^{j/2} e_j(s), with e_j the
-// elementary symmetric polynomial of the sides. The symmetric polynomials
-// are built in place in the output buffer and scaled afterwards, so the
-// whole computation is one allocation.
-func curvatures(sides []float64, lambda2 float64) []float64 {
+// ecTerms lays the curvatures and constants of the box out in buf (at
+// least 2(d+1) long): l[j] = L_j = λ₂^{j/2} e_j(s), with e_j the
+// elementary symmetric polynomial of the sides, and c[j] = (2π)^{−(j+1)/2}
+// for j ≥ 1 (c[0] is unused). None of it depends on z, so the bisection
+// computes it once.
+func ecTerms(buf, sides []float64, lambda2 float64) (l, c []float64) {
 	d := len(sides)
+	l, c = buf[:d+1], buf[d+1:2*d+2]
 	// Elementary symmetric polynomials via the product recurrence.
-	out := make([]float64, d+1)
-	out[0] = 1
+	l[0] = 1
+	for j := 1; j <= d; j++ {
+		l[j] = 0
+	}
 	for _, s := range sides {
 		for j := d; j >= 1; j-- {
-			out[j] += out[j-1] * s
+			l[j] += l[j-1] * s
 		}
 	}
 	sq := math.Sqrt(math.Max(0, lambda2))
 	scale := 1.0
 	for j := 1; j <= d; j++ {
 		scale *= sq
-		out[j] *= scale
+		l[j] *= scale
+		c[j] = math.Pow(2*math.Pi, -float64(j+1)/2)
 	}
-	return out
+	return l, c
 }
 
-// upcrossWithCurvatures is UpcrossProb with precomputed Lipschitz–Killing
-// curvatures l — the form ZAlpha's bisection loop calls, so the loop costs
-// no allocations.
-func upcrossWithCurvatures(l []float64, z float64) float64 {
+// upcross returns Σ_j L_j ρ_j(z) for the terms of ecTerms, with
+// ρ_0(z) = 1 − Φ(z) and ρ_j(z) = c_j · He_{j−1}(z) · e^{−z²/2}: the density
+// factors are multiplied in that order, and e^{−z²/2} is computed once
+// for all j.
+func upcross(l, c []float64, z float64) float64 {
 	p := l[0] * (1 - dist.Normal{Mu: 0, Sigma: 1}.CDF(z))
+	if len(l) == 1 {
+		return p
+	}
+	e := math.Exp(-z * z / 2)
 	for j := 1; j < len(l); j++ {
-		p += l[j] * ecDensity(j, z)
+		p += l[j] * (c[j] * hermite(j-1, z) * e)
 	}
 	return p
 }
@@ -95,7 +104,8 @@ func upcrossWithCurvatures(l []float64, z float64) float64 {
 // Pr[sup_X Z(x) ≥ z] for a unit-variance field on a box with the given side
 // lengths and second spectral moment lambda2.
 func UpcrossProb(z float64, sides []float64, lambda2 float64) float64 {
-	return upcrossWithCurvatures(curvatures(sides, lambda2), z)
+	l, c := ecTerms(make([]float64, 2*len(sides)+2), sides, lambda2)
+	return upcross(l, c, z)
 }
 
 // ZAlpha returns the half-width multiplier z_α such that the band
@@ -103,6 +113,11 @@ func UpcrossProb(z float64, sides []float64, lambda2 float64) float64 {
 // with the given side lengths. It is always at least the pointwise
 // two-sided quantile Φ⁻¹(1−α/2).
 func ZAlpha(alpha float64, sides []float64, lambda2 float64) float64 {
+	return zAlpha(alpha, sides, lambda2, make([]float64, 2*len(sides)+2))
+}
+
+// zAlpha is ZAlpha with caller-provided scratch for ecTerms.
+func zAlpha(alpha float64, sides []float64, lambda2 float64, buf []float64) float64 {
 	if alpha <= 0 {
 		return math.Inf(1)
 	}
@@ -110,11 +125,10 @@ func ZAlpha(alpha float64, sides []float64, lambda2 float64) float64 {
 		return 0
 	}
 	pointwise := dist.StdNormalQuantile(1 - alpha/2)
-	// Two-sided: each tail gets α/2. The curvatures depend only on the box,
-	// not on z, so they are computed once outside the bisection.
+	// Two-sided: each tail gets α/2.
 	target := alpha / 2
-	l := curvatures(sides, lambda2)
-	f := func(z float64) float64 { return upcrossWithCurvatures(l, z) - target }
+	l, c := ecTerms(buf, sides, lambda2)
+	f := func(z float64) float64 { return upcross(l, c, z) - target }
 	lo, hi := pointwise, pointwise+1
 	if f(lo) <= 0 {
 		return pointwise
@@ -135,14 +149,20 @@ func ZAlpha(alpha float64, sides []float64, lambda2 float64) float64 {
 
 // ZAlphaForKernel is the convenience used by OLGAPRO: it reads the second
 // spectral moment from the kernel and the box sides from the sample
-// bounding box.
+// bounding box. For d ≤ inlineDim it allocates nothing.
 func ZAlphaForKernel(alpha float64, k kernel.Kernel, lo, hi []float64) float64 {
-	sides := make([]float64, len(lo))
+	d := len(lo)
+	var inline [3*inlineDim + 2]float64
+	buf := inline[:]
+	if n := 3*d + 2; n > len(buf) {
+		buf = make([]float64, n)
+	}
+	sides := buf[:d]
 	for i := range sides {
 		sides[i] = hi[i] - lo[i]
 		if sides[i] < 0 {
 			sides[i] = 0
 		}
 	}
-	return ZAlpha(alpha, sides, k.SecondSpectralMoment())
+	return zAlpha(alpha, sides, k.SecondSpectralMoment(), buf[d:])
 }

@@ -32,7 +32,7 @@ func TestHermite(t *testing.T) {
 func TestCurvatures(t *testing.T) {
 	// Box 2×3 with λ₂ = 4: L0=1, L1=2·(2+3)=... e1=5 scaled by √4=2 → 10,
 	// L2 = e2·λ₂ = 6·4 = 24.
-	l := curvatures([]float64{2, 3}, 4)
+	l, _ := ecTerms(make([]float64, 6), []float64{2, 3}, 4)
 	want := []float64{1, 10, 24}
 	for i := range want {
 		if math.Abs(l[i]-want[i]) > 1e-12 {
@@ -193,6 +193,126 @@ func TestPointwiseBandIsInsufficient(t *testing.T) {
 	rate := float64(violations) / trials
 	if rate <= alpha {
 		t.Fatalf("pointwise band unexpectedly sufficient: rate %.3f ≤ α", rate)
+	}
+}
+
+// The per-term expected-Euler-characteristic density and bisection as
+// they were written before the z-free factors were hoisted out of the
+// loop: the bit-for-bit reference for ZAlpha and UpcrossProb.
+func refECDensity(j int, z float64) float64 {
+	return math.Pow(2*math.Pi, -float64(j+1)/2) * hermite(j-1, z) * math.Exp(-z*z/2)
+}
+
+func refCurvatures(sides []float64, lambda2 float64) []float64 {
+	d := len(sides)
+	out := make([]float64, d+1)
+	out[0] = 1
+	for _, s := range sides {
+		for j := d; j >= 1; j-- {
+			out[j] += out[j-1] * s
+		}
+	}
+	sq := math.Sqrt(math.Max(0, lambda2))
+	scale := 1.0
+	for j := 1; j <= d; j++ {
+		scale *= sq
+		out[j] *= scale
+	}
+	return out
+}
+
+func refUpcross(l []float64, z float64) float64 {
+	p := l[0] * (1 - dist.Normal{Mu: 0, Sigma: 1}.CDF(z))
+	for j := 1; j < len(l); j++ {
+		p += l[j] * refECDensity(j, z)
+	}
+	return p
+}
+
+func refZAlpha(alpha float64, sides []float64, lambda2 float64) float64 {
+	if alpha <= 0 {
+		return math.Inf(1)
+	}
+	if alpha >= 1 {
+		return 0
+	}
+	pointwise := dist.StdNormalQuantile(1 - alpha/2)
+	target := alpha / 2
+	l := refCurvatures(sides, lambda2)
+	f := func(z float64) float64 { return refUpcross(l, z) - target }
+	lo, hi := pointwise, pointwise+1
+	if f(lo) <= 0 {
+		return pointwise
+	}
+	for f(hi) > 0 && hi < 60 {
+		hi += 2
+	}
+	for i := 0; i < 200 && hi-lo > 1e-10; i++ {
+		mid := (lo + hi) / 2
+		if f(mid) > 0 {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return (lo + hi) / 2
+}
+
+// TestZAlphaMatchesPerTermReference requires ZAlpha, ZAlphaForKernel and
+// UpcrossProb to reproduce the per-term reference bit for bit over random
+// boxes of dimension 0..7 (past the inline scratch), spectral moments and
+// α, including zero-length and huge sides.
+func TestZAlphaMatchesPerTermReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	alphas := []float64{-1, 0, 1e-9, 1e-4, 0.01, 0.05, 0.1, 0.3, 0.9, 1, 2}
+	for trial := 0; trial < 2000; trial++ {
+		d := trial % 8
+		lo, hi := make([]float64, d), make([]float64, d)
+		sides := make([]float64, d)
+		for i := range sides {
+			lo[i] = rng.NormFloat64()
+			switch rng.Intn(6) {
+			case 0:
+				hi[i] = lo[i] // zero-length side
+			case 1:
+				hi[i] = lo[i] - rng.Float64() // inverted: clamps to zero
+			case 2:
+				hi[i] = lo[i] + 1e3*rng.Float64()
+			default:
+				hi[i] = lo[i] + 3*rng.Float64()
+			}
+			sides[i] = math.Max(hi[i]-lo[i], 0)
+		}
+		ell := 0.05 + 2*rng.Float64()
+		k := kernel.NewSqExp(1, ell)
+		lambda2 := k.SecondSpectralMoment()
+		alpha := alphas[rng.Intn(len(alphas))]
+		want := refZAlpha(alpha, sides, lambda2)
+		if got := ZAlpha(alpha, sides, lambda2); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("ZAlpha(%g, %v, %g) = %v, reference %v", alpha, sides, lambda2, got, want)
+		}
+		if got := ZAlphaForKernel(alpha, k, lo, hi); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("ZAlphaForKernel(%g, d=%d) = %v, reference %v", alpha, d, got, want)
+		}
+		z := 6 * rng.Float64()
+		if got, want := UpcrossProb(z, sides, lambda2), refUpcross(refCurvatures(sides, lambda2), z); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("UpcrossProb(%g, %v, %g) = %v, reference %v", z, sides, lambda2, got, want)
+		}
+	}
+}
+
+// TestZAlphaForKernelAllocs fences the per-tuple band multiplier at zero
+// allocations for every dimension up to the inline scratch.
+func TestZAlphaForKernelAllocs(t *testing.T) {
+	k := kernel.NewSqExp(1, 0.5)
+	for d := 0; d <= inlineDim; d++ {
+		lo, hi := make([]float64, d), make([]float64, d)
+		for i := range hi {
+			hi[i] = 1 + float64(i)
+		}
+		if allocs := testing.AllocsPerRun(50, func() { ZAlphaForKernel(0.05, k, lo, hi) }); allocs != 0 {
+			t.Fatalf("d=%d: ZAlphaForKernel allocates %v times, want 0", d, allocs)
+		}
 	}
 }
 

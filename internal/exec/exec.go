@@ -10,10 +10,10 @@
 // count and of goroutine scheduling — ParallelEval at 8 workers is
 // bit-identical to serial execution (a 1-worker pool):
 //
-//  1. Per-tuple RNG seeding: every tuple is evaluated with its own
-//     rand.Rand seeded by TupleSeed from (Options.Seed, tuple ordinal), so
-//     Monte-Carlo sampling does not depend on which worker runs the tuple
-//     or how many tuples it ran before.
+//  1. Per-tuple RNG seeding: every tuple is evaluated with its worker's
+//     rand.Rand reseeded by TupleSeed from (Options.Seed, tuple ordinal),
+//     so Monte-Carlo sampling does not depend on which worker runs the
+//     tuple or how many tuples it ran before.
 //  2. Frozen engines: pool engines must not mutate shared or per-engine
 //     model state during execution. core.(*Evaluator).CloneFrozen produces
 //     such engines (NewEvaluatorPool uses it); MCEngine is stateless by
@@ -254,6 +254,7 @@ func (p *ParallelEval) run() {
 		p.workers.Add(1)
 		go func(eng query.Engine) {
 			defer p.workers.Done()
+			rng := query.NewTupleRand()
 			for {
 				select {
 				case <-p.ctx.Done():
@@ -262,7 +263,7 @@ func (p *ParallelEval) run() {
 					if !ok {
 						return
 					}
-					r := evalOne(eng, j, p.inputs, p.out, p.opt)
+					r := evalOne(eng, rng, j, p.inputs, p.out, p.opt)
 					select {
 					case p.results <- r:
 					case <-p.ctx.Done():
@@ -278,13 +279,14 @@ func (p *ParallelEval) run() {
 	}()
 }
 
-// evalOne evaluates one tuple with its own deterministically seeded RNG.
-func evalOne(eng query.Engine, j job, inputs []string, out string, opt Options) result {
+// evalOne evaluates one tuple after reseeding the worker's RNG with the
+// tuple's own deterministic seed.
+func evalOne(eng query.Engine, rng *rand.Rand, j job, inputs []string, out string, opt Options) result {
 	ord := j.seq
 	if j.seq < int64(len(opt.Ords)) {
 		ord = opt.Ords[j.seq]
 	}
-	rng := rand.New(rand.NewSource(TupleSeed(opt.Seed, ord)))
+	rng.Seed(TupleSeed(opt.Seed, ord))
 	input, err := query.InputVectorFor(j.tuple, inputs)
 	if err != nil {
 		return result{seq: j.seq, err: err}

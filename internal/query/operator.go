@@ -227,9 +227,9 @@ type ApplyUDF struct {
 	// Rng drives sampling when SeedPerTuple is false.
 	Rng *rand.Rand
 	// SeedPerTuple switches sampling to the parallel executor's seeding
-	// discipline: each input tuple is evaluated with a fresh rand.Rand
-	// seeded by TupleSeed(Seed, ordinal), so a serial plan reproduces
-	// exec.Pool output bit-for-bit at any worker count.
+	// discipline: each input tuple is evaluated with the operator's own
+	// rand.Rand reseeded by TupleSeed(Seed, ordinal), so a serial plan
+	// reproduces exec.Pool output bit-for-bit at any worker count.
 	SeedPerTuple bool
 	// Seed is the base of the per-tuple seeds when SeedPerTuple is set.
 	Seed int64
@@ -246,6 +246,9 @@ type ApplyUDF struct {
 	Dropped int
 
 	state opErr
+	// tupleRng is the generator reseeded per tuple under SeedPerTuple,
+	// built on first use.
+	tupleRng *rand.Rand
 }
 
 // Next returns the next surviving tuple with the UDF result attached.
@@ -264,7 +267,11 @@ func (a *ApplyUDF) Next() (*Tuple, error) {
 		}
 		rng := a.Rng
 		if a.SeedPerTuple {
-			rng = rand.New(rand.NewSource(TupleSeed(a.Seed, a.state.seq)))
+			if a.tupleRng == nil {
+				a.tupleRng = NewTupleRand()
+			}
+			rng = a.tupleRng
+			rng.Seed(TupleSeed(a.Seed, a.state.seq))
 		}
 		out, err := a.Engine.EvalInput(input, rng)
 		if err != nil {

@@ -121,10 +121,13 @@ type writerReq struct {
 // seq is the model sequence the clone was built at, compared against the
 // entry's live counter to detect staleness (a replica swap bumps the
 // sequence without changing the training-point count, so staleness is
-// keyed on the sequence, not the point count).
+// keyed on the sequence, not the point count). rng is the slot's tuple
+// generator for single frozen evals, built on the first one: streams and
+// queries run the slot's engine with their workers' own generators.
 type cloneSlot struct {
 	eng query.Engine
 	seq int64
+	rng *rand.Rand
 }
 
 // udfEntry is one registered UDF instance.
@@ -144,6 +147,9 @@ type udfEntry struct {
 	// executed by that loop may touch it; the field itself is mutated only
 	// by swap closures running on the loop.
 	ev *core.Evaluator
+	// learnRng is the learning path's tuple generator, reseeded per tuple.
+	// Like ev, only closures run by the writer loop touch it.
+	learnRng *rand.Rand
 
 	reqs chan writerReq
 	quit chan struct{}
@@ -293,8 +299,11 @@ func (e *udfEntry) learnEval(ctx context.Context, input dist.Vector, seed int64)
 		if e.replica.Load() {
 			return errNotOwner
 		}
-		rng := rand.New(rand.NewSource(seed))
-		o, err := ev.Eval(input, rng)
+		if e.learnRng == nil {
+			e.learnRng = query.NewTupleRand()
+		}
+		e.learnRng.Seed(seed)
+		o, err := ev.Eval(input, e.learnRng)
 		if err != nil {
 			return err
 		}
@@ -377,8 +386,11 @@ func (e *udfEntry) frozenEval(ctx context.Context, input dist.Vector, seed int64
 		return nil, err
 	}
 	defer e.returnSlot(s)
-	rng := rand.New(rand.NewSource(seed))
-	out, err := s.eng.EvalInput(input, rng)
+	if s.rng == nil {
+		s.rng = query.NewTupleRand()
+	}
+	s.rng.Seed(seed)
+	out, err := s.eng.EvalInput(input, s.rng)
 	if err != nil {
 		return nil, err
 	}

@@ -8,7 +8,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math"
 	"net/http"
@@ -270,18 +269,29 @@ type (
 	snapshotInfo = wire.SnapshotInfo
 )
 
-// supportHash digests the raw float64 bits of the output support (FNV-64a).
+// supportHash digests the raw float64 bits of the output support: FNV-64a
+// over each value's 8 little-endian bytes, as 16 zero-padded hex digits.
 func supportHash(vals []float64) string {
-	h := fnv.New64a()
-	var b [8]byte
+	const (
+		fnvOffset64 = 14695981039346656037
+		fnvPrime64  = 1099511628211
+	)
+	h := uint64(fnvOffset64)
 	for _, v := range vals {
 		bits := math.Float64bits(v)
 		for i := 0; i < 8; i++ {
-			b[i] = byte(bits >> (8 * i))
+			h ^= bits & 0xff
+			h *= fnvPrime64
+			bits >>= 8
 		}
-		h.Write(b[:])
 	}
-	return fmt.Sprintf("%016x", h.Sum64())
+	var out [16]byte
+	n := len(strconv.AppendUint(out[:0], h, 16))
+	copy(out[16-n:], out[:n])
+	for i := 0; i < 16-n; i++ {
+		out[i] = '0'
+	}
+	return string(out[:])
 }
 
 // resultOf flattens a core.Output into the wire form.
