@@ -5,8 +5,8 @@ GO ?= go
 
 # Perf-trajectory knobs: where the fresh bench run lands, which committed
 # entry it is gated against, and how much ns/op drift the gate allows.
-BENCH_OUT ?= BENCH_PR17.json
-BENCH_BASELINE ?= BENCH_PR15.json
+BENCH_OUT ?= BENCH_PR19.json
+BENCH_BASELINE ?= BENCH_PR17.json
 BENCH_MAX_REGRESS ?= 0.35
 
 # Coverage gate: these packages carry the statistical-guarantee machinery
@@ -79,11 +79,12 @@ cover:
 
 # fuzz-smoke runs each native fuzz target briefly: long enough to execute the
 # committed seed corpus plus tens of thousands of mutated inputs against the
-# envelope/bound invariants and the query merge over hostile shard partials,
-# short enough for every CI run.
+# envelope/bound invariants, the support sort's stable reference, and the
+# query merge over hostile shard partials, short enough for every CI run.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDiscrepancyBound -fuzztime=10s ./internal/ecdf
 	$(GO) test -run='^$$' -fuzz=FuzzEnvelopeOf -fuzztime=10s ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzSortWithPerm -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzQueryMerge -fuzztime=10s ./internal/server
 
 # e2e builds the olgaprod binary, boots it on a loopback port, and drives

@@ -130,8 +130,7 @@ func TestEnvelopeOfUniformVariance(t *testing.T) {
 	assertEnvelopesEqual(t, got, refEnvelopeOf(means, vars, 2.2, m), "uniform→hetero switch")
 }
 
-// TestSortWithPermProperties drives the adaptive natural merge across input
-// shapes — sorted, reversed, nearly sorted, duplicate-heavy, random — and
+// TestSortWithPermProperties drives the adaptive sort across input shapes — sorted, reversed, nearly sorted, duplicate-heavy, random — and
 // checks both the sorted result (vs slices.Sort) and that perm keeps tracking
 // which original element landed where.
 func TestSortWithPermProperties(t *testing.T) {
@@ -173,8 +172,7 @@ func TestSortWithPermProperties(t *testing.T) {
 			return out
 		},
 	}
-	var mergeV []float64
-	var mergeP []int
+	var sc sortScratch
 	for name, gen := range shapes {
 		for _, n := range []int{0, 1, 2, 3, 17, 100, 513} {
 			vals := gen(n)
@@ -183,7 +181,7 @@ func TestSortWithPermProperties(t *testing.T) {
 			for i := range perm {
 				perm[i] = i
 			}
-			sortWithPerm(vals, perm, &mergeV, &mergeP)
+			sortWithPerm(vals, perm, &sc)
 			want := slices.Clone(orig)
 			slices.Sort(want)
 			if !slices.Equal(vals, want) {
@@ -209,9 +207,8 @@ func TestSortWithPermProperties(t *testing.T) {
 func TestSortWithPermNaN(t *testing.T) {
 	vals := []float64{3, math.NaN(), 1, math.NaN(), 2}
 	perm := []int{0, 1, 2, 3, 4}
-	var mv []float64
-	var mp []int
-	sortWithPerm(vals, perm, &mv, &mp) // must terminate
+	var sc sortScratch
+	sortWithPerm(vals, perm, &sc) // must terminate
 	want := []float64{3, math.NaN(), 1, math.NaN(), 2}
 	slices.Sort(want)
 	for i := range vals {
@@ -251,25 +248,41 @@ func stableReference(vals []float64) ([]float64, []int) {
 	return outV, outP
 }
 
-// TestSortWithPermMatchesStableReference drives both sort paths — the
-// natural merge and the radix sort — over special values (NaNs with
-// different payloads, ±0, ±Inf), heavy duplicates, and sizes on both sides
-// of radixMinN, checking the value bits and the permutation against a
-// stable comparison sort.
+// TestSortWithPermMatchesStableReference drives sortWithPerm and its passes
+// directly — the distribution pass finished by an unbounded insertion pass,
+// the insertion pass alone, and the budgeted insertion pass with its merge
+// fallback — over special values (NaNs with different payloads, ±0, ±Inf),
+// heavy duplicates, skewed, overflowing and constant ranges, checking the
+// value bits and the permutation against a stable comparison sort. It also
+// pins which ranges the distribution pass buckets and that a far outlier
+// exhausts the insertion budget.
 func TestSortWithPermMatchesStableReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	specials := []float64{
 		math.NaN(), math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0xfff8000000000000),
 		math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64, -math.MaxFloat64,
 	}
-	gens := map[string]func(n int) []float64{
-		"random": func(n int) []float64 {
-			out := make([]float64, n)
-			for i := range out {
-				out[i] = 11 + rng.NormFloat64()
+	random := func(n int) []float64 {
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = 11 + rng.NormFloat64()
+		}
+		return out
+	}
+	// mixIn overwrites two distinct random positions of a random support
+	// with a and b.
+	mixIn := func(a, b float64) func(n int) []float64 {
+		return func(n int) []float64 {
+			out := random(n)
+			if n > 1 {
+				i := rng.Intn(n)
+				out[i], out[(i+1+rng.Intn(n-1))%n] = a, b
 			}
 			return out
-		},
+		}
+	}
+	gens := map[string]func(n int) []float64{
+		"random": random,
 		"specials": func(n int) []float64 {
 			out := make([]float64, n)
 			for i := range out {
@@ -304,27 +317,78 @@ func TestSortWithPermMatchesStableReference(t *testing.T) {
 			}
 			return out
 		},
+		"skewed": func(n int) []float64 {
+			out := random(n)
+			if n > 0 {
+				out[rng.Intn(n)] = 1e12
+			}
+			return out
+		},
+		"span_overflow": mixIn(math.MaxFloat64, -math.MaxFloat64),
+		"infinities":    mixIn(math.Inf(1), math.Inf(-1)),
+		"all_equal": func(n int) []float64 {
+			out := make([]float64, n)
+			for i := range out {
+				out[i] = 0.25
+			}
+			return out
+		},
+	}
+	// distributes says whether the distribution pass must bucket a support
+	// of the generator at n ≥ 31; absent generators may go either way.
+	distributes := map[string]bool{
+		"random": true, "skewed": true, "duplicates": true,
+		"span_overflow": false, "infinities": false, "all_equal": false,
 	}
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-	var mergeV []float64
-	var mergeP []int
+	identity := func(n int) []int {
+		perm := make([]int, n)
+		for i := range perm {
+			perm[i] = i
+		}
+		return perm
+	}
+	var sc sortScratch
 	for name, gen := range gens {
-		for _, n := range []int{0, 1, 2, 3, 64, radixMinN - 1, radixMinN, radixMinN + 1, 1784, 4099} {
+		for _, n := range []int{0, 1, 2, 31, 32, 94, 374, 1784, 4099} {
 			vals := gen(n)
 			wantV, wantP := stableReference(vals)
-			for _, path := range []string{"sortWithPerm", "radix"} {
+			for _, path := range []string{"sortWithPerm", "distribution+insertion", "insertion", "budgeted insertion+merge"} {
 				got := slices.Clone(vals)
-				perm := make([]int, n)
-				for i := range perm {
-					perm[i] = i
-				}
-				if path == "radix" {
-					if n == 0 {
+				perm := identity(n)
+				switch path {
+				case "sortWithPerm":
+					sortWithPerm(got, perm, &sc)
+				case "distribution+insertion":
+					if n < 2 {
 						continue
 					}
-					radixSortWithPerm(got, perm, make([]float64, n), make([]int, n))
-				} else {
-					sortWithPerm(got, perm, &mergeV, &mergeP)
+					ok := distribute(got, perm, &sc)
+					if want, pinned := distributes[name]; pinned && n >= 31 && ok != want {
+						t.Fatalf("%s n=%d: distribute = %v, want %v", name, n, ok, want)
+					}
+					if !ok && (!slices.Equal(perm, identity(n)) || !slices.EqualFunc(got, vals, same)) {
+						t.Fatalf("%s n=%d: a declined distribution moved values", name, n)
+					}
+					insertionWithPerm(got, perm, math.MaxInt)
+				case "insertion":
+					if !insertionWithPerm(got, perm, math.MaxInt) {
+						t.Fatalf("%s n=%d: unbounded insertion gave up", name, n)
+					}
+				case "budgeted insertion+merge":
+					if n < 2 {
+						continue
+					}
+					if distributes[name] {
+						distribute(got, perm, &sc)
+					}
+					finished := insertionWithPerm(got, perm, insertionBudget*n)
+					if name == "skewed" && n >= 94 && finished {
+						t.Fatalf("skewed n=%d: the far outlier did not exhaust the insertion budget", n)
+					}
+					if !finished {
+						mergeWithPerm(got, perm, &sc)
+					}
 				}
 				for k := range got {
 					if !same(got[k], wantV[k]) || perm[k] != wantP[k] {
@@ -380,7 +444,7 @@ func descentsInMeanOrder(s *envScratch, means, vars []float64, zAlpha float64) i
 
 // TestMeanSeededEnvelopeMatchesStableSort pins the lower and upper supports
 // written in the sorted mean's order to stable sorts of the supports in
-// sample order: on a fresh heteroscedastic 1784-sample tuple (radix-sorted
+// sample order: on a fresh heteroscedastic 1784-sample tuple (distributed
 // mean, nearly sorted sides), on the tuning loop's re-sorts, and on frozen
 // smooth 2-D tuples, whose band offsets vary enough across samples that the
 // mean order is a poor start for the sides.

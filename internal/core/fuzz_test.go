@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -100,5 +101,76 @@ func FuzzEnvelopeOf(f *testing.F) {
 			vars[i] = math.Abs(vars[i] + 0.001*math.Cos(float64(i)))
 		}
 		check("perturbed")
+	})
+}
+
+// decodeSupport reads a support from raw fuzz bytes: with raw set, each 8
+// bytes are a float64's bits (any NaN payload, ±0, ±Inf, spans that
+// overflow); otherwise each 2 bytes are an int16 on a 1/16 grid — a narrow,
+// duplicate-heavy range the distribution pass buckets — with the top four
+// codes standing for NaN, −0, +Inf and −Inf.
+func decodeSupport(data []byte, raw bool, maxLen int) []float64 {
+	var out []float64
+	if raw {
+		for ; len(data) >= 8 && len(out) < maxLen; data = data[8:] {
+			out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(data)))
+		}
+		return out
+	}
+	for ; len(data) >= 2 && len(out) < maxLen; data = data[2:] {
+		v := int16(binary.LittleEndian.Uint16(data))
+		switch v {
+		case math.MaxInt16:
+			out = append(out, math.NaN())
+		case math.MaxInt16 - 1:
+			out = append(out, math.Copysign(0, -1))
+		case math.MaxInt16 - 2:
+			out = append(out, math.Inf(1))
+		case math.MaxInt16 - 3:
+			out = append(out, math.Inf(-1))
+		default:
+			out = append(out, float64(v)/16)
+		}
+	}
+	return out
+}
+
+// FuzzSortWithPerm checks sortWithPerm against the stable comparison sort
+// bit for bit — values and permutation — on arbitrary supports, twice
+// through one scratch: first on the support as given, then on it reversed,
+// which turns a nearly sorted support (the insertion pass alone) into one
+// with many descents (the distribution pass first).
+func FuzzSortWithPerm(f *testing.F) {
+	narrow := make([]byte, 0, 2*128)
+	for i := 0; i < 128; i++ {
+		narrow = binary.LittleEndian.AppendUint16(narrow, uint16((i*7919)%509))
+	}
+	f.Add(narrow, false)
+	wide := make([]byte, 0, 8*8)
+	for _, v := range []float64{3, math.NaN(), math.Copysign(0, -1), 1e300, -1e300, math.Inf(1), 0, 2} {
+		wide = binary.LittleEndian.AppendUint64(wide, math.Float64bits(v))
+	}
+	f.Add(wide, true)
+	f.Fuzz(func(t *testing.T, data []byte, raw bool) {
+		vals := decodeSupport(data, raw, 4096)
+		var sc sortScratch
+		for _, pass := range []string{"as given", "reversed"} {
+			if pass == "reversed" {
+				slices.Reverse(vals)
+			}
+			wantV, wantP := stableReference(vals)
+			got := slices.Clone(vals)
+			perm := make([]int, len(got))
+			for i := range perm {
+				perm[i] = i
+			}
+			sortWithPerm(got, perm, &sc)
+			for k := range got {
+				if math.Float64bits(got[k]) != math.Float64bits(wantV[k]) || perm[k] != wantP[k] {
+					t.Fatalf("%s: position %d holds %v (from %d), stable sort gives %v (from %d)",
+						pass, k, got[k], perm[k], wantV[k], wantP[k])
+				}
+			}
+		}
 	})
 }

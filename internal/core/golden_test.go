@@ -138,9 +138,10 @@ func goldenSmoothModel(t *testing.T, eps float64) *Evaluator {
 }
 
 // TestFrozenOutputsGolden pins FNV-64a digests of frozen answers — Q1's
-// galaxy age at ε=0.1 (m≈1784, the radix sort path) and the smooth 2-D UDF
-// at ε=0.2 and ε=0.4 (smaller m, the natural-merge path) — plus the UDF
-// calls and training set of the seeded learning run behind the first.
+// galaxy age at ε=0.1 (m≈1784) and the smooth 2-D UDF at ε=0.2 and ε=0.4
+// (smaller m), whose fresh supports all take the distribution and insertion
+// sort passes — plus the UDF calls and training set of the seeded learning
+// run behind the first.
 func TestFrozenOutputsGolden(t *testing.T) {
 	check := func(name string, got, want uint64) {
 		t.Helper()

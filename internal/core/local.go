@@ -119,7 +119,7 @@ func (lc *localCtx) predict(e *Evaluator, x []float64, pb *predictBuf) (mean, va
 	if lc.sp != nil {
 		return lc.sp.PredictWith(&pb.gs, x)
 	}
-	prior := e.cfg.Kernel.Eval(x, x)
+	prior := kernel.SelfCov(e.cfg.Kernel, x)
 	if len(lc.xs) == 0 {
 		return 0, prior
 	}
@@ -218,6 +218,7 @@ func (lc *localCtx) predictRange(e *Evaluator, samples [][]float64, means, vars 
 		k0, k1, k2, k3 := kb[:l:l], kb[l:2*l:2*l], kb[2*l:3*l:3*l], kb[3*l:]
 		v0, v1, v2, v3 := vb[:l:l], vb[l:2*l:2*l], vb[2*l:3*l:3*l], vb[3*l:]
 		alpha := e.g.Alpha()
+		self := kernel.SelfCoverOf(kern)
 		for ; i+4 <= hi; i += 4 {
 			x0, x1, x2, x3 := samples[i], samples[i+1], samples[i+2], samples[i+3]
 			kernel.CrossVec(kern, lc.xs, x0, k0)
@@ -233,10 +234,10 @@ func (lc *localCtx) predictRange(e *Evaluator, samples [][]float64, means, vars 
 				m3 += k3[j] * a
 			}
 			lc.chol.ForwardSolve4To(v0, v1, v2, v3, k0, k1, k2, k3)
-			means[i], vars[i] = m0, posteriorVar(kern.Eval(x0, x0), v0)
-			means[i+1], vars[i+1] = m1, posteriorVar(kern.Eval(x1, x1), v1)
-			means[i+2], vars[i+2] = m2, posteriorVar(kern.Eval(x2, x2), v2)
-			means[i+3], vars[i+3] = m3, posteriorVar(kern.Eval(x3, x3), v3)
+			means[i], vars[i] = m0, posteriorVar(self.SelfCov(x0), v0)
+			means[i+1], vars[i+1] = m1, posteriorVar(self.SelfCov(x1), v1)
+			means[i+2], vars[i+2] = m2, posteriorVar(self.SelfCov(x2), v2)
+			means[i+3], vars[i+3] = m3, posteriorVar(self.SelfCov(x3), v3)
 		}
 	}
 	for ; i < hi; i++ {

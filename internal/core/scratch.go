@@ -218,19 +218,18 @@ func (m *markSet) size() int { return m.count }
 // across envelopeOf calls: within a tuple's tuning loop consecutive calls
 // see means and variances that moved only slightly (one rank-1 model
 // update), so writing the new means in the previous sorted order yields a
-// handful of ascending runs and the adaptive merge below restores order in
-// ~O(m) — the steady-state loop performs no comparison sort at all, where
+// handful of descents that sortWithPerm's insertion pass restores in ~O(m)
+// — the steady-state loop performs no comparison sort at all, where
 // each call formerly paid three O(m log m) slices.Sort passes. The lower and
 // upper supports need no order of their own: written in the sorted mean's
 // order they are already nearly sorted, since a sample's band offset varies
 // far less than the means do.
 type envScratch struct {
 	mean, lower, upper []float64
-	permM              []int     // sorted-mean order of the samples
-	permN              int       // sample count permM covers
-	sideP              []int     // lower/upper sort permutation, discarded
-	mergeV             []float64 // natural-merge value scratch
-	mergeP             []int     // natural-merge permutation scratch
+	permM              []int       // sorted-mean order of the samples
+	permN              int         // sample count permM covers
+	sideP              []int       // lower/upper sort permutation, discarded
+	sort               sortScratch // sortWithPerm's buffers
 
 	// The three ECDF structs the returned envelope points into. Reusing
 	// them (ecdf.SetSorted) instead of allocating fresh ones per call is
@@ -266,7 +265,7 @@ func (s *envScratch) syncPerm(n int) {
 // Only the mean support is sorted from the persistent order; the lower and
 // upper supports are written in the sorted mean's order, which a fresh
 // tuple's supports follow with almost no descents, so their sorts finish in
-// sortWithPerm's descent scan or a merge pass instead of a radix sort. A
+// sortWithPerm's descent scan or insertion pass without a distribution. A
 // stable sort's output values do not depend on the input order (up to the
 // order of fless-equal values, ±0 and NaN payloads), so the supports are the
 // same as from any other starting order.
@@ -286,7 +285,7 @@ func (s *envScratch) envelopeOf(means, vars []float64, zAlpha float64, n int) ec
 	for k, i := range perm {
 		mean[k] = means[i]
 	}
-	sortWithPerm(mean, perm, &s.mergeV, &s.mergeP)
+	sortWithPerm(mean, perm, &s.sort)
 	// Homoscedastic fast path: with one shared variance the lower and upper
 	// supports are constant shifts of the sorted mean support, so they need
 	// no ordering work of their own (ecdf.FromSortedShifted).
@@ -312,8 +311,8 @@ func (s *envScratch) envelopeOf(means, vars []float64, zAlpha float64, n int) ec
 	// The side sorts' permutation is never read, so its contents are
 	// irrelevant and it is not reset.
 	side := resizeInts(&s.sideP, n)
-	sortWithPerm(lower, side, &s.mergeV, &s.mergeP)
-	sortWithPerm(upper, side, &s.mergeV, &s.mergeP)
+	sortWithPerm(lower, side, &s.sort)
+	sortWithPerm(upper, side, &s.sort)
 	return ecdf.Envelope{
 		Mean:  s.meanE.SetSorted(mean),
 		Lower: s.lowerE.SetSorted(lower),
@@ -321,33 +320,47 @@ func (s *envScratch) envelopeOf(means, vars []float64, zAlpha float64, n int) ec
 	}
 }
 
-// Radix-path thresholds for sortWithPerm. A fresh tuple's supports arrive in
-// sample order — effectively random, one descent every other element — and
-// the natural merge then pays ~log₂(n/2) full passes; the radix sort pays a
-// fixed handful. Below radixMinN the radix sort's fixed per-pass bucket work
-// outweighs the merge's few passes, and input with fewer than n/radixDescents
-// descents (a tuning re-sort in the previous order) merges in a pass or two.
+// sortScratch owns sortWithPerm's reusable buffers, so a warm sort
+// allocates nothing.
+type sortScratch struct {
+	v      []float64 // distribution scatter and natural-merge value buffer
+	p      []int     // the matching permutation buffer
+	counts []int     // distribution bucket offsets
+}
+
+// Path thresholds for sortWithPerm. Input with fewer than n/sortDescents
+// descents (a support written in a previous or related order) is nearly
+// sorted and goes straight to the insertion pass; anything further from
+// sorted — a fresh tuple's supports arrive in sample order, a descent every
+// other element — is distributed first. The insertion pass gives up after
+// insertionBudget moves per element, which bounds its cost on input the
+// distribution could not spread (one far outlier crams every other value
+// into one bucket). A bucket of equal values costs it no moves.
 const (
-	radixMinN     = 512
-	radixDescents = 16
+	sortDescents    = 16
+	insertionBudget = 8
 )
 
 // sortWithPerm sorts vals ascending in fless order while applying the same
-// reordering to perm, stably. Input with many descents at large n — the first
-// sort of every fresh tuple — goes through radixSortWithPerm. Otherwise a
-// bottom-up natural merge detects maximal ascending runs and merges adjacent
-// runs until one remains, ping-ponging through the scratch buffers:
-// already-sorted input is a single O(n) scan with zero writes and r runs cost
-// O(n log r). This adaptivity is what the persistent mean permutation and
-// the mean-ordered side supports exploit. Both paths are stable, so they
-// produce identical values and perm.
-func sortWithPerm(vals []float64, perm []int, mergeV *[]float64, mergeP *[]int) {
+// reordering to perm, stably. Already-sorted input costs one descent scan.
+// Input with many descents is scattered into ~n/2 value buckets
+// (distribute), which leaves only short runs of inversions inside each
+// bucket; a budgeted insertion pass then finishes it, and also sorts nearly
+// sorted input on its own. The bottom-up natural merge is the O(n log n)
+// fallback for value ranges the distribution cannot bucket (±Inf, an
+// overflowing span, all values equal) and for input that exhausts the
+// insertion budget. Every pass is stable and each leaves fless-equal values
+// in their input order, so all paths produce identical values and perm.
+func sortWithPerm(vals []float64, perm []int, sc *sortScratch) {
 	n := len(vals)
 	if n < 2 {
 		return
 	}
+	// The scan stops once the input has many descents: only whether it has
+	// none, a few or many decides the path.
+	many := max(n/sortDescents, 1)
 	descents := 0
-	for i := 1; i < n; i++ {
+	for i := 1; i < n && descents < many; i++ {
 		if fless(vals[i], vals[i-1]) {
 			descents++
 		}
@@ -355,14 +368,110 @@ func sortWithPerm(vals []float64, perm []int, mergeV *[]float64, mergeP *[]int) 
 	if descents == 0 {
 		return
 	}
-	sv := resizeFloats(mergeV, n)
-	sp := resizeInts(mergeP, n)
-	if n >= radixMinN && descents >= n/radixDescents {
-		radixSortWithPerm(vals, perm, sv, sp)
+	if descents == many && !distribute(vals, perm, sc) {
+		mergeWithPerm(vals, perm, sc)
 		return
 	}
+	if !insertionWithPerm(vals, perm, insertionBudget*n) {
+		mergeWithPerm(vals, perm, sc)
+	}
+}
+
+// distribute stably scatters vals, carrying perm, into n/2 buckets of equal
+// width over [lo, hi], the range of the non-NaN values, with the NaNs in a
+// bucket of their own at the front. The bucket index is monotone in fless
+// (−0 and +0 share one, since v − lo is the same for both), so the result is
+// a stable partial sort that a stable finish completes exactly. It reports
+// false, leaving vals and perm untouched, when the range admits no finite
+// bucket width: lo or hi infinite, no non-NaN value, a span that overflows,
+// or all values equal.
+func distribute(vals []float64, perm []int, sc *sortScratch) bool {
+	n := len(vals)
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for _, v := range vals {
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
+	}
+	// Each declined case makes hi − lo infinite, NaN or 0, and none of
+	// those leaves a finite, positive scale.
+	b := n / 2
+	scale := float64(b) / (hi - lo)
+	if !(scale > 0 && scale <= math.MaxFloat64) {
+		return false
+	}
+	counts := resizeInts(&sc.counts, b+1)
+	clear(counts)
+	for _, v := range vals {
+		counts[bucketOf(v, lo, scale, b)]++
+	}
+	off := 0
+	for k, c := range counts {
+		counts[k] = off
+		off += c
+	}
+	sv := resizeFloats(&sc.v, n)
+	sp := resizeInts(&sc.p, n)
+	for i, v := range vals {
+		j := &counts[bucketOf(v, lo, scale, b)]
+		sv[*j], sp[*j] = v, perm[i]
+		*j++
+	}
+	copy(vals, sv)
+	copy(perm, sp)
+	return true
+}
+
+// bucketOf is distribute's bucket index of v: 0 for NaN, 1 + ⌊(v − lo)·scale⌋
+// clamped to [1, b] otherwise.
+func bucketOf(v, lo, scale float64, b int) int {
+	if v != v {
+		return 0
+	}
+	k := int((v - lo) * scale)
+	if k >= b {
+		k = b - 1
+	}
+	return k + 1
+}
+
+// insertionWithPerm is a stable insertion sort under fless carrying perm,
+// which gives up once it has made more than budget element moves and
+// reports whether it finished. A value only ever moves past strictly
+// greater ones, so even an abandoned pass leaves fless-equal values in
+// their input order and a stable sort of its result is the stable sort of
+// its input.
+func insertionWithPerm(vals []float64, perm []int, budget int) bool {
+	for i := 1; i < len(vals); i++ {
+		v := vals[i]
+		if !fless(v, vals[i-1]) {
+			continue
+		}
+		p := perm[i]
+		j := i
+		for j > 0 && fless(v, vals[j-1]) {
+			vals[j], perm[j] = vals[j-1], perm[j-1]
+			j--
+		}
+		vals[j], perm[j] = v, p
+		if budget -= i - j; budget < 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// mergeWithPerm is a stable bottom-up natural merge sort under fless
+// carrying perm: it detects maximal ascending runs and merges adjacent runs
+// until one remains, ping-ponging through the scratch buffers, so r runs
+// cost O(n log r).
+func mergeWithPerm(vals []float64, perm []int, sc *sortScratch) {
+	n := len(vals)
 	srcV, srcP := vals, perm
-	dstV, dstP := sv, sp
+	dstV, dstP := resizeFloats(&sc.v, n), resizeInts(&sc.p, n)
 	for {
 		runs := 0
 		out := 0
@@ -422,69 +531,6 @@ func sortWithPerm(vals []float64, perm []int, mergeV *[]float64, mergeP *[]int) 
 // shrinks every pass (plain < stalls on NaN: it breaks every run containing
 // one and the merge loops forever).
 func fless(a, b float64) bool { return a < b || (a != a && b == b) }
-
-// radixKey maps v to a uint64 whose unsigned order is fless: every NaN gets
-// key 0 (first, and all NaNs equivalent), −0 and +0 share one key (fless
-// treats them as equal), and the remaining floats follow the usual
-// sign-flip encoding. Equal keys for exactly fless's equivalence classes are
-// what make the stable radix sort reproduce the stable merge bit for bit.
-func radixKey(v float64) uint64 {
-	if v != v {
-		return 0
-	}
-	if v == 0 {
-		return 1 << 63
-	}
-	b := math.Float64bits(v)
-	return b ^ (uint64(int64(b)>>63) | 1<<63)
-}
-
-// radixBits is the digit width of radixSortWithPerm: six 11-bit digits
-// cover a key, and samples of one output distribution typically share the
-// top digit (sign and exponent), leaving five scatter passes — two fewer
-// than byte digits, for a 2048-entry prefix sum per pass that stays small
-// next to the m ≈ 1784 sample supports it is for.
-const radixBits = 11
-
-// radixSortWithPerm is a stable LSD radix sort of vals on radixKey, carrying
-// perm along. It ping-pongs between (vals, perm) and the caller's equally
-// long (bufV, bufP) — no buffer of its own — and skips the digits every key
-// shares, on which a pass would be the identity.
-func radixSortWithPerm(vals []float64, perm []int, bufV []float64, bufP []int) {
-	const buckets = 1 << radixBits
-	var counts [(64 + radixBits - 1) / radixBits][buckets]uint32
-	for _, v := range vals {
-		k := radixKey(v)
-		for d := range counts {
-			counts[d][(k>>(radixBits*d))&(buckets-1)]++
-		}
-	}
-	n := uint32(len(vals))
-	k0 := radixKey(vals[0])
-	srcV, srcP, dstV, dstP := vals, perm, bufV, bufP
-	for d := range counts {
-		shift := uint(radixBits * d)
-		c := &counts[d]
-		if c[(k0>>shift)&(buckets-1)] == n {
-			continue
-		}
-		var off uint32
-		for b, k := range c {
-			c[b] = off
-			off += k
-		}
-		for i, v := range srcV {
-			j := &c[(radixKey(v)>>shift)&(buckets-1)]
-			dstV[*j], dstP[*j] = v, srcP[i]
-			*j++
-		}
-		srcV, srcP, dstV, dstP = dstV, dstP, srcV, srcP
-	}
-	if &srcV[0] != &vals[0] {
-		copy(vals, srcV)
-		copy(perm, srcP)
-	}
-}
 
 // resizeInts grows *buf to length n, reusing capacity, and returns it.
 func resizeInts(buf *[]int, n int) []int {

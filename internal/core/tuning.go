@@ -240,7 +240,7 @@ func (e *Evaluator) greedyBestClone(samples [][]float64, means, vars []float64,
 			m2[j] = mat.Dot(kbuf, alphaTrial)
 			fsbuf = resizeFloatsVal(fsbuf, len(kbuf))
 			trial.ForwardSolveTo(fsbuf, kbuf)
-			vv := e.cfg.Kernel.Eval(x, x) - mat.Dot(fsbuf, fsbuf)
+			vv := kernel.SelfCov(e.cfg.Kernel, x) - mat.Dot(fsbuf, fsbuf)
 			if vv < 0 {
 				vv = 0
 			}

@@ -210,7 +210,7 @@ func (g *GP) Predict(x []float64) (mean, variance float64) {
 // PredictWith is Predict with caller-provided scratch: zero heap allocations
 // once s has grown to the model size.
 func (g *GP) PredictWith(s *Scratch, x []float64) (mean, variance float64) {
-	prior := g.kern.Eval(x, x)
+	prior := kernel.SelfCov(g.kern, x)
 	if len(g.xs) == 0 {
 		return 0, prior
 	}

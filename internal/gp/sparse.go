@@ -271,7 +271,7 @@ func (s *Sparse) Add(x []float64, y float64) error {
 		return fmt.Errorf("gp: point dim %d ≠ %d", len(x), len(s.xs[0]))
 	}
 	m := len(s.zidx)
-	prior := s.kern.Eval(x, x)
+	prior := kernel.SelfCov(s.kern, x)
 	if prior > s.priorScale {
 		s.priorScale = prior
 	}
@@ -607,7 +607,7 @@ func (s *Sparse) Predict(x []float64) (mean, variance float64) {
 // O(m²) — independent of the number of absorbed points — with zero heap
 // allocations once sc has grown to the budget.
 func (s *Sparse) PredictWith(sc *Scratch, x []float64) (mean, variance float64) {
-	prior := s.kern.Eval(x, x)
+	prior := kernel.SelfCov(s.kern, x)
 	m := len(s.zidx)
 	infl := s.cfg.Inflate * s.cfg.Inflate
 	if m == 0 {

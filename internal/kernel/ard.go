@@ -60,6 +60,21 @@ func (k *SqExpARD) Eval(x, y []float64) float64 {
 	return k.SigmaF * k.SigmaF * math.Exp(-0.5*s)
 }
 
+// SelfCov returns k(x, x) = σ_f² without the exp when every scaled
+// coordinate difference (x_j − x_j)/ℓ_j is zero: each x_j finite and each
+// ℓ_j > 0.
+func (k *SqExpARD) SelfCov(x []float64) float64 {
+	if len(x) != len(k.Lens) {
+		return k.Eval(x, x)
+	}
+	for j, l := range k.Lens {
+		if !(l > 0) || x[j]-x[j] != 0 {
+			return k.Eval(x, x)
+		}
+	}
+	return k.SigmaF * k.SigmaF
+}
+
 // EvalBatch fills dst[i] = k(xs[i], y). The scaled squared distance keeps
 // Eval's per-dimension division so both paths agree bit-for-bit; batching
 // still hoists the interface dispatch and dimension check out of the loop.

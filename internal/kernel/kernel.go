@@ -163,6 +163,53 @@ func CrossVec(k Kernel, xs [][]float64, y []float64, dst []float64) []float64 {
 	return dst
 }
 
+// SelfCoverer is implemented by kernels that can return the prior variance
+// k(x, x) without evaluating the kernel: at distance 0 a stationary kernel is
+// σ_f²·κ(0) with κ(0) = exp(−0) = 1, and every inferred sample's posterior
+// variance starts from it. Implementations must return Eval(x, x)'s exact
+// bits, so they take the shortcut only where Eval's distance-0 arithmetic
+// yields exactly 1 and call Eval everywhere else (a non-finite coordinate, a
+// degenerate scale).
+type SelfCoverer interface {
+	// SelfCov returns k(x, x).
+	SelfCov(x []float64) float64
+}
+
+// SelfCov returns k(x, x), through the kernel's SelfCoverer shortcut when it
+// has one.
+func SelfCov(k Kernel, x []float64) float64 {
+	if sc, ok := k.(SelfCoverer); ok {
+		return sc.SelfCov(x)
+	}
+	return k.Eval(x, x)
+}
+
+// SelfCoverOf returns k's SelfCoverer, or one that calls Eval(x, x) when k
+// has none, for loops that take k(x, x) per sample and assert the interface
+// once.
+func SelfCoverOf(k Kernel) SelfCoverer {
+	if sc, ok := k.(SelfCoverer); ok {
+		return sc
+	}
+	return evalSelf{k}
+}
+
+// evalSelf is SelfCoverOf's fallback for kernels without a shortcut.
+type evalSelf struct{ k Kernel }
+
+func (e evalSelf) SelfCov(x []float64) float64 { return e.k.Eval(x, x) }
+
+// selfZero reports whether x − x is exactly zero in every coordinate, which
+// fails for NaN and ±Inf: the condition for k(x, x)'s distance to be 0.
+func selfZero(x []float64) bool {
+	for _, v := range x {
+		if v-v != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // SqExp is the isotropic squared-exponential (RBF) kernel
 //
 //	k(x, x′) = σ_f² exp(−‖x−x′‖² / (2 ℓ²)),
@@ -188,6 +235,15 @@ func NewSqExp(sigmaF, length float64) *SqExp {
 func (k *SqExp) Eval(x, y []float64) float64 {
 	s := mat.SqDist(x, y)
 	return k.SigmaF * k.SigmaF * math.Exp(-0.5*s/(k.Len*k.Len))
+}
+
+// SelfCov returns k(x, x) = σ_f² without the exp when Eval's exponent is
+// −0: a zero distance and ℓ² > 0 (ℓ² underflowing to 0 makes it NaN).
+func (k *SqExp) SelfCov(x []float64) float64 {
+	if k.Len*k.Len > 0 && selfZero(x) {
+		return k.SigmaF * k.SigmaF
+	}
+	return k.Eval(x, x)
 }
 
 // NumParams returns 2.
@@ -274,6 +330,15 @@ func (k *Matern32) Eval(x, y []float64) float64 {
 	return k.SigmaF * k.SigmaF * (1 + a*t) * math.Exp(-a*t)
 }
 
+// SelfCov returns k(x, x) = σ_f² without the exp when Eval's a·t is 0: a
+// zero distance and a finite a = √3/ℓ.
+func (k *Matern32) SelfCov(x []float64) float64 {
+	if a := math.Sqrt(3) / k.Len; a-a == 0 && selfZero(x) {
+		return k.SigmaF * k.SigmaF
+	}
+	return k.Eval(x, x)
+}
+
 // NumParams returns 2.
 func (k *Matern32) NumParams() int { return 2 }
 
@@ -356,6 +421,17 @@ func (k *Matern52) Eval(x, y []float64) float64 {
 	t := mat.Dist2(x, y)
 	a := math.Sqrt(5) / k.Len
 	return k.SigmaF * k.SigmaF * (1 + a*t + a*a*t*t/3) * math.Exp(-a*t)
+}
+
+// SelfCov returns k(x, x) = σ_f² without the exp when Eval's a·t and a²t²
+// are 0: a zero distance and a finite a² (a = √5/ℓ; a² overflows well
+// before a does).
+func (k *Matern52) SelfCov(x []float64) float64 {
+	a := math.Sqrt(5) / k.Len
+	if a2 := a * a; a2-a2 == 0 && selfZero(x) {
+		return k.SigmaF * k.SigmaF
+	}
+	return k.Eval(x, x)
 }
 
 // NumParams returns 2.
