@@ -404,12 +404,6 @@ func (c *Client) OfferMembership(ctx context.Context, m Membership) (Membership,
 	return out, err
 }
 
-// Hint delivers a push-replication seq-bump hint to a replica shard
-// (POST /v1/replication/hint).
-func (c *Client) Hint(ctx context.Context, h ReplicationHint) error {
-	return c.doJSON(ctx, http.MethodPost, "/v1/replication/hint", nil, h, nil)
-}
-
 // FleetMembers mutates the fleet's membership through the router's admin
 // endpoint (POST /v1/fleet/members, op "join" or "leave"), returning the
 // newly minted membership.

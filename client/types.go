@@ -55,8 +55,6 @@ type (
 	Membership = wire.Membership
 	// FleetMembersRequest is the POST /v1/fleet/members admin body.
 	FleetMembersRequest = wire.FleetMembersRequest
-	// ReplicationHint is a push-replication seq-bump notification.
-	ReplicationHint = wire.ReplicationHint
 	// ErrorDetail and ErrorEnvelope form the structured error body every
 	// non-2xx /v1 response carries.
 	ErrorDetail   = wire.ErrorDetail

@@ -776,104 +776,142 @@ func benchServerStream(workers int) func(b *testing.B) {
 	}
 }
 
-// benchFleetReplicationLag boots a two-shard fleet in-process (owner +
-// replica, each with its replication engine) and measures one op as: learn
-// one tuple on the owner, then wait until the replica's registry has caught
-// up to the owner's model sequence. With hints on, the owner pushes a
-// seq-bump hint to the replica set on every registry advance; with hints
-// off, the replica relies on its pull loop alone. Both must land far below
-// the 500ms poll interval — hints bound the lag by a round trip, and the
-// pull path's long-poll wakes on the owner's version bump. Like the other
-// multi-goroutine families, trajectory-reported but exempt from the
-// regression gate (fleet_* matches the benchdiff exemption).
-func benchFleetReplicationLag(hints bool) func(b *testing.B) {
-	return func(b *testing.B) {
-		boot := func() (*server.Server, *httptest.Server) {
-			s, err := server.New(server.Config{Workers: 1, MaxInFlight: 64})
-			if err != nil {
-				b.Fatal(err)
-			}
-			return s, httptest.NewServer(s.Handler())
-		}
-		sA, tsA := boot()
-		defer func() { tsA.Close(); sA.Close() }()
-		sB, tsB := boot()
-		defer func() { tsB.Close(); sB.Close() }()
-		addrs := []string{tsA.URL, tsB.URL}
-		start := func(s *server.Server, self string) *fleet.Replicator {
-			repl, err := fleet.StartReplicator(fleet.ReplicatorConfig{
-				Self: self, Shards: addrs, Registry: s.Registry(),
-				Replicas: 2, Interval: 500 * time.Millisecond, DisableHints: !hints,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			s.SetFleetHooks(&server.FleetHooks{
-				Membership:      repl.Membership,
-				AdoptMembership: repl.AdoptMembership,
-				Hint:            repl.Hint,
-			})
-			return repl
-		}
-		replA := start(sA, tsA.URL)
-		defer replA.Close()
-		replB := start(sB, tsB.URL)
-		defer replB.Close()
+// lagBatch is how many fleet_replication_lag ops run on one fleet before
+// the loop boots a fresh one, timer stopped. Learning is deterministic, and
+// each batch learns the same fresh points with the same seeds, so every
+// batch moves the owner's model seq the same way; the model and the
+// replication list stay small however large b.N grows.
+const lagBatch = 8
 
-		// Register on the shard the ring owns "lag" on (httptest ports are
-		// random, so either shard may hash as owner); the other shard is the
-		// replica whose catch-up lag the loop measures. Registering elsewhere
-		// would get the registrant demoted once the ring owner catches up.
-		ring, err := fleet.NewRing(addrs, 0)
+// lagPoint is the j-th fresh learn input of a batch: points 6 apart on a
+// line, far enough from everything learned before that each adds training
+// points.
+func lagPoint(j int) client.InputSpec {
+	return client.InputSpec{
+		{Type: "normal", Mu: 6 * float64(j), Sigma: 0.05},
+		{Type: "normal", Mu: 0, Sigma: 0.05},
+	}
+}
+
+// lagFleet is an in-process owner + replica pair hosting one instance.
+type lagFleet struct {
+	owner    *client.Client
+	ownerSeq func() int64
+	replica  *server.Registry
+	close    func()
+}
+
+// bootLagFleet boots two shards, each with its replication engine, and
+// registers the "lag" instance on its ring owner; it returns once the
+// replica holds the registered model.
+func bootLagFleet(b *testing.B) *lagFleet {
+	var closers []func()
+	f := &lagFleet{close: func() {
+		for i := len(closers) - 1; i >= 0; i-- {
+			closers[i]()
+		}
+	}}
+	srvs := make([]*server.Server, 2)
+	addrs := make([]string, 2)
+	for i := range srvs {
+		s, err := server.New(server.Config{Workers: 1, MaxInFlight: 64})
 		if err != nil {
 			b.Fatal(err)
 		}
-		ownerSrv, replicaSrv := sA, sB
-		ownerURL := tsA.URL
-		if ring.Owner("lag") == tsB.URL {
-			ownerSrv, replicaSrv = sB, sA
-			ownerURL = tsB.URL
+		ts := httptest.NewServer(s.Handler())
+		closers = append(closers, func() { ts.Close(); s.Close() })
+		srvs[i], addrs[i] = s, ts.URL
+	}
+	for i, s := range srvs {
+		repl, err := fleet.StartReplicator(fleet.ReplicatorConfig{
+			Self: addrs[i], Shards: addrs, Registry: s.Registry(),
+			Replicas: 2, Interval: 500 * time.Millisecond,
+		})
+		if err != nil {
+			b.Fatal(err)
 		}
+		closers = append(closers, repl.Close)
+		s.SetFleetHooks(&server.FleetHooks{
+			Membership:      repl.Membership,
+			AdoptMembership: repl.AdoptMembership,
+		})
+	}
+	// httptest ports are random, so either shard may own "lag": register
+	// on the ring owner (registering elsewhere would get the registrant
+	// demoted once the owner catches up).
+	ring, err := fleet.NewRing(addrs, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	owner, replica := 0, 1
+	if ring.Owner("lag") == addrs[1] {
+		owner, replica = 1, 0
+	}
+	f.owner = client.New(addrs[owner])
+	if _, err := f.owner.Register(context.Background(), client.RegisterRequest{
+		UDF: "poly/smooth2d", Name: "lag", Eps: 0.2, Delta: 0.1,
+		Warmup: []client.InputSpec{lagPoint(-1)}, WarmupSeed: 3,
+	}); err != nil {
+		b.Fatalf("register: %v", err)
+	}
+	e, _ := srvs[owner].Registry().Get("lag")
+	f.ownerSeq, f.replica = e.Seq, srvs[replica].Registry()
+	f.waitReplica(f.ownerSeq())
+	return f
+}
 
-		ctx := context.Background()
-		clOwner := client.New(ownerURL)
-		rng := rand.New(rand.NewSource(5))
-		warmup := make([]client.InputSpec, 8)
-		for i := range warmup {
-			warmup[i] = client.InputSpec{
-				{Type: "normal", Mu: 0.3 + 0.4*rng.Float64(), Sigma: 0.15},
-				{Type: "normal", Mu: 0.3 + 0.4*rng.Float64(), Sigma: 0.15},
-			}
+// waitReplica returns once the replica holds model seq (or newer). It
+// sleeps on the replica registry's version, which every install bumps, so
+// it wakes at the install rather than at a polling tick.
+func (f *lagFleet) waitReplica(seq int64) {
+	for {
+		ver := f.replica.Version()
+		if e, ok := f.replica.Get("lag"); ok && e.Seq() >= seq {
+			return
 		}
-		if _, err := clOwner.Register(ctx, client.RegisterRequest{
-			UDF: "poly/smooth2d", Name: "lag", Eps: 0.2, Delta: 0.1,
-			Warmup: warmup, WarmupSeed: 3,
+		f.replica.WaitReplication(context.Background(), ver)
+	}
+}
+
+// benchFleetReplicationLag measures one op as: learn one tuple at a fresh
+// point on the owner, then wait until the replica holds the owner's new
+// model seq. An op that leaves the owner's seq unchanged fails the
+// benchmark. Only the wait is timed, from the learn's response (which
+// follows the bump) to the replica's install, so every op times one real
+// catch-up: the replica's long-poll wakes on the bump and fetches the
+// snapshot once. It must land far below the 500ms Interval. Like the other multi-goroutine families,
+// trajectory-reported but exempt from the regression gate (fleet_*
+// matches the benchdiff exemption).
+func benchFleetReplicationLag(b *testing.B) {
+	var f *lagFleet
+	defer func() {
+		if f != nil {
+			f.close()
+		}
+	}()
+	ctx := context.Background()
+	for i := 0; i < b.N; i++ {
+		// Booting and the learn itself are not lag: time only the catch-up.
+		b.StopTimer()
+		j := i % lagBatch
+		if j == 0 {
+			if f != nil {
+				f.close()
+			}
+			f = bootLagFleet(b)
+		}
+		before := f.ownerSeq()
+		if _, err := f.owner.Eval(ctx, "lag", client.EvalRequest{
+			Input: lagPoint(j), Seed: int64(j + 1),
 		}); err != nil {
-			b.Fatalf("register: %v", err)
+			b.Fatalf("learn eval: %v", err)
 		}
-		ownerEntry, _ := ownerSrv.Registry().Get("lag")
-		caughtUp := func(target int64) bool {
-			e, ok := replicaSrv.Registry().Get("lag")
-			return ok && e.Seq() >= target
+		after := f.ownerSeq()
+		if after == before {
+			b.Fatalf("op %d: learning at a fresh point left the owner's model seq at %d", i, after)
 		}
-		for !caughtUp(ownerEntry.Seq()) {
-			time.Sleep(time.Millisecond)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := clOwner.Eval(ctx, "lag", client.EvalRequest{
-				Input: client.InputSpec{
-					{Type: "normal", Mu: 0.3 + 0.4*rng.Float64(), Sigma: 0.15},
-					{Type: "normal", Mu: 0.3 + 0.4*rng.Float64(), Sigma: 0.15},
-				},
-				Seed: int64(i + 1),
-			}); err != nil {
-				b.Fatalf("learn eval: %v", err)
-			}
-			for target := ownerEntry.Seq(); !caughtUp(target); {
-				time.Sleep(200 * time.Microsecond)
-			}
-		}
+		b.StartTimer()
+		f.waitReplica(after)
 	}
 }
 
@@ -1025,14 +1063,11 @@ func main() {
 		run.Results = append(run.Results, measureThroughput(
 			fmt.Sprintf("server_stream_rps_w%d", w), throughputTuples, benchServerStream(w)))
 	}
-	// Fleet replication lag (PR 9): one op = a learn on the owner plus the
-	// wait until the replica catches up. Both variants must land far below
+	// Fleet replication lag: one op = a learn that moves the owner's model
+	// seq plus the wait until the replica catches up. It must land far below
 	// the 500ms poll interval; timing depends on the host scheduler, so
 	// fleet_* is exempt from the regression gate like parallel_*/server_*.
-	run.Results = append(run.Results,
-		measure("fleet_replication_lag_hints", benchFleetReplicationLag(true)),
-		measure("fleet_replication_lag_pull", benchFleetReplicationLag(false)),
-	)
+	run.Results = append(run.Results, measure("fleet_replication_lag", benchFleetReplicationLag))
 	// Distributed bounded queries (PR 10): one op = one group-by + top-k
 	// plan scattered across the fleet and merged at the router. fleet_*
 	// keeps these exempt from the regression gate (scheduler-dependent).

@@ -33,3 +33,16 @@ func TestFrozenQ1BenchRuns(t *testing.T) {
 		}
 	}
 }
+
+// TestFleetReplicationLagBenchRuns smokes the replication-lag benchmark,
+// which fails any op whose learn leaves the owner's model seq unchanged:
+// fresh points or an eps that stop moving the seq must fail `go test`.
+func TestFleetReplicationLagBenchRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("boots an in-process two-shard fleet; skipped in -short")
+	}
+	res := testing.Benchmark(benchFleetReplicationLag)
+	if res.N <= 0 {
+		t.Fatal("replication-lag benchmark failed or did not run")
+	}
+}

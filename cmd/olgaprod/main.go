@@ -20,7 +20,6 @@
 //	GET  /v1/udfs/{name}/snapshot     raw snapshot bytes for replication
 //	GET  /v1/replication/members      current membership epoch + shard list
 //	POST /v1/replication/members      adopt a higher membership epoch
-//	POST /v1/replication/hint         push-replication seq-bump hint
 //
 // On boot, snapshots found in -snapshot-dir are restored, so a restarted
 // server skips re-learning. SIGTERM/SIGINT drain gracefully: in-flight
@@ -29,7 +28,9 @@
 // Fleet mode: -fleet lists the boot-time shard base URLs (membership
 // epoch 0) and -self names this process's own; the shard then pulls models
 // owned by its peers as versioned snapshot deltas and serves them as
-// frozen read replicas. A shard joining an already-running fleet boots
+// frozen read replicas. It long-polls each peer's GET /v1/replication/udfs,
+// which answers on every model-seq bump, so a replica fetches each new seq
+// about one round trip after the owner learns it. A shard joining an already-running fleet boots
 // with -fleet <its own URL> and is announced through the router's
 // POST /v1/fleet/members, which broadcasts the new epoch. Front the fleet
 // with cmd/olgarouter.
@@ -138,12 +139,11 @@ func run(o options) error {
 			return err
 		}
 		// Wire the replicator into the HTTP surface: replication lists gossip
-		// the membership epoch, POST /v1/replication/members feeds adopted
-		// epochs in, and POST /v1/replication/hint delivers push hints.
+		// the membership epoch, and POST /v1/replication/members feeds
+		// adopted epochs in.
 		srv.SetFleetHooks(&server.FleetHooks{
 			Membership:      repl.Membership,
 			AdoptMembership: repl.AdoptMembership,
-			Hint:            repl.Hint,
 		})
 		logger.Printf("fleet replication on: %d shards, self=%s, factor %d", len(shards), o.self, o.replicas)
 	}

@@ -14,12 +14,11 @@ import (
 
 	"olgapro/client"
 	"olgapro/internal/server"
-	"olgapro/internal/server/wire"
 )
 
 // This file is the deterministic fleet chaos harness: a seeded splitmix64
-// schedule of kills, restarts, joins, leaves, dropped hints, and learn
-// bursts over in-process shards behind stable-URL proxies, with every learn
+// schedule of kills, restarts, joins, leaves, learn bursts, and frozen
+// replays over in-process shards behind stable-URL proxies, with every learn
 // mirrored onto a single-shard reference server. After every event the
 // fleet must reconverge (replicas caught up, exactly one owner per UDF),
 // and frozen replays through the router must stay byte-identical to the
@@ -86,7 +85,6 @@ type chaosHarness struct {
 	members  map[string]*chaosShard // membership URL → shard (dead included)
 	dead     string                 // the (at most one) killed member's URL
 
-	dropAll  atomic.Bool // shared lossy-network switch for push hints
 	names    []string
 	frozenIn []client.InputSpec
 
@@ -104,7 +102,6 @@ func (h *chaosHarness) spawn(slot *chaosSlot, bootShards []string) *chaosShard {
 	repl, err := StartReplicator(ReplicatorConfig{
 		Self: slot.ts.URL, Shards: bootShards, Registry: srv.Registry(),
 		Replicas: 2, Interval: 25 * time.Millisecond,
-		dropHint: func(string, wire.ReplicationHint) bool { return h.dropAll.Load() },
 	})
 	if err != nil {
 		h.t.Fatal(err)
@@ -112,7 +109,6 @@ func (h *chaosHarness) spawn(slot *chaosSlot, bootShards []string) *chaosShard {
 	srv.SetFleetHooks(&server.FleetHooks{
 		Membership:      repl.Membership,
 		AdoptMembership: repl.AdoptMembership,
-		Hint:            repl.Hint,
 	})
 	handler := srv.Handler()
 	slot.handler.Store(&handler)
@@ -467,12 +463,11 @@ func TestFleetChaosHarness(t *testing.T) {
 				h.learn(i)
 			}
 		default:
-			h.dropAll.Store(!h.dropAll.Load())
+			h.frozenCheck(i)
 		}
 	}
 
-	// Settle: revive any dead member, re-enable hints, final byte check.
-	h.dropAll.Store(false)
+	// Settle: revive any dead member, final byte check.
 	if h.dead != "" {
 		h.restart(events)
 	}

@@ -31,28 +31,20 @@ type ReplicatorConfig struct {
 	Replicas int
 	// VNodes is the ring's virtual-node count (must match the router's).
 	VNodes int
-	// Interval is the retry backoff after a peer error, the failed-ingest
-	// re-queue tick, and the floor between list cycles; deltas propagate
-	// faster than this because the peer list call long-polls and owners
-	// push seq-bump hints. Default 500ms.
+	// Interval is the retry backoff after a peer error and the failed-ingest
+	// re-queue tick; deltas propagate faster than this because the peer
+	// list call long-polls and wakes on every model-seq bump. Default 500ms.
 	Interval time.Duration
 	// AuthToken is the fleet bearer credential.
 	AuthToken string
 	// HTTPClient overrides the outbound transport (fleet TLS trust).
 	HTTPClient *http.Client
-	// DisableHints turns off push replication both ways (no hints sent, and
-	// received hints are ignored), leaving the pull loop as the only
-	// propagation path — the degraded mode the pull path must survive.
-	DisableHints bool
 	// Logf, when non-nil, receives one line per replication event.
 	Logf func(format string, args ...any)
 
 	// fetch overrides snapshot fetching (test seam; nil uses the peer
 	// client's FetchSnapshot).
 	fetch func(ctx context.Context, peer *client.Client, name string, minSeq int64) (*client.FetchedSnapshot, error)
-	// dropHint, when non-nil, is consulted before each outbound hint; true
-	// drops it (test seam for lossy-hint chaos schedules).
-	dropHint func(addr string, h wire.ReplicationHint) bool
 }
 
 // retryKey identifies one failed ingest awaiting its tick-time retry.
@@ -65,7 +57,10 @@ type retryKey struct {
 // registry and ingests models this shard should replicate, as versioned
 // snapshot deltas ordered by per-UDF model sequence numbers (stale or
 // duplicate deltas are no-ops, making the protocol idempotent and
-// reordering-safe). On top of the PR 8 pull loop it now carries:
+// reordering-safe). Each peer's list call long-polls the peer's registry
+// version, which advances on every model-seq bump, so a replica hears of a
+// new seq within one round trip; that pull loop is the only propagation
+// path. On top of it the replicator carries:
 //
 //   - dynamic membership: a MemberView holding the current epoch; epochs
 //     gossip over the replication lists and arrive directly via
@@ -81,12 +76,8 @@ type retryKey struct {
 //     model seq ≥ its own, so no learned point is ever dropped. Frozen
 //     reads are safe throughout because frozen responses are a pure
 //     function of (model seq, request bytes).
-//   - push hints: the owner side watches its own registry version and POSTs
-//     seq-bump hints to each UDF's replica set, so replication lag is
-//     bounded by a round trip instead of the poll interval. Hints are pure
-//     accelerators — the pull loop remains the repair path, and the
-//     tick-time retry queue re-attempts failed ingests without waiting for
-//     the peer's next version bump.
+//   - repair: the tick-time retry queue re-attempts failed ingests without
+//     waiting for the peer's next version bump.
 type Replicator struct {
 	cfg  ReplicatorConfig
 	view *MemberView
@@ -105,14 +96,11 @@ type Replicator struct {
 
 	reconcileMu sync.Mutex // serializes promote/demote passes
 
-	hints chan wire.ReplicationHint
-
-	fetches   atomic.Int64 // successful snapshot installs
-	hintsSent atomic.Int64 // hints actually posted (drops excluded)
+	fetches atomic.Int64 // successful snapshot installs
 }
 
 // StartReplicator builds the membership view (epoch 0 = the boot shard
-// list) and starts the puller, tick, hint, and push goroutines.
+// list) and starts the puller and tick goroutines.
 func StartReplicator(cfg ReplicatorConfig) (*Replicator, error) {
 	view, err := NewMemberView(wire.Membership{Epoch: 0, Shards: cfg.Shards}, cfg.VNodes)
 	if err != nil {
@@ -138,18 +126,12 @@ func StartReplicator(cfg ReplicatorConfig) (*Replicator, error) {
 		lastOwner: make(map[string]string),
 		ownerSeq:  make(map[string]int64),
 		synced:    make(map[string]bool),
-		hints:     make(chan wire.ReplicationHint, 256),
 	}
 	r.mu.Lock()
 	r.startPullersLocked()
 	r.mu.Unlock()
-	r.wg.Add(2)
+	r.wg.Add(1)
 	go r.tickLoop(ctx)
-	go r.hintLoop(ctx)
-	if !cfg.DisableHints {
-		r.wg.Add(1)
-		go r.pushLoop(ctx)
-	}
 	return r, nil
 }
 
@@ -171,9 +153,6 @@ func (r *Replicator) Membership() wire.Membership { return r.view.Current() }
 // re-fetched.
 func (r *Replicator) Fetches() int64 { return r.fetches.Load() }
 
-// HintsSent returns how many push hints this shard has posted.
-func (r *Replicator) HintsSent() int64 { return r.hintsSent.Load() }
-
 // AdoptMembership offers a membership (server hook + router broadcast
 // target). A strictly higher epoch rebuilds the ring and restarts the
 // pullers from scratch so every peer's full list is re-delivered; per-UDF
@@ -191,18 +170,6 @@ func (r *Replicator) AdoptMembership(m wire.Membership) (bool, error) {
 	r.startPullersLocked()
 	r.mu.Unlock()
 	return true, nil
-}
-
-// Hint enqueues a received push hint (server hook). Never blocks: a full
-// queue drops the hint, which only costs latency — the pull loop repairs.
-func (r *Replicator) Hint(h wire.ReplicationHint) {
-	if r.cfg.DisableHints {
-		return
-	}
-	select {
-	case r.hints <- h:
-	default:
-	}
 }
 
 // clientFor returns (building on first use) the cached client for a peer.
@@ -353,23 +320,30 @@ func (r *Replicator) ingest(ctx context.Context, addr string, peer *client.Clien
 	if peerSeq <= localSeq {
 		return nil // already current
 	}
-	fs, err := r.fetchSnapshot(ctx, peer, name, localSeq+1)
-	if err != nil {
-		return err
-	}
-	if fs == nil {
-		return nil // peer regressed below min_seq between list and fetch
+	// A nil fetch means the peer regressed below min_seq between list and
+	// fetch: nothing to install.
+	_, err := r.install(ctx, addr, peer, name, localSeq+1)
+	return err
+}
+
+// install fetches the named UDF from a peer when it is at minSeq or newer
+// and installs it as a replica. It reports false, with no error, when the
+// fetch comes back nil: the peer has nothing at minSeq or beyond.
+func (r *Replicator) install(ctx context.Context, addr string, peer *client.Client, name string, minSeq int64) (bool, error) {
+	fs, err := r.fetchSnapshot(ctx, peer, name, minSeq)
+	if err != nil || fs == nil {
+		return false, err
 	}
 	snap, err := core.ReadSnapshot(bytes.NewReader(fs.Data))
 	if err != nil {
-		return err
+		return false, err
 	}
 	if err := r.cfg.Registry.InstallReplica(fs.Spec, snap); err != nil {
-		return err
+		return false, err
 	}
 	r.fetches.Add(1)
 	r.cfg.Logf("replica %q ← %s @ seq %d (%d training points)", name, addr, snap.ModelSeq, len(snap.X))
-	return nil
+	return true, nil
 }
 
 // tickLoop fires every Interval: failed ingests are re-attempted without
@@ -443,21 +417,17 @@ func (r *Replicator) reconcile(ctx context.Context) {
 		r.mu.Unlock()
 		if sawOwner && r.memberOf(owner) {
 			if st.Seq < oseq {
-				continue // still catching up; the pull/hint paths close the gap
+				continue // still catching up; the pull loop closes the gap
 			}
-			fs, err := r.fetchSnapshot(ctx, r.clientFor(owner), st.Name, st.Seq+1)
+			installed, err := r.install(ctx, owner, r.clientFor(owner), st.Name, st.Seq+1)
 			if err != nil {
-				continue // owner unreachable; retry next tick
-			}
-			if fs != nil {
-				// The owner moved ahead of its last advert; install and
-				// re-check next pass.
-				if snap, err := core.ReadSnapshot(bytes.NewReader(fs.Data)); err == nil {
-					if r.cfg.Registry.InstallReplica(fs.Spec, snap) == nil {
-						r.fetches.Add(1)
-					}
+				if ctx.Err() == nil {
+					r.cfg.Logf("handoff: confirm %q with %s: %v", st.Name, owner, err)
 				}
-				continue
+				continue // retry next tick
+			}
+			if installed {
+				continue // the owner moved ahead of its last advert; re-check next pass
 			}
 		} else if !allSynced {
 			// No owner in the current membership, but we have not heard from
@@ -470,74 +440,4 @@ func (r *Replicator) reconcile(ctx context.Context) {
 		}
 		r.cfg.Logf("handoff: promoted %q @ seq %d (prior owner %q)", st.Name, st.Seq, owner)
 	}
-}
-
-// hintLoop drains received push hints: each names a UDF whose owner just
-// bumped its model seq, so pull it from the sender immediately instead of
-// waiting out the poll interval.
-func (r *Replicator) hintLoop(ctx context.Context) {
-	defer r.wg.Done()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case h := <-r.hints:
-			if !r.shouldReplicate(h.Name) {
-				continue
-			}
-			if err := r.ingest(ctx, h.From, r.clientFor(h.From), h.Name, h.Seq); err != nil && ctx.Err() == nil {
-				r.cfg.Logf("hint %q from %s: %v", h.Name, h.From, err)
-				r.mu.Lock()
-				r.retries[retryKey{addr: h.From, name: h.Name}] = h.Seq
-				r.mu.Unlock()
-			}
-		}
-	}
-}
-
-// pushLoop is the owner half of push replication: watch this process's own
-// registry version (in-process, no HTTP) and, on every advance, post a
-// seq-bump hint for each owned UDF that moved to every member of its
-// replica set.
-func (r *Replicator) pushLoop(ctx context.Context) {
-	defer r.wg.Done()
-	lastSent := make(map[string]int64)
-	since := int64(-1)
-	for ctx.Err() == nil {
-		ver := r.cfg.Registry.WaitReplication(ctx, since)
-		if ctx.Err() != nil {
-			return
-		}
-		since = ver
-		for _, st := range r.cfg.Registry.ReplicationStates() {
-			if !st.Owned || st.Seq <= lastSent[st.Name] {
-				continue
-			}
-			lastSent[st.Name] = st.Seq
-			h := wire.ReplicationHint{Name: st.Name, Seq: st.Seq, From: r.cfg.Self}
-			for _, addr := range r.view.Ring().Replicas(st.Name, r.cfg.Replicas) {
-				if addr == r.cfg.Self {
-					continue
-				}
-				r.sendHint(ctx, addr, h)
-			}
-		}
-	}
-}
-
-// sendHint posts one hint with a bounded deadline. Failures are dropped:
-// hints are accelerators, and the receiver's pull loop repairs.
-func (r *Replicator) sendHint(ctx context.Context, addr string, h wire.ReplicationHint) {
-	if r.cfg.dropHint != nil && r.cfg.dropHint(addr, h) {
-		return
-	}
-	hctx, cancel := context.WithTimeout(ctx, r.cfg.Interval)
-	defer cancel()
-	if err := r.clientFor(addr).Hint(hctx, h); err != nil {
-		if ctx.Err() == nil {
-			r.cfg.Logf("hint %q → %s: %v", h.Name, addr, err)
-		}
-		return
-	}
-	r.hintsSent.Add(1)
 }

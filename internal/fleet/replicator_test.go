@@ -3,6 +3,9 @@ package fleet
 import (
 	"context"
 	"errors"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -71,7 +74,7 @@ func TestReplicatorRetriesFailedIngest(t *testing.T) {
 	var attempts atomic.Int64
 	repl, err := StartReplicator(ReplicatorConfig{
 		Self: tsB.URL, Shards: addrs, Registry: sB.Registry(),
-		Replicas: 2, Interval: 25 * time.Millisecond, DisableHints: true,
+		Replicas: 2, Interval: 25 * time.Millisecond,
 		fetch: func(ctx context.Context, peer *client.Client, name string, minSeq int64) (*client.FetchedSnapshot, error) {
 			attempts.Add(1)
 			if failuresLeft.Add(-1) >= 0 {
@@ -129,7 +132,7 @@ func TestReplicatorIngestIdempotent(t *testing.T) {
 	var fetchMode atomic.Int32
 	repl, err := StartReplicator(ReplicatorConfig{
 		Self: tsB.URL, Shards: addrs, Registry: sB.Registry(),
-		Replicas: 2, Interval: 25 * time.Millisecond, DisableHints: true,
+		Replicas: 2, Interval: 25 * time.Millisecond,
 		fetch: func(ctx context.Context, peer *client.Client, name string, minSeq int64) (*client.FetchedSnapshot, error) {
 			if fetchMode.Load() == 1 {
 				return nil, nil
@@ -190,5 +193,116 @@ func TestReplicatorIngestIdempotent(t *testing.T) {
 	}
 	if !after.Replica() {
 		t.Fatal("replica flag flipped on no-op deltas")
+	}
+}
+
+// TestReplicaCatchesUpWithinRoundTrip pins pull-only replication: with a
+// 10s Interval, only the long-poll (which wakes on every model-seq bump)
+// can deliver a new seq in time, so each catch-up must finish well under a
+// second, and the owner must serve at most one snapshot GET per bump.
+func TestReplicaCatchesUpWithinRoundTrip(t *testing.T) {
+	var snapshotGETs [2]atomic.Int64
+	srvs := make([]*server.Server, 2)
+	addrs := make([]string, 2)
+	for i := range srvs {
+		s, err := server.New(server.Config{Workers: 1, RequestTimeout: time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, count := s.Handler(), &snapshotGETs[i]
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodGet && strings.HasSuffix(r.URL.Path, "/snapshot") {
+				count.Add(1)
+			}
+			h.ServeHTTP(w, r)
+		}))
+		t.Cleanup(func() { ts.Close(); s.Close() })
+		srvs[i], addrs[i] = s, ts.URL
+	}
+	for i, s := range srvs {
+		repl, err := StartReplicator(ReplicatorConfig{
+			Self: addrs[i], Shards: addrs, Registry: s.Registry(),
+			Replicas: 2, Interval: 10 * time.Second,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer repl.Close()
+		s.SetFleetHooks(&server.FleetHooks{
+			Membership:      repl.Membership,
+			AdoptMembership: repl.AdoptMembership,
+		})
+	}
+	ring, err := NewRing(addrs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := ownedName(t, ring, addrs[0])
+	owner, replica := srvs[0].Registry(), srvs[1].Registry()
+	replicaSeq := func() int64 {
+		if e, ok := replica.Get(name); ok {
+			return e.Seq()
+		}
+		return -1
+	}
+	// waitFor sleeps on the replica registry's version, which every install
+	// bumps, until the replica holds seq; it fails after 1s.
+	waitFor := func(seq int64) time.Duration {
+		start := time.Now()
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		defer cancel()
+		for {
+			ver := replica.Version()
+			if replicaSeq() >= seq {
+				return time.Since(start)
+			}
+			if replica.WaitReplication(ctx, ver); ctx.Err() != nil {
+				t.Fatalf("replica still at seq %d, owner at %d, after 1s", replicaSeq(), seq)
+			}
+		}
+	}
+
+	// Learn tuples centred at fresh points 6 apart, so every learn adds
+	// training points and moves the owner's seq.
+	point := func(k int) client.InputSpec {
+		return client.InputSpec{
+			{Type: "normal", Mu: 6 * float64(k), Sigma: 0.05},
+			{Type: "normal", Mu: 0, Sigma: 0.05},
+		}
+	}
+	ctx := context.Background()
+	cl := client.New(addrs[0])
+	if _, err := cl.Register(ctx, client.RegisterRequest{
+		Name: name, UDF: "poly/smooth2d", Eps: 0.2, Delta: 0.1,
+		Warmup: []client.InputSpec{point(-1)}, WarmupSeed: 3,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	entry, _ := owner.Get(name)
+	waitFor(entry.Seq())
+	getsBefore := snapshotGETs[0].Load()
+
+	const learns = 12
+	var slowest time.Duration
+	for k := 0; k < learns; k++ {
+		before := entry.Seq()
+		if _, err := cl.Eval(ctx, name, client.EvalRequest{Input: point(k), Seed: int64(k + 1)}); err != nil {
+			t.Fatalf("learn %d: %v", k, err)
+		}
+		after := entry.Seq()
+		if after == before {
+			t.Fatalf("learn %d left the owner's model seq at %d", k, after)
+		}
+		slowest = max(slowest, waitFor(after))
+	}
+	// Let any second fetch of the last bump land before counting.
+	time.Sleep(100 * time.Millisecond)
+	gets := snapshotGETs[0].Load() - getsBefore
+	t.Logf("%d bumps, %d owner snapshot GETs, slowest catch-up %v", learns, gets, slowest)
+	if gets > learns {
+		t.Fatalf("owner served %d snapshot GETs for %d model-seq bumps, want at most one per bump", gets, learns)
+	}
+	if n := snapshotGETs[1].Load(); n != 0 {
+		t.Fatalf("the replica served %d snapshot GETs for a UDF it does not own", n)
 	}
 }

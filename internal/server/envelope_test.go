@@ -100,6 +100,8 @@ func TestErrorEnvelopeConformance(t *testing.T) {
 		{"replication list bad cursor", "GET", "/v1/replication/udfs?since_version=junk", "", 400, wire.CodeBadSpec},
 		{"snapshot fetch unknown instance", "GET", "/v1/udfs/ghost/snapshot", "", 404, wire.CodeNotFound},
 		{"snapshot fetch bad min_seq", "GET", "/v1/udfs/" + name + "/snapshot?min_seq=junk", "", 400, wire.CodeBadSpec},
+		// Push hints are gone; an older owner's hint gets an unknown route.
+		{"retired push hint", "POST", "/v1/replication/hint", `{"name":"x","seq":1,"from":"http://peer"}`, 404, wire.CodeNotFound},
 	}
 	for _, c := range cases {
 		resp, body := do(t, c.method, ts.URL+c.path, "application/json", c.body)

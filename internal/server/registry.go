@@ -200,20 +200,22 @@ func (e *udfEntry) startWriter(ev *core.Evaluator, seq int64) {
 				return
 			case req := <-e.reqs:
 				prevEv, prevPts := e.ev, e.ev.Points()
-				req.resp <- req.fn()
-				if e.ev != prevEv {
-					// A swap closure installed a new evaluator and stamped
-					// trainPts/modelSeq itself; nothing to reconcile.
-					continue
-				}
-				after := int64(e.ev.Points())
-				e.trainPts.Store(after)
-				if after != int64(prevPts) {
-					e.modelSeq.Add(1)
-					if e.bump != nil {
-						e.bump()
+				err := req.fn()
+				// A swap closure installs a new evaluator and stamps
+				// trainPts/modelSeq itself. Any other closure's growth is
+				// recorded before it is answered, so a learner's response
+				// follows its model-seq bump.
+				if e.ev == prevEv {
+					after := e.ev.Points()
+					e.trainPts.Store(int64(after))
+					if after != prevPts {
+						e.modelSeq.Add(1)
+						if e.bump != nil {
+							e.bump()
+						}
 					}
 				}
+				req.resp <- err
 			}
 		}
 	}()
@@ -252,11 +254,7 @@ func (e *udfEntry) withWriter(ctx context.Context, fn func(ev *core.Evaluator) e
 // invalidates every frozen-clone slot, so subsequent reads rebuild their
 // clones from the new model.
 func (e *udfEntry) swapModel(ctx context.Context, ev *core.Evaluator, seq int64) error {
-	req := writerReq{resp: make(chan error, 1)}
-	req.fn = func() error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
+	return e.withWriter(ctx, func(*core.Evaluator) error {
 		if seq <= e.modelSeq.Load() {
 			return nil // stale delta: the installed state is already newer
 		}
@@ -270,22 +268,7 @@ func (e *udfEntry) swapModel(ctx context.Context, ev *core.Evaluator, seq int64)
 			e.bump()
 		}
 		return nil
-	}
-	select {
-	case e.reqs <- req:
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-e.quit:
-		return errDraining
-	}
-	select {
-	case err := <-req.resp:
-		return err
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-e.quit:
-		return errDraining
-	}
+	})
 }
 
 // learnEval evaluates one input on the learning evaluator (online tuning
@@ -532,32 +515,43 @@ func (r *Registry) WaitReplication(ctx context.Context, since int64) int64 {
 	}
 }
 
-// newEntry builds (but does not install) an entry for the spec.
-func (r *Registry) newEntry(spec RegisterSpec, snap *core.Snapshot, replica bool) (*udfEntry, int64, error) {
+// newEvaluator validates the spec and builds its evaluator, restored from
+// snap when non-nil. It is the one way a spec becomes an evaluator, whether
+// the spec comes from a registration, a snapshot on boot, or a peer's
+// replication headers.
+func newEvaluator(spec RegisterSpec, snap *core.Snapshot) (RegisterSpec, catalogDef, *core.Evaluator, error) {
 	spec, err := normalizeSpec(spec)
 	if err != nil {
-		return nil, 0, err
+		return spec, catalogDef{}, nil, err
 	}
 	def, err := lookupCatalog(spec.UDF)
 	if err != nil {
-		return nil, 0, err
+		return spec, def, nil, err
 	}
 	cfg := core.Config{Eps: spec.Eps, Delta: spec.Delta, Kernel: def.kernel()}
 	if spec.Sparse != nil {
 		if err := spec.Sparse.Apply(&cfg); err != nil {
-			return nil, 0, err
+			return spec, def, nil, err
 		}
 	}
 	var ev *core.Evaluator
-	var seq int64
 	if snap != nil {
 		ev, err = core.Restore(def.mkUDF(), cfg, snap)
-		seq = snap.ModelSeq
 	} else {
 		ev, err = core.NewEvaluator(def.mkUDF(), cfg)
 	}
+	return spec, def, ev, err
+}
+
+// newEntry builds (but does not install) an entry for the spec.
+func (r *Registry) newEntry(spec RegisterSpec, snap *core.Snapshot, replica bool) (*udfEntry, int64, error) {
+	spec, def, ev, err := newEvaluator(spec, snap)
 	if err != nil {
 		return nil, 0, err
+	}
+	var seq int64
+	if snap != nil {
+		seq = snap.ModelSeq
 	}
 	ncfg := ev.Config() // normalized: defaults applied
 	e := &udfEntry{
@@ -634,26 +628,13 @@ func (r *Registry) InstallReplica(spec RegisterSpec, snap *core.Snapshot) error 
 			return nil // already current
 		}
 		// Rebuild an evaluator from the snapshot and swap it in through
-		// the writer loop so in-flight reads finish on the old model.
-		def, err := lookupCatalog(spec.UDF)
+		// the writer loop so in-flight reads finish on the old model. The
+		// swap bumps the registry version itself.
+		_, _, ev, err := newEvaluator(spec, snap)
 		if err != nil {
 			return err
 		}
-		cfg := core.Config{Eps: spec.Eps, Delta: spec.Delta, Kernel: def.kernel()}
-		if spec.Sparse != nil {
-			if err := spec.Sparse.Apply(&cfg); err != nil {
-				return err
-			}
-		}
-		ev, err := core.Restore(def.mkUDF(), cfg, snap)
-		if err != nil {
-			return err
-		}
-		if err := existing.swapModel(context.Background(), ev, snap.ModelSeq); err != nil {
-			return err
-		}
-		r.bumpVersion()
-		return nil
+		return existing.swapModel(context.Background(), ev, snap.ModelSeq)
 	}
 	e, seq, err := r.newEntry(spec, snap, true)
 	if err != nil {

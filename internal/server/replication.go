@@ -80,30 +80,6 @@ func (s *Server) handleMembershipPost(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, h.Membership())
 }
 
-// handleReplicationHint accepts a push-replication hint: the owner of a UDF
-// bumped its model sequence and tells this replica to pull now instead of
-// waiting out the poll interval. Hints are pure accelerators — dropping
-// one only costs latency, never correctness — so the handler acknowledges
-// before the pull happens.
-func (s *Server) handleReplicationHint(w http.ResponseWriter, r *http.Request) {
-	h := s.fleet.Load()
-	if h == nil || h.Hint == nil {
-		s.fail(w, http.StatusServiceUnavailable, wire.CodeNotReplicated, "not running in fleet mode")
-		return
-	}
-	var hint wire.ReplicationHint
-	if err := decodeStrict(r.Body, &hint); err != nil {
-		s.fail(w, http.StatusBadRequest, wire.CodeBadSpec, "bad hint: %v", err)
-		return
-	}
-	if hint.Name == "" || hint.From == "" {
-		s.fail(w, http.StatusBadRequest, wire.CodeBadSpec, "hint needs name and from")
-		return
-	}
-	h.Hint(hint)
-	w.WriteHeader(http.StatusNoContent)
-}
-
 // handleSnapshotFetch serves the named UDF's current model as raw versioned
 // snapshot bytes, with the model sequence and registration spec in response
 // headers so a replica can install it without a second round trip.

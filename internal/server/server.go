@@ -86,19 +86,15 @@ type Server struct {
 
 // FleetHooks connects the server's replication surface to the fleet
 // replicator running in the same process: the replication list carries the
-// shard's membership epoch, POST /v1/replication/members feeds adopted
-// epochs in, and POST /v1/replication/hint delivers push-replication
-// seq-bump hints. All three are optional — a nil hook disables the
-// corresponding behavior.
+// shard's membership epoch, and POST /v1/replication/members feeds adopted
+// epochs in. Both are optional — a nil hook disables the corresponding
+// behavior.
 type FleetHooks struct {
 	// Membership returns the shard's current membership view.
 	Membership func() wire.Membership
 	// AdoptMembership offers a (possibly newer) membership; reports whether
 	// the shard's view changed.
 	AdoptMembership func(wire.Membership) (bool, error)
-	// Hint delivers a push-replication hint (owner bumped a model seq).
-	// Must not block: the HTTP handler calls it inline.
-	Hint func(wire.ReplicationHint)
 }
 
 // SetFleetHooks installs (or, with nil, removes) the fleet hooks.
@@ -201,7 +197,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /v1/udfs/{name}/snapshot", s.handleSnapshotFetch)
 	s.mux.HandleFunc("GET /v1/replication/members", s.handleMembershipGet)
 	s.mux.HandleFunc("POST /v1/replication/members", s.handleMembershipPost)
-	s.mux.HandleFunc("POST /v1/replication/hint", s.handleReplicationHint)
 }
 
 // --- admission control ---

@@ -690,3 +690,67 @@ func TestHugeSigmaInputAnswers(t *testing.T) {
 		t.Fatalf("eval after the huge-σ input: %d %s", resp.StatusCode, body)
 	}
 }
+
+// TestInstallReplicaValidatesSwapSpec checks that a replica swap validates
+// the spec the way a first install does: the spec arrives from a peer's
+// Olgapro-Spec header, so a negative eps or a bad sparse block is refused
+// and leaves the replica's model seq, evaluator and registry version
+// untouched. A valid swap bumps the registry version exactly once.
+func TestInstallReplicaValidatesSwapSpec(t *testing.T) {
+	owner, tsOwner := newTestServer(t, Config{})
+	name := registerSmooth(t, tsOwner.URL)
+	e, _ := owner.reg.Get(name)
+	var buf bytes.Buffer
+	if _, _, err := e.snapshot(context.Background(), &buf); err != nil {
+		t.Fatal(err)
+	}
+	readSnap := func(seqDelta int64) *core.Snapshot {
+		s, err := core.ReadSnapshot(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.ModelSeq += seqDelta
+		return s
+	}
+
+	replica, _ := newTestServer(t, Config{})
+	if err := replica.reg.InstallReplica(e.Spec(), readSnap(0)); err != nil {
+		t.Fatal(err)
+	}
+	re, _ := replica.reg.Get(name)
+	evOf := func() *core.Evaluator {
+		var got *core.Evaluator
+		if err := re.withWriter(context.Background(), func(ev *core.Evaluator) error {
+			got = ev
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	seq, ev, ver := re.Seq(), evOf(), replica.reg.Version()
+
+	negEps := e.Spec()
+	negEps.Eps = -1
+	badSparse := e.Spec()
+	badSparse.Sparse = &wire.SparseSpec{Budget: 1}
+	for label, spec := range map[string]RegisterSpec{"eps -1": negEps, "sparse budget 1": badSparse} {
+		if err := replica.reg.InstallReplica(spec, readSnap(1)); err == nil {
+			t.Errorf("%s: swap accepted, want refused", label)
+		}
+		if re.Seq() != seq || evOf() != ev || replica.reg.Version() != ver {
+			t.Fatalf("%s: refused swap moved the replica (seq %d → %d, version %d → %d, evaluator swapped %v)",
+				label, seq, re.Seq(), ver, replica.reg.Version(), evOf() != ev)
+		}
+	}
+
+	if err := replica.reg.InstallReplica(e.Spec(), readSnap(1)); err != nil {
+		t.Fatal(err)
+	}
+	if re.Seq() != seq+1 || evOf() == ev {
+		t.Fatalf("valid swap: seq %d → %d, evaluator swapped %v", seq, re.Seq(), evOf() != ev)
+	}
+	if got := replica.reg.Version(); got != ver+1 {
+		t.Fatalf("valid swap moved the registry version %d → %d, want one bump", ver, got)
+	}
+}

@@ -304,20 +304,6 @@ type FleetMembersRequest struct {
 	Shard string `json:"shard"`
 }
 
-// ReplicationHint is the POST /v1/replication/hint body: a push
-// notification from a UDF's owning writer shard that its model sequence
-// reached Seq, sent to the replica set right after the bump so replication
-// lag is not bounded below by the pull interval. Hints are pure
-// accelerators — dropped or reordered hints cost nothing because the pull
-// loop remains the catch-up/repair path.
-type ReplicationHint struct {
-	Name string `json:"name"`
-	Seq  int64  `json:"seq"`
-	// From is the sender's base URL: the peer the receiver should pull the
-	// snapshot delta from.
-	From string `json:"from"`
-}
-
 // Replication fetch headers: GET /v1/udfs/{name}/snapshot serves the raw
 // versioned snapshot bytes (core format) with the model sequence and the
 // JSON-encoded RegisterSpec in these headers.

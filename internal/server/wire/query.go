@@ -390,7 +390,6 @@ var Routes = []Route{
 	{Method: "GET", Path: "/v1/replication/udfs", Scope: ScopeShard},
 	{Method: "GET", Path: "/v1/replication/members", Scope: ScopeShard},
 	{Method: "POST", Path: "/v1/replication/members", Scope: ScopeShard},
-	{Method: "POST", Path: "/v1/replication/hint", Scope: ScopeShard},
 	{Method: "GET", Path: "/v1/fleet/members", Scope: ScopeRouter},
 	{Method: "POST", Path: "/v1/fleet/members", Scope: ScopeRouter},
 }
