@@ -204,8 +204,17 @@ func clamp01(v float64) float64 {
 // Eval processes one uncertain input tuple and returns its approximate
 // output distribution with an error bound (Algorithm 5). The Monte-Carlo
 // sample matrix is drawn into one flat, evaluator-owned backing array that
-// is reused by the next Eval call.
+// is reused by the next Eval call; the returned output is the caller's.
 func (e *Evaluator) Eval(input dist.Vector, rng *rand.Rand) (*Output, error) {
+	return owned(e.EvalBorrowed(input, rng))
+}
+
+// EvalBorrowed is Eval without the copy of its result: the returned output,
+// its Dist and its Envelope live in the evaluator's scratch and are valid
+// only until the evaluator's next evaluation. A caller that encodes each
+// result before evaluating the next tuple (a frozen serving worker) skips
+// the three m-float support copies an owned output costs.
+func (e *Evaluator) EvalBorrowed(input dist.Vector, rng *rand.Rand) (*Output, error) {
 	if input.Dim() != e.f.Dim() {
 		return nil, fmt.Errorf("core: input dim %d ≠ UDF dim %d", input.Dim(), e.f.Dim())
 	}
@@ -221,7 +230,7 @@ func (e *Evaluator) Eval(input dist.Vector, rng *rand.Rand) (*Output, error) {
 		row := data[i*d : (i+1)*d : (i+1)*d]
 		sc.samples[i] = input.SampleVec(rng, row)
 	}
-	return e.EvalSamples(sc.samples, rng)
+	return e.evalSamples(sc.samples, rng)
 }
 
 // EvalSamples runs Algorithm 5 on pre-drawn input samples. Callers that
@@ -230,6 +239,25 @@ func (e *Evaluator) Eval(input dist.Vector, rng *rand.Rand) (*Output, error) {
 // its per-component training points coincide and the vector-UDF cache pays
 // for each point once. The samples must not be mutated afterwards.
 func (e *Evaluator) EvalSamples(samples [][]float64, rng *rand.Rand) (*Output, error) {
+	return owned(e.evalSamples(samples, rng))
+}
+
+// owned copies a borrowed output (see EvalBorrowed) so it outlives the
+// evaluator's scratch.
+func owned(b *Output, err error) (*Output, error) {
+	if err != nil {
+		return nil, err
+	}
+	out := *b
+	if b.Envelope != nil {
+		env := ownedEnvelope(*b.Envelope)
+		out.Dist, out.Envelope = env.Mean, &env
+	}
+	return &out, nil
+}
+
+// evalSamples is EvalSamples with a borrowed result (see EvalBorrowed).
+func (e *Evaluator) evalSamples(samples [][]float64, rng *rand.Rand) (*Output, error) {
 	if len(samples) == 0 {
 		return nil, errors.New("core: EvalSamples needs at least one sample")
 	}
@@ -238,8 +266,9 @@ func (e *Evaluator) EvalSamples(samples [][]float64, rng *rand.Rand) (*Output, e
 	}
 	e.stats.Inputs++
 	m := len(samples)
-	out := &Output{BoundMC: e.epsMC, Samples: m, Engine: EngineGP}
 	sc := &e.scratch
+	sc.out = Output{BoundMC: e.epsMC, Samples: m, Engine: EngineGP}
+	out := &sc.out
 
 	// Bootstrap: the online algorithm needs at least two observations to
 	// know anything about the output scale.
@@ -394,11 +423,11 @@ func (e *Evaluator) EvalSamples(samples [][]float64, rng *rand.Rand) (*Output, e
 		}
 	}
 
-	// The envelope built so far aliases scratch reused by the next Eval;
-	// hand the caller an owned copy.
-	owned := ownedEnvelope(env)
-	out.Dist = owned.Mean
-	out.Envelope = &owned
+	// The envelope aliases scratch reused by the next evaluation; Eval and
+	// EvalSamples hand their callers an owned copy.
+	sc.outEnv = env
+	out.Dist = env.Mean
+	out.Envelope = &sc.outEnv
 	out.BoundGP = boundGP
 	out.Bound = boundGP + e.epsMC
 	out.ZAlpha = zA

@@ -93,6 +93,12 @@ func kernelFromName(name string, ardDim int, params []float64) (kernel.Kernel, e
 		if ardDim <= 0 {
 			return nil, fmt.Errorf("core: snapshot ard kernel needs positive dim, got %d", ardDim)
 		}
+		// One log length-scale per dimension plus the log amplitude; checked
+		// before the allocation so a hostile ARDDim cannot size it.
+		if len(params) != ardDim+1 {
+			return nil, fmt.Errorf("core: snapshot has %d kernel params, %s of dim %d wants %d",
+				len(params), name, ardDim, ardDim+1)
+		}
 		lens := make([]float64, ardDim)
 		for i := range lens {
 			lens[i] = 1
@@ -203,6 +209,9 @@ func Restore(f interface {
 	Dim() int
 	Eval(x []float64) float64
 }, cfg Config, s *Snapshot) (*Evaluator, error) {
+	if s.KernelName == "sqexp-ard" && s.ARDDim != f.Dim() {
+		return nil, fmt.Errorf("core: snapshot ard kernel has dim %d, UDF wants %d", s.ARDDim, f.Dim())
+	}
 	k, err := kernelFromName(s.KernelName, s.ARDDim, s.KernelParams)
 	if err != nil {
 		return nil, err

@@ -38,6 +38,9 @@ type evalScratch struct {
 
 	pbufs []predictBuf // per-worker inference buffers; index 0 is sequential
 
+	out    Output        // the borrowed result of the latest evaluation
+	outEnv ecdf.Envelope // its envelope, aliasing env's buffers
+
 	tuneMeans, tuneVars []float64 // pickOptimalGreedy evaluation-subset moments
 	tuneY               []float64 // pickOptimalGreedy local observations
 
@@ -542,8 +545,8 @@ func resizeInts(buf *[]int, n int) []int {
 }
 
 // ownedEnvelope deep-copies a scratch-backed envelope so it can outlive the
-// evaluator's workspace — the one O(m) allocation a non-filtered tuple pays,
-// for the distribution it hands back to the caller.
+// evaluator's workspace — the one O(m) allocation a non-filtered tuple pays
+// when its caller keeps the distribution it is handed.
 func ownedEnvelope(env ecdf.Envelope) ecdf.Envelope {
 	return ecdf.Envelope{
 		Mean:  ecdf.FromSorted(mat.CloneVec(env.Mean.Values())),

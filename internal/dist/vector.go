@@ -31,6 +31,12 @@ func NewIndependent(components ...Dist) *Independent {
 	return &Independent{comps: append([]Dist(nil), components...)}
 }
 
+// SetComponents makes v the product of components without copying the
+// slice, so a caller that builds one input per request line can reuse one
+// vector and one component slice across lines. The caller must not change
+// components while v is in use.
+func (v *Independent) SetComponents(components []Dist) { v.comps = components }
+
 // Dim returns the number of components.
 func (v *Independent) Dim() int { return len(v.comps) }
 

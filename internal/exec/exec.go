@@ -133,6 +133,13 @@ type Options struct {
 	// KeepEnvelope retains each result's confidence envelope (see
 	// query.AttachResult) for downstream bounded operators.
 	KeepEnvelope bool
+	// Eval, when non-nil, replaces the per-tuple work after seeding (input
+	// assembly, evaluation and query.AttachResult): it runs in the worker
+	// goroutine with the worker's engine and its generator reseeded for the
+	// tuple, and the tuple it returns (nil drops it) is what Next emits. A
+	// caller uses it to consume an engine's borrowed output
+	// (query.Borrowed) before the worker's next tuple overwrites it.
+	Eval func(eng query.Engine, t *query.Tuple, rng *rand.Rand) (*query.Tuple, error)
 }
 
 // Apply returns an order-preserving parallel equivalent of query.ApplyUDF:
@@ -287,6 +294,10 @@ func evalOne(eng query.Engine, rng *rand.Rand, j job, inputs []string, out strin
 		ord = opt.Ords[j.seq]
 	}
 	rng.Seed(TupleSeed(opt.Seed, ord))
+	if opt.Eval != nil {
+		t, err := opt.Eval(eng, j.tuple, rng)
+		return result{seq: j.seq, tuple: t, err: err}
+	}
 	input, err := query.InputVectorFor(j.tuple, inputs)
 	if err != nil {
 		return result{seq: j.seq, err: err}

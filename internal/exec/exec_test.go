@@ -562,3 +562,58 @@ func TestPoolReuseAfterClose(t *testing.T) {
 		t.Fatalf("reused pool drained %d of %d tuples", len(out), len(rel))
 	}
 }
+
+// TestEvalHookSeesBorrowedOutputs checks Options.Eval: run in the worker
+// with the tuple's reseeded generator, an evaluator engine's borrowed output
+// (query.Borrowed) carries the same support bits as the owned one that the
+// default path attaches, in the same order at any worker count, and a nil
+// tuple from the hook is dropped.
+func TestEvalHookSeesBorrowedOutputs(t *testing.T) {
+	ev := warmEvaluator(t, nil)
+	tuples := tupleTable(60)
+	inputs := []string{"x0", "x1"}
+	const seed = 17
+	for _, workers := range []int{1, 4} {
+		pool, err := NewEvaluatorPool(ev, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := drainResults(t, pool.Apply(query.NewScan(tuples), inputs, "y", Options{Seed: seed}))
+		hook := func(eng query.Engine, tp *query.Tuple, rng *rand.Rand) (*query.Tuple, error) {
+			if tp.MustGet("id").I%5 == 4 {
+				return nil, nil
+			}
+			in, err := query.InputVectorFor(tp, inputs)
+			if err != nil {
+				return nil, err
+			}
+			out, err := query.Borrowed(eng, in, rng)
+			if err != nil {
+				return nil, err
+			}
+			// The borrowed support is overwritten by the worker's next
+			// tuple, so the hook keeps a copy.
+			vals := append([]float64(nil), out.Dist.Values()...)
+			return tp.With("y", query.Result(ecdf.FromSorted(vals), out.TEPUpper)), nil
+		}
+		pe := pool.Apply(query.NewScan(tuples), nil, "y", Options{Seed: seed, Eval: hook})
+		got, err := query.Drain(pe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pe.Dropped != 12 || len(got) != 48 {
+			t.Fatalf("w=%d: %d tuples, %d dropped, want 48 and 12", workers, len(got), pe.Dropped)
+		}
+		var kept []query.Value
+		for i, v := range want {
+			if i%5 != 4 {
+				kept = append(kept, v)
+			}
+		}
+		vals := make([]query.Value, len(got))
+		for i, tp := range got {
+			vals[i] = tp.MustGet("y")
+		}
+		sameResults(t, fmt.Sprintf("hook w=%d", workers), kept, vals)
+	}
+}

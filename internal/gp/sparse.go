@@ -142,11 +142,17 @@ func (c SparseConfig) normalize() SparseConfig {
 // variance term ρ²φᵀM⁻¹φ only grows with ρ².
 const minRidge = 1e-8
 
+// MaxSparseBudget caps SparseConfig.Budget. A model's factors grow to
+// Budget² floats, so the cap (16× the largest budget the benchmarks use)
+// keeps a budget read from the network or from disk from asking for an
+// allocation no host can make.
+const MaxSparseBudget = 4096
+
 // NewSparse returns an empty budgeted sparse GP. noise ≤ 0 selects
-// DefaultNoise; cfg.Budget must be ≥ 1.
+// DefaultNoise; cfg.Budget must be in [1, MaxSparseBudget].
 func NewSparse(k kernel.Kernel, noise float64, cfg SparseConfig) (*Sparse, error) {
-	if cfg.Budget < 1 {
-		return nil, fmt.Errorf("gp: sparse budget %d < 1", cfg.Budget)
+	if cfg.Budget < 1 || cfg.Budget > MaxSparseBudget {
+		return nil, fmt.Errorf("gp: sparse budget %d outside [1, %d]", cfg.Budget, MaxSparseBudget)
 	}
 	if noise <= 0 {
 		noise = DefaultNoise

@@ -22,13 +22,33 @@ type Engine interface {
 // than inside each backend; EngineUnknown means "trust the backend's own
 // per-input stamp" (the hybrid router records which engine it chose).
 type engine struct {
-	eval  func(input dist.Vector, rng *rand.Rand) (*core.Output, error)
-	stamp core.Engine
+	eval func(input dist.Vector, rng *rand.Rand) (*core.Output, error)
+	// borrow, when non-nil, is eval with a borrowed result (see Borrowed).
+	borrow func(input dist.Vector, rng *rand.Rand) (*core.Output, error)
+	stamp  core.Engine
+}
+
+// Borrowed evaluates input on e like EvalInput, except that an OLGAPRO
+// evaluator engine hands back its borrowed result (core's EvalBorrowed):
+// the output and its distribution live in the evaluator's scratch and are
+// valid only until e's next evaluation. Other engines return their owned
+// output. A caller that encodes each result before the next tuple uses it
+// to skip the copy of the output supports.
+func Borrowed(e Engine, input dist.Vector, rng *rand.Rand) (*core.Output, error) {
+	if en, ok := e.(engine); ok && en.borrow != nil {
+		return en.run(en.borrow, input, rng)
+	}
+	return e.EvalInput(input, rng)
 }
 
 // EvalInput runs the backend and stamps the output's engine tag.
 func (e engine) EvalInput(input dist.Vector, rng *rand.Rand) (*core.Output, error) {
-	out, err := e.eval(input, rng)
+	return e.run(e.eval, input, rng)
+}
+
+// run calls one of the engine's backends and stamps the output.
+func (e engine) run(eval func(dist.Vector, *rand.Rand) (*core.Output, error), input dist.Vector, rng *rand.Rand) (*core.Output, error) {
+	out, err := eval(input, rng)
 	if err != nil || out == nil {
 		return out, err
 	}
@@ -42,8 +62,9 @@ func (e engine) EvalInput(input dist.Vector, rng *rand.Rand) (*core.Output, erro
 // frozen clone) as a query Engine.
 func NewEvaluatorEngine(ev *core.Evaluator) Engine {
 	return engine{
-		eval:  ev.Eval,
-		stamp: core.EngineGP,
+		eval:   ev.Eval,
+		borrow: ev.EvalBorrowed,
+		stamp:  core.EngineGP,
 	}
 }
 

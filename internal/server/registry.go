@@ -123,11 +123,13 @@ type writerReq struct {
 // sequence without changing the training-point count, so staleness is
 // keyed on the sequence, not the point count). rng is the slot's tuple
 // generator for single frozen evals, built on the first one: streams and
-// queries run the slot's engine with their workers' own generators.
+// queries run the slot's engine with their workers' own generators. line is
+// the buffer a single frozen eval encodes its result line into.
 type cloneSlot struct {
-	eng query.Engine
-	seq int64
-	rng *rand.Rand
+	eng  query.Engine
+	seq  int64
+	rng  *rand.Rand
+	line []byte
 }
 
 // udfEntry is one registered UDF instance.
@@ -362,23 +364,27 @@ func (e *udfEntry) ensureFresh(ctx context.Context, s *cloneSlot) error {
 
 // frozenEval evaluates one input on a frozen clone with the given seed —
 // bit-identical to the same input appearing as the first line of a frozen
-// stream with the same base seed.
-func (e *udfEntry) frozenEval(ctx context.Context, input dist.Vector, seed int64) (*core.Output, error) {
+// stream with the same base seed — and hands its result line to emit while
+// the slot is still borrowed: the line is encoded from the clone's scratch
+// into the slot's buffer, both of which the slot's next borrower reuses.
+func (e *udfEntry) frozenEval(ctx context.Context, input dist.Vector, seed int64, emit func(line []byte)) error {
 	s, err := e.borrowFrozen(ctx)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer e.returnSlot(s)
 	if s.rng == nil {
 		s.rng = query.NewTupleRand()
 	}
 	s.rng.Seed(seed)
-	out, err := s.eng.EvalInput(input, s.rng)
+	out, err := query.Borrowed(s.eng, input, s.rng)
 	if err != nil {
-		return nil, err
+		return err
 	}
+	s.line = appendResult(s.line[:0], 0, out, e.cfg.Eps)
 	e.served.Add(1)
-	return out, nil
+	emit(s.line)
+	return nil
 }
 
 // frozenPool borrows up to max slots and wraps them as an exec.Pool for a

@@ -10,14 +10,18 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"os"
 	"runtime"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"olgapro/internal/core"
+	"olgapro/internal/dist"
+	"olgapro/internal/ecdf"
 	"olgapro/internal/exec"
 	"olgapro/internal/query"
 	"olgapro/internal/server/wire"
@@ -264,9 +268,9 @@ type (
 	snapshotInfo = wire.SnapshotInfo
 )
 
-// supportHash digests the raw float64 bits of the output support: FNV-64a
-// over each value's 8 little-endian bytes, as 16 zero-padded hex digits.
-func supportHash(vals []float64) string {
+// supportSum digests the raw float64 bits of the output support: FNV-64a
+// over each value's 8 little-endian bytes.
+func supportSum(vals []float64) uint64 {
 	const (
 		fnvOffset64 = 14695981039346656037
 		fnvPrime64  = 1099511628211
@@ -280,6 +284,14 @@ func supportHash(vals []float64) string {
 			bits >>= 8
 		}
 	}
+	return h
+}
+
+// supportHash is supportSum as the wire's support_hash.
+func supportHash(vals []float64) string { return hashHex(supportSum(vals)) }
+
+// hashHex spells a support digest as 16 zero-padded hex digits.
+func hashHex(h uint64) string {
 	var out [16]byte
 	n := len(strconv.AppendUint(out[:0], h, 16))
 	copy(out[16-n:], out[:n])
@@ -289,9 +301,19 @@ func supportHash(vals []float64) string {
 	return string(out[:])
 }
 
-// resultOf flattens a core.Output into the wire form.
-func resultOf(seq int64, out *core.Output, eps float64) EvalResult {
-	r := EvalResult{
+// summaryOf computes the distribution fields every result reports.
+func summaryOf(d *ecdf.ECDF) wire.Summary {
+	s := wire.Summary{Mean: d.Mean(), Hash: supportSum(d.Values())}
+	for i, p := range wire.QuantileLevels {
+		s.Quantiles[i] = d.Quantile(p)
+	}
+	return s
+}
+
+// headerOf flattens a core.Output into the wire form, less the fields
+// computed from its distribution (see summaryOf).
+func headerOf(seq int64, out *core.Output, eps float64) EvalResult {
+	return EvalResult{
 		Seq:       seq,
 		Engine:    out.Engine.String(),
 		Eps:       eps,
@@ -306,18 +328,44 @@ func resultOf(seq int64, out *core.Output, eps float64) EvalResult {
 		LocalPoints: out.LocalPoints,
 		Filtered:    out.Filtered,
 	}
+}
+
+// resultOf flattens a core.Output into the wire form.
+func resultOf(seq int64, out *core.Output, eps float64) EvalResult {
+	r := headerOf(seq, out, eps)
 	if out.Dist != nil {
-		r.Mean = out.Dist.Mean()
-		r.Quantiles = map[string]float64{
-			"p05": out.Dist.Quantile(0.05),
-			"p25": out.Dist.Quantile(0.25),
-			"p50": out.Dist.Quantile(0.50),
-			"p75": out.Dist.Quantile(0.75),
-			"p95": out.Dist.Quantile(0.95),
+		sum := summaryOf(out.Dist)
+		r.Mean = sum.Mean
+		r.Quantiles = make(map[string]float64, len(wire.QuantileKeys))
+		for i, k := range wire.QuantileKeys {
+			r.Quantiles[k] = sum.Quantiles[i]
 		}
-		r.SupportHash = supportHash(out.Dist.Values())
+		r.SupportHash = hashHex(sum.Hash)
 	}
 	return r
+}
+
+// appendResult appends the JSON line of one evaluated tuple, encoded
+// straight from the output's support, so a borrowed output can be encoded
+// before its evaluator's scratch is reused. The bytes are encoding/json's
+// for resultOf's value; like json.Encoder, a line holding a non-finite
+// float is not written at all.
+func appendResult(dst []byte, seq int64, out *core.Output, eps float64) []byte {
+	r := headerOf(seq, out, eps)
+	var sum *wire.Summary
+	if out.Dist != nil {
+		s := summaryOf(out.Dist)
+		sum = &s
+	}
+	dst, _ = wire.AppendEvalResult(dst, &r, sum)
+	return dst
+}
+
+// writeResult answers a single eval with its result line.
+func writeResult(w http.ResponseWriter, line []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(line)
 }
 
 // --- basic endpoints ---
@@ -474,17 +522,20 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.release()
 	seed := exec.TupleSeed(req.Seed, 0)
-	var out *core.Output
-	if req.Learn == nil || *req.Learn {
-		out, err = e.learnEval(r.Context(), vec, seed)
-	} else {
-		out, err = e.frozenEval(r.Context(), vec, seed)
+	if req.Learn != nil && !*req.Learn {
+		// The line is written while the clone slot is borrowed: it is
+		// encoded from the clone's scratch into the slot's buffer.
+		if err := e.frozenEval(r.Context(), vec, seed, func(line []byte) { writeResult(w, line) }); err != nil {
+			s.failErr(w, err, "%v", err)
+		}
+		return
 	}
+	out, err := e.learnEval(r.Context(), vec, seed)
 	if err != nil {
 		s.failErr(w, err, "%v", err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, resultOf(0, out, e.cfg.Eps))
+	writeResult(w, appendResult(make([]byte, 0, resultLineCap), 0, out, e.cfg.Eps))
 }
 
 // --- streaming ---
@@ -539,30 +590,34 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		enc.Encode(streamResult{EvalResult: EvalResult{Seq: seq}, Error: err.Error(), ErrorCode: code})
 	}
 	if learn {
-		s.streamLearn(r.Context(), e, r.Body, seed, enc, fail)
+		s.streamLearn(r.Context(), e, r.Body, seed, w, fail)
 	} else {
-		s.streamFrozen(r.Context(), e, r.Body, seed, enc, fail)
+		s.streamFrozen(r.Context(), e, r.Body, seed, w, fail)
 	}
 }
 
 // streamLearn runs the stream sequentially through the writer loop, taking
 // one in-flight token per tuple for the duration of its evaluation.
 func (s *Server) streamLearn(ctx context.Context, e *udfEntry, body io.Reader,
-	seed int64, enc *json.Encoder, fail func(int64, error)) {
+	seed int64, w io.Writer, fail func(int64, error)) {
 	sc := bufio.NewScanner(body)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	var seq int64
+	var (
+		seq  int64
+		sl   streamLine
+		rd   bytes.Reader
+		line []byte
+	)
 	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
+		raw := bytes.TrimSpace(sc.Bytes())
+		if len(raw) == 0 {
 			continue
 		}
-		spec, err := decodeStreamLine(line, e.def.entry.Dim)
-		if err != nil {
+		if err := decodeStreamLine(&rd, &sl, raw, e.def.entry.Dim); err != nil {
 			fail(seq, err)
 			return
 		}
-		vec, err := spec.Vector()
+		vec, err := sl.Input.Vector()
 		if err != nil {
 			fail(seq, badReqf("%v", err))
 			return
@@ -577,7 +632,8 @@ func (s *Server) streamLearn(ctx context.Context, e *udfEntry, body io.Reader,
 			fail(seq, err)
 			return
 		}
-		enc.Encode(streamResult{EvalResult: resultOf(seq, out, e.cfg.Eps)})
+		line = appendResult(line[:0], seq, out, e.cfg.Eps)
+		w.Write(line)
 		seq++
 	}
 	if err := sc.Err(); err != nil {
@@ -585,26 +641,32 @@ func (s *Server) streamLearn(ctx context.Context, e *udfEntry, body io.Reader,
 	}
 }
 
-// decodeStreamLine parses one request line and validates its arity — the
-// single definition of stream-line semantics, shared by the learn path and
-// the frozen pipeline source so both reject malformed lines identically.
-func decodeStreamLine(line []byte, dim int) (wire.InputSpec, error) {
-	var sl streamLine
-	if err := decodeStrict(bytes.NewReader(line), &sl); err != nil {
-		return nil, badReqf("bad stream line: %v", err)
+// decodeStreamLine parses one request line into sl and validates its arity
+// — the single definition of stream-line semantics, shared by the learn path
+// and the frozen pipeline source so both reject malformed lines
+// identically. sl is zeroed first, so a reused line decodes exactly as a
+// fresh one; rd is the reader the decoder reads the line through.
+func decodeStreamLine(rd *bytes.Reader, sl *streamLine, line []byte, dim int) error {
+	clear(sl.Input[:cap(sl.Input)])
+	sl.Input = sl.Input[:0]
+	rd.Reset(line)
+	if err := decodeStrict(rd, sl); err != nil {
+		return badReqf("bad stream line: %v", err)
 	}
 	if len(sl.Input) != dim {
-		return nil, badReqf("input has %d attributes, UDF wants %d", len(sl.Input), dim)
+		return badReqf("input has %d attributes, UDF wants %d", len(sl.Input), dim)
 	}
-	return sl.Input, nil
+	return nil
 }
 
 // streamFrozen fans the stream over frozen clones via the exec executor.
 // The NDJSON decode is itself the pipeline source: tuples are pulled
 // lazily, each one holding an in-flight admission token from decode to
-// emission, so a stream cannot queue unbounded work.
+// emission, so a stream cannot queue unbounded work. Each worker encodes
+// its tuple's result line from its clone's scratch (exec.Options.Eval), and
+// the lines are written in stream order.
 func (s *Server) streamFrozen(ctx context.Context, e *udfEntry, body io.Reader,
-	seed int64, enc *json.Encoder, fail func(int64, error)) {
+	seed int64, w io.Writer, fail func(int64, error)) {
 	pool, release, err := e.frozenPool(ctx, s.cfg.Workers)
 	if err != nil {
 		fail(0, err)
@@ -619,9 +681,19 @@ func (s *Server) streamFrozen(ctx context.Context, e *udfEntry, body io.Reader,
 		ctx: ctx,
 	}
 	src.sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	pe := pool.Apply(src, wire.AttrNames(e.def.entry.Dim), "y", exec.Options{
+	eps := e.cfg.Eps
+	pe := pool.Apply(src, nil, "y", exec.Options{
 		Ctx:  ctx,
 		Seed: seed,
+		Eval: func(eng query.Engine, t *query.Tuple, rng *rand.Rand) (*query.Tuple, error) {
+			it := src.items.of(t)
+			out, err := query.Borrowed(eng, &it.vec, rng)
+			if err != nil {
+				return nil, err
+			}
+			it.result = appendResult(it.result[:0], it.seq, out, eps)
+			return t, nil
+		},
 	})
 	defer pe.Close()
 	var emitted int64
@@ -641,20 +713,82 @@ func (s *Server) streamFrozen(ctx context.Context, e *udfEntry, body io.Reader,
 			fail(emitted, err)
 			return
 		}
-		v := t.MustGet("y")
-		seq := t.MustGet("id").I
-		enc.Encode(streamResult{EvalResult: resultOf(seq, v.Out, e.cfg.Eps)})
+		it := src.items.of(t)
+		w.Write(it.result)
 		emitted++
 		s.release()
 		e.served.Add(1)
+		src.items.put(it)
 	}
 }
 
-// lineIter adapts the NDJSON request body to a query.Iterator. Next is
-// called only by the executor's feeder goroutine; the decoded counter is
-// read by the handler during teardown, after the executor has quiesced
-// (ParallelEval.Close waits for the feeder), plus concurrently for token
-// bookkeeping — hence atomic.
+// streamItem is one frozen-stream line on its way through the executor:
+// its decoded input, the input vector built from it and its encoded result
+// line. A stream recycles its items, so a line in the steady state
+// allocates for its strict decode and its distributions and nothing else.
+type streamItem struct {
+	ticket *query.Tuple // {"id": the item's index}: what exec carries
+	seq    int64
+	rd     bytes.Reader
+	line   streamLine
+	comps  []dist.Dist
+	vec    dist.Independent
+	result []byte
+}
+
+// ticketAttrs names a ticket tuple's one attribute.
+var ticketAttrs = []string{"id"}
+
+// resultLineCap is the initial capacity of a result line buffer: a line is
+// about 350 bytes, so one allocation holds it.
+const resultLineCap = 512
+
+// itemPool holds one stream's items: the free list the source takes from
+// and the handler returns to, and the index a worker or the handler maps a
+// ticket back through. Items are only ever added, so a ticket's index
+// stays valid for the whole stream.
+type itemPool struct {
+	mu    sync.Mutex
+	items []*streamItem
+	free  []*streamItem
+}
+
+// get returns a free item, or a new one when every item is in flight.
+func (p *itemPool) get() *streamItem {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if n := len(p.free); n > 0 {
+		it := p.free[n-1]
+		p.free = p.free[:n-1]
+		return it
+	}
+	it := &streamItem{
+		ticket: query.MustTuple(ticketAttrs, []query.Value{query.Int(int64(len(p.items)))}),
+		result: make([]byte, 0, resultLineCap),
+	}
+	p.items = append(p.items, it)
+	return it
+}
+
+// of maps a ticket to its item.
+func (p *itemPool) of(t *query.Tuple) *streamItem {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.items[t.MustGet("id").I]
+}
+
+// put returns an item whose line has been written.
+func (p *itemPool) put(it *streamItem) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.free = append(p.free, it)
+}
+
+// lineIter adapts the NDJSON request body to a query.Iterator of item
+// tickets. Next is called only by the executor's feeder goroutine; the
+// decoded counter is read by the handler during teardown, after the
+// executor has quiesced (ParallelEval.Close waits for the feeder), plus
+// concurrently for token bookkeeping — hence atomic.
 type lineIter struct {
 	sc      *bufio.Scanner
 	dim     int
@@ -662,6 +796,7 @@ type lineIter struct {
 	ctx     context.Context
 	seq     int64
 	decoded atomic.Int64
+	items   itemPool
 }
 
 func (it *lineIter) Next() (*query.Tuple, error) {
@@ -682,15 +817,18 @@ func (it *lineIter) Next() (*query.Tuple, error) {
 			return nil, err
 		}
 		it.decoded.Add(1)
-		spec, err := decodeStreamLine(line, it.dim)
+		item := it.items.get()
+		if err := decodeStreamLine(&item.rd, &item.line, line, it.dim); err != nil {
+			return nil, err
+		}
+		comps, err := item.line.Input.AppendDists(item.comps[:0])
 		if err != nil {
 			return nil, err
 		}
-		t, err := spec.Tuple(it.seq)
-		if err != nil {
-			return nil, err
-		}
+		item.comps = comps
+		item.vec.SetComponents(comps)
+		item.seq = it.seq
 		it.seq++
-		return t, nil
+		return item.ticket, nil
 	}
 }

@@ -1,15 +1,18 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"olgapro/internal/core"
 	"olgapro/internal/server/wire"
 )
 
@@ -302,6 +305,43 @@ func TestAtomicWriteLeavesNoTempFile(t *testing.T) {
 			if got, err := os.ReadFile(path); err != nil || string(got) != "payload" {
 				t.Fatalf("%s: read back %q, %v", c.name, got, err)
 			}
+		}
+	}
+}
+
+// TestHugeLengthsRefused checks that lengths arriving from the network or
+// from disk are bounded before anything is sized by them: a registration
+// with a 2^62 sparse budget answers 400 bad_spec, and a snapshot with such
+// a budget, or with a 2^62 ARD dimension, fails a replica install and a boot
+// restore with an error instead of a makeslice panic.
+func TestHugeLengthsRefused(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	resp, body := postJSON(t, ts.URL+"/v1/udfs", map[string]any{
+		"udf": "poly/smooth2d", "sparse": map[string]any{"budget": 1 << 62},
+	})
+	wantEnvelope(t, resp, body, http.StatusBadRequest, wire.CodeBadSpec)
+
+	spec := RegisterSpec{Name: "huge", UDF: "poly/smooth2d", Eps: 0.2, Delta: 0.1}
+	snaps := map[string]*core.Snapshot{
+		"sparse budget": {KernelName: "sqexp", KernelParams: []float64{0, 0}, SparseBudget: 1 << 62, ModelSeq: 1},
+		"ard dim":       {KernelName: "sqexp-ard", ARDDim: 1 << 62, KernelParams: []float64{0, 0, 0}, ModelSeq: 1},
+	}
+	for what, snap := range snaps {
+		if err := s.Registry().InstallReplica(spec, snap); err == nil {
+			t.Errorf("%s: replica install succeeded", what)
+		}
+		dir := t.TempDir()
+		var buf bytes.Buffer
+		if err := core.WriteSnapshot(&buf, snap); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, seqSnapName(spec.Name, snap.ModelSeq)), buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		writeMeta(t, dir, spec.Name, snapMeta{Spec: &spec, ModelSeq: snap.ModelSeq})
+		if s2, err := New(Config{SnapshotDir: dir}); err == nil {
+			s2.Close()
+			t.Errorf("%s: boot restore succeeded", what)
 		}
 	}
 }

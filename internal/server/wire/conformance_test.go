@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"olgapro/internal/gp"
 )
 
 // TestAPIDocConformance pins docs/api.md to the code: every canonical
@@ -70,6 +72,9 @@ func TestAPIDocConformance(t *testing.T) {
 
 	if !strings.Contains(doc, strconv.Itoa(MaxQueryRows)) {
 		t.Errorf("the %d-row query cap is not documented in docs/api.md", MaxQueryRows)
+	}
+	if !strings.Contains(doc, strconv.Itoa(gp.MaxSparseBudget)+"] (`gp.MaxSparseBudget`)") {
+		t.Errorf("the sparse budget cap %d is not documented in docs/api.md", gp.MaxSparseBudget)
 	}
 }
 

@@ -130,17 +130,28 @@ func SpecOf(d dist.Dist) (DistSpec, error) {
 // per-attribute measurement-error model).
 type InputSpec []DistSpec
 
-// Vector builds the joint input distribution.
-func (in InputSpec) Vector() (dist.Vector, error) {
-	comps := make([]dist.Dist, len(in))
+// AppendDists validates the spec and appends its per-dimension
+// distributions to dst.
+func (in InputSpec) AppendDists(dst []dist.Dist) ([]dist.Dist, error) {
 	for i, s := range in {
 		d, err := s.Dist()
 		if err != nil {
-			return nil, fmt.Errorf("wire: input[%d]: %w", i, err)
+			return dst, fmt.Errorf("wire: input[%d]: %w", i, err)
 		}
-		comps[i] = d
+		dst = append(dst, d)
 	}
-	return dist.NewIndependent(comps...), nil
+	return dst, nil
+}
+
+// Vector builds the joint input distribution.
+func (in InputSpec) Vector() (dist.Vector, error) {
+	comps, err := in.AppendDists(make([]dist.Dist, 0, len(in)))
+	if err != nil {
+		return nil, err
+	}
+	v := new(dist.Independent)
+	v.SetComponents(comps)
+	return v, nil
 }
 
 // Attr returns the canonical name of input dimension i ("x0", "x1", …).
@@ -175,13 +186,9 @@ func UncertainTuple(id int64, attrs ...dist.Dist) *query.Tuple {
 // Tuple validates the spec and builds its canonical relation tuple with the
 // given id.
 func (in InputSpec) Tuple(id int64) (*query.Tuple, error) {
-	attrs := make([]dist.Dist, len(in))
-	for i, s := range in {
-		d, err := s.Dist()
-		if err != nil {
-			return nil, fmt.Errorf("wire: input[%d]: %w", i, err)
-		}
-		attrs[i] = d
+	attrs, err := in.AppendDists(make([]dist.Dist, 0, len(in)))
+	if err != nil {
+		return nil, err
 	}
 	return UncertainTuple(id, attrs...), nil
 }
