@@ -5,8 +5,8 @@ GO ?= go
 
 # Perf-trajectory knobs: where the fresh bench run lands, which committed
 # entry it is gated against, and how much ns/op drift the gate allows.
-BENCH_OUT ?= BENCH_PR21.json
-BENCH_BASELINE ?= BENCH_PR19.json
+BENCH_OUT ?= BENCH_PR22.json
+BENCH_BASELINE ?= BENCH_PR21.json
 BENCH_MAX_REGRESS ?= 0.35
 
 # Coverage gate: these packages carry the statistical-guarantee machinery
@@ -16,7 +16,7 @@ BENCH_MAX_REGRESS ?= 0.35
 COVER_PKGS = ./internal/mat ./internal/ecdf ./internal/gp ./internal/core ./internal/server ./internal/server/wire ./internal/fleet ./client
 COVER_MIN ?= 70
 
-.PHONY: build test vet fmt fmt-fix race bench bench-json bench-diff cover fuzz-smoke e2e e2e-fleet e2e-rebalance e2e-query-fleet docs lint loc ci
+.PHONY: build test vet fmt fmt-fix race bench bench-smoke bench-json bench-diff cover fuzz-smoke e2e e2e-fleet e2e-rebalance e2e-query-fleet docs lint loc ci
 
 build:
 	$(GO) build ./...
@@ -46,6 +46,14 @@ race:
 # Compile- and run-check every benchmark once without timing it.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
+
+# bench-smoke vets and short-tests the end-to-end benchmark in benchmark/.
+# It is a Go module of its own, so `go build ./...` and `go test ./...` at
+# the root never compile it: without this target a change to an internal
+# API it calls would break it silently.
+bench-smoke:
+	$(GO) -C benchmark vet .
+	$(GO) -C benchmark test -short .
 
 # bench-json runs the focused perf-trajectory harness (steady-state
 # inference, GP.Add growth, full EvalSamples, filtering, GradHess, parallel
@@ -148,4 +156,4 @@ lint:
 loc:
 	@find . -name '*.go' ! -name '*_test.go' -not -path './benchmark/*' | xargs grep -v '^\s*$$' | grep -v ':\s*//' | wc -l
 
-ci: build vet fmt docs lint test race cover fuzz-smoke e2e e2e-fleet e2e-rebalance e2e-query-fleet bench bench-diff
+ci: build vet fmt docs lint test race cover fuzz-smoke e2e e2e-fleet e2e-rebalance e2e-query-fleet bench bench-smoke bench-diff

@@ -34,15 +34,24 @@ func TestFrozenQ1BenchRuns(t *testing.T) {
 	}
 }
 
-// TestFleetReplicationLagBenchRuns smokes the replication-lag benchmark,
-// which fails any op whose learn leaves the owner's model seq unchanged:
-// fresh points or an eps that stop moving the seq must fail `go test`.
-func TestFleetReplicationLagBenchRuns(t *testing.T) {
+// TestFleetLearnReplicatedBenchRuns smokes the replicated-learning
+// benchmark, which fails any op whose learn leaves the owner's model seq
+// unchanged: fresh points or an eps that stop moving the seq must fail
+// `go test`.
+func TestFleetLearnReplicatedBenchRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots an in-process two-shard fleet; skipped in -short")
 	}
-	res := testing.Benchmark(benchFleetReplicationLag)
+	res := testing.Benchmark(benchFleetLearnReplicated)
 	if res.N <= 0 {
-		t.Fatal("replication-lag benchmark failed or did not run")
+		t.Fatal("replicated-learning benchmark failed or did not run")
+	}
+}
+
+// TestCloneRebuildBenchRuns smokes the frozen-build benchmark at its small
+// size.
+func TestCloneRebuildBenchRuns(t *testing.T) {
+	if res := testing.Benchmark(benchCloneRebuild(200)); res.N <= 0 {
+		t.Fatal("clone-rebuild benchmark failed or did not run")
 	}
 }

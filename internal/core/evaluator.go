@@ -21,6 +21,23 @@ import (
 //
 // An Evaluator is not safe for concurrent use; run one per goroutine.
 type Evaluator struct {
+	modelState
+
+	stats Stats
+
+	// scratch is the persistent workspace behind the near-zero-allocation
+	// hot path; see evalScratch. Its presence is why an Evaluator must not
+	// be shared between goroutines.
+	scratch evalScratch
+}
+
+// modelState is everything an evaluator reads of its model: the
+// configuration, the UDF, the emulator and its index, the accuracy budgets
+// and the observed output range. A learning evaluator owns its modelState;
+// an evaluator made from a Frozen model holds a copy of the model's, sharing
+// the emulator and the index read-only with every other evaluator made from
+// it.
+type modelState struct {
 	cfg Config
 	f   udf.Func
 	// Exactly one of g (exact, O(n²)-per-add) and sg (budgeted sparse,
@@ -29,7 +46,7 @@ type Evaluator struct {
 	g     *gp.GP
 	sg    *gp.Sparse
 	model gp.Model
-	tree  rtree.Tree
+	tree  *rtree.Tree
 
 	epsMC, epsGP     float64
 	deltaMC, deltaGP float64
@@ -37,13 +54,6 @@ type Evaluator struct {
 
 	yMin, yMax float64
 	haveY      bool
-
-	stats Stats
-
-	// scratch is the persistent workspace behind the near-zero-allocation
-	// hot path; see evalScratch. Its presence is why an Evaluator must not
-	// be shared between goroutines.
-	scratch evalScratch
 }
 
 // NewEvaluator validates the configuration and returns an evaluator with an
@@ -56,7 +66,7 @@ func NewEvaluator(f udf.Func, cfg Config) (*Evaluator, error) {
 	if f == nil || f.Dim() <= 0 {
 		return nil, errors.New("core: evaluator needs a UDF with positive dimension")
 	}
-	e := &Evaluator{cfg: cfg, f: f}
+	e := &Evaluator{modelState: modelState{cfg: cfg, f: f, tree: new(rtree.Tree)}}
 	if cfg.SparseBudget > 0 {
 		sg, err := gp.NewSparse(cfg.Kernel, cfg.Noise, gp.SparseConfig{
 			Budget:    cfg.SparseBudget,

@@ -115,35 +115,14 @@ func kernelFromName(name string, ardDim int, params []float64) (kernel.Kernel, e
 	return k, nil
 }
 
-// Snapshot captures the evaluator's model state.
+// Snapshot captures the evaluator's model state. The snapshot shares the
+// model's training rows, which the model never modifies.
 func (e *Evaluator) Snapshot() (*Snapshot, error) {
-	name, ardDim, err := kernelName(e.cfg.Kernel)
+	v, err := e.View()
 	if err != nil {
 		return nil, err
 	}
-	s := &Snapshot{
-		Version:      SnapshotVersion,
-		KernelName:   name,
-		KernelParams: e.cfg.Kernel.Params(nil),
-		ARDDim:       ardDim,
-		Noise:        e.model.Noise(),
-	}
-	for i := 0; i < e.model.Len(); i++ {
-		x := e.model.X(i)
-		cp := make([]float64, len(x))
-		copy(cp, x)
-		s.X = append(s.X, cp)
-		s.Y = append(s.Y, e.model.Y(i))
-	}
-	if e.sg != nil {
-		sc := e.sg.Config()
-		s.SparseBudget = sc.Budget
-		s.SparseTau = sc.Tau
-		s.SparseInflate = sc.Inflate
-		s.SparseSwapEvery = sc.SwapEvery
-		s.SparseInducing = append([]int(nil), e.sg.Inducing()...)
-	}
-	return s, nil
+	return v.Snapshot()
 }
 
 // Save writes the evaluator's model state to w in the versioned snapshot
@@ -251,18 +230,20 @@ func Restore(f interface {
 			return nil, fmt.Errorf("core: restore sparse model: %w", err)
 		}
 		ev.sg, ev.model, ev.g = sg, sg, nil
+	} else if ev.g != nil {
+		// Exact snapshot into an exact model: the replay frozen builds use,
+		// so a restored model's clones match the saved model's bit for bit.
+		g, tree, err := replayExact(ev.cfg.Kernel, ev.g.Noise(), s.X, s.Y)
+		if err != nil {
+			return nil, fmt.Errorf("core: snapshot: %w", err)
+		}
+		ev.g, ev.model, ev.tree = g, g, tree
 	} else {
-		// Exact snapshot. If cfg asked for a sparse model, migrate by
-		// replaying the pairs through sparse admission; otherwise replay into
-		// the exact factors plus the R-tree.
+		// Exact snapshot, but cfg asked for a sparse model: migrate by
+		// replaying the pairs through sparse admission.
 		for i, x := range s.X {
 			if err := ev.model.Add(x, s.Y[i]); err != nil {
 				return nil, fmt.Errorf("core: snapshot point %d: %w", i, err)
-			}
-			if ev.g != nil {
-				if err := ev.tree.Insert(ev.g.X(ev.g.Len()-1), ev.g.Len()-1); err != nil {
-					return nil, fmt.Errorf("core: snapshot index %d: %w", i, err)
-				}
 			}
 		}
 	}

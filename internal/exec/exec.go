@@ -15,8 +15,9 @@
 //     so Monte-Carlo sampling does not depend on which worker runs the
 //     tuple or how many tuples it ran before.
 //  2. Frozen engines: pool engines must not mutate shared or per-engine
-//     model state during execution. core.(*Evaluator).CloneFrozen produces
-//     such engines (NewEvaluatorPool uses it); MCEngine is stateless by
+//     model state during execution. Evaluators of a core.Frozen model (what
+//     core.(*Evaluator).CloneFrozen returns, and what NewEvaluatorPool
+//     shares across its workers) are such engines; MCEngine is stateless by
 //     construction. Evaluation is then a pure function of (tuple, rng).
 //  3. Ordered merge: results are re-sequenced to input order before they
 //     leave Next, so downstream operators see the serial stream.
@@ -80,22 +81,27 @@ func NewPool(engines ...query.Engine) (*Pool, error) {
 	return &Pool{engines: engines}, nil
 }
 
-// NewEvaluatorPool clones a warmed-up evaluator into workers frozen copies
-// (see core.CloneFrozen), sharing its tuned hyperparameters and training
-// set so the expensive GP fitting is paid once, not per worker. workers ≤ 0
-// uses GOMAXPROCS. The evaluator needs at least two training points — run a
-// warm-up Eval (or restore a snapshot) first.
+// NewEvaluatorPool builds one frozen model of a warmed-up evaluator (see
+// core.CloneFrozen) and gives each of workers engines its own evaluator over
+// it, so the expensive GP fitting is paid once, not per worker, and the
+// workers share the model read-only. workers ≤ 0 uses GOMAXPROCS. The
+// evaluator needs at least two training points — run a warm-up Eval (or
+// restore a snapshot) first.
 func NewEvaluatorPool(ev *core.Evaluator, workers int) (*Pool, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	v, err := ev.View()
+	if err != nil {
+		return nil, fmt.Errorf("exec: %w", err)
+	}
+	m, err := v.Build()
+	if err != nil {
+		return nil, fmt.Errorf("exec: %w", err)
+	}
 	engines := make([]query.Engine, workers)
 	for i := range engines {
-		c, err := ev.CloneFrozen()
-		if err != nil {
-			return nil, fmt.Errorf("exec: worker %d: %w", i, err)
-		}
-		engines[i] = query.NewEvaluatorEngine(c)
+		engines[i] = query.NewEvaluatorEngine(m.Evaluator())
 	}
 	return &Pool{engines: engines}, nil
 }

@@ -162,6 +162,48 @@ func (g *GP) Add(x []float64, y float64) error {
 	return nil
 }
 
+// Replay returns a GP holding the training pairs with exactly the factor and
+// α that adding them one by one with Add would leave: the factor is extended
+// once per point in order, with Add's kernel evaluations, and α is solved
+// once at the end. Add's α refreshes are each overwritten by the next Add,
+// so skipping them moves no bit, and the replay costs one O(n³/3) pass
+// instead of that plus n O(n²) solves. The pairs are copied, the inputs into
+// one contiguous block, so predictions walk them in memory order. A point
+// that fails the extension is reported as ErrDuplicatePoint with its index.
+func Replay(k kernel.Kernel, noise float64, xs [][]float64, ys []float64) (*GP, error) {
+	if len(xs) != len(ys) {
+		return nil, fmt.Errorf("gp: replay lengths %d ≠ %d", len(xs), len(ys))
+	}
+	g := New(k, noise)
+	n := len(xs)
+	if n == 0 {
+		return g, nil
+	}
+	d := len(xs[0])
+	flat := make([]float64, n*d)
+	g.xs = make([][]float64, n)
+	for i, x := range xs {
+		if len(x) != d {
+			return nil, fmt.Errorf("gp: replay point %d dim %d ≠ %d", i, len(x), d)
+		}
+		g.xs[i] = flat[i*d : (i+1)*d : (i+1)*d]
+		copy(g.xs[i], x)
+	}
+	g.ys = append([]float64(nil), ys...)
+	g.chol.Reserve(n)
+	kv := make([]float64, n)
+	for i, x := range g.xs {
+		for j, xj := range g.xs[:i] {
+			kv[j] = g.kern.Eval(xj, x)
+		}
+		if err := g.chol.Extend(kv[:i], g.kern.Eval(x, x)+g.noise); err != nil {
+			return nil, fmt.Errorf("gp: replay point %d: %w: %v", i, ErrDuplicatePoint, err)
+		}
+	}
+	g.refreshAlpha()
+	return g, nil
+}
+
 // AddBatch adds several training pairs, refitting once at the end, which is
 // cheaper than repeated Add for large batches.
 func (g *GP) AddBatch(xs [][]float64, ys []float64) error {

@@ -232,6 +232,14 @@ func (s *Sparse) X(i int) []float64 { return s.xs[i] }
 // Y returns training output i.
 func (s *Sparse) Y(i int) float64 { return s.ys[i] }
 
+// Inputs returns the slice of absorbed inputs (shared storage). The model
+// only ever appends to it, so a prefix stays valid while the model learns.
+func (s *Sparse) Inputs() [][]float64 { return s.xs }
+
+// Outputs returns the slice of absorbed outputs (shared storage, append-only
+// like Inputs).
+func (s *Sparse) Outputs() []float64 { return s.ys }
+
 // InducingLen returns the current number of inducing points m ≤ Budget.
 func (s *Sparse) InducingLen() int { return len(s.zidx) }
 

@@ -46,6 +46,16 @@ func (c *Cholesky) grow(n int) {
 	c.data = c.data[:need]
 }
 
+// Reserve grows the packed store's capacity to hold an n×n factor without
+// changing the factor, so n successive Extends allocate nothing.
+func (c *Cholesky) Reserve(n int) {
+	if need := n * (n + 1) / 2; cap(c.data) < need {
+		nd := make([]float64, len(c.data), need)
+		copy(nd, c.data)
+		c.data = nd
+	}
+}
+
 // Factorize computes the Cholesky factorization of the symmetric positive
 // definite matrix a. Only the lower triangle of a is read, and a is never
 // modified. The packed backing store is reused across calls.

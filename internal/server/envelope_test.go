@@ -202,11 +202,11 @@ func TestEnvelopeNotOwner(t *testing.T) {
 	if !ok {
 		t.Fatal("entry missing")
 	}
-	var buf bytes.Buffer
-	if _, _, err := e.snapshot(context.Background(), &buf); err != nil {
+	data, _, _, err := e.snapshot()
+	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := core.ReadSnapshot(&buf)
+	snap, err := core.ReadSnapshot(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}

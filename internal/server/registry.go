@@ -13,18 +13,28 @@
 // and a scratch workspace), so each registered UDF gets:
 //
 //   - one warm, tuning-enabled evaluator owned by a single-writer loop: all
-//     learning traffic, snapshots, and clone construction are closures
+//     learning traffic, replica swaps and ownership flips are closures
 //     executed serially by that goroutine;
-//   - a fixed set of frozen-clone slots (core.CloneFrozen) for read
-//     traffic: frozen evaluation is a pure function of (input, rng), so
-//     borrowed clones may run concurrently, and a stream request can fan
-//     its tuples across several slots through the existing exec.Pool
-//     executor with bit-deterministic per-tuple seeding (exec.TupleSeed).
+//   - one published model view per model sequence number: before each
+//     sequence bump (and at start and on a replica swap) the writer stores
+//     an immutable core.View of its model behind one atomic pointer. A view
+//     costs the writer a copy of the hyperparameters and, on the sparse
+//     path, of the inducing indices; it shares the append-only training
+//     pairs;
+//   - one frozen model per view (core.Frozen), built by the first reader
+//     that needs it, outside the writer loop and exactly once, and the
+//     snapshot bytes of the view, encoded by the first snapshot reader and
+//     served to every replica fetch at that sequence;
+//   - a fixed set of clone slots for read traffic, each a frozen evaluator
+//     with its own scratch and generator over the shared frozen model:
+//     frozen evaluation is a pure function of (input, rng), so borrowed
+//     slots may run concurrently, and a stream request can fan its tuples
+//     across several slots through the exec.Pool executor with
+//     bit-deterministic per-tuple seeding (exec.TupleSeed).
 //
-// Slots record the training-set size their clone was built at and are
-// transparently rebuilt when the writer has learned since, so read traffic
-// always sees the latest knowledge without ever blocking behind a learning
-// tuple.
+// A borrowed slot whose sequence is behind the published view repoints its
+// evaluator at the view's frozen model, so reads see every learn answered
+// before they were issued and never queue behind a learning tuple.
 //
 // # Fleet role
 //
@@ -38,10 +48,10 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"regexp"
 	"sort"
@@ -117,17 +127,38 @@ type writerReq struct {
 	resp chan error // buffered: the writer never blocks on an abandoned caller
 }
 
-// cloneSlot is one frozen-clone capacity unit. eng is nil until first use;
-// seq is the model sequence the clone was built at, compared against the
-// entry's live counter to detect staleness (a replica swap bumps the
-// sequence without changing the training-point count, so staleness is
-// keyed on the sequence, not the point count). rng is the slot's tuple
-// generator for single frozen evals, built on the first one: streams and
-// queries run the slot's engine with their workers' own generators. line is
-// the buffer a single frozen eval encodes its result line into.
+// modelView is one published model sequence: the writer's core.View at
+// seq, and what readers build from it at most once — the frozen model the
+// clone slots share and the snapshot bytes replicas fetch. A view whose
+// core.View could not be taken carries that error (err) for every reader.
+type modelView struct {
+	seq    int64
+	points int
+	view   *core.View
+	err    error
+
+	buildOnce sync.Once
+	frozen    *core.Frozen
+	buildErr  error
+
+	snapOnce sync.Once
+	snap     []byte
+	snapErr  error
+}
+
+// cloneSlot is one frozen-clone capacity unit. ev is nil until first use;
+// at is the view whose frozen model ev reads, compared against the
+// published view to detect staleness (a replica swap moves the model
+// without changing the training-point count, so staleness is keyed on the
+// view, not the point count). eng wraps ev for the executor. rng is the
+// slot's tuple generator for single frozen evals, built on the first one:
+// streams and queries run the slot's engine with their workers' own
+// generators. line is the buffer a single frozen eval encodes its result
+// line into.
 type cloneSlot struct {
+	ev   *core.Evaluator
 	eng  query.Engine
-	seq  int64
+	at   *modelView
 	rng  *rand.Rand
 	line []byte
 }
@@ -149,6 +180,9 @@ type udfEntry struct {
 	// executed by that loop may touch it; the field itself is mutated only
 	// by swap closures running on the loop.
 	ev *core.Evaluator
+	// cur is the published view of ev: the entry's model sequence and
+	// training-set size, stored by the writer side only.
+	cur atomic.Pointer[modelView]
 	// learnRng is the learning path's tuple generator, reseeded per tuple.
 	// Like ev, only closures run by the writer loop touch it.
 	learnRng *rand.Rand
@@ -161,12 +195,12 @@ type udfEntry struct {
 	// and a double close would panic the process.
 	stopOnce sync.Once
 
-	trainPts atomic.Int64 // training-set size, maintained by the writer side
-	modelSeq atomic.Int64 // per-UDF model sequence, bumped on every mutation
-	served   atomic.Int64 // tuples served (learning + frozen)
+	served atomic.Int64 // tuples served (learning + frozen)
+	// builds and encodes count frozen-model builds and snapshot encodes.
+	builds, encodes atomic.Int64
 
-	// bump is called (from the writer loop) whenever modelSeq advances, so
-	// the registry's replication version can wake long-pollers.
+	// bump is called (from the writer loop) whenever the model sequence
+	// advances, so the registry's replication version can wake long-pollers.
 	bump func()
 
 	slots chan *cloneSlot
@@ -182,18 +216,25 @@ func (e *udfEntry) stop() {
 func (e *udfEntry) Spec() RegisterSpec { return e.spec }
 
 // Seq returns the entry's current model sequence number.
-func (e *udfEntry) Seq() int64 { return e.modelSeq.Load() }
+func (e *udfEntry) Seq() int64 { return e.cur.Load().seq }
+
+// Points returns the training-set size at the current model sequence.
+func (e *udfEntry) Points() int { return e.cur.Load().points }
 
 // Replica reports whether the entry is a frozen read replica.
 func (e *udfEntry) Replica() bool { return e.replica.Load() }
 
-// startWriter runs the single-writer loop that owns e.ev. seq seeds the
-// model sequence counter (restored from snapshot metadata on boot so the
-// ordering survives restarts; 0 for a fresh registration).
-func (e *udfEntry) startWriter(ev *core.Evaluator, seq int64) {
-	e.ev = ev
-	e.trainPts.Store(int64(ev.Points()))
-	e.modelSeq.Store(seq)
+// publish stores the view of e.ev as the entry's model at seq. Only the
+// writer side calls it: before the loop starts and from the loop itself.
+func (e *udfEntry) publish(seq int64) {
+	v := &modelView{seq: seq, points: e.ev.Points()}
+	v.view, v.err = e.ev.View()
+	e.cur.Store(v)
+}
+
+// startWriter runs the single-writer loop that owns e.ev, whose view the
+// entry has already published.
+func (e *udfEntry) startWriter() {
 	go func() {
 		defer close(e.done)
 		for {
@@ -203,18 +244,14 @@ func (e *udfEntry) startWriter(ev *core.Evaluator, seq int64) {
 			case req := <-e.reqs:
 				prevEv, prevPts := e.ev, e.ev.Points()
 				err := req.fn()
-				// A swap closure installs a new evaluator and stamps
-				// trainPts/modelSeq itself. Any other closure's growth is
-				// recorded before it is answered, so a learner's response
-				// follows its model-seq bump.
-				if e.ev == prevEv {
-					after := e.ev.Points()
-					e.trainPts.Store(int64(after))
-					if after != prevPts {
-						e.modelSeq.Add(1)
-						if e.bump != nil {
-							e.bump()
-						}
+				// A swap closure installs a new evaluator and publishes it
+				// itself. Any other closure's growth is published before it
+				// is answered, so a read issued after a learner's response
+				// sees that learning.
+				if e.ev == prevEv && e.ev.Points() != prevPts {
+					e.publish(e.Seq() + 1)
+					if e.bump != nil {
+						e.bump()
 					}
 				}
 				req.resp <- err
@@ -252,20 +289,19 @@ func (e *udfEntry) withWriter(ctx context.Context, fn func(ev *core.Evaluator) e
 }
 
 // swapModel atomically replaces the entry's evaluator with one restored
-// from a newer snapshot — the replica ingestion path. The sequence bump
-// invalidates every frozen-clone slot, so subsequent reads rebuild their
-// clones from the new model.
+// from a newer snapshot — the replica ingestion path. The new view
+// invalidates every clone slot, so subsequent reads repoint their
+// evaluators at the new model.
 func (e *udfEntry) swapModel(ctx context.Context, ev *core.Evaluator, seq int64) error {
 	return e.withWriter(ctx, func(*core.Evaluator) error {
-		if seq <= e.modelSeq.Load() {
+		if seq <= e.Seq() {
 			return nil // stale delta: the installed state is already newer
 		}
 		e.ev = ev
-		// Stamp the owner's sequence directly (a snapshot delta jumps the
-		// counter rather than incrementing it) and wake replication
+		// Publish at the owner's sequence directly (a snapshot delta jumps
+		// the counter rather than incrementing it) and wake replication
 		// pollers; the loop skips its own bookkeeping on swaps.
-		e.trainPts.Store(int64(ev.Points()))
-		e.modelSeq.Store(seq)
+		e.publish(seq)
 		if e.bump != nil {
 			e.bump()
 		}
@@ -302,13 +338,13 @@ func (e *udfEntry) learnEval(ctx context.Context, input dist.Vector, seed int64)
 	return out, nil
 }
 
-// borrowFrozen takes one frozen-clone slot, rebuilding its clone if the
-// writer has learned since it was last built. Blocks (under ctx) when all
-// slots are in use — the read path's intrinsic backpressure.
+// borrowFrozen takes one frozen-clone slot, repointing it at the published
+// model if the writer has learned since. Blocks (under ctx) when all slots
+// are in use — the read path's intrinsic backpressure.
 func (e *udfEntry) borrowFrozen(ctx context.Context) (*cloneSlot, error) {
 	select {
 	case s := <-e.slots:
-		if err := e.ensureFresh(ctx, s); err != nil {
+		if err := e.ensureFresh(s, e.cur.Load()); err != nil {
 			e.slots <- s
 			return nil, err
 		}
@@ -321,13 +357,14 @@ func (e *udfEntry) borrowFrozen(ctx context.Context) (*cloneSlot, error) {
 }
 
 // borrowMore opportunistically takes up to extra additional slots without
-// blocking, for stream fan-out. Slots that fail to refresh are returned.
-func (e *udfEntry) borrowMore(ctx context.Context, extra int) []*cloneSlot {
+// blocking, for stream fan-out, each pointed at the model of v so that one
+// stream is served by one model. Slots that fail to refresh are returned.
+func (e *udfEntry) borrowMore(v *modelView, extra int) []*cloneSlot {
 	var out []*cloneSlot
 	for len(out) < extra {
 		select {
 		case s := <-e.slots:
-			if err := e.ensureFresh(ctx, s); err != nil {
+			if err := e.ensureFresh(s, v); err != nil {
 				e.slots <- s
 				return out
 			}
@@ -343,23 +380,41 @@ func (e *udfEntry) borrowMore(ctx context.Context, extra int) []*cloneSlot {
 // fixed at construction.
 func (e *udfEntry) returnSlot(s *cloneSlot) { e.slots <- s }
 
-// ensureFresh rebuilds the slot's clone when missing or stale.
-func (e *udfEntry) ensureFresh(ctx context.Context, s *cloneSlot) error {
-	if s.eng != nil && s.seq == e.modelSeq.Load() {
+// ensureFresh points the slot's evaluator at the frozen model of v when it
+// has none or reads another one. The slot keeps its evaluator, whose
+// scratch and generator outlive the model change.
+func (e *udfEntry) ensureFresh(s *cloneSlot, v *modelView) error {
+	if s.at == v {
 		return nil
 	}
-	return e.withWriter(ctx, func(ev *core.Evaluator) error {
-		if ev.Points() < 2 {
-			return errNotWarm
+	m, err := e.frozenModel(v)
+	if err != nil {
+		return err
+	}
+	if s.ev == nil {
+		s.ev = m.Evaluator()
+		s.eng = query.NewEvaluatorEngine(s.ev)
+	} else {
+		s.ev.Rebind(m)
+	}
+	s.at = v
+	return nil
+}
+
+// frozenModel returns the view's frozen model, building it on the first
+// call: concurrent callers at one sequence wait for that one build, and a
+// build error answers every read at that sequence.
+func (e *udfEntry) frozenModel(v *modelView) (*core.Frozen, error) {
+	if v.points < 2 {
+		return nil, errNotWarm
+	}
+	v.buildOnce.Do(func() {
+		if v.buildErr = v.err; v.err == nil {
+			e.builds.Add(1)
+			v.frozen, v.buildErr = v.view.Build()
 		}
-		c, err := ev.CloneFrozen()
-		if err != nil {
-			return err
-		}
-		s.eng = query.NewEvaluatorEngine(c)
-		s.seq = e.modelSeq.Load()
-		return nil
 	})
+	return v.frozen, v.buildErr
 }
 
 // frozenEval evaluates one input on a frozen clone with the given seed —
@@ -387,14 +442,15 @@ func (e *udfEntry) frozenEval(ctx context.Context, input dist.Vector, seed int64
 	return nil
 }
 
-// frozenPool borrows up to max slots and wraps them as an exec.Pool for a
-// stream request. The caller must call the returned release exactly once.
+// frozenPool borrows up to max slots, all reading one frozen model, and
+// wraps them as an exec.Pool for a stream request. The caller must call the
+// returned release exactly once.
 func (e *udfEntry) frozenPool(ctx context.Context, max int) (*exec.Pool, func(), error) {
 	first, err := e.borrowFrozen(ctx)
 	if err != nil {
 		return nil, nil, err
 	}
-	slots := append([]*cloneSlot{first}, e.borrowMore(ctx, max-1)...)
+	slots := append([]*cloneSlot{first}, e.borrowMore(first.at, max-1)...)
 	engines := make([]query.Engine, len(slots))
 	for i, s := range slots {
 		engines[i] = s.eng
@@ -414,20 +470,29 @@ func (e *udfEntry) frozenPool(ctx context.Context, max int) (*exec.Pool, func(),
 	return pool, release, nil
 }
 
-// snapshot serializes the current model state stamped with the model
-// sequence it was taken at.
-func (e *udfEntry) snapshot(ctx context.Context, w io.Writer) (points int, seq int64, err error) {
-	err = e.withWriter(ctx, func(ev *core.Evaluator) error {
-		points = ev.Points()
-		seq = e.modelSeq.Load()
-		s, err := ev.Snapshot()
-		if err != nil {
-			return err
+// snapshot returns the versioned snapshot bytes of the published model,
+// stamped with its sequence. The bytes are encoded once per sequence, by
+// the first caller, and shared by every later one: they must not be
+// modified.
+func (e *udfEntry) snapshot() (data []byte, points int, seq int64, err error) {
+	v := e.cur.Load()
+	v.snapOnce.Do(func() {
+		if v.snapErr = v.err; v.err != nil {
+			return
 		}
-		s.ModelSeq = seq
-		return core.WriteSnapshot(w, s)
+		e.encodes.Add(1)
+		s, err := v.view.Snapshot()
+		if err != nil {
+			v.snapErr = err
+			return
+		}
+		s.ModelSeq = v.seq
+		var buf bytes.Buffer
+		if v.snapErr = core.WriteSnapshot(&buf, s); v.snapErr == nil {
+			v.snap = buf.Bytes()
+		}
 	})
-	return points, seq, err
+	return v.snap, v.points, v.seq, v.snapErr
 }
 
 // UDFStats is the per-UDF /v1/stats record, shared with the wire surface.
@@ -550,10 +615,10 @@ func newEvaluator(spec RegisterSpec, snap *core.Snapshot) (RegisterSpec, catalog
 }
 
 // newEntry builds (but does not install) an entry for the spec.
-func (r *Registry) newEntry(spec RegisterSpec, snap *core.Snapshot, replica bool) (*udfEntry, int64, error) {
+func (r *Registry) newEntry(spec RegisterSpec, snap *core.Snapshot, replica bool) (*udfEntry, error) {
 	spec, def, ev, err := newEvaluator(spec, snap)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	var seq int64
 	if snap != nil {
@@ -573,14 +638,15 @@ func (r *Registry) newEntry(spec RegisterSpec, snap *core.Snapshot, replica bool
 	}
 	e.replica.Store(replica)
 	for i := 0; i < r.workers; i++ {
-		e.slots <- &cloneSlot{seq: -1}
+		e.slots <- &cloneSlot{}
 	}
 	e.ev = ev
-	return e, seq, nil
+	e.publish(seq)
+	return e, nil
 }
 
 // install adds a constructed entry under lock and starts its writer.
-func (r *Registry) install(e *udfEntry, seq int64) (*udfEntry, error) {
+func (r *Registry) install(e *udfEntry) (*udfEntry, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
@@ -589,7 +655,7 @@ func (r *Registry) install(e *udfEntry, seq int64) (*udfEntry, error) {
 	if _, dup := r.entries[e.spec.Name]; dup {
 		return nil, fmt.Errorf("server: UDF %q %w", e.spec.Name, errAlreadyRegistered)
 	}
-	e.startWriter(e.ev, seq)
+	e.startWriter()
 	r.entries[e.spec.Name] = e
 	return e, nil
 }
@@ -598,11 +664,11 @@ func (r *Registry) install(e *udfEntry, seq int64) (*udfEntry, error) {
 // is restored from it (boot-time restore) and the model sequence resumes
 // from the snapshot's ModelSeq.
 func (r *Registry) Register(spec RegisterSpec, snap *core.Snapshot) (*udfEntry, error) {
-	e, seq, err := r.newEntry(spec, snap, false)
+	e, err := r.newEntry(spec, snap, false)
 	if err != nil {
 		return nil, err
 	}
-	e, err = r.install(e, seq)
+	e, err = r.install(e)
 	if err == nil {
 		r.bumpVersion()
 	}
@@ -642,11 +708,11 @@ func (r *Registry) InstallReplica(spec RegisterSpec, snap *core.Snapshot) error 
 		}
 		return existing.swapModel(context.Background(), ev, snap.ModelSeq)
 	}
-	e, seq, err := r.newEntry(spec, snap, true)
+	e, err := r.newEntry(spec, snap, true)
 	if err != nil {
 		return err
 	}
-	if _, err := r.install(e, seq); err != nil {
+	if _, err := r.install(e); err != nil {
 		return err
 	}
 	r.bumpVersion()

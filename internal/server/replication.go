@@ -11,7 +11,6 @@ package server
 // newer" a single integer comparison.
 
 import (
-	"bytes"
 	"encoding/json"
 	"net/http"
 	"strconv"
@@ -101,8 +100,7 @@ func (s *Server) handleSnapshotFetch(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	var buf bytes.Buffer
-	_, seq, err := e.snapshot(r.Context(), &buf)
+	data, _, seq, err := e.snapshot()
 	if err != nil {
 		s.failErr(w, err, "snapshot %q: %v", e.spec.Name, err)
 		return
@@ -119,5 +117,5 @@ func (s *Server) handleSnapshotFetch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set(wire.HeaderModelSeq, strconv.FormatInt(seq, 10))
 	w.Header().Set(wire.HeaderSpec, string(specJSON))
-	w.Write(buf.Bytes())
+	w.Write(data)
 }

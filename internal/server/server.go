@@ -418,7 +418,7 @@ func infoOf(e *udfEntry) udfInfo {
 		Dim:            e.def.entry.Dim,
 		Eps:            e.cfg.Eps,
 		Delta:          e.cfg.Delta,
-		TrainingPoints: e.trainPts.Load(),
+		TrainingPoints: int64(e.Points()),
 		MCSamples:      e.mcSamples,
 		SparseBudget:   e.cfg.SparseBudget,
 		ModelSeq:       e.Seq(),
@@ -823,7 +823,7 @@ func (it *lineIter) Next() (*query.Tuple, error) {
 		}
 		comps, err := item.line.Input.AppendDists(item.comps[:0])
 		if err != nil {
-			return nil, err
+			return nil, badReqf("%v", err)
 		}
 		item.comps = comps
 		item.vec.SetComponents(comps)

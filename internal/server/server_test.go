@@ -700,12 +700,12 @@ func TestInstallReplicaValidatesSwapSpec(t *testing.T) {
 	owner, tsOwner := newTestServer(t, Config{})
 	name := registerSmooth(t, tsOwner.URL)
 	e, _ := owner.reg.Get(name)
-	var buf bytes.Buffer
-	if _, _, err := e.snapshot(context.Background(), &buf); err != nil {
+	data, _, _, err := e.snapshot()
+	if err != nil {
 		t.Fatal(err)
 	}
 	readSnap := func(seqDelta int64) *core.Snapshot {
-		s, err := core.ReadSnapshot(bytes.NewReader(buf.Bytes()))
+		s, err := core.ReadSnapshot(bytes.NewReader(data))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,8 +13,6 @@ package server
 // so replica ordering survives restarts.
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -115,19 +113,18 @@ func (s *Server) gcSnapshots(name string) error {
 
 // persist writes one entry's snapshot and metadata atomically, then rotates
 // old snapshot files out.
-func (s *Server) persist(ctx context.Context, e *udfEntry) (snapshotInfo, error) {
+func (s *Server) persist(e *udfEntry) (snapshotInfo, error) {
 	if s.cfg.SnapshotDir == "" {
 		return snapshotInfo{}, errors.New("server: no -snapshot-dir configured")
 	}
-	var buf bytes.Buffer
-	points, seq, err := e.snapshot(ctx, &buf)
+	data, points, seq, err := e.snapshot()
 	if err != nil {
 		return snapshotInfo{}, err
 	}
 	name := e.spec.Name
 	snapFile := seqSnapName(name, seq)
 	snapPath := filepath.Join(s.cfg.SnapshotDir, snapFile)
-	if err := atomicWrite(snapPath, buf.Bytes()); err != nil {
+	if err := atomicWrite(snapPath, data); err != nil {
 		return snapshotInfo{}, err
 	}
 	spec := e.spec
@@ -205,7 +202,7 @@ func (s *Server) handleSnapshotOne(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	info, err := s.persist(r.Context(), e)
+	info, err := s.persist(e)
 	if err != nil {
 		s.failErr(w, err, "%v", err)
 		return
@@ -216,7 +213,7 @@ func (s *Server) handleSnapshotOne(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSnapshotAll(w http.ResponseWriter, r *http.Request) {
 	var resp wire.SnapshotResponse
 	for _, e := range s.reg.List() {
-		info, err := s.persist(r.Context(), e)
+		info, err := s.persist(e)
 		if err != nil {
 			s.failErr(w, err, "snapshot %q: %v", e.Spec().Name, err)
 			return
@@ -283,7 +280,7 @@ func (s *Server) restoreAll() error {
 			return fmt.Errorf("server: restore %q: %w", spec.Name, err)
 		}
 		s.cfg.Logf("restored UDF %q from %s (%d training points, model seq %d)",
-			spec.Name, path, e.trainPts.Load(), e.Seq())
+			spec.Name, path, e.Points(), e.Seq())
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -36,7 +37,12 @@ func TestSnapshotRotation(t *testing.T) {
 	var seqs []int64
 	for i := 0; i < 2*keep+1; i++ {
 		seq := base + int64(i) + 1
-		e.modelSeq.Store(seq)
+		if err := e.withWriter(context.Background(), func(*core.Evaluator) error {
+			e.publish(seq)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
 		resp, body := postJSON(t, fmt.Sprintf("%s/v1/udfs/%s/snapshot", ts.URL, name), nil)
 		if resp.StatusCode != 200 {
 			t.Fatalf("snapshot %d: %d %s", i, resp.StatusCode, body)
@@ -227,9 +233,9 @@ func TestSnapshotLegacyRestore(t *testing.T) {
 	if !ok {
 		t.Fatal("entry not restored")
 	}
-	if e2.Seq() != seq || e2.trainPts.Load() != e.trainPts.Load() {
+	if e2.Seq() != seq || e2.Points() != e.Points() {
 		t.Fatalf("restored seq %d with %d points, want seq %d with %d",
-			e2.Seq(), e2.trainPts.Load(), seq, e.trainPts.Load())
+			e2.Seq(), e2.Points(), seq, e.Points())
 	}
 	files, err := s2.snapFiles(name)
 	if err != nil {

@@ -321,11 +321,11 @@ type (
 	ParallelEvalOp = exec.ParallelEval
 )
 
-// NewParallelEngine clones a warmed-up evaluator into a pool of frozen
-// per-worker copies that share its tuned hyperparameters and training set,
-// so the expensive GP fitting is not redone per worker. workers ≤ 0 uses
-// GOMAXPROCS. The evaluator needs at least two training points (one warm-up
-// Eval suffices).
+// NewParallelEngine builds one frozen model of a warmed-up evaluator (its
+// tuned hyperparameters and training set) and a pool of per-worker frozen
+// evaluators sharing it read-only, so the expensive GP fitting is done once,
+// not per worker. workers ≤ 0 uses GOMAXPROCS. The evaluator needs at least
+// two training points (one warm-up Eval suffices).
 func NewParallelEngine(ev *Evaluator, workers int) (*ParallelEngine, error) {
 	return exec.NewEvaluatorPool(ev, workers)
 }
