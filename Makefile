@@ -3,11 +3,19 @@
 
 GO ?= go
 
-# Perf-trajectory knobs: where the fresh bench run lands, which committed
-# entry it is gated against, and how much ns/op drift the gate allows.
-BENCH_OUT ?= BENCH_PR22.json
-BENCH_BASELINE ?= BENCH_PR21.json
+# Perf-trajectory knobs: where the fresh bench run lands, which commit the
+# gate runs as its reference, and how much ns/op drift the gate allows.
+# BENCH_REF defaults to HEAD: the gate measures the working tree against
+# what is committed. Once the change is committed, name its base instead
+# (CI passes the pull request's base or the push's previous tip).
+BENCH_OUT ?= BENCH_PR23.json
+BENCH_REF ?= HEAD
 BENCH_MAX_REGRESS ?= 0.35
+
+# BENCH_ROUNDS is how many runs of each side the trajectory medians take,
+# sized from the measured run-to-run spread (docs/performance.md). It is a
+# constant, not a knob: `override` ignores command-line settings.
+override BENCH_ROUNDS := 5
 
 # Coverage gate: these packages carry the statistical-guarantee machinery
 # (including the budgeted sparse-GP inference paths), the network serving
@@ -55,21 +63,40 @@ bench-smoke:
 	$(GO) -C benchmark vet .
 	$(GO) -C benchmark test -short .
 
-# bench-json runs the focused perf-trajectory harness (steady-state
-# inference, GP.Add growth, full EvalSamples, filtering, GradHess, parallel
-# executor throughput) and writes $(BENCH_OUT) with ns/op, B/op, allocs/op,
-# tuples/sec. CI uploads the file as a workflow artifact; compare against
-# the committed trajectory entries.
+# bench-json runs the perf-trajectory rows — every Benchmark_<name>
+# function, one per package family (gp inference and growth, core
+# evaluation, filtering and tuning, query operators, the band multiplier,
+# the parallel executor, serving and fleet) — $(BENCH_ROUNDS) times and
+# writes the per-name medians of ns/op, B/op, allocs/op and tuples/s to
+# $(BENCH_OUT). -p=1 runs one build or test binary at a time, so no
+# compile or link competes with a benchmark for the host's cores.
 bench-json:
-	$(GO) run ./cmd/bench -out $(BENCH_OUT)
+	@set -e; tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; \
+	$(GO) test -p=1 -run='^$$' -bench='^Benchmark_' -benchmem -count=$(BENCH_ROUNDS) ./... > "$$tmp" || { cat "$$tmp"; exit 1; }; \
+	$(GO) run ./cmd/benchdiff -current "$$tmp" -out $(BENCH_OUT)
 
-# bench-diff is the regression gate: a fresh bench-json run is compared
-# against the committed baseline and the build fails on >$(BENCH_MAX_REGRESS)
-# ns/op drift or any allocs/op increase beyond the floor-scaled slack. The
-# parallel_*/server_*/fleet_* families are exempt from the ns/op rule only
-# (their timings depend on host cores); their allocs/op is still gated.
-bench-diff: bench-json
-	$(GO) run ./cmd/benchdiff -baseline $(BENCH_BASELINE) -current $(BENCH_OUT) -max-regress $(BENCH_MAX_REGRESS)
+# bench-diff is the regression gate. It extracts $(BENCH_REF) into a
+# temporary directory and runs its Benchmark_ rows and the working tree's
+# alternately (ref, change, change, ref, ...) for $(BENCH_ROUNDS) rounds, so
+# both sides share the host and its drift; the per-name medians of the
+# change land in $(BENCH_OUT) and are gated against the reference's: the
+# build fails on >$(BENCH_MAX_REGRESS) ns/op drift or any allocs/op
+# increase beyond the floor-scaled slack. The parallel_*/server_*/fleet_*
+# families are exempt from the ns/op rule only (their timings depend on
+# host cores); their allocs/op is still gated.
+bench-diff:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/ref"; git archive $(BENCH_REF) | tar -x -C "$$tmp/ref"; \
+	for r in $$(seq $(BENCH_ROUNDS)); do \
+		order="ref cur"; [ $$((r % 2)) = 1 ] || order="cur ref"; \
+		for side in $$order; do \
+			dir=.; [ $$side = cur ] || dir="$$tmp/ref"; \
+			echo "bench-diff: round $$r/$(BENCH_ROUNDS): $$side"; \
+			(cd "$$dir" && $(GO) test -p=1 -run='^$$' -bench='^Benchmark_' -benchmem ./...) > "$$tmp/run.txt" || { cat "$$tmp/run.txt"; exit 1; }; \
+			cat "$$tmp/run.txt" >> "$$tmp/$$side.txt"; \
+		done; \
+	done; \
+	$(GO) run ./cmd/benchdiff -baseline "$$tmp/ref.txt" -current "$$tmp/cur.txt" -out $(BENCH_OUT) -max-regress $(BENCH_MAX_REGRESS)
 
 # cover enforces a statement-coverage floor on the packages that carry the
 # (ε, δ) guarantee machinery. -short keeps it fast; the heavy statistical

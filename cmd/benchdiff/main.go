@@ -1,11 +1,18 @@
-// Command benchdiff is the CI benchmark-regression gate: it compares a
-// fresh cmd/bench run against a committed BENCH_*.json baseline and exits 1
-// when a hot-path benchmark regressed.
+// Command benchdiff is the benchmark-regression gate and the writer of the
+// BENCH_*.json trajectory files. It reads `go test -bench -benchmem`
+// output (or a BENCH_*.json run), reduces every benchmark to the median of
+// its repeats, and with -baseline exits 1 when a hot-path benchmark
+// regressed against the baseline.
 //
 // Usage:
 //
-//	go run ./cmd/benchdiff -baseline BENCH_PR2.json -current BENCH_PR3.json
-//	       [-max-regress 0.35] [-exempt '^parallel_']
+//	go run ./cmd/benchdiff -current cur.txt [-baseline ref.txt] [-out BENCH_PRn.json]
+//	       [-max-regress 0.35] [-exempt '^(parallel|server|fleet)_']
+//
+// `make bench-diff` is the intended caller: it runs the Benchmark_<name>
+// rows of a reference commit (BENCH_REF, default HEAD: what is committed)
+// and of the working tree alternately on one host, so both sides see the same machine at the
+// same time, and hands the two outputs to this command.
 //
 // Rules, applied to every benchmark name present in the baseline:
 //
@@ -17,56 +24,47 @@
 //     benchmarks absorb the handful of background runtime allocations that
 //     vary with process composition;
 //   - a baseline benchmark missing from the current run fails, so a
-//     benchmark cannot silently vanish from the gate (delete it from the
-//     committed baseline deliberately instead);
+//     benchmark cannot silently vanish from the gate;
 //   - names matching -exempt (default ^(parallel|server|fleet)_) skip the
 //     ns/op rule: throughput and replication-lag timings depend on the
-//     host's core count, scheduler, and network stack, which differ between
-//     the machine that committed the baseline and the CI runner. Their
-//     allocs/op rule still applies — allocation counts do not depend on the
-//     host — so an allocation regression on the serving path fails the
-//     gate. Its slack is 4% instead of alloc-slack, since their counts vary
-//     with goroutine scheduling and with how many iterations amortize
+//     host's core count, scheduler, and network stack, and spread too
+//     widely between runs of one commit to gate. Their allocs/op rule
+//     still applies, so an allocation regression on the serving path fails
+//     the gate. Its slack is 4% instead of alloc-slack, since their counts
+//     vary with goroutine scheduling and with how many iterations amortize
 //     setup (sized in internal/benchfmt);
 //   - benchmarks present in the current run but missing from the baseline
-//     are listed as "new (not gated)" and summarized, so additions (e.g.
-//     the BENCH_PR4 tuning_pick_* pair) are visible in CI output rather
-//     than silently ignored.
+//     are listed as "new (not gated)" and summarized, so additions are
+//     visible in CI output rather than silently ignored.
 //
 // The comparison rules live in benchfmt.Diff (unit-tested); this command is
 // only the CLI shell around them.
-//
-// Both files may use either trajectory schema (run or comparison); a
-// comparison contributes its "after" side. See internal/benchfmt.
-//
-// Caveat: the ns/op gate compares absolute timings across machines — the
-// committed baseline's host and the CI runner differ in CPU model and
-// shared-runner noise. The 35% default absorbs typical variance; if a
-// fleet's runners drift further, loosen it via BENCH_MAX_REGRESS in the
-// Makefile (the allocs/op gate is machine-independent and stays strict)
-// or refresh the committed baseline from a representative runner.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"regexp"
+	"runtime"
 	"strings"
+	"time"
 
 	"olgapro/internal/benchfmt"
 )
 
 func main() {
-	baseline := flag.String("baseline", "", "committed baseline BENCH_*.json (required)")
-	current := flag.String("current", "", "fresh bench run to gate (required)")
+	baseline := flag.String("baseline", "", "reference `go test -bench` output or BENCH_*.json run; gate -current against it")
+	current := flag.String("current", "", "`go test -bench` output or BENCH_*.json run to report and gate (required)")
+	out := flag.String("out", "", "write the current run's per-name medians to this BENCH_*.json file")
 	maxRegress := flag.Float64("max-regress", 0.35, "allowed fractional ns/op regression")
 	allocSlack := flag.Float64("alloc-slack", 0.005, "allowed fractional allocs/op increase, floored per benchmark (0 for baselines < 1/slack, keeping low-count gates strict)")
 	exempt := flag.String("exempt", "^(parallel|server|fleet)_", "regexp of benchmark names exempt from the ns/op rule (allocs/op is still gated)")
 	flag.Parse()
 
-	if *baseline == "" || *current == "" {
-		fmt.Fprintln(os.Stderr, "benchdiff: -baseline and -current are required")
+	if *current == "" {
+		fmt.Fprintln(os.Stderr, "benchdiff: -current is required")
 		os.Exit(2)
 	}
 	exemptRe, err := regexp.Compile(*exempt)
@@ -74,12 +72,22 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchdiff: bad -exempt: %v\n", err)
 		os.Exit(2)
 	}
-	base, err := benchfmt.ReadRun(*baseline)
+	cur, err := benchfmt.ReadRun(*current)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
 		os.Exit(2)
 	}
-	cur, err := benchfmt.ReadRun(*current)
+	if *out != "" {
+		if err := writeRun(*out, cur); err != nil {
+			fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
+			os.Exit(2)
+		}
+		fmt.Printf("benchdiff: wrote %s (%d benchmarks)\n", *out, len(cur.Results))
+	}
+	if *baseline == "" {
+		return
+	}
+	base, err := benchfmt.ReadRun(*baseline)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
 		os.Exit(2)
@@ -116,13 +124,24 @@ func main() {
 		}
 	}
 	if added > 0 {
-		fmt.Printf("benchdiff: %d new benchmark(s) not in baseline: %s — gated once the baseline is refreshed\n",
+		fmt.Printf("benchdiff: %d new benchmark(s) not in baseline: %s — gated once the baseline has them\n",
 			added, strings.Join(newNames, ", "))
 	}
 	if failures > 0 {
-		fmt.Printf("benchdiff: FAIL — %d regression(s); rerun `make bench-diff` locally, "+
-			"or update the committed baseline if the regression is intended\n", failures)
+		fmt.Printf("benchdiff: FAIL — %d regression(s); rerun `make bench-diff` on a quiet host to confirm\n", failures)
 		os.Exit(1)
 	}
 	fmt.Println("benchdiff: PASS")
+}
+
+// writeRun stamps run with the date and toolchain and writes it as a
+// BENCH_*.json trajectory file.
+func writeRun(path string, run *benchfmt.Run) error {
+	run.Date = time.Now().UTC().Format(time.RFC3339)
+	run.GoVersion = runtime.Version()
+	enc, err := json.MarshalIndent(run, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(enc, '\n'), 0o644)
 }

@@ -315,9 +315,3 @@ func TestZAlphaForKernelAllocs(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkZAlpha(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ZAlpha(0.05, []float64{10, 10}, 4)
-	}
-}

@@ -1,21 +1,26 @@
-// Package benchfmt defines the JSON schema of the BENCH_*.json performance
-// trajectory files shared by cmd/bench (the writer) and cmd/benchdiff (the
-// CI regression gate): per-benchmark ns/op, B/op, allocs/op measurements,
-// plus derived tuples/sec for the throughput benchmarks.
+// Package benchfmt reads and writes the BENCH_*.json performance
+// trajectory and holds the regression-gate rules cmd/benchdiff applies:
+// per-benchmark ns/op, B/op, allocs/op measurements, plus tuples/sec for
+// the throughput benchmarks. Measurements come from Go's standard
+// `go test -bench -benchmem` output (ParseBench), one row per
+// Benchmark_<name> function, reduced to per-name medians.
 package benchfmt
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
+	"sort"
+	"strconv"
+	"strings"
 )
 
-// Schema identifiers of the two file shapes.
-const (
-	SchemaRun = "olgapro-bench/v1"     // one harness invocation
-	SchemaCmp = "olgapro-bench-cmp/v1" // a before/after comparison
-)
+// SchemaRun identifies a trajectory file: one set of measurements.
+const SchemaRun = "olgapro-bench/v1"
 
 // Result records one benchmark measurement.
 type Result struct {
@@ -25,27 +30,17 @@ type Result struct {
 	BytesPerOp  int64   `json:"b_op"`
 	AllocsPerOp int64   `json:"allocs_op"`
 	// TuplesPerSec is set on throughput benchmarks only: processed tuples
-	// per wall-clock second, derived from ns/op and the table size.
+	// per wall-clock second, reported by the benchmark as "tuples/s".
 	TuplesPerSec float64 `json:"tuples_sec,omitempty"`
 }
 
-// Run is the file format of one harness invocation.
+// Run is the file format of one set of measurements.
 type Run struct {
 	Schema     string   `json:"schema"`
-	Label      string   `json:"label,omitempty"`
 	Date       string   `json:"date"`
 	GoVersion  string   `json:"go_version"`
 	GOMAXPROCS int      `json:"gomaxprocs"`
 	Results    []Result `json:"results"`
-}
-
-// Comparison is the trajectory entry written when a baseline is embedded.
-type Comparison struct {
-	Schema   string             `json:"schema"`
-	Date     string             `json:"date"`
-	Before   *Run               `json:"before"`
-	After    *Run               `json:"after"`
-	Speedups map[string]float64 `json:"speedup_ns_op"`
 }
 
 // DiffOptions parameterize the regression gate.
@@ -172,37 +167,141 @@ func (r *Run) ByName() map[string]Result {
 	return m
 }
 
-// ReadRun loads a trajectory file in either schema: a plain run is returned
-// as-is, a comparison contributes its "after" side (the measurements that
-// were current when the file was committed).
+// ReadRun loads a trajectory file or a captured `go test -bench` output:
+// a file whose first non-blank byte is '{' is read as a BENCH_*.json run,
+// anything else goes through ParseBench.
 func ReadRun(path string) (*Run, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var probe struct {
-		Schema string `json:"schema"`
+	if !bytes.HasPrefix(bytes.TrimSpace(raw), []byte("{")) {
+		run, err := ParseBench(bytes.NewReader(raw))
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", path, err)
+		}
+		return run, nil
 	}
-	if err := json.Unmarshal(raw, &probe); err != nil {
+	var run Run
+	if err := json.Unmarshal(raw, &run); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	switch probe.Schema {
-	case SchemaRun:
-		var run Run
-		if err := json.Unmarshal(raw, &run); err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		return &run, nil
-	case SchemaCmp:
-		var cmp Comparison
-		if err := json.Unmarshal(raw, &cmp); err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		if cmp.After == nil {
-			return nil, fmt.Errorf("%s: comparison has no after side", path)
-		}
-		return cmp.After, nil
-	default:
-		return nil, fmt.Errorf("%s: unknown schema %q", path, probe.Schema)
+	if run.Schema != SchemaRun {
+		return nil, fmt.Errorf("%s: unknown schema %q", path, run.Schema)
 	}
+	return &run, nil
+}
+
+// benchLine matches one result line of `go test -bench`: the function name,
+// an optional -N GOMAXPROCS suffix, the iteration count, and the
+// value/unit pairs after it.
+var benchLine = regexp.MustCompile(`^Benchmark(\S*?)(?:-(\d+))?\s+(\d+)\s+(.*)$`)
+
+// ParseBench reads `go test -bench -benchmem` output — any number of
+// packages and -count repeats — and returns one Result per benchmark name
+// in first-seen order, each field the median over that name's repeats. A
+// Benchmark_<name> function yields the row <name>; other benchmarks keep
+// their full function name. Any "FAIL" or "--- FAIL" line is an error, so
+// a benchmark that fails cannot drop out of the run unnoticed, and so is a
+// name that shows up under a second "pkg:" line, so two packages' samples
+// never merge into one median.
+func ParseBench(r io.Reader) (*Run, error) {
+	type samples struct {
+		iters, ns, bytes, allocs, tuples []float64
+	}
+	by := map[string]*samples{}
+	pkgOf := map[string]string{}
+	var order []string
+	procs := 0
+	pkg := ""
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	for sc.Scan() {
+		line := sc.Text()
+		if line == "FAIL" || strings.HasPrefix(line, "FAIL\t") || strings.HasPrefix(line, "--- FAIL") {
+			return nil, fmt.Errorf("benchmark run failed: %q", line)
+		}
+		if p, ok := strings.CutPrefix(line, "pkg: "); ok {
+			pkg = p
+			continue
+		}
+		m := benchLine.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		name := strings.TrimPrefix(m[1], "_")
+		if m[1] == name {
+			name = "Benchmark" + name
+		}
+		p := 1
+		if m[2] != "" {
+			p, _ = strconv.Atoi(m[2])
+		}
+		if procs != 0 && p != procs {
+			return nil, fmt.Errorf("%s: GOMAXPROCS %d in a run at %d", name, p, procs)
+		}
+		procs = p
+		s := by[name]
+		if s == nil {
+			s = &samples{}
+			by[name] = s
+			pkgOf[name] = pkg
+			order = append(order, name)
+		} else if pkgOf[name] != pkg {
+			return nil, fmt.Errorf("%s: in both %s and %s", name, pkgOf[name], pkg)
+		}
+		iters, _ := strconv.ParseFloat(m[3], 64)
+		s.iters = append(s.iters, iters)
+		f := strings.Fields(m[4])
+		for i := 0; i+1 < len(f); i += 2 {
+			v, err := strconv.ParseFloat(f[i], 64)
+			if err != nil {
+				return nil, fmt.Errorf("%s: bad value %q", name, f[i])
+			}
+			switch f[i+1] {
+			case "ns/op":
+				s.ns = append(s.ns, v)
+			case "B/op":
+				s.bytes = append(s.bytes, v)
+			case "allocs/op":
+				s.allocs = append(s.allocs, v)
+			case "tuples/s":
+				s.tuples = append(s.tuples, v)
+			}
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	run := &Run{Schema: SchemaRun, GOMAXPROCS: procs}
+	for _, name := range order {
+		s := by[name]
+		if len(s.allocs) != len(s.iters) {
+			return nil, fmt.Errorf("%s: no allocs/op (run with -benchmem)", name)
+		}
+		run.Results = append(run.Results, Result{
+			Name:         name,
+			Iters:        int(median(s.iters)),
+			NsPerOp:      median(s.ns),
+			BytesPerOp:   int64(median(s.bytes)),
+			AllocsPerOp:  int64(median(s.allocs)),
+			TuplesPerSec: median(s.tuples),
+		})
+	}
+	return run, nil
+}
+
+// median returns the middle value of xs, the mean of the two middle
+// values for an even count, or 0 for none.
+func median(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
 }

@@ -477,7 +477,7 @@ func TestMeanSeededEnvelopeMatchesStableSort(t *testing.T) {
 		for i := range samples {
 			samples[i] = in.SampleVec(rng, nil)
 		}
-		predict, err := fc.PredictLocalForBench(samples)
+		predict, err := fc.predictLocalForBench(samples)
 		if err != nil {
 			t.Fatal(err)
 		}

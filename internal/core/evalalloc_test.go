@@ -12,9 +12,9 @@ import (
 
 // steadyEvaluator converges an evaluator on the benchmark workload so the
 // measured EvalSamples calls are pure steady state (no training-point adds,
-// no retraining) — the same setup cmd/bench's eval_samples_steady and
-// filter_fast_path use.
-func steadyEvaluator(t *testing.T, pred *mc.Predicate) (*Evaluator, [][]float64) {
+// no retraining), plus one tuple's sample set — also the setup of the
+// eval_samples_steady and filter_fast_path trajectory benchmarks.
+func steadyEvaluator(t testing.TB, pred *mc.Predicate) (*Evaluator, [][]float64) {
 	t.Helper()
 	cfg := Config{
 		Kernel:         kernel.NewSqExp(1, 0.5),

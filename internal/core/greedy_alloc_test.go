@@ -70,11 +70,11 @@ func TestPickGreedyAllocBudget(t *testing.T) {
 	for i := range samples {
 		samples[i] = []float64{3.5 + 3*rng.Float64(), 3.5 + 3*rng.Float64()}
 	}
-	if _, err := e.PickGreedyForBench(samples, rng, false); err != nil {
+	if _, err := e.pickGreedyForBench(samples, rng, false); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := e.PickGreedyForBench(samples, rng, false); err != nil {
+		if _, err := e.pickGreedyForBench(samples, rng, false); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -85,6 +85,6 @@ func TestPickGreedyAllocBudget(t *testing.T) {
 	// per-candidate envelope allocations can never sneak back unnoticed.
 	const budget = 120
 	if allocs > budget {
-		t.Fatalf("PickGreedyForBench allocates %.0f/op, budget %d", allocs, budget)
+		t.Fatalf("pickGreedyForBench allocates %.0f/op, budget %d", allocs, budget)
 	}
 }

@@ -183,21 +183,6 @@ func (lc *localCtx) predictInto(e *Evaluator, samples [][]float64, means, vars [
 	wg.Wait()
 }
 
-// PredictLocalForBench builds the local inference context for samples as
-// EvalSamples does for a fresh tuple and returns a function that runs
-// predictInto over all of them into means and vars (each len(samples)). It
-// is the hook behind the predict_local_m1784 benchmark; the function is
-// valid until the evaluator's next Eval.
-func (e *Evaluator) PredictLocalForBench(samples [][]float64) (func(means, vars []float64), error) {
-	lc := &e.scratch.lc
-	if err := e.rebuildLocal(lc, samples); err != nil {
-		return nil, err
-	}
-	return func(means, vars []float64) {
-		lc.predictInto(e, samples, means, vars, 0, len(samples))
-	}, nil
-}
-
 // predictRange is the sequential kernel of predictInto: zero steady-state
 // heap allocations per sample. On the exact path it takes samples four at a
 // time — four kernel rows, four means, one interleaved ForwardSolve4To —

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"olgapro/internal/kernel"
+	"olgapro/internal/mat"
 	"olgapro/internal/rtree"
 	"olgapro/internal/udf"
 )
@@ -148,16 +149,16 @@ func TestGreedyRank1EmptyLocalContext(t *testing.T) {
 	}
 }
 
-// TestPickGreedyForBenchPathsAgree exercises the exported benchmark hook the
-// tuning_pick_* benchmarks use: both paths, fed identical rng states, choose
-// the same training sample.
+// TestPickGreedyForBenchPathsAgree exercises the pick the tuning_pick_rank1
+// benchmark times: the rank-1 path and the clone reference, fed identical
+// rng states, choose the same training sample.
 func TestPickGreedyForBenchPathsAgree(t *testing.T) {
 	e, samples, _ := greedyFixture(t, 11, 35, 150, kernel.NewSqExp(1, 0.7), false)
-	pickNew, err := e.PickGreedyForBench(samples, rand.New(rand.NewSource(99)), false)
+	pickNew, err := e.pickGreedyForBench(samples, rand.New(rand.NewSource(99)), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pickOld, err := e.PickGreedyForBench(samples, rand.New(rand.NewSource(99)), true)
+	pickOld, err := e.pickGreedyForBench(samples, rand.New(rand.NewSource(99)), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,4 +202,84 @@ func TestGreedyPickInsideEval(t *testing.T) {
 	if e.Stats().PointsAdded == 0 {
 		t.Error("greedy tuning never added a training point")
 	}
+}
+
+// greedyBestClone is the reference implementation the rank-1 fast path
+// replaced: per candidate it clones the local Cholesky factor, extends it
+// with the candidate, re-solves for the trial weights, and re-predicts every
+// evaluation point through the bordered factor — O(eval·l²) per candidate.
+// It is kept here as the ground truth for the old-vs-new equivalence tests.
+func (e *Evaluator) greedyBestClone(samples [][]float64, means, vars []float64,
+	lc *localCtx, lambda, zAlpha float64, cands, evalIdx []int) (int, float64) {
+	sc := &e.scratch
+	yLocal := resizeFloats(&sc.tuneY, len(lc.ids))
+	for i, id := range lc.ids {
+		yLocal[i] = e.g.Y(id)
+	}
+	best, bestBound := -1, math.Inf(1)
+	var kbuf, fsbuf, ys []float64
+	m2 := resizeFloats(&sc.tuneMeans, len(evalIdx))
+	v2 := resizeFloats(&sc.tuneVars, len(evalIdx))
+	for _, ci := range cands {
+		xc := samples[ci]
+		// Extend a copy of the local factorization with the candidate.
+		trial := lc.chol.Clone()
+		kvec := kernel.CrossVec(e.cfg.Kernel, lc.xs, xc, kbuf)
+		kbuf = kvec
+		if err := trial.Extend(kvec, e.cfg.Kernel.Eval(xc, xc)+e.g.Noise()); err != nil {
+			continue
+		}
+		ys = append(append(ys[:0], yLocal...), means[ci])
+		alphaTrial := trial.SolveVec(ys)
+		xsTrial := append(append([][]float64(nil), lc.xs...), xc)
+		// Recompute means/vars on the evaluation subset.
+		for j, si := range evalIdx {
+			x := samples[si]
+			kbuf = kernel.CrossVec(e.cfg.Kernel, xsTrial, x, kbuf)
+			m2[j] = mat.Dot(kbuf, alphaTrial)
+			fsbuf = resizeFloatsVal(fsbuf, len(kbuf))
+			trial.ForwardSolveTo(fsbuf, kbuf)
+			vv := kernel.SelfCov(e.cfg.Kernel, x) - mat.Dot(fsbuf, fsbuf)
+			if vv < 0 {
+				vv = 0
+			}
+			v2[j] = vv
+		}
+		envTrial := sc.tuneEnv.envelopeOf(m2, v2, zAlpha, len(evalIdx))
+		b := envTrial.DiscrepancyBoundWith(&sc.bound, lambda)
+		if b < bestBound {
+			best, bestBound = ci, b
+		}
+	}
+	return best, bestBound
+}
+
+// pickGreedyForBench rebuilds the local inference context for the samples,
+// runs local inference, and executes one optimal-greedy tuning pick — with
+// the rank-1 fast path, or with the clone-based reference when useClone is
+// set. It is the op of the tuning_pick_rank1 benchmark and of the
+// old-vs-new equivalence tests; both paths see identical candidate pools and
+// evaluation subsets for a given rng state.
+func (e *Evaluator) pickGreedyForBench(samples [][]float64, rng *rand.Rand, useClone bool) (int, error) {
+	sc := &e.scratch
+	ids, gamma := e.selectLocal(samples, sc.box.bounding(samples), e.gammaThreshold())
+	lc := &sc.lc
+	if err := e.buildLocal(lc, ids, gamma); err != nil {
+		return -1, err
+	}
+	m := len(samples)
+	means := resizeFloats(&sc.means, m)
+	vars := resizeFloats(&sc.vars, m)
+	lc.predictInto(e, samples, means, vars, 0, m)
+	zA := e.zAlpha(rtree.BoundingBox(samples))
+	lambda := e.lambda(means)
+	sc.skip.reset(m)
+	cands := greedyCandidatePool(vars, &sc.skip, &sc.tuneCands)
+	evalIdx := subsampleIndices(m, greedyMaxEval, rng)
+	if useClone {
+		best, _ := e.greedyBestClone(samples, means, vars, lc, lambda, zA, cands, evalIdx)
+		return best, nil
+	}
+	best, _ := e.greedyBestRank1(samples, means, vars, lc, lambda, zA, cands, evalIdx)
+	return best, nil
 }

@@ -431,15 +431,6 @@ func BenchmarkDiscrepancyLambda1000(b *testing.B) {
 	}
 }
 
-func BenchmarkDiscrepancyBound1000(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	env := makeEnvelope(rng, 1000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		env.DiscrepancyBound(0.05)
-	}
-}
-
 func TestTruncate(t *testing.T) {
 	e := New([]float64{1, 2, 3, 4, 5})
 	tr, tep := e.Truncate(2, 4)

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"crypto/subtle"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -179,18 +178,35 @@ func (rt *Router) gossip(ctx context.Context) {
 
 func (rt *Router) routes() {
 	rt.mux = http.NewServeMux()
-	rt.mux.HandleFunc("GET /v1/healthz", rt.handleHealthz)
-	rt.mux.HandleFunc("GET /v1/stats", rt.handleStats)
-	rt.mux.HandleFunc("GET /v1/catalog", rt.handleCatalog)
-	rt.mux.HandleFunc("GET /v1/udfs", rt.handleListUDFs)
-	rt.mux.HandleFunc("POST /v1/udfs", rt.handleRegister)
-	rt.mux.HandleFunc("POST /v1/udfs/{name}/eval", rt.handleEval)
-	rt.mux.HandleFunc("POST /v1/udfs/{name}/stream", rt.handleStream)
-	rt.mux.HandleFunc("POST /v1/udfs/{name}/snapshot", rt.handleSnapshotOne)
-	rt.mux.HandleFunc("POST /v1/snapshot", rt.handleSnapshotAll)
-	rt.mux.HandleFunc("POST /v1/query", rt.handleQuery)
-	rt.mux.HandleFunc("GET /v1/fleet/members", rt.handleFleetMembersGet)
-	rt.mux.HandleFunc("POST /v1/fleet/members", rt.handleFleetMembersPost)
+	rt.mux.HandleFunc("/", server.NotFound)
+	rt.handle("GET /v1/healthz", rt.handleHealthz)
+	rt.handle("GET /v1/stats", rt.handleStats)
+	rt.handle("GET /v1/catalog", rt.handleCatalog)
+	rt.handle("GET /v1/udfs", rt.handleListUDFs)
+	rt.handle("POST /v1/udfs", rt.handleRegister)
+	rt.handle("POST /v1/udfs/{name}/eval", rt.handleEval)
+	rt.handle("POST /v1/udfs/{name}/stream", rt.handleStream)
+	rt.handle("POST /v1/udfs/{name}/snapshot", rt.handleSnapshotOne)
+	rt.handle("POST /v1/snapshot", rt.handleSnapshotAll)
+	rt.handle("POST /v1/query", rt.handleQuery)
+	rt.handle("GET /v1/fleet/members", rt.handleFleetMembersGet)
+	rt.handle("POST /v1/fleet/members", rt.handleFleetMembersPost)
+}
+
+// handle registers h for pattern behind bearer auth (every route but health
+// checks), the shard's check.
+func (rt *Router) handle(pattern string, h http.HandlerFunc) {
+	if tok := rt.cfg.AuthToken; tok != "" && pattern != "GET /v1/healthz" {
+		inner := h
+		h = func(w http.ResponseWriter, r *http.Request) {
+			if !server.CheckBearer(r, tok) {
+				rt.fail(w, http.StatusUnauthorized, wire.CodeUnauthorized, "missing or invalid bearer token")
+				return
+			}
+			inner(w, r)
+		}
+	}
+	rt.mux.HandleFunc(pattern, h)
 }
 
 // --- membership admin ---
@@ -281,25 +297,9 @@ func (rt *Router) handleFleetMembersPost(w http.ResponseWriter, r *http.Request)
 }
 
 // Handler returns the router's HTTP handler (bearer auth applied, health
-// checks exempt, unknown routes refused with the not_found envelope).
-func (rt *Router) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if _, pattern := rt.mux.Handler(r); pattern == "" {
-			rt.fail(w, http.StatusNotFound, wire.CodeNotFound, "no route %s %s", r.Method, r.URL.Path)
-			return
-		}
-		if tok := rt.cfg.AuthToken; tok != "" && r.URL.Path != "/v1/healthz" {
-			const prefix = "Bearer "
-			h := r.Header.Get("Authorization")
-			if len(h) <= len(prefix) || h[:len(prefix)] != prefix ||
-				subtle.ConstantTimeCompare([]byte(h[len(prefix):]), []byte(tok)) != 1 {
-				rt.fail(w, http.StatusUnauthorized, wire.CodeUnauthorized, "missing or invalid bearer token")
-				return
-			}
-		}
-		rt.mux.ServeHTTP(w, r)
-	})
-}
+// checks exempt, unknown routes refused with the not_found envelope), which
+// routes each request once.
+func (rt *Router) Handler() http.Handler { return rt.mux }
 
 // fail writes the structured error envelope.
 func (rt *Router) fail(w http.ResponseWriter, status int, code wire.ErrorCode, format string, args ...any) {

@@ -22,15 +22,17 @@ func TestRouterMuxCoversCanonicalRoutes(t *testing.T) {
 	defer rt.Close()
 	for _, route := range wire.Routes {
 		req := httptest.NewRequest(route.Method, strings.ReplaceAll(route.Path, "{name}", "x"), nil)
+		// The catch-all "/" answers the not_found envelope: a route that
+		// resolves only to it is not registered.
 		_, pattern := rt.mux.Handler(req)
 		if route.Scope == wire.ScopeShard {
-			if pattern != "" {
+			if pattern != "/" {
 				t.Errorf("shard-only route %s %s resolves on the router mux (pattern %q)",
 					route.Method, route.Path, pattern)
 			}
 			continue
 		}
-		if pattern == "" {
+		if pattern == "/" {
 			t.Errorf("route %s %s does not resolve on the router mux", route.Method, route.Path)
 		}
 	}
@@ -52,5 +54,30 @@ func TestRouterUnknownRouteEnvelope(t *testing.T) {
 		if rec.Code != http.StatusNotFound || json.Unmarshal(rec.Body.Bytes(), &env) != nil || env.Error.Code != wire.CodeNotFound {
 			t.Fatalf("GET %s: %d %q, want a 404 not_found envelope", path, rec.Code, rec.Body.String())
 		}
+	}
+}
+
+// TestRouterWrongMethodNotFound: a known path under another method answers
+// the 404 not_found envelope before the bearer check, as on a shard.
+func TestRouterWrongMethodNotFound(t *testing.T) {
+	rt, err := NewRouter(Config{Shards: []string{"http://127.0.0.1:1"}, AuthToken: "sekrit"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	for _, c := range [][2]string{{"DELETE", "/v1/stats"}, {"POST", "/v1/healthz"}, {"GET", "/v1/query"}} {
+		rec := httptest.NewRecorder()
+		rt.Handler().ServeHTTP(rec, httptest.NewRequest(c[0], c[1], nil))
+		var env wire.ErrorEnvelope
+		if rec.Code != http.StatusNotFound || json.Unmarshal(rec.Body.Bytes(), &env) != nil || env.Error.Code != wire.CodeNotFound {
+			t.Fatalf("%s %s: %d %q, want a 404 not_found envelope", c[0], c[1], rec.Code, rec.Body.String())
+		}
+	}
+	// A non-canonical path gets net/http's 301 to the cleaned path before
+	// the bearer check, as on a shard.
+	rec := httptest.NewRecorder()
+	rt.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1//stats", nil))
+	if rec.Code != http.StatusMovedPermanently || rec.Header().Get("Location") != "/v1/stats" {
+		t.Fatalf("GET /v1//stats: %d to %q, want 301 to /v1/stats", rec.Code, rec.Header().Get("Location"))
 	}
 }

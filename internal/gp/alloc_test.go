@@ -107,18 +107,6 @@ type errAt int
 
 func (e errAt) Error() string { return "concurrent predict mismatch" }
 
-// BenchmarkGradHess tracks the §5.3 Newton-step machinery; run with
-// -benchmem to verify the O(n²)-regardless-of-p memory contract (the
-// steady-state allocations are only the two returned p-length slices).
-func BenchmarkGradHess(b *testing.B) {
-	g := buildGP(b, 300)
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		g.GradHess()
-	}
-}
-
 // BenchmarkGrad tracks the gradient-only path used every Train iteration.
 func BenchmarkGrad(b *testing.B) {
 	g := buildGP(b, 300)
@@ -126,23 +114,5 @@ func BenchmarkGrad(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		g.Grad()
-	}
-}
-
-// BenchmarkPredictBatchWith tracks the steady-state inference loop.
-func BenchmarkPredictBatchWith(b *testing.B) {
-	g := buildGP(b, 400)
-	rng := rand.New(rand.NewSource(35))
-	xs := make([][]float64, 1000)
-	for i := range xs {
-		xs[i] = []float64{rng.Float64() * 10, rng.Float64() * 10}
-	}
-	means := make([]float64, len(xs))
-	vars := make([]float64, len(xs))
-	var s Scratch
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		g.PredictBatchWith(&s, xs, means, vars)
 	}
 }

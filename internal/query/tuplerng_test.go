@@ -99,13 +99,6 @@ func TestTupleRandSeedAndSampleAllocs(t *testing.T) {
 	}
 }
 
-func BenchmarkTupleSourceSeed(b *testing.B) {
-	var s tupleSource
-	for i := 0; i < b.N; i++ {
-		s.Seed(int64(i))
-	}
-}
-
 func BenchmarkMathRandNewSource(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rand.NewSource(int64(i))

@@ -29,15 +29,6 @@ func NewRect(lo, hi []float64) (Rect, error) {
 	return Rect{Lo: lo, Hi: hi}, nil
 }
 
-// PointRect returns the degenerate rectangle covering a single point.
-func PointRect(p []float64) Rect {
-	lo := make([]float64, len(p))
-	hi := make([]float64, len(p))
-	copy(lo, p)
-	copy(hi, p)
-	return Rect{Lo: lo, Hi: hi}
-}
-
 // BoundingBox returns the smallest rectangle covering all points.
 // It panics on an empty input, since an empty box has no dimension.
 func BoundingBox(points [][]float64) Rect {
@@ -83,17 +74,6 @@ func (r Rect) Intersects(s Rect) bool {
 		}
 	}
 	return true
-}
-
-// Union returns the smallest rectangle covering r and s.
-func (r Rect) Union(s Rect) Rect {
-	lo := make([]float64, len(r.Lo))
-	hi := make([]float64, len(r.Hi))
-	for i := range lo {
-		lo[i] = math.Min(r.Lo[i], s.Lo[i])
-		hi[i] = math.Max(r.Hi[i], s.Hi[i])
-	}
-	return Rect{Lo: lo, Hi: hi}
 }
 
 // Margin returns the sum of edge lengths, the "size" used to pick cheap
@@ -212,21 +192,25 @@ func (t *Tree) Insert(p []float64, id int) error {
 	}
 	cp := make([]float64, len(p))
 	copy(cp, p)
-	e := entry{rect: PointRect(cp), id: id, point: cp}
+	// A leaf entry's rectangle is its point, degenerate: Lo and Hi alias
+	// the one copy, so nothing may ever write through a leaf rectangle.
+	e := entry{rect: Rect{Lo: cp, Hi: cp}, id: id, point: cp}
 	split := t.insert(t.root, e)
 	if split != nil {
 		// Root split: grow the tree by one level.
 		old := t.root
 		t.root = &node{leaf: false, entries: []entry{
-			{rect: nodeRect(old), child: old},
-			{rect: nodeRect(split), child: split},
+			{rect: coverOf(old), child: old},
+			{rect: coverOf(split), child: split},
 		}}
 	}
 	t.size++
 	return nil
 }
 
-// insert places e under n, returning a new sibling node if n split.
+// insert places e under n, returning a new sibling node if n split. The
+// rectangle of every internal entry is storage of its own (see coverOf), so
+// refitting it to a grown child writes in place.
 func (t *Tree) insert(n *node, e entry) *node {
 	if n.leaf {
 		n.entries = append(n.entries, e)
@@ -237,14 +221,53 @@ func (t *Tree) insert(n *node, e entry) *node {
 	}
 	best := chooseSubtree(n, e.rect)
 	split := t.insert(n.entries[best].child, e)
-	n.entries[best].rect = nodeRect(n.entries[best].child)
+	n.entries[best].rect.cover(n.entries[best].child)
 	if split != nil {
-		n.entries = append(n.entries, entry{rect: nodeRect(split), child: split})
+		n.entries = append(n.entries, entry{rect: coverOf(split), child: split})
 		if len(n.entries) > maxEntries {
 			return splitNode(n)
 		}
 	}
 	return nil
+}
+
+// unionMargin returns the margin of the smallest rectangle covering r and s
+// without building it: math.Min/math.Max per axis, summed in axis order.
+func unionMargin(r, s Rect) float64 {
+	var m float64
+	for i := range r.Lo {
+		m += math.Max(r.Hi[i], s.Hi[i]) - math.Min(r.Lo[i], s.Lo[i])
+	}
+	return m
+}
+
+// extend grows r to cover s in place: the smallest rectangle covering r
+// and s, written into r's own storage. r must never be a leaf rectangle, which aliases a point.
+func (r Rect) extend(s Rect) {
+	for i := range r.Lo {
+		r.Lo[i] = math.Min(r.Lo[i], s.Lo[i])
+		r.Hi[i] = math.Max(r.Hi[i], s.Hi[i])
+	}
+}
+
+// cover sets r, in place, to the bounding rectangle of all entries of n,
+// accumulated in entry order.
+func (r Rect) cover(n *node) {
+	copy(r.Lo, n.entries[0].rect.Lo)
+	copy(r.Hi, n.entries[0].rect.Hi)
+	for _, e := range n.entries[1:] {
+		r.extend(e.rect)
+	}
+}
+
+// coverOf returns the bounding rectangle of all entries of n in fresh
+// storage (one allocation): the rectangle a new internal entry owns.
+func coverOf(n *node) Rect {
+	d := len(n.entries[0].rect.Lo)
+	buf := make([]float64, 2*d)
+	r := Rect{Lo: buf[:d:d], Hi: buf[d:]}
+	r.cover(n)
+	return r
 }
 
 // chooseSubtree picks the child whose rectangle needs the least margin
@@ -256,21 +279,12 @@ func chooseSubtree(n *node, r Rect) int {
 	bestMargin := math.Inf(1)
 	for i, e := range n.entries {
 		m := e.rect.Margin()
-		enl := e.rect.Union(r).Margin() - m
+		enl := unionMargin(e.rect, r) - m
 		if enl < bestEnl || (enl == bestEnl && m < bestMargin) {
 			best, bestEnl, bestMargin = i, enl, m
 		}
 	}
 	return best
-}
-
-// nodeRect returns the bounding rectangle of all entries of n.
-func nodeRect(n *node) Rect {
-	r := n.entries[0].rect
-	for _, e := range n.entries[1:] {
-		r = r.Union(e.rect)
-	}
-	return r
 }
 
 // splitNode performs Guttman's quadratic split, moving roughly half of n's
@@ -282,57 +296,62 @@ func splitNode(n *node) *node {
 	worst := math.Inf(-1)
 	for i := 0; i < len(entries); i++ {
 		for j := i + 1; j < len(entries); j++ {
-			waste := entries[i].rect.Union(entries[j].rect).Margin() -
+			waste := unionMargin(entries[i].rect, entries[j].rect) -
 				entries[i].rect.Margin() - entries[j].rect.Margin()
 			if waste > worst {
 				worst, s1, s2 = waste, i, j
 			}
 		}
 	}
-	g1 := []entry{entries[s1]}
-	g2 := []entry{entries[s2]}
-	r1, r2 := entries[s1].rect, entries[s2].rect
+	// The groups' bounding rectangles grow in one scratch buffer: the seeds'
+	// rectangles may be leaf rectangles aliasing their points.
+	d := len(entries[s1].rect.Lo)
+	buf := make([]float64, 4*d)
+	r1 := Rect{Lo: buf[:d:d], Hi: buf[d : 2*d : 2*d]}
+	r2 := Rect{Lo: buf[2*d : 3*d : 3*d], Hi: buf[3*d:]}
+	copy(r1.Lo, entries[s1].rect.Lo)
+	copy(r1.Hi, entries[s1].rect.Hi)
+	copy(r2.Lo, entries[s2].rect.Lo)
+	copy(r2.Hi, entries[s2].rect.Hi)
 	rest := make([]entry, 0, len(entries)-2)
 	for i, e := range entries {
 		if i != s1 && i != s2 {
 			rest = append(rest, e)
 		}
 	}
+	// g1 reuses n's entry storage: rest holds copies of every other entry.
+	g2 := make([]entry, 1, maxEntries+1) // room to fill before it splits
+	g2[0] = entries[s2]
+	g1 := append(entries[:0], entries[s1])
 	for len(rest) > 0 {
 		// Force assignment if one group must take all remaining entries.
 		if len(g1)+len(rest) == minEntries {
 			g1 = append(g1, rest...)
-			for _, e := range rest {
-				r1 = r1.Union(e.rect)
-			}
 			break
 		}
 		if len(g2)+len(rest) == minEntries {
 			g2 = append(g2, rest...)
-			for _, e := range rest {
-				r2 = r2.Union(e.rect)
-			}
 			break
 		}
 		// Pick the entry with maximal preference for one group.
 		bestIdx, bestDiff := 0, -1.0
 		for i, e := range rest {
-			d1 := r1.Union(e.rect).Margin() - r1.Margin()
-			d2 := r2.Union(e.rect).Margin() - r2.Margin()
+			d1 := unionMargin(r1, e.rect) - r1.Margin()
+			d2 := unionMargin(r2, e.rect) - r2.Margin()
 			if diff := math.Abs(d1 - d2); diff > bestDiff {
 				bestIdx, bestDiff = i, diff
 			}
 		}
 		e := rest[bestIdx]
 		rest = append(rest[:bestIdx], rest[bestIdx+1:]...)
-		d1 := r1.Union(e.rect).Margin() - r1.Margin()
-		d2 := r2.Union(e.rect).Margin() - r2.Margin()
+		d1 := unionMargin(r1, e.rect) - r1.Margin()
+		d2 := unionMargin(r2, e.rect) - r2.Margin()
 		if d1 < d2 || (d1 == d2 && len(g1) < len(g2)) {
 			g1 = append(g1, e)
-			r1 = r1.Union(e.rect)
+			r1.extend(e.rect)
 		} else {
 			g2 = append(g2, e)
-			r2 = r2.Union(e.rect)
+			r2.extend(e.rect)
 		}
 	}
 	n.entries = g1

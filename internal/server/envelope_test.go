@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -160,6 +161,27 @@ func TestEnvelopeUnauthorized(t *testing.T) {
 	// Liveness probes must work without credentials (LBs, fleet health).
 	if resp, _ := do(t, "GET", ts.URL+"/v1/healthz", "", ""); resp.StatusCode != 200 {
 		t.Fatalf("unauthenticated /v1/healthz: %d, want 200", resp.StatusCode)
+	}
+}
+
+// TestWrongMethodIsNotFoundBeforeAuth pins the routing rules of the
+// catch-all: a known path under another method answers the 404 not_found
+// envelope (not net/http's 405), and unknown routes answer it before the
+// bearer check. A path that is not in canonical form gets net/http's 301
+// to the cleaned path, also before the bearer check; the redirect target
+// is then routed by these same rules.
+func TestWrongMethodIsNotFoundBeforeAuth(t *testing.T) {
+	s, ts := newTestServer(t, Config{AuthToken: "sekrit"})
+	for _, c := range [][2]string{{"DELETE", "/v1/stats"}, {"POST", "/v1/healthz"}, {"GET", "/v1/udfs/x/eval"}, {"GET", "/v1/nope"}} {
+		resp, body := do(t, c[0], ts.URL+c[1], "", "")
+		wantEnvelope(t, resp, body, http.StatusNotFound, wire.CodeNotFound)
+	}
+	for _, c := range [][2]string{{"/v1//stats", "/v1/stats"}, {"/v1//nope", "/v1/nope"}} {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", c[0], nil))
+		if rec.Code != http.StatusMovedPermanently || rec.Header().Get("Location") != c[1] {
+			t.Errorf("GET %s: %d to %q, want 301 to %s", c[0], rec.Code, rec.Header().Get("Location"), c[1])
+		}
 	}
 }
 

@@ -138,69 +138,75 @@ func (s *Server) Close() {
 	s.reg.Close()
 }
 
-// Handler returns the service's HTTP handler.
-func (s *Server) Handler() http.Handler { return http.HandlerFunc(s.serve) }
-
-// serve applies the cross-cutting policies (bearer auth, drain refusal,
-// per-request deadline) and dispatches to the mux.
-func (s *Server) serve(w http.ResponseWriter, r *http.Request) {
-	if _, pattern := s.mux.Handler(r); pattern == "" {
-		s.fail(w, http.StatusNotFound, wire.CodeNotFound, "no route %s %s", r.Method, r.URL.Path)
-		return
-	}
-	if tok := s.cfg.AuthToken; tok != "" && r.URL.Path != healthPath {
-		got, ok := bearerToken(r)
-		if !ok || subtle.ConstantTimeCompare([]byte(got), []byte(tok)) != 1 {
-			s.fail(w, http.StatusUnauthorized, wire.CodeUnauthorized, "missing or invalid bearer token")
-			return
-		}
-	}
-	if s.draining.Load() {
-		s.fail(w, http.StatusServiceUnavailable, wire.CodeDraining, "server is draining")
-		return
-	}
-	timeout := s.cfg.RequestTimeout
-	if ms := r.URL.Query().Get("timeout_ms"); ms != "" {
-		if v, err := strconv.Atoi(ms); err == nil && v > 0 && time.Duration(v)*time.Millisecond < timeout {
-			timeout = time.Duration(v) * time.Millisecond
-		}
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-	s.mux.ServeHTTP(w, r.WithContext(ctx))
-}
+// Handler returns the service's HTTP handler: each request is routed once,
+// to a /v1 handler behind the request guard or to the not_found catch-all.
+func (s *Server) Handler() http.Handler { return s.mux }
 
 // healthPath is exempt from auth: load balancers and fleet health checkers
 // must be able to probe without credentials.
 const healthPath = "/v1/healthz"
 
-// bearerToken extracts the Authorization bearer credential.
-func bearerToken(r *http.Request) (string, bool) {
+// CheckBearer reports whether r carries "Authorization: Bearer <token>",
+// compared in constant time. The shard and the fleet router both gate
+// their /v1 routes on it.
+func CheckBearer(r *http.Request, token string) bool {
 	const prefix = "Bearer "
 	h := r.Header.Get("Authorization")
-	if len(h) <= len(prefix) || h[:len(prefix)] != prefix {
-		return "", false
-	}
-	return h[len(prefix):], true
+	return len(h) > len(prefix) && h[:len(prefix)] == prefix &&
+		subtle.ConstantTimeCompare([]byte(h[len(prefix):]), []byte(token)) == 1
+}
+
+// NotFound is the catch-all handler of the shard's and the router's muxes:
+// an unknown path, or a known path under another method, answers the
+// not_found envelope — before auth, so probing needs no credentials.
+func NotFound(w http.ResponseWriter, r *http.Request) {
+	WriteError(w, Errorf(http.StatusNotFound, wire.CodeNotFound, "no route %s %s", r.Method, r.URL.Path))
+}
+
+// handle registers h for pattern behind the cross-cutting policies, in
+// order: bearer auth (every route but health checks), drain refusal, and
+// the per-request deadline.
+func (s *Server) handle(pattern string, h http.HandlerFunc) {
+	authed := pattern != "GET "+healthPath
+	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+		if tok := s.cfg.AuthToken; authed && tok != "" && !CheckBearer(r, tok) {
+			s.fail(w, http.StatusUnauthorized, wire.CodeUnauthorized, "missing or invalid bearer token")
+			return
+		}
+		if s.draining.Load() {
+			s.fail(w, http.StatusServiceUnavailable, wire.CodeDraining, "server is draining")
+			return
+		}
+		timeout := s.cfg.RequestTimeout
+		if ms := r.URL.Query().Get("timeout_ms"); ms != "" {
+			if v, err := strconv.Atoi(ms); err == nil && v > 0 && time.Duration(v)*time.Millisecond < timeout {
+				timeout = time.Duration(v) * time.Millisecond
+			}
+		}
+		ctx, cancel := context.WithTimeout(r.Context(), timeout)
+		defer cancel()
+		h(w, r.WithContext(ctx))
+	})
 }
 
 func (s *Server) routes() {
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("GET "+healthPath, s.handleHealthz)
-	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
-	s.mux.HandleFunc("GET /v1/catalog", s.handleCatalog)
-	s.mux.HandleFunc("GET /v1/udfs", s.handleListUDFs)
-	s.mux.HandleFunc("POST /v1/udfs", s.handleRegister)
-	s.mux.HandleFunc("POST /v1/udfs/{name}/eval", s.handleEval)
-	s.mux.HandleFunc("POST /v1/udfs/{name}/stream", s.handleStream)
-	s.mux.HandleFunc("POST /v1/udfs/{name}/snapshot", s.handleSnapshotOne)
-	s.mux.HandleFunc("POST /v1/snapshot", s.handleSnapshotAll)
-	s.mux.HandleFunc("POST /v1/query", s.handleQuery)
-	s.mux.HandleFunc("POST /v1/query/partials", s.handleQueryPartials)
-	s.mux.HandleFunc("GET /v1/replication/udfs", s.handleReplicationList)
-	s.mux.HandleFunc("GET /v1/udfs/{name}/snapshot", s.handleSnapshotFetch)
-	s.mux.HandleFunc("GET /v1/replication/members", s.handleMembershipGet)
-	s.mux.HandleFunc("POST /v1/replication/members", s.handleMembershipPost)
+	s.mux.HandleFunc("/", NotFound)
+	s.handle("GET "+healthPath, s.handleHealthz)
+	s.handle("GET /v1/stats", s.handleStats)
+	s.handle("GET /v1/catalog", s.handleCatalog)
+	s.handle("GET /v1/udfs", s.handleListUDFs)
+	s.handle("POST /v1/udfs", s.handleRegister)
+	s.handle("POST /v1/udfs/{name}/eval", s.handleEval)
+	s.handle("POST /v1/udfs/{name}/stream", s.handleStream)
+	s.handle("POST /v1/udfs/{name}/snapshot", s.handleSnapshotOne)
+	s.handle("POST /v1/snapshot", s.handleSnapshotAll)
+	s.handle("POST /v1/query", s.handleQuery)
+	s.handle("POST /v1/query/partials", s.handleQueryPartials)
+	s.handle("GET /v1/replication/udfs", s.handleReplicationList)
+	s.handle("GET /v1/udfs/{name}/snapshot", s.handleSnapshotFetch)
+	s.handle("GET /v1/replication/members", s.handleMembershipGet)
+	s.handle("POST /v1/replication/members", s.handleMembershipPost)
 }
 
 // --- admission control ---

@@ -336,12 +336,6 @@ func NewParallelPool(engines ...QueryEngine) (*ParallelEngine, error) {
 	return exec.NewPool(engines...)
 }
 
-// TupleSeed derives the per-tuple RNG seed used by both the serial planner
-// (Plan.Apply) and the parallel executor for the tuple at the given stream
-// ordinal, for reference implementations that need to reproduce the
-// sampling exactly.
-func TupleSeed(base, seq int64) int64 { return query.TupleSeed(base, seq) }
-
 // NewECDF builds an empirical CDF from samples (copied and sorted).
 func NewECDF(samples []float64) *ECDF { return ecdf.New(samples) }
 
