@@ -8,7 +8,7 @@ GO ?= go
 # BENCH_REF defaults to HEAD: the gate measures the working tree against
 # what is committed. Once the change is committed, name its base instead
 # (CI passes the pull request's base or the push's previous tip).
-BENCH_OUT ?= BENCH_PR23.json
+BENCH_OUT ?= BENCH_PR24.json
 BENCH_REF ?= HEAD
 BENCH_MAX_REGRESS ?= 0.35
 
@@ -76,24 +76,31 @@ bench-json:
 	$(GO) run ./cmd/benchdiff -current "$$tmp" -out $(BENCH_OUT)
 
 # bench-diff is the regression gate. It extracts $(BENCH_REF) into a
-# temporary directory and runs its Benchmark_ rows and the working tree's
-# alternately (ref, change, change, ref, ...) for $(BENCH_ROUNDS) rounds, so
-# both sides share the host and its drift; the per-name medians of the
-# change land in $(BENCH_OUT) and are gated against the reference's: the
-# build fails on >$(BENCH_MAX_REGRESS) ns/op drift or any allocs/op
-# increase beyond the floor-scaled slack. The parallel_*/server_*/fleet_*
-# families are exempt from the ns/op rule only (their timings depend on
-# host cores); their allocs/op is still gated.
+# temporary directory and, for $(BENCH_ROUNDS) rounds, runs each package's
+# Benchmark_ rows on the reference and on the working tree back to back,
+# seconds apart rather than a whole ~80 s pass apart, flipping which side
+# goes first every round, so a burst of host load lands on both sides of
+# the packages it spans. The per-name medians of the change land in
+# $(BENCH_OUT) and are gated against the reference's: the build fails on
+# >$(BENCH_MAX_REGRESS) ns/op drift or any allocs/op increase beyond the
+# floor-scaled slack. The parallel_*/server_*/fleet_* families are exempt
+# from the ns/op rule only (their timings depend on host cores); their
+# allocs/op is still gated.
 bench-diff:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	mkdir "$$tmp/ref"; git archive $(BENCH_REF) | tar -x -C "$$tmp/ref"; \
+	pkgs=$$( { grep -rl --include='*_test.go' '^func Benchmark_' . ; \
+		cd "$$tmp/ref" && grep -rl --include='*_test.go' '^func Benchmark_' . ; } | xargs -n1 dirname | sort -u); \
 	for r in $$(seq $(BENCH_ROUNDS)); do \
 		order="ref cur"; [ $$((r % 2)) = 1 ] || order="cur ref"; \
-		for side in $$order; do \
-			dir=.; [ $$side = cur ] || dir="$$tmp/ref"; \
-			echo "bench-diff: round $$r/$(BENCH_ROUNDS): $$side"; \
-			(cd "$$dir" && $(GO) test -p=1 -run='^$$' -bench='^Benchmark_' -benchmem ./...) > "$$tmp/run.txt" || { cat "$$tmp/run.txt"; exit 1; }; \
-			cat "$$tmp/run.txt" >> "$$tmp/$$side.txt"; \
+		for pkg in $$pkgs; do \
+			for side in $$order; do \
+				dir=.; [ $$side = cur ] || dir="$$tmp/ref"; \
+				[ -d "$$dir/$$pkg" ] || continue; \
+				echo "bench-diff: round $$r/$(BENCH_ROUNDS): $$pkg: $$side"; \
+				(cd "$$dir" && $(GO) test -run='^$$' -bench='^Benchmark_' -benchmem "$$pkg") > "$$tmp/run.txt" || { cat "$$tmp/run.txt"; exit 1; }; \
+				cat "$$tmp/run.txt" >> "$$tmp/$$side.txt"; \
+			done; \
 		done; \
 	done; \
 	$(GO) run ./cmd/benchdiff -baseline "$$tmp/ref.txt" -current "$$tmp/cur.txt" -out $(BENCH_OUT) -max-regress $(BENCH_MAX_REGRESS)
@@ -116,14 +123,17 @@ cover:
 # committed seed corpus plus tens of thousands of mutated inputs against the
 # envelope/bound invariants, the support sort's stable reference, the query
 # merge over hostile shard partials, snapshot restore over arbitrary bytes,
-# and the result-line encoder against encoding/json, short enough for every
-# CI run.
+# the request decode of stream lines and eval bodies against encoding/json's
+# strict decode, and the result-line encoder against encoding/json, short
+# enough for every CI run.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDiscrepancyBound -fuzztime=10s ./internal/ecdf
 	$(GO) test -run='^$$' -fuzz=FuzzEnvelopeOf -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzSortWithPerm -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzReadSnapshot -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzQueryMerge -fuzztime=10s ./internal/server
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeStreamLine -fuzztime=10s ./internal/server
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeEvalBody -fuzztime=10s ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzAppendEvalResult -fuzztime=10s ./internal/server/wire
 
 # e2e builds the olgaprod binary, boots it on a loopback port, and drives

@@ -225,8 +225,13 @@ func (rt *Router) handleFleetMembersGet(w http.ResponseWriter, r *http.Request) 
 // the union of the old and new shard sets, departing shard included, so it
 // demotes gracefully.
 func (rt *Router) handleFleetMembersPost(w http.ResponseWriter, r *http.Request) {
+	body, err := server.ReadBody(r, nil)
+	if err != nil {
+		server.WriteError(w, err)
+		return
+	}
 	var req wire.FleetMembersRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
 		rt.fail(w, http.StatusBadRequest, wire.CodeBadSpec, "bad members request: %v", err)
 		return
 	}
@@ -615,9 +620,9 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 // --- write endpoints (owner-routed) ---
 
 func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(r.Body)
+	body, err := server.ReadBody(r, nil)
 	if err != nil {
-		rt.fail(w, http.StatusBadRequest, wire.CodeBadSpec, "read body: %v", err)
+		server.WriteError(w, err)
 		return
 	}
 	var req wire.RegisterRequest
@@ -676,9 +681,9 @@ func (rt *Router) handleSnapshotAll(w http.ResponseWriter, r *http.Request) {
 
 func (rt *Router) handleEval(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	body, err := io.ReadAll(r.Body)
+	body, err := server.ReadBody(r, nil)
 	if err != nil {
-		rt.fail(w, http.StatusBadRequest, wire.CodeBadSpec, "read body: %v", err)
+		server.WriteError(w, err)
 		return
 	}
 	var req wire.EvalRequest

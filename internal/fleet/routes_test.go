@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -79,5 +80,46 @@ func TestRouterWrongMethodNotFound(t *testing.T) {
 	rt.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1//stats", nil))
 	if rec.Code != http.StatusMovedPermanently || rec.Header().Get("Location") != "/v1/stats" {
 		t.Fatalf("GET /v1//stats: %d to %q, want 301 to /v1/stats", rec.Code, rec.Header().Get("Location"))
+	}
+}
+
+// countingBody is a request body of "{" and spaces, size bytes long, that
+// counts the bytes a handler reads from it.
+type countingBody struct{ read, size int }
+
+func (b *countingBody) Read(p []byte) (int, error) {
+	if b.read >= b.size {
+		return 0, io.EOF
+	}
+	n := min(len(p), b.size-b.read)
+	for i := range p[:n] {
+		p[i] = ' '
+	}
+	if b.read == 0 && n > 0 {
+		p[0] = '{'
+	}
+	b.read += n
+	return n, nil
+}
+
+// TestRouterRequestBodyCap: the router refuses every non-stream JSON body
+// over wire.MaxRequestBytes with 413 over_capacity before forwarding it,
+// after reading at most one byte past the cap.
+func TestRouterRequestBodyCap(t *testing.T) {
+	rt, err := NewRouter(Config{Shards: []string{"http://127.0.0.1:1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	for _, path := range []string{"/v1/udfs", "/v1/udfs/x/eval", "/v1/query", "/v1/fleet/members"} {
+		body := &countingBody{size: 2 * wire.MaxRequestBytes}
+		rec := httptest.NewRecorder()
+		rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, body))
+		var env wire.ErrorEnvelope
+		if json.Unmarshal(rec.Body.Bytes(), &env) != nil || rec.Code != http.StatusRequestEntityTooLarge ||
+			env.Error.Code != wire.CodeOverCapacity || body.read > wire.MaxRequestBytes+1 {
+			t.Errorf("POST %s over the cap: %d %q after reading %d bytes, want 413 over_capacity after ≤ %d",
+				path, rec.Code, rec.Body.String(), body.read, wire.MaxRequestBytes+1)
+		}
 	}
 }

@@ -56,15 +56,17 @@ func handlerAllocs(t *testing.T, s *Server, target string, payload []byte, runs 
 	return testing.AllocsPerRun(runs, serve)
 }
 
-// Allocation ceilings of the frozen serving path, measured through
+// Allocation ceilings of the per-tuple serving paths, measured through
 // Server.Handler on the smooth 2-D UDF: one frozen eval, and the per-tuple
-// cost of a frozen stream (the difference between a long and a short stream,
-// so the per-request costs cancel). They sit just above the measured 31 and
-// 16.8; before result lines were encoded from the evaluator's scratch and
-// stream storage was reused, the same harness measured 55 and 63.
+// cost of a frozen and of a learning stream (the difference between a long
+// and a short stream, so the per-request costs cancel; a repeated learning
+// stream adds no training points, so its count is steady). They sit one
+// above the measured 13, 3.8 and 17 (docs/performance.md, "Strict decode
+// without allocations").
 const (
-	maxFrozenEvalAllocs        = 32
-	maxFrozenStreamTupleAllocs = 18
+	maxFrozenEvalAllocs        = 14
+	maxFrozenStreamTupleAllocs = 5
+	maxLearnStreamTupleAllocs  = 18
 )
 
 func TestFrozenServingAllocs(t *testing.T) {
@@ -90,16 +92,23 @@ func TestFrozenServingAllocs(t *testing.T) {
 		return buf.Bytes()
 	}
 	const short, long = 8, 40
-	target := fmt.Sprintf("/v1/udfs/%s/stream?learn=false&seed=3", name)
-	shortAllocs := handlerAllocs(t, s, target, stream(short), 10)
-	longAllocs := handlerAllocs(t, s, target, stream(long), 10)
-	perTuple := (longAllocs - shortAllocs) / (long - short)
+	perTuple := func(target string) float64 {
+		shortAllocs := handlerAllocs(t, s, target, stream(short), 10)
+		longAllocs := handlerAllocs(t, s, target, stream(long), 10)
+		return (longAllocs - shortAllocs) / (long - short)
+	}
+	frozenTuple := perTuple(fmt.Sprintf("/v1/udfs/%s/stream?learn=false&seed=3", name))
+	learnTuple := perTuple(fmt.Sprintf("/v1/udfs/%s/stream?seed=3", name))
 
-	t.Logf("frozen eval: %.1f allocs; frozen stream: %.1f allocs/tuple", evalAllocs, perTuple)
+	t.Logf("frozen eval: %.1f allocs; frozen stream: %.1f allocs/tuple; learn stream: %.1f allocs/tuple",
+		evalAllocs, frozenTuple, learnTuple)
 	if evalAllocs > maxFrozenEvalAllocs {
 		t.Errorf("frozen eval allocates %.1f times, ceiling %d", evalAllocs, maxFrozenEvalAllocs)
 	}
-	if perTuple > maxFrozenStreamTupleAllocs {
-		t.Errorf("frozen stream allocates %.1f times per tuple, ceiling %d", perTuple, maxFrozenStreamTupleAllocs)
+	if frozenTuple > maxFrozenStreamTupleAllocs {
+		t.Errorf("frozen stream allocates %.1f times per tuple, ceiling %d", frozenTuple, maxFrozenStreamTupleAllocs)
+	}
+	if learnTuple > maxLearnStreamTupleAllocs {
+		t.Errorf("learn stream allocates %.1f times per tuple, ceiling %d", learnTuple, maxLearnStreamTupleAllocs)
 	}
 }

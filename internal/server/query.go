@@ -49,8 +49,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // and the Olgapro-Model-Seq header.
 func (s *Server) handleQueryPartials(w http.ResponseWriter, r *http.Request) {
 	var req wire.QueryPartialsRequest
-	if err := decodeStrict(r.Body, &req); err != nil {
-		s.fail(w, http.StatusBadRequest, wire.CodeBadSpec, "bad partials request: %v", err)
+	if err := decodeBody(r, "partials request", &req); err != nil {
+		WriteError(w, err)
 		return
 	}
 	resp, err := s.partials(r.Context(), &req)
@@ -69,8 +69,8 @@ func (s *Server) handleQueryPartials(w http.ResponseWriter, r *http.Request) {
 // rather than a 200 with an empty body.
 func ServeQuery(w http.ResponseWriter, r *http.Request, fetch PartialsFunc) {
 	var req wire.QueryRequest
-	if err := decodeStrict(r.Body, &req); err != nil {
-		WriteError(w, Errorf(http.StatusBadRequest, wire.CodeBadSpec, "bad query request: %v", err))
+	if err := decodeBody(r, "query request", &req); err != nil {
+		WriteError(w, err)
 		return
 	}
 	resp, seqs, err := RunQuery(r.Context(), &req, fetch)

@@ -68,8 +68,8 @@ func (s *Server) handleMembershipPost(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var m wire.Membership
-	if err := decodeStrict(r.Body, &m); err != nil {
-		s.fail(w, http.StatusBadRequest, wire.CodeBadSpec, "bad membership: %v", err)
+	if err := decodeBody(r, "membership", &m); err != nil {
+		WriteError(w, err)
 		return
 	}
 	if _, err := h.AdoptMembership(m); err != nil {

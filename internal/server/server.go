@@ -14,6 +14,7 @@ import (
 	"net/http"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -243,6 +244,54 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
+// ReadBody reads r's body into buf's storage, reading at most
+// wire.MaxRequestBytes+1 bytes: a body over the cap is refused 413
+// over_capacity, a failed read 400 bad_spec. Shard and router read every
+// non-stream JSON body through it. A declared Content-Length sizes the
+// buffer up to maxBodyPrealloc, so a claimed length alone cannot make it
+// allocate more.
+func ReadBody(r *http.Request, buf []byte) ([]byte, error) {
+	body := buf[:0]
+	if n := r.ContentLength; n >= int64(cap(body)) {
+		body = make([]byte, 0, min(n, maxBodyPrealloc)+1)
+	} else if cap(body) == 0 {
+		body = make([]byte, 0, 512)
+	}
+	for {
+		if len(body) == cap(body) {
+			body = slices.Grow(body, cap(body))
+		}
+		n, err := r.Body.Read(body[len(body):min(cap(body), wire.MaxRequestBytes+1)])
+		body = body[:len(body)+n]
+		switch {
+		case len(body) > wire.MaxRequestBytes:
+			return body, Errorf(http.StatusRequestEntityTooLarge, wire.CodeOverCapacity,
+				"request body over %d bytes", wire.MaxRequestBytes)
+		case err == io.EOF:
+			return body, nil
+		case err != nil:
+			return body, Errorf(http.StatusBadRequest, wire.CodeBadSpec, "read body: %v", err)
+		}
+	}
+}
+
+// maxBodyPrealloc bounds what ReadBody allocates on a declared
+// Content-Length before the bytes arrive.
+const maxBodyPrealloc = 1 << 20
+
+// decodeBody reads r's body with ReadBody and decodes it strictly into v.
+// A refusal is an *Error: ReadBody's, or 400 bad_spec "bad <what>: …".
+func decodeBody(r *http.Request, what string, v any) error {
+	body, err := ReadBody(r, nil)
+	if err != nil {
+		return err
+	}
+	if err := decodeStrict(bytes.NewReader(body), v); err != nil {
+		return Errorf(http.StatusBadRequest, wire.CodeBadSpec, "bad %s: %v", what, err)
+	}
+	return nil
+}
+
 // decodeStrict decodes one JSON document, rejecting unknown fields and
 // trailing garbage — malformed requests fail loudly instead of silently
 // dropping a mistyped parameter.
@@ -443,8 +492,8 @@ func (s *Server) handleListUDFs(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req wire.RegisterRequest
-	if err := decodeStrict(r.Body, &req); err != nil {
-		s.fail(w, http.StatusBadRequest, wire.CodeBadSpec, "bad register request: %v", err)
+	if err := decodeBody(r, "register request", &req); err != nil {
+		WriteError(w, err)
 		return
 	}
 	e, err := s.reg.Register(req.Spec(), nil)
@@ -506,11 +555,13 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var req wire.EvalRequest
-	if err := decodeStrict(r.Body, &req); err != nil {
-		s.fail(w, http.StatusBadRequest, wire.CodeBadSpec, "bad eval request: %v", err)
+	body := evalBodies.Get().(*evalBody)
+	defer body.release()
+	if err := body.decode(r); err != nil {
+		WriteError(w, err)
 		return
 	}
+	req := &body.req
 	if len(req.Input) != e.def.entry.Dim {
 		s.fail(w, http.StatusBadRequest, wire.CodeBadSpec, "input has %d attributes, UDF %q wants %d",
 			len(req.Input), e.spec.Name, e.def.entry.Dim)
@@ -542,6 +593,48 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeResult(w, appendResult(make([]byte, 0, resultLineCap), 0, out, e.cfg.Eps))
+}
+
+// evalBody is one eval request's body and decode target. It is pooled, so
+// an eval in the steady state reads and decodes its body without
+// allocating.
+type evalBody struct {
+	buf []byte
+	rd  bytes.Reader
+	req wire.EvalRequest
+}
+
+var evalBodies = sync.Pool{New: func() any { return new(evalBody) }}
+
+// An evalBody goes back to the pool only while its storage is within
+// these bounds, so one oversized request is not retained.
+const (
+	maxPooledBody  = 64 << 10
+	maxPooledSpecs = 64
+)
+
+// decode reads an eval body and decodes it into b.req: by the fast path
+// when it accepts the body, else by encoding/json, which refuses the body
+// with its own error.
+func (b *evalBody) decode(r *http.Request) error {
+	var err error
+	if b.buf, err = ReadBody(r, b.buf); err != nil {
+		return err
+	}
+	if wire.DecodeEvalRequest(b.buf, &b.req) {
+		return nil
+	}
+	b.rd.Reset(b.buf)
+	if err := decodeStrict(&b.rd, &b.req); err != nil {
+		return Errorf(http.StatusBadRequest, wire.CodeBadSpec, "bad eval request: %v", err)
+	}
+	return nil
+}
+
+func (b *evalBody) release() {
+	if cap(b.buf) <= maxPooledBody && cap(b.req.Input) <= maxPooledSpecs {
+		evalBodies.Put(b)
+	}
 }
 
 // --- streaming ---
@@ -650,14 +743,15 @@ func (s *Server) streamLearn(ctx context.Context, e *udfEntry, body io.Reader,
 // decodeStreamLine parses one request line into sl and validates its arity
 // — the single definition of stream-line semantics, shared by the learn path
 // and the frozen pipeline source so both reject malformed lines
-// identically. sl is zeroed first, so a reused line decodes exactly as a
-// fresh one; rd is the reader the decoder reads the line through.
+// identically. The fast path decodes a line it accepts into sl's storage;
+// any other line is decoded by encoding/json, reading through rd, into the
+// emptied sl, so a reused line decodes exactly as a fresh one.
 func decodeStreamLine(rd *bytes.Reader, sl *streamLine, line []byte, dim int) error {
-	clear(sl.Input[:cap(sl.Input)])
-	sl.Input = sl.Input[:0]
-	rd.Reset(line)
-	if err := decodeStrict(rd, sl); err != nil {
-		return badReqf("bad stream line: %v", err)
+	if !wire.DecodeStreamLine(line, sl) {
+		rd.Reset(line)
+		if err := decodeStrict(rd, sl); err != nil {
+			return badReqf("bad stream line: %v", err)
+		}
 	}
 	if len(sl.Input) != dim {
 		return badReqf("input has %d attributes, UDF wants %d", len(sl.Input), dim)
@@ -731,7 +825,7 @@ func (s *Server) streamFrozen(ctx context.Context, e *udfEntry, body io.Reader,
 // streamItem is one frozen-stream line on its way through the executor:
 // its decoded input, the input vector built from it and its encoded result
 // line. A stream recycles its items, so a line in the steady state
-// allocates for its strict decode and its distributions and nothing else.
+// allocates for its distributions and nothing else.
 type streamItem struct {
 	ticket *query.Tuple // {"id": the item's index}: what exec carries
 	seq    int64

@@ -11,9 +11,10 @@ import (
 )
 
 // TestAPIDocConformance pins docs/api.md to the code: every canonical
-// route (with its scope), every error code, every Olgapro-* header, and
-// the query row cap must appear in the document. The doc promises this
-// test by name — if you add a route or code, document it.
+// route (with its scope), every error code, every Olgapro-* header, the
+// query row cap and the request body cap must appear in the document. The
+// doc promises this test by name — if you add a route or code, document
+// it.
 func TestAPIDocConformance(t *testing.T) {
 	raw, err := os.ReadFile("../../../docs/api.md")
 	if err != nil {
@@ -72,6 +73,9 @@ func TestAPIDocConformance(t *testing.T) {
 
 	if !strings.Contains(doc, strconv.Itoa(MaxQueryRows)) {
 		t.Errorf("the %d-row query cap is not documented in docs/api.md", MaxQueryRows)
+	}
+	if !strings.Contains(doc, "`wire.MaxRequestBytes`, "+strconv.Itoa(MaxRequestBytes)+" bytes") {
+		t.Errorf("the %d-byte request body cap is not documented in docs/api.md", MaxRequestBytes)
 	}
 	if !strings.Contains(doc, strconv.Itoa(gp.MaxSparseBudget)+"] (`gp.MaxSparseBudget`)") {
 		t.Errorf("the sparse budget cap %d is not documented in docs/api.md", gp.MaxSparseBudget)

@@ -23,6 +23,13 @@ import (
 // with a structured over_capacity error, never truncated silently.
 const MaxQueryRows = 4096
 
+// MaxRequestBytes caps the body of every non-stream JSON request, on shards
+// and on the fleet router; a larger body is refused with 413 over_capacity
+// after reading at most one byte past the cap. It admits a MaxQueryRows
+// query at the catalog's largest arity (4) with every scalar field of every
+// spec spelled at full float64 precision, about 5.7 MB.
+const MaxRequestBytes = 16 << 20
+
 // QueryRow is one input tuple of the request relation: the UDF input spec
 // plus an optional group label (exposed as certain attribute "g"). UDF, on
 // a fleet router, routes the row to a specific UDF instance — rows of one

@@ -49,8 +49,18 @@ type DistSpec struct {
 	Components []DistSpec `json:"components,omitempty"`
 }
 
-// Dist validates the spec and builds the distribution it describes.
+// Dist validates the spec and builds the distribution it describes. A
+// spec whose samples could overflow float64 is refused
+// (dist.SamplesFinite): no input may feed ±Inf into the emulator.
 func (s DistSpec) Dist() (dist.Dist, error) {
+	d, err := s.build()
+	if err == nil && !dist.SamplesFinite(d) {
+		return nil, fmt.Errorf("wire: %s spec can draw non-finite samples; its parameters are too large in magnitude", s.Type)
+	}
+	return d, err
+}
+
+func (s DistSpec) build() (dist.Dist, error) {
 	switch s.Type {
 	case "normal":
 		if !(s.Sigma > 0) {

@@ -74,6 +74,12 @@ func TestDistSpecValidation(t *testing.T) {
 		{Type: "mixture"},
 		{Type: "mixture", Components: []DistSpec{{Type: "normal"}}},
 		{Type: "mixture", Weights: []float64{-1}, Components: []DistSpec{{Type: "constant"}}},
+		// Specs whose samples could overflow float64.
+		{Type: "normal", Mu: 3, Sigma: 1e308},
+		{Type: "uniform", Lo: -1e308, Hi: 1e308},
+		{Type: "gamma", Shape: 2, Scale: 1e308},
+		{Type: "exponential", Rate: 1e-307},
+		{Type: "mixture", Components: []DistSpec{{Type: "normal", Sigma: 1}, {Type: "normal", Sigma: 1e308}}},
 	}
 	for i, s := range bad {
 		if _, err := s.Dist(); err == nil {
