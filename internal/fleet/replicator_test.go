@@ -186,7 +186,7 @@ func TestReplicatorIngestIdempotent(t *testing.T) {
 	}
 	after, ok := sB.Registry().Get(name)
 	if !ok || after != entry {
-		t.Fatal("entry identity changed: a no-op delta swapped the writer loop")
+		t.Fatal("entry identity changed: a no-op delta replaced the entry")
 	}
 	if got := after.Seq(); got != seqBefore {
 		t.Fatalf("model seq moved %d → %d on no-op deltas", seqBefore, got)

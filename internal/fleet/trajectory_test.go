@@ -35,10 +35,16 @@ func lagPoint(j int) client.InputSpec {
 	}
 }
 
+// lagCatchUp bounds one replica catch-up. A catch-up takes about one
+// round trip and a failed fetch is retried every 500ms Interval, so only a
+// stuck replica reaches it; it then fails the row instead of hanging it.
+const lagCatchUp = 10 * time.Second
+
 // lagFleet is an in-process owner + replica pair hosting one instance.
 type lagFleet struct {
 	owner    *client.Client
 	ownerSeq func() int64
+	ownerReg *server.Registry
 	replica  *server.Registry
 	close    func()
 }
@@ -97,21 +103,32 @@ func bootLagFleet(b *testing.B) *lagFleet {
 		b.Fatalf("register: %v", err)
 	}
 	e, _ := srvs[owner].Registry().Get("lag")
-	f.ownerSeq, f.replica = e.Seq, srvs[replica].Registry()
-	f.waitReplica(f.ownerSeq())
+	f.ownerSeq, f.ownerReg, f.replica = e.Seq, srvs[owner].Registry(), srvs[replica].Registry()
+	f.waitReplica(b, f.ownerSeq())
 	return f
 }
 
 // waitReplica returns once the replica holds model seq (or newer). It
 // sleeps on the replica registry's version, which every install bumps, so
-// it wakes at the install rather than at a polling tick.
-func (f *lagFleet) waitReplica(seq int64) {
+// it wakes at the install rather than at a polling tick. A replica that
+// has not caught up within lagCatchUp fails the benchmark.
+func (f *lagFleet) waitReplica(b *testing.B, seq int64) {
+	ctx, cancel := context.WithTimeout(context.Background(), lagCatchUp)
+	defer cancel()
 	for {
 		ver := f.replica.Version()
-		if e, ok := f.replica.Get("lag"); ok && e.Seq() >= seq {
+		replicaSeq := int64(-1)
+		if e, ok := f.replica.Get("lag"); ok {
+			replicaSeq = e.Seq()
+		}
+		if replicaSeq >= seq {
 			return
 		}
-		f.replica.WaitReplication(context.Background(), ver)
+		if ctx.Err() != nil {
+			b.Fatalf("replica at model seq %d after %v, want %d (owner at %d); registry versions: owner %d, replica %d",
+				replicaSeq, lagCatchUp, seq, f.ownerSeq(), f.ownerReg.Version(), ver)
+		}
+		f.replica.WaitReplication(ctx, ver)
 	}
 }
 
@@ -152,7 +169,7 @@ func Benchmark_fleet_learn_replicated(b *testing.B) {
 		if after == before {
 			b.Fatalf("op %d: learning at a fresh point left the owner's model seq at %d", i, after)
 		}
-		f.waitReplica(after)
+		f.waitReplica(b, after)
 	}
 }
 

@@ -68,10 +68,10 @@ func frozenEvalBody(t *testing.T, in wire.InputSpec, seed int64) []byte {
 	return b
 }
 
-// TestFrozenReadNotBlockedByWriter occupies the writer loop with a closure
+// TestFrozenReadNotBlockedByWriter holds the learner token in a closure
 // that never returns on its own: a frozen eval at the published sequence —
 // whose frozen model nobody has built yet — must still complete, because
-// building it and serving from it never queue on the writer.
+// building it and serving from it never wait for the token.
 func TestFrozenReadNotBlockedByWriter(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2})
 	name := registerSmooth(t, ts.URL)
@@ -95,7 +95,7 @@ func TestFrozenReadNotBlockedByWriter(t *testing.T) {
 		t.Fatal(err)
 	}
 	if status != http.StatusOK {
-		t.Fatalf("frozen eval behind a busy writer: %d %s", status, body)
+		t.Fatalf("frozen eval behind a held learner token: %d %s", status, body)
 	}
 	if got := e.builds.Load(); got != 1 {
 		t.Fatalf("%d frozen builds, want 1", got)
@@ -106,7 +106,7 @@ func TestFrozenReadNotBlockedByWriter(t *testing.T) {
 		t.Fatal(err)
 	}
 	if status != http.StatusOK || bytes.Count(body, []byte("\n")) != 3 || bytes.Contains(body, []byte(`"error"`)) {
-		t.Fatalf("frozen stream behind a busy writer: %d %s", status, body)
+		t.Fatalf("frozen stream behind a held learner token: %d %s", status, body)
 	}
 }
 
@@ -197,7 +197,7 @@ func TestOneFrozenBuildPerSeq(t *testing.T) {
 
 // TestSnapshotEncodedOncePerSeq fetches the replication snapshot three
 // times concurrently at one model sequence: one encode serves all three
-// with identical bodies, equal to encoding the writer's own snapshot.
+// with identical bodies, equal to encoding the learner's own snapshot.
 func TestSnapshotEncodedOncePerSeq(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	name := registerSmooth(t, ts.URL)
@@ -245,7 +245,7 @@ func TestSnapshotEncodedOncePerSeq(t *testing.T) {
 	}
 	for i, b := range bodies {
 		if !bytes.Equal(b, want.Bytes()) {
-			t.Fatalf("GET %d: %d snapshot bytes differ from the writer's own encode (%d bytes)", i, len(b), want.Len())
+			t.Fatalf("GET %d: %d snapshot bytes differ from the learner's own encode (%d bytes)", i, len(b), want.Len())
 		}
 	}
 }

@@ -12,19 +12,21 @@
 // A core.Evaluator is single-goroutine by design (it owns a mutable model
 // and a scratch workspace), so each registered UDF gets:
 //
-//   - one warm, tuning-enabled evaluator owned by a single-writer loop: all
-//     learning traffic, replica swaps and ownership flips are closures
-//     executed serially by that goroutine;
+//   - one warm, tuning-enabled evaluator guarded by a one-token lock (the
+//     learner token): learning tuples, replica swaps, ownership flips and
+//     stats each take the token, run on the caller's goroutine and give it
+//     back, so they run one at a time, in arrival order. A learned tuple's
+//     result line is encoded from the evaluator's scratch while the token
+//     is held;
 //   - one published model view per model sequence number: before each
-//     sequence bump (and at start and on a replica swap) the writer stores
-//     an immutable core.View of its model behind one atomic pointer. A view
-//     costs the writer a copy of the hyperparameters and, on the sparse
-//     path, of the inducing indices; it shares the append-only training
-//     pairs;
+//     sequence bump (and at start and on a replica swap) the token holder
+//     stores an immutable core.View of its model behind one atomic pointer.
+//     A view costs a copy of the hyperparameters and, on the sparse path,
+//     of the inducing indices; it shares the append-only training pairs;
 //   - one frozen model per view (core.Frozen), built by the first reader
-//     that needs it, outside the writer loop and exactly once, and the
-//     snapshot bytes of the view, encoded by the first snapshot reader and
-//     served to every replica fetch at that sequence;
+//     that needs it, without the token and exactly once, and the snapshot
+//     bytes of the view, encoded by the first snapshot reader and served to
+//     every replica fetch at that sequence;
 //   - a fixed set of clone slots for read traffic, each a frozen evaluator
 //     with its own scratch and generator over the shared frozen model:
 //     frozen evaluation is a pure function of (input, rng), so borrowed
@@ -121,13 +123,7 @@ func normalizeSpec(s RegisterSpec) (RegisterSpec, error) {
 	return s, nil
 }
 
-// writerReq is one closure travelling to an entry's single-writer loop.
-type writerReq struct {
-	fn   func() error
-	resp chan error // buffered: the writer never blocks on an abandoned caller
-}
-
-// modelView is one published model sequence: the writer's core.View at
+// modelView is one published model sequence: the learner's core.View at
 // seq, and what readers build from it at most once — the frozen model the
 // clone slots share and the snapshot bytes replicas fetch. A view whose
 // core.View could not be taken carries that error (err) for every reader.
@@ -176,40 +172,42 @@ type udfEntry struct {
 	// while read/stat paths observe it concurrently.
 	replica atomic.Bool
 
-	// ev is the evaluator owned by the single-writer loop. Only closures
-	// executed by that loop may touch it; the field itself is mutated only
-	// by swap closures running on the loop.
+	// ev is the learning evaluator. Only the holder of the learner token
+	// touches it, and a replica swap replaces it under the token.
 	ev *core.Evaluator
 	// cur is the published view of ev: the entry's model sequence and
-	// training-set size, stored by the writer side only.
+	// training-set size, stored by the token holder only.
 	cur atomic.Pointer[modelView]
 	// learnRng is the learning path's tuple generator, reseeded per tuple.
-	// Like ev, only closures run by the writer loop touch it.
+	// Like ev, only the token holder touches it.
 	learnRng *rand.Rand
 
-	reqs chan writerReq
-	quit chan struct{}
-	done chan struct{}
-	// stopOnce guards close(quit): Registry.Close and the registration
-	// rollback path (remove) can race on the same entry during shutdown,
-	// and a double close would panic the process.
+	// learner holds the one token that serializes every use of ev; quit is
+	// closed when the entry drains. stopOnce guards both: Registry.Close
+	// and the registration rollback path (remove) can race on the same
+	// entry during shutdown, and a double close would panic the process.
+	learner  chan struct{}
+	quit     chan struct{}
 	stopOnce sync.Once
 
 	served atomic.Int64 // tuples served (learning + frozen)
 	// builds and encodes count frozen-model builds and snapshot encodes.
 	builds, encodes atomic.Int64
 
-	// bump is called (from the writer loop) whenever the model sequence
-	// advances, so the registry's replication version can wake long-pollers.
+	// bump is called (by the token holder) whenever the model sequence
+	// advances, so the registry's replication version wakes long-pollers.
 	bump func()
 
 	slots chan *cloneSlot
 }
 
-// stop shuts the entry's writer loop down, idempotently, and waits for it.
+// stop drains the entry, idempotently: it refuses every queued and later
+// learner, waits for the token's holder to finish and keeps the token.
 func (e *udfEntry) stop() {
-	e.stopOnce.Do(func() { close(e.quit) })
-	<-e.done
+	e.stopOnce.Do(func() {
+		close(e.quit)
+		<-e.learner
+	})
 }
 
 // Spec returns the registration record (used as snapshot metadata).
@@ -225,67 +223,44 @@ func (e *udfEntry) Points() int { return e.cur.Load().points }
 func (e *udfEntry) Replica() bool { return e.replica.Load() }
 
 // publish stores the view of e.ev as the entry's model at seq. Only the
-// writer side calls it: before the loop starts and from the loop itself.
+// token holder calls it, or the constructor before the entry is shared.
 func (e *udfEntry) publish(seq int64) {
 	v := &modelView{seq: seq, points: e.ev.Points()}
 	v.view, v.err = e.ev.View()
 	e.cur.Store(v)
 }
 
-// startWriter runs the single-writer loop that owns e.ev, whose view the
-// entry has already published.
-func (e *udfEntry) startWriter() {
-	go func() {
-		defer close(e.done)
-		for {
-			select {
-			case <-e.quit:
-				return
-			case req := <-e.reqs:
-				prevEv, prevPts := e.ev, e.ev.Points()
-				err := req.fn()
-				// A swap closure installs a new evaluator and publishes it
-				// itself. Any other closure's growth is published before it
-				// is answered, so a read issued after a learner's response
-				// sees that learning.
-				if e.ev == prevEv && e.ev.Points() != prevPts {
-					e.publish(e.Seq() + 1)
-					if e.bump != nil {
-						e.bump()
-					}
-				}
-				req.resp <- err
-			}
-		}
-	}()
-}
-
-// withWriter runs fn on the entry's evaluator from the single-writer loop,
-// honoring ctx while queued (a deadline that fires before the writer gets
-// to the closure cancels it without running).
+// withWriter takes the learner token and runs fn with the entry's
+// evaluator on the caller's goroutine. Waiters take the token in arrival
+// order. One whose ctx fires while it waits, or that is handed the token
+// after ctx fired or once the entry drains, does not run fn. A model fn
+// grew is published as the next sequence before the token is given back,
+// so a read issued after the caller answers sees the growth.
 func (e *udfEntry) withWriter(ctx context.Context, fn func(ev *core.Evaluator) error) error {
-	req := writerReq{resp: make(chan error, 1)}
-	req.fn = func() error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		return fn(e.ev)
-	}
 	select {
-	case e.reqs <- req:
+	case <-e.learner:
 	case <-ctx.Done():
 		return ctx.Err()
 	case <-e.quit:
 		return errDraining
 	}
+	defer func() { e.learner <- struct{}{} }()
 	select {
-	case err := <-req.resp:
+	case <-e.quit:
+		return errDraining
+	default:
+	}
+	if err := ctx.Err(); err != nil {
 		return err
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-e.quit:
-		return errDraining
 	}
+	err := fn(e.ev)
+	// A swap publishes its own sequence, so only growth of the published
+	// evaluator is left to publish here.
+	if e.ev.Points() != e.cur.Load().points {
+		e.publish(e.Seq() + 1)
+		e.bump()
+	}
+	return err
 }
 
 // swapModel atomically replaces the entry's evaluator with one restored
@@ -300,23 +275,25 @@ func (e *udfEntry) swapModel(ctx context.Context, ev *core.Evaluator, seq int64)
 		e.ev = ev
 		// Publish at the owner's sequence directly (a snapshot delta jumps
 		// the counter rather than incrementing it) and wake replication
-		// pollers; the loop skips its own bookkeeping on swaps.
+		// pollers.
 		e.publish(seq)
-		if e.bump != nil {
-			e.bump()
-		}
+		e.bump()
 		return nil
 	})
 }
 
 // learnEval evaluates one input on the learning evaluator (online tuning
-// and retraining enabled) with the given deterministic seed.
-func (e *udfEntry) learnEval(ctx context.Context, input dist.Vector, seed int64) (*core.Output, error) {
-	var out *core.Output
-	err := e.withWriter(ctx, func(ev *core.Evaluator) error {
-		// Checked inside the writer loop so a concurrent Demote is
-		// linearized: once the demote closure has run, no learning tuple
-		// can land on the (now replica) entry.
+// and retraining enabled) with the given deterministic seed, and hands the
+// output to emit, when non-nil, while it still holds the token: the output
+// lives in the evaluator's scratch, which the next learner reuses. emit
+// runs before the tuple's growth is published, so it encodes and the
+// caller answers once learnEval returns. A tuple whose ctx fires while it
+// runs stays learned but is not emitted: it answers ctx's error.
+func (e *udfEntry) learnEval(ctx context.Context, input dist.Vector, seed int64, emit func(out *core.Output)) error {
+	return e.withWriter(ctx, func(ev *core.Evaluator) error {
+		// Checked under the token so a concurrent Demote is linearized:
+		// once the demote has run, no learning tuple can land on the (now
+		// replica) entry.
 		if e.replica.Load() {
 			return errNotOwner
 		}
@@ -324,22 +301,23 @@ func (e *udfEntry) learnEval(ctx context.Context, input dist.Vector, seed int64)
 			e.learnRng = query.NewTupleRand()
 		}
 		e.learnRng.Seed(seed)
-		o, err := ev.Eval(input, e.learnRng)
+		out, err := ev.EvalBorrowed(input, e.learnRng)
 		if err != nil {
 			return err
 		}
-		out = o
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		e.served.Add(1)
+		if emit != nil {
+			emit(out)
+		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	e.served.Add(1)
-	return out, nil
 }
 
 // borrowFrozen takes one frozen-clone slot, repointing it at the published
-// model if the writer has learned since. Blocks (under ctx) when all slots
+// model if the learner has grown it since. Blocks (under ctx) when all slots
 // are in use — the read path's intrinsic backpressure.
 func (e *udfEntry) borrowFrozen(ctx context.Context) (*cloneSlot, error) {
 	select {
@@ -498,7 +476,7 @@ func (e *udfEntry) snapshot() (data []byte, points int, seq int64, err error) {
 // UDFStats is the per-UDF /v1/stats record, shared with the wire surface.
 type UDFStats = wire.UDFStats
 
-// stats gathers the entry's counters (core counters via the writer loop).
+// stats gathers the entry's counters (core counters under the token).
 func (e *udfEntry) stats(ctx context.Context) (UDFStats, error) {
 	st := UDFStats{
 		Name:              e.spec.Name,
@@ -558,8 +536,8 @@ func NewRegistry(workers int) *Registry {
 
 // bumpVersion advances the replication version and wakes pollers.
 func (r *Registry) bumpVersion() {
-	r.version.Add(1)
 	r.watchMu.Lock()
+	r.version.Add(1)
 	close(r.watch)
 	r.watch = make(chan struct{})
 	r.watchMu.Unlock()
@@ -570,14 +548,17 @@ func (r *Registry) Version() int64 { return r.version.Load() }
 
 // WaitReplication blocks until the replication version exceeds since or
 // ctx fires, returning the version seen. since < 0 returns immediately.
+// The version and the channel its next bump closes are read in one watchMu
+// section, so a bump between the two cannot leave the waiter on a channel
+// that only the bump after it closes.
 func (r *Registry) WaitReplication(ctx context.Context, since int64) int64 {
 	for {
-		if v := r.version.Load(); v > since || since < 0 {
+		r.watchMu.Lock()
+		v, ch := r.version.Load(), r.watch
+		r.watchMu.Unlock()
+		if v > since || since < 0 {
 			return v
 		}
-		r.watchMu.Lock()
-		ch := r.watch
-		r.watchMu.Unlock()
 		select {
 		case <-ch:
 		case <-ctx.Done():
@@ -630,13 +611,13 @@ func (r *Registry) newEntry(spec RegisterSpec, snap *core.Snapshot, replica bool
 		def:       def,
 		cfg:       ncfg,
 		mcSamples: mc.SampleSize(ncfg.Eps, ncfg.Delta, mc.MetricDiscrepancy),
-		reqs:      make(chan writerReq),
+		learner:   make(chan struct{}, 1),
 		quit:      make(chan struct{}),
-		done:      make(chan struct{}),
 		bump:      r.bumpVersion,
 		slots:     make(chan *cloneSlot, r.workers),
 	}
 	e.replica.Store(replica)
+	e.learner <- struct{}{}
 	for i := 0; i < r.workers; i++ {
 		e.slots <- &cloneSlot{}
 	}
@@ -645,7 +626,7 @@ func (r *Registry) newEntry(spec RegisterSpec, snap *core.Snapshot, replica bool
 	return e, nil
 }
 
-// install adds a constructed entry under lock and starts its writer.
+// install adds a constructed entry under lock.
 func (r *Registry) install(e *udfEntry) (*udfEntry, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -655,7 +636,6 @@ func (r *Registry) install(e *udfEntry) (*udfEntry, error) {
 	if _, dup := r.entries[e.spec.Name]; dup {
 		return nil, fmt.Errorf("server: UDF %q %w", e.spec.Name, errAlreadyRegistered)
 	}
-	e.startWriter()
 	r.entries[e.spec.Name] = e
 	return e, nil
 }
@@ -699,9 +679,9 @@ func (r *Registry) InstallReplica(spec RegisterSpec, snap *core.Snapshot) error 
 		if snap.ModelSeq <= existing.Seq() {
 			return nil // already current
 		}
-		// Rebuild an evaluator from the snapshot and swap it in through
-		// the writer loop so in-flight reads finish on the old model. The
-		// swap bumps the registry version itself.
+		// Rebuild an evaluator from the snapshot and swap it in under the
+		// learner token; in-flight reads finish on the old model. The swap
+		// bumps the registry version itself.
 		_, _, ev, err := newEvaluator(spec, snap)
 		if err != nil {
 			return err
@@ -722,8 +702,8 @@ func (r *Registry) InstallReplica(spec RegisterSpec, snap *core.Snapshot) error 
 // Promote flips a replica entry to owner (writer). Used by the fleet
 // handoff path once this shard's replica has caught up to the departing
 // owner's model sequence: the model bytes are already identical, so
-// promotion only changes who accepts learning traffic. The flip runs on
-// the writer loop, linearizing it against in-flight learn closures, and
+// promotion only changes who accepts learning traffic. The flip runs
+// under the learner token, linearizing it against in-flight learns, and
 // bumps the replication version (not the model sequence — the model did
 // not change) so peers see the new Owned advertisement.
 func (r *Registry) Promote(ctx context.Context, name string) error {
@@ -746,9 +726,9 @@ func (r *Registry) Promote(ctx context.Context, name string) error {
 
 // Demote flips an owned entry to replica — the other half of handoff,
 // taken by the old owner once the new owner advertises ownership at a
-// model sequence ≥ its own. Running on the writer loop guarantees no
-// learning tuple is accepted after the flip (learnEval re-checks inside
-// its closure), so the final owned sequence the new owner caught up to is
+// model sequence ≥ its own. Running under the learner token guarantees no
+// learning tuple is accepted after the flip (learnEval re-checks under the
+// token), so the final owned sequence the new owner caught up to is
 // genuinely final.
 func (r *Registry) Demote(ctx context.Context, name string) error {
 	e, ok := r.Get(name)
@@ -819,8 +799,9 @@ func (r *Registry) ReplicationStates() []wire.ReplicaState {
 	return out
 }
 
-// Close stops every writer loop and marks the registry draining. In-flight
-// writer closures finish; queued and future ones fail with errDraining.
+// Close drains every entry and marks the registry draining. Each entry's
+// token holder finishes before Close returns; queued and later learners
+// fail with errDraining.
 func (r *Registry) Close() {
 	r.mu.Lock()
 	if r.closed {

@@ -132,8 +132,8 @@ func New(cfg Config) (*Server, error) {
 // replication puller installs fetched snapshots through it).
 func (s *Server) Registry() *Registry { return s.reg }
 
-// Close drains the registry: every writer loop stops and subsequent
-// requests fail with 503.
+// Close drains the registry: every UDF's learner finishes its tuple and
+// subsequent requests fail with 503.
 func (s *Server) Close() {
 	s.draining.Store(true)
 	s.reg.Close()
@@ -525,7 +525,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 			s.failErr(w, err, "warmup[%d]: %v", i, err)
 			return
 		}
-		_, err := e.learnEval(r.Context(), vec, exec.TupleSeed(req.WarmupSeed, int64(i)))
+		err := e.learnEval(r.Context(), vec, exec.TupleSeed(req.WarmupSeed, int64(i)), nil)
 		s.release()
 		if err != nil {
 			s.reg.remove(e.spec.Name)
@@ -587,12 +587,16 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	out, err := e.learnEval(r.Context(), vec, seed)
-	if err != nil {
+	// A learned line is encoded under the learner token, from the learning
+	// evaluator's scratch, and written once the token is given back.
+	var line []byte
+	if err := e.learnEval(r.Context(), vec, seed, func(out *core.Output) {
+		line = appendResult(make([]byte, 0, resultLineCap), 0, out, e.cfg.Eps)
+	}); err != nil {
 		s.failErr(w, err, "%v", err)
 		return
 	}
-	writeResult(w, appendResult(make([]byte, 0, resultLineCap), 0, out, e.cfg.Eps))
+	writeResult(w, line)
 }
 
 // evalBody is one eval request's body and decode target. It is pooled, so
@@ -644,8 +648,8 @@ func (b *evalBody) release() {
 // per-tuple seeding (exec.TupleSeed over ?seed=S and the line number) makes
 // the response bytes a deterministic function of the model state, so a
 // snapshot-restored server replays a session bit-identically. The default
-// learn mode routes every tuple through the single-writer loop with the
-// same per-line seed derivation.
+// learn mode evaluates every tuple on the learning evaluator, under its
+// one-token lock, with the same per-line seed derivation.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	e, ok := s.entryFor(w, r)
 	if !ok {
@@ -695,8 +699,9 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// streamLearn runs the stream sequentially through the writer loop, taking
-// one in-flight token per tuple for the duration of its evaluation.
+// streamLearn runs the stream sequentially on the learning evaluator,
+// taking one in-flight token per tuple for the duration of its evaluation.
+// Each result line is encoded under the learner token and written after it.
 func (s *Server) streamLearn(ctx context.Context, e *udfEntry, body io.Reader,
 	seed int64, w io.Writer, fail func(int64, error)) {
 	sc := bufio.NewScanner(body)
@@ -725,13 +730,14 @@ func (s *Server) streamLearn(ctx context.Context, e *udfEntry, body io.Reader,
 			fail(seq, err)
 			return
 		}
-		out, err := e.learnEval(ctx, vec, exec.TupleSeed(seed, seq))
+		err = e.learnEval(ctx, vec, exec.TupleSeed(seed, seq), func(out *core.Output) {
+			line = appendResult(line[:0], seq, out, e.cfg.Eps)
+		})
 		s.release()
 		if err != nil {
 			fail(seq, err)
 			return
 		}
-		line = appendResult(line[:0], seq, out, e.cfg.Eps)
 		w.Write(line)
 		seq++
 	}

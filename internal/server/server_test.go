@@ -480,7 +480,7 @@ func TestDeadlineCancellation(t *testing.T) {
 		t.Fatal("entry missing")
 	}
 
-	// Occupy the writer loop with a long closure, then watch a deadline
+	// Hold the learner token with a long closure, then watch a deadline
 	// fire while an eval waits its turn.
 	block := make(chan struct{})
 	go e.withWriter(context.Background(), func(*core.Evaluator) error {
@@ -488,7 +488,7 @@ func TestDeadlineCancellation(t *testing.T) {
 		return nil
 	})
 	defer close(block)
-	time.Sleep(20 * time.Millisecond) // let the blocker reach the writer
+	time.Sleep(20 * time.Millisecond) // let the blocker take the token
 
 	resp, body := postJSON(t, fmt.Sprintf("%s/v1/udfs/%s/eval?timeout_ms=50", ts.URL, name),
 		map[string]any{"input": testInputs(1)[0]})
@@ -630,8 +630,10 @@ func TestLearnSeedDerivation(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	out, err := e.learnEval(ctx, in, exec.TupleSeed(21, 0))
-	if err != nil {
+	var bound, mean float64
+	if err := e.learnEval(ctx, in, exec.TupleSeed(21, 0), func(out *core.Output) {
+		bound, mean = out.Bound, out.Dist.Mean()
+	}); err != nil {
 		t.Fatal(err)
 	}
 	// Rebuild the same evaluator manually and replay with the same rng.
@@ -645,9 +647,9 @@ func TestLearnSeedDerivation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Bound != want.Bound || out.Dist.Mean() != want.Dist.Mean() {
+	if bound != want.Bound || mean != want.Dist.Mean() {
 		t.Fatalf("server learn eval diverged from direct eval: %g/%g vs %g/%g",
-			out.Bound, out.Dist.Mean(), want.Bound, want.Dist.Mean())
+			bound, mean, want.Bound, want.Dist.Mean())
 	}
 }
 

@@ -399,8 +399,9 @@ func MixtureDist(weights []float64, components ...Dist) (Dist, error) {
 
 // Serving layer (internal/server): the olgaprod network service. A Server
 // owns an evaluator registry — one warm, tuning-enabled evaluator per
-// registered UDF behind a single-writer loop, with frozen clones fanned out
-// for deterministic read traffic — plus snapshot persistence and admission
+// registered UDF behind a one-token lock that serializes its learning, with
+// frozen clones fanned out for deterministic read traffic — plus snapshot
+// persistence and admission
 // control. cmd/olgaprod is the runnable daemon; embedders can mount
 // Server.Handler on their own http.Server.
 type (
