@@ -120,11 +120,12 @@ func (v *View) Snapshot() (*Snapshot, error) {
 	return s, nil
 }
 
-// Build makes the frozen model of the view: the exact factor replayed point
-// by point with α solved once (gp.Replay) plus the R-tree, or the sparse
-// model canonically rebuilt from its training set and inducing indices, so
-// every build of the same view — and of a view of the same model restored
-// from a snapshot — predicts bit-identically. The view needs at least two
+// Build makes the frozen model of the view: the exact factor rebuilt point
+// by point with α solved once (gp.Replay), which is the learner's factor at
+// the view's step bit for bit, plus the R-tree, or the sparse model
+// canonically rebuilt from its training set and inducing indices, so every
+// build of the same view — and of a view of the same model restored from a
+// snapshot — predicts bit-identically. The view needs at least two
 // training points.
 func (v *View) Build() (*Frozen, error) {
 	if len(v.xs) < 2 {

@@ -131,7 +131,7 @@ func TestReplicaClonesMatchOwnerClones(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(48))
+	rng := rand.New(rand.NewSource(149))
 	inputs := make([]dist.Vector, 64)
 	for i := range inputs {
 		in, err := dist.IsoGaussianVec([]float64{0.3 + 0.4*rng.Float64(), 0.3 + 0.4*rng.Float64()}, 0.15)

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"olgapro/internal/dist"
+	"olgapro/internal/gp"
 	"olgapro/internal/kernel"
 	"olgapro/internal/udf"
 )
@@ -246,4 +248,46 @@ func TestRebindRefusesLearner(t *testing.T) {
 		}
 	}()
 	ev.Rebind(fm)
+}
+
+// TestLearnerAndFrozenClonePredictAlike retrains a learner and requires a
+// frozen clone of it to predict the learner's posterior mean and variance
+// bit for bit: the clone's replayed factor is the learner's refit factor,
+// not merely a factor of the same matrix.
+func TestLearnerAndFrozenClonePredictAlike(t *testing.T) {
+	f := udf.FuncOf{D: 2, F: func(x []float64) float64 { return x[0]*x[0] + 0.5*x[1] + 0.3*x[0]*x[1] }}
+	for _, tc := range viewModels()[:2] {
+		t.Run(tc.name, func(t *testing.T) {
+			learner, err := NewEvaluator(f, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(7))
+			for i := 0; i < 12; i++ {
+				in, err := dist.IsoGaussianVec([]float64{0.2 + 0.06*float64(i), 0.5 + 0.3*rng.Float64()}, 0.12)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := learner.Eval(in, rng); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if learner.Stats().Retrainings == 0 {
+				t.Fatal("the learning run never retrained")
+			}
+			clone, err := learner.CloneFrozen()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sl, sc gp.Scratch
+			for i := 0; i < 50; i++ {
+				x := []float64{1.2 * rng.Float64(), 1.2 * rng.Float64()}
+				ml, vl := learner.GP().PredictWith(&sl, x)
+				mc, vc := clone.GP().PredictWith(&sc, x)
+				if math.Float64bits(ml) != math.Float64bits(mc) || math.Float64bits(vl) != math.Float64bits(vc) {
+					t.Fatalf("at %v: learner predicts (%v, %v), frozen clone (%v, %v)", x, ml, vl, mc, vc)
+				}
+			}
+		})
+	}
 }

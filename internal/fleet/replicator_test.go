@@ -262,11 +262,11 @@ func TestReplicaCatchesUpWithinRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Learn tuples centred at fresh points 6 apart, so every learn adds
+	// Learn tuples centred at fresh points 10 apart, so every learn adds
 	// training points and moves the owner's seq.
 	point := func(k int) client.InputSpec {
 		return client.InputSpec{
-			{Type: "normal", Mu: 6 * float64(k), Sigma: 0.05},
+			{Type: "normal", Mu: 10 * float64(k), Sigma: 0.05},
 			{Type: "normal", Mu: 0, Sigma: 0.05},
 		}
 	}

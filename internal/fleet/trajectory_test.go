@@ -25,12 +25,12 @@ import (
 // replication list stay small however large b.N grows.
 const lagBatch = 8
 
-// lagPoint is the j-th fresh learn input of a batch: points 6 apart on a
+// lagPoint is the j-th fresh learn input of a batch: points 10 apart on a
 // line, far enough from everything learned before that each adds training
 // points.
 func lagPoint(j int) client.InputSpec {
 	return client.InputSpec{
-		{Type: "normal", Mu: 6 * float64(j), Sigma: 0.05},
+		{Type: "normal", Mu: 10 * float64(j), Sigma: 0.05},
 		{Type: "normal", Mu: 0, Sigma: 0.05},
 	}
 }

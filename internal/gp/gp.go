@@ -14,6 +14,17 @@
 // analytic gradients (§3.4). The first-Newton-step estimate driving the
 // online retraining heuristic (§5.3) is exposed as NewtonStep.
 //
+// Every exact factor is built by one rule: point by point, each point
+// extending the factor over the points before it with the kernel row
+// k(X*, x) and the diagonal k(x,x) + σ_n² + jitter. Add extends once; Fit
+// and Replay reset the factor and extend every point, under the smallest
+// jitter in {0, 10σ_n², 100σ_n², …, 10⁸σ_n²} under which all of them
+// extend. A later Add extends under that same jitter. The jitter is a
+// function of the points: every smaller rung failed on the prefix the last
+// refit saw, and fails identically in any rebuild, so Replay over a
+// learner's pairs lands on the learner's jitter and on its factor and α bit
+// for bit, and a snapshot needs only the pairs and the hyperparameters.
+//
 // Inference is the per-sample hot path of the whole system (~10⁴ predictions
 // per input tuple), so every predict entry point has a scratch-buffer form
 // that performs no heap allocation in the steady state: see Scratch,
@@ -47,15 +58,19 @@ type GP struct {
 	kern  kernel.Kernel
 	noise float64
 
-	xs    [][]float64
-	ys    []float64
-	chol  mat.Cholesky
-	alpha []float64
+	xs     [][]float64
+	ys     []float64
+	chol   mat.Cholesky
+	alpha  []float64
+	jitter float64 // diagonal shift of the factor, chosen by the last factor
 
-	addK []float64   // Add: kernel cross-vector scratch
-	gram *mat.Matrix // Fit: Gram matrix scratch
-	gh   ghScratch   // gradHess scratch
+	addK []float64 // extend: kernel cross-vector scratch
+	gh   ghScratch // gradHess scratch
 }
+
+// jitterRungs is how many nonzero jitters factor tries: 10σ_n² up to
+// 10⁸σ_n², each ten times the last.
+const jitterRungs = 8
 
 // Scratch holds the reusable buffers of the allocation-free predict path.
 // The zero value is ready to use; buffers grow on demand and are retained
@@ -135,23 +150,53 @@ func (g *GP) refreshAlpha() {
 	g.chol.SolveVecTo(g.alpha, g.ys)
 }
 
-// Add appends one training pair and updates the factorization incrementally
-// in O(n²) (paper §5.2). The input slice is copied. Together with the
-// capacity-doubling packed factor, steady-state Add performs no allocation
-// beyond the copied point itself.
+// extend borders the factor over xs with point x: the kernel row k(xs, x)
+// and the diagonal k(x,x) + σ_n² + jitter. It is the only writer of factor
+// rows, so a factor's bits depend on nothing but its points, the kernel,
+// the noise and the jitter. Its row scratch grows by doubling, and at once
+// to the training-set size when factor rebuilds a prefix of it.
+func (g *GP) extend(xs [][]float64, x []float64) error {
+	if cap(g.addK) < len(xs) {
+		g.addK = make([]float64, len(xs), max(2*len(xs)+1, len(g.xs)))
+	}
+	k := kernel.CrossVec(g.kern, xs, x, g.addK[:len(xs)])
+	return g.chol.Extend(k, g.kern.Eval(x, x)+g.noise+g.jitter)
+}
+
+// factor rebuilds the factor from the training pairs, extending point by
+// point under the smallest jitter rung under which every point extends. It
+// keeps that jitter for later Adds and solves α once. If no rung works, the
+// factor is left empty and the error names the point that failed last.
+func (g *GP) factor() error {
+	var err error
+	g.jitter = 0
+	for rung := 0; rung <= jitterRungs; rung++ {
+		g.chol.Reset()
+		g.chol.Reserve(len(g.xs))
+		i := 0
+		for err = nil; err == nil && i < len(g.xs); i++ {
+			err = g.extend(g.xs[:i], g.xs[i])
+		}
+		if err == nil {
+			g.refreshAlpha()
+			return nil
+		}
+		err = fmt.Errorf("point %d: %w: %v", i-1, ErrDuplicatePoint, err)
+		g.jitter = max(10*g.noise, 10*g.jitter)
+	}
+	g.chol.Reset()
+	return err
+}
+
+// Add appends one training pair and borders the factor with it in O(n²)
+// (paper §5.2), under the jitter of the last refit. The input slice is
+// copied. Together with the capacity-doubling packed factor, steady-state
+// Add performs no allocation beyond the copied point itself.
 func (g *GP) Add(x []float64, y float64) error {
 	if len(g.xs) > 0 && len(x) != len(g.xs[0]) {
 		return fmt.Errorf("gp: point dim %d ≠ %d", len(x), len(g.xs[0]))
 	}
-	if cap(g.addK) < len(g.xs) {
-		g.addK = make([]float64, len(g.xs), 2*len(g.xs)+1)
-	}
-	k := g.addK[:len(g.xs)]
-	for i, xi := range g.xs {
-		k[i] = g.kern.Eval(xi, x)
-	}
-	kappa := g.kern.Eval(x, x) + g.noise
-	if err := g.chol.Extend(k, kappa); err != nil {
+	if err := g.extend(g.xs, x); err != nil {
 		return fmt.Errorf("%w: %v", ErrDuplicatePoint, err)
 	}
 	cp := make([]float64, len(x))
@@ -162,14 +207,13 @@ func (g *GP) Add(x []float64, y float64) error {
 	return nil
 }
 
-// Replay returns a GP holding the training pairs with exactly the factor and
-// α that adding them one by one with Add would leave: the factor is extended
-// once per point in order, with Add's kernel evaluations, and α is solved
-// once at the end. Add's α refreshes are each overwritten by the next Add,
-// so skipping them moves no bit, and the replay costs one O(n³/3) pass
-// instead of that plus n O(n²) solves. The pairs are copied, the inputs into
-// one contiguous block, so predictions walk them in memory order. A point
-// that fails the extension is reported as ErrDuplicatePoint with its index.
+// Replay returns a GP holding the training pairs, factored as Fit factors
+// them. That is exactly the factor, jitter and α of any GP that holds the
+// same pairs under the same kernel and noise, whatever mix of Fit and Add
+// built it (see the package doc): a learner's frozen clones, replicas and
+// restores predict its bits. The pairs are copied, the inputs into one
+// contiguous block, so predictions walk them in memory order. A point that
+// fails every jitter rung is reported as ErrDuplicatePoint with its index.
 func Replay(k kernel.Kernel, noise float64, xs [][]float64, ys []float64) (*GP, error) {
 	if len(xs) != len(ys) {
 		return nil, fmt.Errorf("gp: replay lengths %d ≠ %d", len(xs), len(ys))
@@ -190,17 +234,9 @@ func Replay(k kernel.Kernel, noise float64, xs [][]float64, ys []float64) (*GP, 
 		copy(g.xs[i], x)
 	}
 	g.ys = append([]float64(nil), ys...)
-	g.chol.Reserve(n)
-	kv := make([]float64, n)
-	for i, x := range g.xs {
-		for j, xj := range g.xs[:i] {
-			kv[j] = g.kern.Eval(xj, x)
-		}
-		if err := g.chol.Extend(kv[:i], g.kern.Eval(x, x)+g.noise); err != nil {
-			return nil, fmt.Errorf("gp: replay point %d: %w: %v", i, ErrDuplicatePoint, err)
-		}
+	if err := g.factor(); err != nil {
+		return nil, fmt.Errorf("gp: replay %w", err)
 	}
-	g.refreshAlpha()
 	return g, nil
 }
 
@@ -222,22 +258,15 @@ func (g *GP) AddBatch(xs [][]float64, ys []float64) error {
 	return g.Fit()
 }
 
-// Fit refactorizes the Gram matrix from scratch in O(n³). Call it after
-// changing hyperparameters; Add keeps the factorization current otherwise.
+// Fit refactors from scratch in O(n³), point by point under the smallest
+// jitter rung that takes every point (see the package doc), and keeps that
+// jitter for later Adds. Call it after changing hyperparameters; Add keeps
+// the factorization current otherwise. It allocates nothing once the
+// factor and α have held this many points.
 func (g *GP) Fit() error {
-	if len(g.xs) == 0 {
-		g.chol = mat.Cholesky{}
-		g.alpha = nil
-		return nil
-	}
-	g.gram = kernel.GramInto(g.gram, g.kern, g.xs)
-	for i := 0; i < len(g.xs); i++ {
-		g.gram.Add(i, i, g.noise)
-	}
-	if _, err := g.chol.FactorizeJittered(g.gram, g.noise*10, 8); err != nil {
+	if err := g.factor(); err != nil {
 		return fmt.Errorf("gp: fit: %w", err)
 	}
-	g.refreshAlpha()
 	return nil
 }
 

@@ -87,3 +87,59 @@ func TestReplayRejectsDuplicates(t *testing.T) {
 		t.Fatal("mismatched lengths accepted")
 	}
 }
+
+// TestReplayMatchesJitteredRefitThenAdds pins the one factorization rule
+// where it matters most: a refit whose points need diagonal jitter,
+// followed by Adds under that jitter, is rebuilt by Replay over the same
+// pairs with the same jitter, factor and α, bit for bit. Replay is never
+// told the jitter; the points determine it.
+func TestReplayMatchesJitteredRefitThenAdds(t *testing.T) {
+	kern := func() kernel.Kernel {
+		k := kernel.NewSqExp(1, 1)
+		k.SetParams([]float64{9, 2})
+		return k
+	}
+	rng := rand.New(rand.NewSource(3))
+	var xs [][]float64
+	var ys []float64
+	for range 60 {
+		x := []float64{5 * rng.Float64(), 5 * rng.Float64()}
+		xs, ys = append(xs, x), append(ys, math.Sin(x[0])+x[1]*x[1])
+	}
+	g := New(kern(), 1e-8)
+	if err := g.AddBatch(xs[:40], ys[:40]); err != nil {
+		t.Fatal(err)
+	}
+	if g.jitter == 0 {
+		t.Fatal("the refit needed no jitter; the case no longer covers a jittered factor")
+	}
+	for i := 40; i < 60; i++ {
+		if err := g.Add(xs[i], ys[i]); err != nil && !errors.Is(err, ErrDuplicatePoint) {
+			t.Fatal(err)
+		}
+	}
+	if g.Len() == 40 {
+		t.Fatal("no Add extended the jittered factor")
+	}
+	rep, err := Replay(kern(), 1e-8, g.Inputs(), g.Outputs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(rep.jitter) != math.Float64bits(g.jitter) {
+		t.Fatalf("replay jitter %g, learner %g", rep.jitter, g.jitter)
+	}
+	if rep.chol.Size() != g.chol.Size() {
+		t.Fatalf("replay factor %d, learner %d", rep.chol.Size(), g.chol.Size())
+	}
+	for i := 0; i < g.Len(); i++ {
+		ra, ga := rep.chol.LRow(i), g.chol.LRow(i)
+		for j := range ra {
+			if math.Float64bits(ra[j]) != math.Float64bits(ga[j]) {
+				t.Fatalf("factor L[%d][%d] = %x, learner %x", i, j, ra[j], ga[j])
+			}
+		}
+		if math.Float64bits(rep.Alpha()[i]) != math.Float64bits(g.Alpha()[i]) {
+			t.Fatalf("α[%d] = %x, learner %x", i, rep.Alpha()[i], g.Alpha()[i])
+		}
+	}
+}

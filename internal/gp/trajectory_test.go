@@ -166,3 +166,20 @@ func Benchmark_grad_hess_n300(b *testing.B) {
 		}
 	}
 }
+
+// Benchmark_gp_refit_n300 measures one refit from scratch at fixed
+// hyperparameters, n=300: the factorization a retrain (§5.3) ends with and
+// every Train step repeats. The first Fit grows the factor and α; after
+// it, a refit allocates nothing.
+func Benchmark_gp_refit_n300(b *testing.B) {
+	g := trainedGP(300)
+	if err := g.Fit(); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := g.Fit(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -56,6 +56,10 @@ func (c *Cholesky) Reserve(n int) {
 	}
 }
 
+// Reset empties the factor and keeps its backing store, so the Extends that
+// rebuild a factor of the old size allocate nothing.
+func (c *Cholesky) Reset() { c.data, c.n = c.data[:0], 0 }
+
 // Factorize computes the Cholesky factorization of the symmetric positive
 // definite matrix a. Only the lower triangle of a is read, and a is never
 // modified. The packed backing store is reused across calls.

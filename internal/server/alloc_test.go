@@ -60,13 +60,16 @@ func handlerAllocs(t *testing.T, s *Server, target string, payload []byte, runs 
 // Server.Handler on the smooth 2-D UDF: one frozen eval, and the per-tuple
 // cost of a frozen and of a learning stream (the difference between a long
 // and a short stream, so the per-request costs cancel; a repeated learning
-// stream adds no training points, so its count is steady). They sit one
-// above the measured 13, 3.8 and 4.0 (docs/performance.md, "Strict decode
-// without allocations" and "Learning under a one-token lock").
+// stream adds no training points, so its count is steady). The learning
+// stream sits at its measured 2.0, whole on every run in both builds. The
+// frozen eval measures 11, and 11 to 13 under the race detector, which
+// drops pooled eval bodies at random; its ceiling is 13. The frozen stream
+// sits one above its measured 3.8 (docs/performance.md, "One reused input
+// vector").
 const (
-	maxFrozenEvalAllocs        = 14
+	maxFrozenEvalAllocs        = 13
 	maxFrozenStreamTupleAllocs = 5
-	maxLearnStreamTupleAllocs  = 5
+	maxLearnStreamTupleAllocs  = 2
 )
 
 func TestFrozenServingAllocs(t *testing.T) {

@@ -13,10 +13,10 @@ import (
 // writer-loop generator, the stream workers' generators and a clone slot's
 // generator — which core's golden digests, seeded inside core, cannot see.
 const (
-	goldenServedLearnStream  = 0x69b64e7f442ea582
-	goldenServedFrozenStream = 0x1ca0d17c85bfa4af
-	goldenServedFrozenEval   = 0xe931152fe1ee30ce
-	goldenServedQuery        = 0x798b6fca56a372aa
+	goldenServedLearnStream  = 0x2202821c8155a843
+	goldenServedFrozenStream = 0x64505de1baf90595
+	goldenServedFrozenEval   = 0xae9a99bab862e80e
+	goldenServedQuery        = 0x6a57f8c25aeb87b7
 )
 
 func bodyDigest(body []byte) uint64 {

@@ -505,8 +505,9 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	for i, in := range req.Warmup {
-		vec, verr := in.Vector()
+	var in inputVec
+	for i, spec := range req.Warmup {
+		vec, verr := in.set(spec)
 		if verr == nil && vec.Dim() != e.def.entry.Dim {
 			verr = fmt.Errorf("dim %d ≠ UDF dim %d", vec.Dim(), e.def.entry.Dim)
 		}
@@ -567,7 +568,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 			len(req.Input), e.spec.Name, e.def.entry.Dim)
 		return
 	}
-	vec, err := req.Input.Vector()
+	vec, err := body.in.set(req.Input)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, wire.CodeBadSpec, "%v", err)
 		return
@@ -599,13 +600,15 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	writeResult(w, line)
 }
 
-// evalBody is one eval request's body and decode target. It is pooled, so
-// an eval in the steady state reads and decodes its body without
-// allocating.
+// evalBody is one eval request's body, decode target and input vector. It
+// is pooled, so an eval in the steady state reads and decodes its body
+// without allocating, and builds its input allocating only for the
+// distributions.
 type evalBody struct {
 	buf []byte
 	rd  bytes.Reader
 	req wire.EvalRequest
+	in  inputVec
 }
 
 var evalBodies = sync.Pool{New: func() any { return new(evalBody) }}
@@ -710,6 +713,7 @@ func (s *Server) streamLearn(ctx context.Context, e *udfEntry, body io.Reader,
 		seq  int64
 		sl   streamLine
 		rd   bytes.Reader
+		in   inputVec
 		line []byte
 	)
 	for sc.Scan() {
@@ -721,7 +725,7 @@ func (s *Server) streamLearn(ctx context.Context, e *udfEntry, body io.Reader,
 			fail(seq, err)
 			return
 		}
-		vec, err := sl.Input.Vector()
+		vec, err := in.set(sl.Input)
 		if err != nil {
 			fail(seq, badReqf("%v", err))
 			return
@@ -793,7 +797,7 @@ func (s *Server) streamFrozen(ctx context.Context, e *udfEntry, body io.Reader,
 		Seed: seed,
 		Eval: func(eng query.Engine, t *query.Tuple, rng *rand.Rand) (*query.Tuple, error) {
 			it := src.items.of(t)
-			out, err := query.Borrowed(eng, &it.vec, rng)
+			out, err := query.Borrowed(eng, &it.in.vec, rng)
 			if err != nil {
 				return nil, err
 			}
@@ -837,9 +841,27 @@ type streamItem struct {
 	seq    int64
 	rd     bytes.Reader
 	line   streamLine
-	comps  []dist.Dist
-	vec    dist.Independent
+	in     inputVec
 	result []byte
+}
+
+// inputVec is a reused input vector: the per-dimension distributions of
+// one input spec and the independent joint over them. Setting it allocates
+// for the distributions and nothing else, and a vector handed to the
+// evaluator is not kept past the evaluation, so the next input may reuse
+// it.
+type inputVec struct {
+	comps []dist.Dist
+	vec   dist.Independent
+}
+
+// set validates spec and makes v its joint input distribution; on an
+// error the returned vector is not to be used.
+func (v *inputVec) set(spec wire.InputSpec) (dist.Vector, error) {
+	var err error
+	v.comps, err = spec.AppendDists(v.comps[:0])
+	v.vec.SetComponents(v.comps)
+	return &v.vec, err
 }
 
 // ticketAttrs names a ticket tuple's one attribute.
@@ -927,12 +949,9 @@ func (it *lineIter) Next() (*query.Tuple, error) {
 		if err := decodeStreamLine(&item.rd, &item.line, line, it.dim); err != nil {
 			return nil, err
 		}
-		comps, err := item.line.Input.AppendDists(item.comps[:0])
-		if err != nil {
+		if _, err := item.in.set(item.line.Input); err != nil {
 			return nil, badReqf("%v", err)
 		}
-		item.comps = comps
-		item.vec.SetComponents(comps)
 		item.seq = it.seq
 		it.seq++
 		return item.ticket, nil
