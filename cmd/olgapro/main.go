@@ -16,7 +16,9 @@
 // pipelined executor (internal/exec): a GP engine is warmed on a few
 // tuples, frozen, and cloned per worker; a Monte-Carlo engine, being
 // stateless, is simply replicated. Per-tuple RNG seeding keeps the output
-// bit-identical across worker counts for a fixed -seed.
+// bit-identical across every worker count N ≥ 2 for a fixed -seed.
+// -workers 1 runs the serial, online-learning UDF application with one
+// shared generator instead, so its output differs from the parallel runs.
 //
 // Usage:
 //

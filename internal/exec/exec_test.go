@@ -186,7 +186,8 @@ func TestPredicateFilteringMatchesAcrossWorkers(t *testing.T) {
 }
 
 // TestRaceEightWorkers drives the executor under the race detector: 8
-// workers over 200+ tuples with a small queue to force backpressure.
+// workers over 200+ tuples, far more than the 2×8 queue holds, to force
+// backpressure.
 func TestRaceEightWorkers(t *testing.T) {
 	ev := warmEvaluator(t, nil)
 	pool, err := NewEvaluatorPool(ev, 8)
@@ -194,7 +195,7 @@ func TestRaceEightWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	tuples := tupleTable(220)
-	pe := pool.Apply(query.NewScan(tuples), []string{"x0", "x1"}, "y", Options{Seed: 5, Queue: 3})
+	pe := pool.Apply(query.NewScan(tuples), []string{"x0", "x1"}, "y", Options{Seed: 5})
 	got, err := query.Drain(pe)
 	if err != nil {
 		t.Fatal(err)
@@ -490,7 +491,7 @@ func (c *countingIterator) Next() (*query.Tuple, error) {
 }
 
 // TestReorderBufferBounded pins the backpressure contract: while tuple #0
-// stalls the ordered merge, the feeder must stop pulling once 2×Queue +
+// stalls the ordered merge, the feeder must stop pulling once 2×queue +
 // workers tuples are in flight, instead of buffering the rest of the
 // stream in the reorder map.
 func TestReorderBufferBounded(t *testing.T) {
@@ -506,7 +507,7 @@ func TestReorderBufferBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := &countingIterator{n: 5000}
-	pe := pool.Apply(src, []string{"x0"}, "y", Options{Queue: 4})
+	pe := pool.Apply(src, []string{"x0"}, "y", Options{})
 	done := make(chan error, 1)
 	var drained []*query.Tuple
 	go func() {
@@ -525,7 +526,7 @@ func TestReorderBufferBounded(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	if pulled := src.pulled.Load(); pulled > 12 {
-		t.Errorf("feeder pulled %d tuples while the merge was stalled; want ≤ 12 (2×Queue+workers+slack)", pulled)
+		t.Errorf("feeder pulled %d tuples while the merge was stalled; want ≤ 12 (2×queue+workers+slack)", pulled)
 	}
 	close(release)
 	if err := <-done; err != nil {
@@ -563,7 +564,7 @@ func TestPoolReuseAfterClose(t *testing.T) {
 	}
 }
 
-// TestEvalHookSeesBorrowedOutputs checks Options.Eval: run in the worker
+// TestEvalHookSeesBorrowedOutputs checks a Map stage's Func: run in the worker
 // with the tuple's reseeded generator, an evaluator engine's borrowed output
 // (query.Borrowed) carries the same support bits as the owned one that the
 // default path attaches, in the same order at any worker count, and a nil
@@ -596,7 +597,7 @@ func TestEvalHookSeesBorrowedOutputs(t *testing.T) {
 			vals := append([]float64(nil), out.Dist.Values()...)
 			return tp.With("y", query.Result(ecdf.FromSorted(vals), out.TEPUpper)), nil
 		}
-		pe := pool.Apply(query.NewScan(tuples), nil, "y", Options{Seed: seed, Eval: hook})
+		pe := Map(pool, query.NewScan(tuples), "y", hook, Options{Seed: seed})
 		got, err := query.Drain(pe)
 		if err != nil {
 			t.Fatal(err)

@@ -96,127 +96,24 @@ func (a Agg) validate() error {
 	}
 }
 
-// aggItem is one tuple's contribution to an aggregate: its statistic
-// interval and whether the tuple certainly exists (a TEP-filtered tuple may
-// be absent from some possible worlds).
-type aggItem struct {
-	val  Bounded
-	sure bool
-}
-
-// itemOf extracts one tuple's contribution to agg.
-func itemOf(t *Tuple, agg Agg) (aggItem, error) {
-	if agg.Kind == AggCount {
-		// Count needs only existence; use the first result attribute's TEP
-		// when the tuple has one, via existence of every attribute: a tuple
-		// is a maybe-tuple when ANY of its result attributes may not exist.
-		sure := true
-		for _, n := range t.Names() {
-			if !existenceCertain(t.MustGet(n)) {
-				sure = false
-				break
-			}
-		}
-		return aggItem{val: Exact(1), sure: sure}, nil
-	}
-	v, err := t.Get(agg.Attr)
-	if err != nil {
-		return aggItem{}, err
-	}
-	b, err := IntervalOf(v, agg.Stat)
-	if err != nil {
-		return aggItem{}, fmt.Errorf("attribute %q: %w", agg.Attr, err)
-	}
-	return aggItem{val: b, sure: existenceCertain(v)}, nil
-}
-
-// aggBounds folds the items into the [certain, possible] interval of the
-// aggregate over every possible world: each item's value ranges over its
-// interval, and items that are not sure may be absent. Min/max/avg are
-// conditional on the realized set being nonempty (worlds where every
-// maybe-tuple is absent and no sure tuple exists are skipped); over an
-// empty item list they return NaN bounds, which callers should treat as
-// "no answer".
-func aggBounds(kind AggKind, items []aggItem) Bounded {
-	switch kind {
-	case AggCount:
-		return countBounds(items)
-	case AggSum:
-		return sumBounds(items)
-	case AggAvg:
-		return avgBounds(items)
-	case AggMin:
-		lo, hi := minBounds(items)
-		return finish(lo, hi)
-	case AggMax:
-		lo, hi := minBounds(negate(items))
-		return finish(-hi, -lo)
-	default:
-		return Bounded{Lo: math.NaN(), Hi: math.NaN()}
-	}
-}
-
 func finish(lo, hi float64) Bounded {
 	return Bounded{Lo: lo, Hi: hi, Certain: lo == hi}
 }
 
-func countBounds(items []aggItem) Bounded {
-	sure := 0
-	for _, it := range items {
-		if it.sure {
-			sure++
-		}
-	}
-	return finish(float64(sure), float64(len(items)))
-}
-
-func sumBounds(items []aggItem) Bounded {
+// sumBounds bounds the sum over every possible world of items.
+func sumBounds(items []PartialItem) Bounded {
 	var lo, hi float64
 	for _, it := range items {
-		if it.sure {
-			lo += it.val.Lo
-			hi += it.val.Hi
+		if it.Sure {
+			lo += it.Lo
+			hi += it.Hi
 		} else {
 			// A maybe-tuple contributes only when it helps the extreme.
-			lo += math.Min(it.val.Lo, 0)
-			hi += math.Max(it.val.Hi, 0)
+			lo += math.Min(it.Lo, 0)
+			hi += math.Max(it.Hi, 0)
 		}
 	}
 	return finish(lo, hi)
-}
-
-// minBounds bounds the minimum over nonempty realized sets: the lower end
-// is the smallest reachable value; the upper end is the tightest certain
-// cap — a sure member's Hi when one exists, else the largest single-member
-// world.
-func minBounds(items []aggItem) (lo, hi float64) {
-	if len(items) == 0 {
-		return math.NaN(), math.NaN()
-	}
-	lo = math.Inf(1)
-	sureHi := math.Inf(1)
-	maxHi := math.Inf(-1)
-	anySure := false
-	for _, it := range items {
-		lo = math.Min(lo, it.val.Lo)
-		maxHi = math.Max(maxHi, it.val.Hi)
-		if it.sure {
-			anySure = true
-			sureHi = math.Min(sureHi, it.val.Hi)
-		}
-	}
-	if anySure {
-		return lo, sureHi
-	}
-	return lo, maxHi
-}
-
-func negate(items []aggItem) []aggItem {
-	out := make([]aggItem, len(items))
-	for i, it := range items {
-		out[i] = aggItem{val: Bounded{Lo: -it.val.Hi, Hi: -it.val.Lo}, sure: it.sure}
-	}
-	return out
 }
 
 // avgBounds bounds the average over nonempty realized sets exactly, by the
@@ -225,27 +122,32 @@ func negate(items []aggItem) []aggItem {
 // item is worth including iff its low end is below the running average —
 // scanning maybe-lows in ascending order reaches the global minimum. The
 // upper end is symmetric.
-func avgBounds(items []aggItem) Bounded {
+func avgBounds(items []PartialItem) Bounded {
 	if len(items) == 0 {
 		return Bounded{Lo: math.NaN(), Hi: math.NaN()}
 	}
-	lo := minAvg(items)
-	hi := -minAvg(negate(items))
+	lo := minAvg(items, false)
+	hi := -minAvg(items, true)
 	return finish(lo, hi)
 }
 
 // minAvg returns the minimum achievable average of included item lows; the
-// maximum side routes through here by negation.
-func minAvg(items []aggItem) float64 {
+// maximum side routes through here by negation (neg reads each item as
+// [−Hi, −Lo]).
+func minAvg(items []PartialItem, neg bool) float64 {
 	var sum float64
 	var n int
 	var maybes []float64
 	for _, it := range items {
-		if it.sure {
-			sum += it.val.Lo
+		v := it.Lo
+		if neg {
+			v = -it.Hi
+		}
+		if it.Sure {
+			sum += v
 			n++
 		} else {
-			maybes = append(maybes, it.val.Lo)
+			maybes = append(maybes, v)
 		}
 	}
 	sort.Float64s(maybes)

@@ -5,7 +5,6 @@ import (
 	"io"
 	"math"
 	"strconv"
-	"strings"
 )
 
 // GroupBySpec configures a grouped aggregation.
@@ -47,7 +46,7 @@ func (s GroupBySpec) validate() error {
 // partitioned by their certain key attributes, and each group emits one
 // fresh tuple holding the keys plus one Bounded attribute per aggregate —
 // the [certain, possible] interval of the aggregate over every possible
-// world of the group's tuples (see aggBounds). A TEP-filtered maybe-tuple
+// world of the group's tuples (see Partial.Bound). A TEP-filtered maybe-tuple
 // is a maybe-member of its group, so counts get [certain, possible] bounds
 // and value aggregates are conditional on the group being realized
 // nonempty. GroupBy is blocking; output order is deterministic — ascending
@@ -87,17 +86,13 @@ func (g *GroupBy) Next() (*Tuple, error) {
 	return t, nil
 }
 
-// build drains the input, partitions, and aggregates.
+// build drains the input into the per-group fold GroupPartialsOf runs,
+// each tuple at its input position as its ordinal, and finishes the groups.
 func (g *GroupBy) build() error {
 	if err := g.Spec.validate(); err != nil {
 		return g.state.fail("group-by", err)
 	}
-	type group struct {
-		keyVals []Value
-		tuples  []*Tuple
-	}
-	groups := map[string]*group{}
-	var order []string // group keys in first-seen order
+	f := newGroupFold(g.Spec)
 	for {
 		t, err := g.In.Next()
 		if err == io.EOF {
@@ -106,73 +101,43 @@ func (g *GroupBy) build() error {
 		if err != nil {
 			return g.state.upstream(err)
 		}
-		key, keyVals, err := groupKey(t, g.Spec.Keys)
-		if err != nil {
+		if err := f.observe(t, g.state.seq); err != nil {
 			return g.state.fail("group-by", err)
 		}
-		gr, ok := groups[key]
-		if !ok {
-			gr = &group{keyVals: keyVals}
-			groups[key] = gr
-			order = append(order, key)
-		}
-		gr.tuples = append(gr.tuples, t)
 		g.state.seq++
 	}
-	for _, key := range order {
-		gr := groups[key]
-		names := make([]string, 0, len(g.Spec.Keys)+len(g.Spec.Aggs))
-		vals := make([]Value, 0, len(g.Spec.Keys)+len(g.Spec.Aggs))
-		names = append(names, g.Spec.Keys...)
-		vals = append(vals, gr.keyVals...)
-		items := make([]aggItem, len(gr.tuples))
-		for _, agg := range g.Spec.Aggs {
-			for i, t := range gr.tuples {
-				it, err := itemOf(t, agg)
-				if err != nil {
-					return g.state.fail("group-by", fmt.Errorf("group %s: %w", key, err))
-				}
-				items[i] = it
-			}
-			names = append(names, agg.name())
-			vals = append(vals, BoundedVal(aggBounds(agg.Kind, items)))
-		}
-		t, err := NewTuple(names, vals)
-		if err != nil {
-			return g.state.fail("group-by", err)
-		}
-		g.out = append(g.out, t)
+	out, err := FinishGroupPartials(g.Spec, f.out)
+	if err != nil {
+		return g.state.fail("group-by", err)
 	}
+	g.out = out
 	return nil
 }
 
-// groupKey encodes the certain key attributes of t into a collision-free
-// string and returns the key values for the output tuple.
-func groupKey(t *Tuple, keys []string) (string, []Value, error) {
-	var sb strings.Builder
-	vals := make([]Value, len(keys))
-	for i, name := range keys {
+// appendGroupKey appends the collision-free encoding of t's certain key
+// attributes to dst.
+func appendGroupKey(dst []byte, t *Tuple, keys []string) ([]byte, error) {
+	for _, name := range keys {
 		v, err := t.Get(name)
 		if err != nil {
-			return "", nil, err
+			return dst, err
 		}
-		vals[i] = v
 		switch v.Kind {
 		case KindInt:
-			sb.WriteByte('i')
-			sb.WriteString(strconv.FormatInt(v.I, 10))
+			dst = append(dst, 'i')
+			dst = strconv.AppendInt(dst, v.I, 10)
 		case KindFloat:
-			sb.WriteByte('f')
-			sb.WriteString(strconv.FormatUint(math.Float64bits(v.F), 16))
+			dst = append(dst, 'f')
+			dst = strconv.AppendUint(dst, math.Float64bits(v.F), 16)
 		case KindString:
-			sb.WriteByte('s')
-			sb.WriteString(strconv.Itoa(len(v.S)))
-			sb.WriteByte(':')
-			sb.WriteString(v.S)
+			dst = append(dst, 's')
+			dst = strconv.AppendInt(dst, int64(len(v.S)), 10)
+			dst = append(dst, ':')
+			dst = append(dst, v.S...)
 		default:
-			return "", nil, fmt.Errorf("key %q has kind %s, want a certain value", name, v.Kind)
+			return dst, fmt.Errorf("key %q has kind %s, want a certain value", name, v.Kind)
 		}
-		sb.WriteByte('|')
+		dst = append(dst, '|')
 	}
-	return sb.String(), vals, nil
+	return dst, nil
 }

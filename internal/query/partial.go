@@ -1,23 +1,24 @@
 package query
 
-// This file is the distributed half of the bounded-aggregate algebra: a
-// mergeable partial-state representation for every aggregate kind, plus the
-// group-level wrapper the fleet router uses to scatter a plan across shards
-// and gather one answer.
+// This file is the bounded-aggregate fold: a mergeable partial-state
+// representation for every aggregate kind, plus the group- and
+// window-level wrappers. The serial GroupBy and Window operators fold
+// through it as the one-partition case; the fleet router scatters a plan
+// across shards, folds each shard's tuples the same way and merges.
 //
 // # Bit-identity contract
 //
-// The merged bound must equal — bit for bit — the bound the single-shard
-// operators (aggBounds over the union relation) would produce. Two
-// mechanisms deliver that:
+// The merged bound must equal — bit for bit — the bound one Partial
+// observing the union relation in ordinal order produces. Two mechanisms
+// deliver that:
 //
 //   - Order-free kinds (count, min, max) keep only scalar state folded with
 //     integer addition and math.Min/math.Max, which are associative and
 //     exact in floating point, so any merge order yields the same bits.
 //   - Order-sensitive kinds (sum, avg) keep the full item list tagged with
-//     each tuple's global ordinal in the union relation; Bound re-folds the
-//     items in ascending ordinal through the very same sumBounds/avgBounds
-//     code the serial operators run, reproducing the serial fold exactly.
+//     each tuple's global ordinal in the union relation; Bound folds the
+//     items in ascending ordinal through sumBounds/avgBounds, so the merge
+//     order cannot change the result.
 //
 // Ordinals are the stream positions the union relation would assign, so a
 // shard holding an arbitrary subset of the relation still contributes items
@@ -29,10 +30,10 @@ import (
 	"sort"
 )
 
-// PartialItem is one tuple's contribution to a distributed aggregate: the
-// [lo, hi] interval of its statistic, whether the tuple certainly exists,
-// and the tuple's global ordinal in the union relation. It is the
-// wire-portable form of the package-private aggItem.
+// PartialItem is one tuple's contribution to a bounded aggregate: the
+// [lo, hi] interval of its statistic, whether the tuple certainly exists (a
+// TEP-filtered tuple may be absent from some possible worlds), and the
+// tuple's global ordinal in the union relation.
 type PartialItem struct {
 	Ord    int64
 	Lo, Hi float64
@@ -42,18 +43,34 @@ type PartialItem struct {
 // PartialItemOf extracts one tuple's contribution to agg, stamped with the
 // tuple's global ordinal.
 func PartialItemOf(t *Tuple, agg Agg, ord int64) (PartialItem, error) {
-	it, err := itemOf(t, agg)
+	if agg.Kind == AggCount {
+		// Count needs only existence: a tuple is a maybe-tuple when ANY of
+		// its result attributes may not exist.
+		sure := true
+		for _, n := range t.Names() {
+			if !existenceCertain(t.MustGet(n)) {
+				sure = false
+				break
+			}
+		}
+		return PartialItem{Ord: ord, Lo: 1, Hi: 1, Sure: sure}, nil
+	}
+	v, err := t.Get(agg.Attr)
 	if err != nil {
 		return PartialItem{}, err
 	}
-	return PartialItem{Ord: ord, Lo: it.val.Lo, Hi: it.val.Hi, Sure: it.sure}, nil
+	b, err := IntervalOf(v, agg.Stat)
+	if err != nil {
+		return PartialItem{}, fmt.Errorf("attribute %q: %w", agg.Attr, err)
+	}
+	return PartialItem{Ord: ord, Lo: b.Lo, Hi: b.Hi, Sure: existenceCertain(v)}, nil
 }
 
 // Partial is the mergeable state of one bounded aggregate over a subset of
 // a relation. Observe items in ascending ordinal order, Merge partials from
 // disjoint subsets in any order, then Bound — the result is bit-identical
-// to aggBounds over the union. The zero value is not usable; build with
-// NewPartial.
+// to one Partial observing the union. The zero value is not usable; build
+// with NewPartial.
 type Partial struct {
 	Kind AggKind
 	// N and Sure count observed items and certainly-existing items; they
@@ -72,7 +89,14 @@ type Partial struct {
 // NewPartial returns an empty partial for the kind. The scalar fields start
 // at the fold identities (+Inf/+Inf/−Inf), which are neutral under Merge.
 func NewPartial(kind AggKind) *Partial {
-	return &Partial{Kind: kind, Lo: math.Inf(1), SureCap: math.Inf(1), AllCap: math.Inf(-1)}
+	p := &Partial{Kind: kind}
+	p.reset()
+	return p
+}
+
+// reset empties the partial for reuse, keeping the item list's storage.
+func (p *Partial) reset() {
+	*p = Partial{Kind: p.Kind, Lo: math.Inf(1), SureCap: math.Inf(1), AllCap: math.Inf(-1), Items: p.Items[:0]}
 }
 
 // Observe folds one item into the partial. Items must arrive in ascending
@@ -139,9 +163,17 @@ func mergeItems(a, b []PartialItem) []PartialItem {
 }
 
 // Bound finishes the partial into the [certain, possible] interval of the
-// aggregate over every possible world of the observed tuples — bit-identical
-// to aggBounds over the same items in ordinal order. Like aggBounds,
-// min/max/avg over zero items return NaN bounds.
+// aggregate over every possible world of the observed tuples: each item's
+// value ranges over its interval, and items that are not sure may be
+// absent. Min/max/avg are conditional on the realized set being nonempty
+// (worlds where every maybe-tuple is absent and no sure tuple exists are
+// skipped); over zero items they return NaN bounds, which callers should
+// treat as "no answer".
+//
+// The minimum's lower end is the smallest reachable value; its upper end
+// is the tightest certain cap — a sure member's Hi when one exists, else
+// the largest single-member world. The maximum is the minimum of the
+// negated intervals.
 func (p *Partial) Bound() Bounded {
 	switch p.Kind {
 	case AggCount:
@@ -159,22 +191,12 @@ func (p *Partial) Bound() Bounded {
 		}
 		return finish(lo, hi)
 	case AggSum:
-		return sumBounds(p.aggItems())
+		return sumBounds(p.Items)
 	case AggAvg:
-		return avgBounds(p.aggItems())
+		return avgBounds(p.Items)
 	default:
 		return Bounded{Lo: math.NaN(), Hi: math.NaN()}
 	}
-}
-
-// aggItems converts the stored items into the serial fold's form, in the
-// stored (ordinal-ascending) order.
-func (p *Partial) aggItems() []aggItem {
-	items := make([]aggItem, len(p.Items))
-	for i, it := range p.Items {
-		items[i] = aggItem{val: Bounded{Lo: it.Lo, Hi: it.Hi}, sure: it.Sure}
-	}
-	return items
 }
 
 // GroupPartial is the mergeable state of one group of a distributed
@@ -200,31 +222,61 @@ func GroupPartialsOf(tuples []*Tuple, ords []int64, spec GroupBySpec) ([]*GroupP
 	if len(ords) != len(tuples) {
 		return nil, fmt.Errorf("query: group-by: %d ordinals for %d tuples", len(ords), len(tuples))
 	}
-	groups := map[string]*GroupPartial{}
-	var out []*GroupPartial
+	f := newGroupFold(spec)
 	for i, t := range tuples {
-		key, keyVals, err := groupKey(t, spec.Keys)
-		if err != nil {
+		if err := f.observe(t, ords[i]); err != nil {
 			return nil, fmt.Errorf("query: group-by: %w", err)
 		}
-		gp, ok := groups[key]
-		if !ok {
-			gp = &GroupPartial{Key: key, Vals: keyVals, Ord: ords[i]}
-			for _, a := range spec.Aggs {
-				gp.Aggs = append(gp.Aggs, NewPartial(a.Kind))
-			}
-			groups[key] = gp
-			out = append(out, gp)
-		}
-		for j, a := range spec.Aggs {
-			it, err := PartialItemOf(t, a, ords[i])
-			if err != nil {
-				return nil, fmt.Errorf("query: group-by: group %s: %w", key, err)
-			}
-			gp.Aggs[j].Observe(it)
-		}
 	}
-	return out, nil
+	return f.out, nil
+}
+
+// groupFold partitions tuples by their certain key attributes into one
+// GroupPartial per group, in first-seen order: the fold behind both the
+// serial GroupBy and a shard's GroupPartialsOf.
+type groupFold struct {
+	spec   GroupBySpec
+	groups map[string]*GroupPartial
+	out    []*GroupPartial
+	key    []byte // the current tuple's key encoding
+}
+
+func newGroupFold(spec GroupBySpec) *groupFold {
+	return &groupFold{spec: spec, groups: map[string]*GroupPartial{}}
+}
+
+// observe folds tuple t, at global ordinal ord, into its group. Only a
+// group's first tuple allocates its key.
+func (f *groupFold) observe(t *Tuple, ord int64) error {
+	var err error
+	if f.key, err = appendGroupKey(f.key[:0], t, f.spec.Keys); err != nil {
+		return err
+	}
+	gp, ok := f.groups[string(f.key)]
+	if !ok {
+		gp = &GroupPartial{
+			Key:  string(f.key),
+			Vals: make([]Value, len(f.spec.Keys)),
+			Ord:  ord,
+			Aggs: make([]*Partial, len(f.spec.Aggs)),
+		}
+		for i, k := range f.spec.Keys {
+			gp.Vals[i] = t.MustGet(k)
+		}
+		for j, a := range f.spec.Aggs {
+			gp.Aggs[j] = NewPartial(a.Kind)
+		}
+		f.groups[gp.Key] = gp
+		f.out = append(f.out, gp)
+	}
+	for j, a := range f.spec.Aggs {
+		it, err := PartialItemOf(t, a, ord)
+		if err != nil {
+			return fmt.Errorf("group %s: %w", gp.Key, err)
+		}
+		gp.Aggs[j].Observe(it)
+	}
+	return nil
 }
 
 // MergeGroupPartials merges per-shard group lists into one list ordered by
@@ -315,24 +367,14 @@ func WindowPartials(spec WindowSpec, items [][]PartialItem) ([]*Tuple, error) {
 		}
 		n = len(items[a])
 	}
-	step := spec.step()
+	parts := spec.partials()
 	var out []*Tuple
-	for start := 0; start+spec.Size <= n; start += step {
-		names := make([]string, 0, len(spec.Aggs)+2)
-		vals := make([]Value, 0, len(spec.Aggs)+2)
-		names = append(names, "win_start", "win_end")
-		vals = append(vals, Int(int64(start)), Int(int64(start+spec.Size)))
-		for a, agg := range spec.Aggs {
-			p := NewPartial(agg.Kind)
-			for _, it := range items[a][start : start+spec.Size] {
-				p.Observe(it)
-			}
-			names = append(names, agg.name())
-			vals = append(vals, BoundedVal(p.Bound()))
-		}
-		t, err := NewTuple(names, vals)
+	for start := 0; start+spec.Size <= n; start += spec.step() {
+		t, err := spec.tuple(int64(start), parts, func(a, i int) (PartialItem, error) {
+			return items[a][start+i], nil
+		})
 		if err != nil {
-			return nil, fmt.Errorf("query: window [%d, %d): %w", start, start+spec.Size, err)
+			return nil, fmt.Errorf("query: %w", err)
 		}
 		out = append(out, t)
 	}

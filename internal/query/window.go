@@ -47,7 +47,7 @@ func (s WindowSpec) validate() error {
 // window's position ("win_start"/"win_end", 0-based half-open over input
 // ordinals) and one Bounded attribute per aggregate, holding the
 // [certain, possible] interval of the aggregate over every possible world
-// of the window's tuples (see aggBounds; min/max/avg are conditional on
+// of the window's tuples (see Partial.Bound; min/max/avg are conditional on
 // the window being realized nonempty). Only complete windows are emitted.
 // Window streams — it buffers at most Size input tuples — and follows the
 // package error convention.
@@ -59,6 +59,7 @@ type Window struct {
 	buf       []*Tuple // current window prefix, oldest first
 	bufStart  int64    // input ordinal of buf[0]
 	skip      int      // input tuples to discard before buf[0] (step > size)
+	parts     []*Partial
 	validated bool
 	done      bool
 }
@@ -78,6 +79,7 @@ func (w *Window) Next() (*Tuple, error) {
 		if err := w.Spec.validate(); err != nil {
 			return nil, w.state.fail("window", err)
 		}
+		w.parts = w.Spec.partials()
 	}
 	for !w.done {
 		if len(w.buf) == w.Spec.Size {
@@ -108,23 +110,48 @@ func (w *Window) Next() (*Tuple, error) {
 
 // emit computes the aggregate tuple for the full buffer.
 func (w *Window) emit() (*Tuple, error) {
-	names := make([]string, 0, len(w.Spec.Aggs)+2)
-	vals := make([]Value, 0, len(w.Spec.Aggs)+2)
+	return w.Spec.tuple(w.bufStart, w.parts, func(a, i int) (PartialItem, error) {
+		return PartialItemOf(w.buf[i], w.Spec.Aggs[a], w.bufStart+int64(i))
+	})
+}
+
+// partials returns one empty Partial per aggregate.
+func (s WindowSpec) partials() []*Partial {
+	parts := make([]*Partial, len(s.Aggs))
+	for a, agg := range s.Aggs {
+		parts[a] = NewPartial(agg.Kind)
+	}
+	return parts
+}
+
+// tuple folds the window that starts at input ordinal start into parts,
+// one Partial per aggregate reused from window to window, and builds its
+// answer tuple. item(a, i) is the contribution of the window's i-th tuple
+// to aggregate a.
+func (s WindowSpec) tuple(start int64, parts []*Partial, item func(a, i int) (PartialItem, error)) (*Tuple, error) {
+	end := start + int64(s.Size)
+	names := make([]string, 0, len(s.Aggs)+2)
+	vals := make([]Value, 0, len(s.Aggs)+2)
 	names = append(names, "win_start", "win_end")
-	vals = append(vals, Int(w.bufStart), Int(w.bufStart+int64(w.Spec.Size)))
-	items := make([]aggItem, len(w.buf))
-	for _, agg := range w.Spec.Aggs {
-		for i, t := range w.buf {
-			it, err := itemOf(t, agg)
+	vals = append(vals, Int(start), Int(end))
+	for a, agg := range s.Aggs {
+		p := parts[a]
+		p.reset()
+		for i := 0; i < s.Size; i++ {
+			it, err := item(a, i)
 			if err != nil {
-				return nil, fmt.Errorf("window [%d, %d): %w", w.bufStart, w.bufStart+int64(w.Spec.Size), err)
+				return nil, fmt.Errorf("window [%d, %d): %w", start, end, err)
 			}
-			items[i] = it
+			p.Observe(it)
 		}
 		names = append(names, agg.name())
-		vals = append(vals, BoundedVal(aggBounds(agg.Kind, items)))
+		vals = append(vals, BoundedVal(p.Bound()))
 	}
-	return NewTuple(names, vals)
+	t, err := NewTuple(names, vals)
+	if err != nil {
+		return nil, fmt.Errorf("window [%d, %d): %w", start, end, err)
+	}
+	return t, nil
 }
 
 // slide advances the window by Step.

@@ -64,11 +64,11 @@ func handlerAllocs(t *testing.T, s *Server, target string, payload []byte, runs 
 // stream sits at its measured 2.0, whole on every run in both builds. The
 // frozen eval measures 11, and 11 to 13 under the race detector, which
 // drops pooled eval bodies at random; its ceiling is 13. The frozen stream
-// sits one above its measured 3.8 (docs/performance.md, "One reused input
-// vector").
+// sits at its measured 3.0 (2.5 to 2.8 under the race detector), since its
+// items go through the executor themselves (docs/performance.md, "Reuse").
 const (
 	maxFrozenEvalAllocs        = 13
-	maxFrozenStreamTupleAllocs = 5
+	maxFrozenStreamTupleAllocs = 3
 	maxLearnStreamTupleAllocs  = 2
 )
 

@@ -32,7 +32,7 @@
 //     frozen evaluation is a pure function of (input, rng), so borrowed
 //     slots may run concurrently, and a stream request can fan its tuples
 //     across several slots through the exec.Pool executor with
-//     bit-deterministic per-tuple seeding (exec.TupleSeed).
+//     bit-deterministic per-tuple seeding (query.TupleSeed).
 //
 // A borrowed slot whose sequence is behind the published view repoints its
 // evaluator at the view's frozen model, so reads see every learn answered

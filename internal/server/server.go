@@ -526,7 +526,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 			s.failErr(w, err, "warmup[%d]: %v", i, err)
 			return
 		}
-		err := e.learnEval(r.Context(), vec, exec.TupleSeed(req.WarmupSeed, int64(i)), nil)
+		err := e.learnEval(r.Context(), vec, query.TupleSeed(req.WarmupSeed, int64(i)), nil)
 		s.release()
 		if err != nil {
 			s.reg.remove(e.spec.Name)
@@ -579,7 +579,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.release()
-	seed := exec.TupleSeed(req.Seed, 0)
+	seed := query.TupleSeed(req.Seed, 0)
 	if req.Learn != nil && !*req.Learn {
 		// The line is written while the clone slot is borrowed: it is
 		// encoded from the clone's scratch into the slot's buffer.
@@ -648,7 +648,7 @@ func (b *evalBody) release() {
 
 // handleStream evaluates an NDJSON stream of tuples. ?learn=false serves
 // the whole stream from frozen clones fanned out over the exec executor —
-// per-tuple seeding (exec.TupleSeed over ?seed=S and the line number) makes
+// per-tuple seeding (query.TupleSeed over ?seed=S and the line number) makes
 // the response bytes a deterministic function of the model state, so a
 // snapshot-restored server replays a session bit-identically. The default
 // learn mode evaluates every tuple on the learning evaluator, under its
@@ -686,7 +686,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// the connection must be full-duplex — without this, net/http may
 	// discard the unread request body once the first response line is
 	// written, truncating the stream mid-session.
-	if err := http.NewResponseController(w).EnableFullDuplex(); err != nil && s.cfg.Logf != nil {
+	if err := http.NewResponseController(w).EnableFullDuplex(); err != nil {
 		s.cfg.Logf("stream: full duplex unavailable: %v", err)
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -734,7 +734,7 @@ func (s *Server) streamLearn(ctx context.Context, e *udfEntry, body io.Reader,
 			fail(seq, err)
 			return
 		}
-		err = e.learnEval(ctx, vec, exec.TupleSeed(seed, seq), func(out *core.Output) {
+		err = e.learnEval(ctx, vec, query.TupleSeed(seed, seq), func(out *core.Output) {
 			line = appendResult(line[:0], seq, out, e.cfg.Eps)
 		})
 		s.release()
@@ -769,12 +769,12 @@ func decodeStreamLine(rd *bytes.Reader, sl *streamLine, line []byte, dim int) er
 	return nil
 }
 
-// streamFrozen fans the stream over frozen clones via the exec executor.
-// The NDJSON decode is itself the pipeline source: tuples are pulled
-// lazily, each one holding an in-flight admission token from decode to
-// emission, so a stream cannot queue unbounded work. Each worker encodes
-// its tuple's result line from its clone's scratch (exec.Options.Eval), and
-// the lines are written in stream order.
+// streamFrozen maps the stream's items over frozen clones with the exec
+// executor. The NDJSON decode is itself the pipeline source: items are
+// pulled lazily, each one holding an in-flight admission token from decode
+// to emission, so a stream cannot queue unbounded work. Each worker encodes
+// its item's result line from its clone's scratch, and the lines are
+// written in stream order.
 func (s *Server) streamFrozen(ctx context.Context, e *udfEntry, body io.Reader,
 	seed int64, w io.Writer, fail func(int64, error)) {
 	pool, release, err := e.frozenPool(ctx, s.cfg.Workers)
@@ -792,19 +792,14 @@ func (s *Server) streamFrozen(ctx context.Context, e *udfEntry, body io.Reader,
 	}
 	src.sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 	eps := e.cfg.Eps
-	pe := pool.Apply(src, nil, "y", exec.Options{
-		Ctx:  ctx,
-		Seed: seed,
-		Eval: func(eng query.Engine, t *query.Tuple, rng *rand.Rand) (*query.Tuple, error) {
-			it := src.items.of(t)
-			out, err := query.Borrowed(eng, &it.in.vec, rng)
-			if err != nil {
-				return nil, err
-			}
-			it.result = appendResult(it.result[:0], it.seq, out, eps)
-			return t, nil
-		},
-	})
+	pe := exec.Map(pool, src, "y", func(eng query.Engine, it *streamItem, rng *rand.Rand) (*streamItem, error) {
+		out, err := query.Borrowed(eng, &it.in.vec, rng)
+		if err != nil {
+			return nil, err
+		}
+		it.result = appendResult(it.result[:0], it.seq, out, eps)
+		return it, nil
+	}, exec.Options{Ctx: ctx, Seed: seed})
 	defer pe.Close()
 	var emitted int64
 	defer func() {
@@ -815,7 +810,7 @@ func (s *Server) streamFrozen(ctx context.Context, e *udfEntry, body io.Reader,
 		}
 	}()
 	for {
-		t, err := pe.Next()
+		it, err := pe.Next()
 		if err == io.EOF {
 			return
 		}
@@ -823,7 +818,6 @@ func (s *Server) streamFrozen(ctx context.Context, e *udfEntry, body io.Reader,
 			fail(emitted, err)
 			return
 		}
-		it := src.items.of(t)
 		w.Write(it.result)
 		emitted++
 		s.release()
@@ -837,7 +831,6 @@ func (s *Server) streamFrozen(ctx context.Context, e *udfEntry, body io.Reader,
 // line. A stream recycles its items, so a line in the steady state
 // allocates for its distributions and nothing else.
 type streamItem struct {
-	ticket *query.Tuple // {"id": the item's index}: what exec carries
 	seq    int64
 	rd     bytes.Reader
 	line   streamLine
@@ -864,21 +857,15 @@ func (v *inputVec) set(spec wire.InputSpec) (dist.Vector, error) {
 	return &v.vec, err
 }
 
-// ticketAttrs names a ticket tuple's one attribute.
-var ticketAttrs = []string{"id"}
-
 // resultLineCap is the initial capacity of a result line buffer: a line is
 // about 350 bytes, so one allocation holds it.
 const resultLineCap = 512
 
-// itemPool holds one stream's items: the free list the source takes from
-// and the handler returns to, and the index a worker or the handler maps a
-// ticket back through. Items are only ever added, so a ticket's index
-// stays valid for the whole stream.
+// itemPool is one stream's free list of items: the source takes from it
+// and the handler returns to it.
 type itemPool struct {
-	mu    sync.Mutex
-	items []*streamItem
-	free  []*streamItem
+	mu   sync.Mutex
+	free []*streamItem
 }
 
 // get returns a free item, or a new one when every item is in flight.
@@ -890,19 +877,7 @@ func (p *itemPool) get() *streamItem {
 		p.free = p.free[:n-1]
 		return it
 	}
-	it := &streamItem{
-		ticket: query.MustTuple(ticketAttrs, []query.Value{query.Int(int64(len(p.items)))}),
-		result: make([]byte, 0, resultLineCap),
-	}
-	p.items = append(p.items, it)
-	return it
-}
-
-// of maps a ticket to its item.
-func (p *itemPool) of(t *query.Tuple) *streamItem {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.items[t.MustGet("id").I]
+	return &streamItem{result: make([]byte, 0, resultLineCap)}
 }
 
 // put returns an item whose line has been written.
@@ -912,8 +887,8 @@ func (p *itemPool) put(it *streamItem) {
 	p.free = append(p.free, it)
 }
 
-// lineIter adapts the NDJSON request body to a query.Iterator of item
-// tickets. Next is called only by the executor's feeder goroutine; the
+// lineIter adapts the NDJSON request body to an exec.Source of stream
+// items. Next is called only by the executor's feeder goroutine; the
 // decoded counter is read by the handler during teardown, after the
 // executor has quiesced (ParallelEval.Close waits for the feeder), plus
 // concurrently for token bookkeeping — hence atomic.
@@ -927,7 +902,7 @@ type lineIter struct {
 	items   itemPool
 }
 
-func (it *lineIter) Next() (*query.Tuple, error) {
+func (it *lineIter) Next() (*streamItem, error) {
 	for {
 		if !it.sc.Scan() {
 			if err := it.sc.Err(); err != nil {
@@ -954,6 +929,6 @@ func (it *lineIter) Next() (*query.Tuple, error) {
 		}
 		item.seq = it.seq
 		it.seq++
-		return item.ticket, nil
+		return item, nil
 	}
 }

@@ -314,7 +314,7 @@ type (
 	// stage out with its Apply method.
 	ParallelEngine = exec.Pool
 	// ParallelOptions tunes one parallel apply stage (context, seed,
-	// queue depth, predicate truncation).
+	// global ordinals, predicate truncation, envelope retention).
 	ParallelOptions = exec.Options
 	// ParallelEvalOp is the order-preserving parallel UDF-application
 	// operator returned by ParallelEngine.Apply.
