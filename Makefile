@@ -8,7 +8,7 @@ GO ?= go
 # BENCH_REF defaults to HEAD: the gate measures the working tree against
 # what is committed. Once the change is committed, name its base instead
 # (CI passes the pull request's base or the push's previous tip).
-BENCH_OUT ?= BENCH_PR27.json
+BENCH_OUT ?= BENCH_PR28.json
 BENCH_REF ?= HEAD
 BENCH_MAX_REGRESS ?= 0.35
 

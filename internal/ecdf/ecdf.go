@@ -219,22 +219,23 @@ func appendMerged(dst []float64, es ...*ECDF) []float64 {
 	return out
 }
 
-// Truncate returns the conditional distribution of Y given Y ∈ [a, b]: the
-// paper's query Q2 notes that a selection predicate "truncates the
-// distribution ... to the region [l, u], and hence yields a tuple existence
-// probability". The second return value is that existence probability (the
-// fraction of mass in [a, b]); when it is zero the returned ECDF is empty.
-func (e *ECDF) Truncate(a, b float64) (*ECDF, float64) {
+// TruncateInto repoints dst at the conditional distribution of Y given
+// Y ∈ [a, b] and returns it: the paper's query Q2 notes that a selection
+// predicate "truncates the distribution ... to the region [l, u], and hence
+// yields a tuple existence probability". The second return value is that
+// existence probability (the fraction of mass in [a, b]); when it is zero
+// dst is empty. dst aliases e's support, so it is valid only as long as
+// that support is.
+func (e *ECDF) TruncateInto(dst *ECDF, a, b float64) (*ECDF, float64) {
+	dst.xs = nil
 	if b < a {
-		return FromSorted(nil), 0
+		return dst, 0
 	}
 	lo := sort.Search(len(e.xs), func(i int) bool { return e.xs[i] >= a })
 	hi := sort.Search(len(e.xs), func(i int) bool { return e.xs[i] > b })
 	if hi <= lo {
-		return FromSorted(nil), 0
+		return dst, 0
 	}
-	kept := make([]float64, hi-lo)
-	copy(kept, e.xs[lo:hi])
-	tep := float64(hi-lo) / float64(len(e.xs))
-	return FromSorted(kept), tep
+	dst.xs = e.xs[lo:hi:hi]
+	return dst, float64(hi-lo) / float64(len(e.xs))
 }

@@ -433,7 +433,7 @@ func BenchmarkDiscrepancyLambda1000(b *testing.B) {
 
 func TestTruncate(t *testing.T) {
 	e := New([]float64{1, 2, 3, 4, 5})
-	tr, tep := e.Truncate(2, 4)
+	tr, tep := e.TruncateInto(new(ECDF), 2, 4)
 	if tep != 0.6 {
 		t.Fatalf("TEP = %g, want 0.6", tep)
 	}
@@ -444,23 +444,27 @@ func TestTruncate(t *testing.T) {
 	if got := tr.CDF(3); math.Abs(got-2.0/3.0) > 1e-12 {
 		t.Fatalf("conditional CDF(3) = %g", got)
 	}
-	// Empty intersection.
-	tr2, tep2 := e.Truncate(10, 20)
-	if tep2 != 0 || tr2.Len() != 0 {
+	// Empty intersection, into the view that held [2, 4]: it is emptied.
+	tr2, tep2 := e.TruncateInto(tr, 10, 20)
+	if tep2 != 0 || tr2.Len() != 0 || tr2 != tr {
 		t.Fatalf("empty truncation: tep=%g len=%d", tep2, tr2.Len())
 	}
 	// Inverted interval.
-	tr3, tep3 := e.Truncate(4, 2)
+	tr3, tep3 := e.TruncateInto(New([]float64{7}), 4, 2)
 	if tep3 != 0 || tr3.Len() != 0 {
 		t.Fatalf("inverted truncation: tep=%g len=%d", tep3, tr3.Len())
 	}
 	// Whole support.
-	tr4, tep4 := e.Truncate(0, 10)
+	tr4, tep4 := e.TruncateInto(new(ECDF), 0, 10)
 	if tep4 != 1 || tr4.Len() != 5 {
 		t.Fatalf("full truncation: tep=%g len=%d", tep4, tr4.Len())
 	}
-	// Original is untouched.
+	// The source is untouched, and a view cannot grow into it.
 	if e.Len() != 5 {
-		t.Fatalf("Truncate mutated the source")
+		t.Fatalf("TruncateInto mutated the source")
+	}
+	view, _ := e.TruncateInto(new(ECDF), 2, 3)
+	if len(view.xs) != cap(view.xs) {
+		t.Fatalf("view of [2, 3] has len %d, cap %d", len(view.xs), cap(view.xs))
 	}
 }

@@ -262,14 +262,9 @@ func TestReplicaCatchesUpWithinRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Learn tuples centred at fresh points 10 apart, so every learn adds
+	// Learn tuples centred at fresh points (linePoint), so every learn adds
 	// training points and moves the owner's seq.
-	point := func(k int) client.InputSpec {
-		return client.InputSpec{
-			{Type: "normal", Mu: 10 * float64(k), Sigma: 0.05},
-			{Type: "normal", Mu: 0, Sigma: 0.05},
-		}
-	}
+	point := linePoint
 	ctx := context.Background()
 	cl := client.New(addrs[0])
 	if _, err := cl.Register(ctx, client.RegisterRequest{
@@ -285,9 +280,12 @@ func TestReplicaCatchesUpWithinRoundTrip(t *testing.T) {
 	const learns = 12
 	var slowest time.Duration
 	for k := 0; k < learns; k++ {
-		before := entry.Seq()
+		before, points := entry.Seq(), entry.Points()
 		if _, err := cl.Eval(ctx, name, client.EvalRequest{Input: point(k), Seed: int64(k + 1)}); err != nil {
 			t.Fatalf("learn %d: %v", k, err)
+		}
+		if n := entry.Points(); n <= points {
+			t.Fatalf("learn %d at fresh point x0 = %g left the owner's training points at %d", k, lagSpacing*float64(k), n)
 		}
 		after := entry.Seq()
 		if after == before {

@@ -718,11 +718,16 @@ func (rt *Router) handleEval(w http.ResponseWriter, r *http.Request) {
 }
 
 // forwardableQuery passes through the request-shaping parameters a client
-// may set (seed, learn, timeout_ms).
+// may set (seed, learn, timeout_ms); it is nil when the request has no
+// query string.
 func forwardableQuery(r *http.Request) url.Values {
+	if r.URL.RawQuery == "" {
+		return nil
+	}
 	q := url.Values{}
+	all := r.URL.Query()
 	for _, k := range []string{"seed", "learn", "timeout_ms"} {
-		if v := r.URL.Query().Get(k); v != "" {
+		if v := all.Get(k); v != "" {
 			q.Set(k, v)
 		}
 	}
@@ -738,7 +743,7 @@ func (rt *Router) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	q := forwardableQuery(r)
 	path := "/v1/udfs/" + url.PathEscape(name) + "/stream"
-	if r.URL.Query().Get("learn") != "false" {
+	if q.Get("learn") != "false" {
 		// Learning stream: single writer, no retry (a replay would re-learn
 		// the prefix), response streamed through incrementally.
 		owner := rt.view.Ring().Owner(name)

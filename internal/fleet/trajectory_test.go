@@ -25,12 +25,23 @@ import (
 // replication list stay small however large b.N grows.
 const lagBatch = 8
 
-// lagPoint is the j-th fresh learn input of a batch: points 10 apart on a
-// line, far enough from everything learned before that each adds training
-// points.
-func lagPoint(j int) client.InputSpec {
+// lagPoint is the j-th fresh learn input of a batch: points lagSpacing
+// apart on a line, far enough from everything learned before that each
+// adds training points.
+func lagPoint(j int) client.InputSpec { return linePoint(j) }
+
+// lagSpacing is the distance between the fresh learn points of the fleet
+// tests. Whether a learn adds a training point depends on the length scale
+// retraining chose, so the spacing sits mid-way in the range that works:
+// measured over 60 learns from the same warm-up, spacings 10, 20 and 40
+// add points at every learn, while 6 (the 6th learn) and 100 (the 3rd)
+// do not. Every learn still checks that it added points.
+const lagSpacing = 20
+
+// linePoint is the k-th of the fresh learn points, lagSpacing apart.
+func linePoint(k int) client.InputSpec {
 	return client.InputSpec{
-		{Type: "normal", Mu: 10 * float64(j), Sigma: 0.05},
+		{Type: "normal", Mu: lagSpacing * float64(k), Sigma: 0.05},
 		{Type: "normal", Mu: 0, Sigma: 0.05},
 	}
 }
@@ -42,11 +53,12 @@ const lagCatchUp = 10 * time.Second
 
 // lagFleet is an in-process owner + replica pair hosting one instance.
 type lagFleet struct {
-	owner    *client.Client
-	ownerSeq func() int64
-	ownerReg *server.Registry
-	replica  *server.Registry
-	close    func()
+	owner       *client.Client
+	ownerSeq    func() int64
+	ownerPoints func() int
+	ownerReg    *server.Registry
+	replica     *server.Registry
+	close       func()
 }
 
 // bootLagFleet boots two shards, each with its replication engine, and
@@ -103,7 +115,8 @@ func bootLagFleet(b *testing.B) *lagFleet {
 		b.Fatalf("register: %v", err)
 	}
 	e, _ := srvs[owner].Registry().Get("lag")
-	f.ownerSeq, f.ownerReg, f.replica = e.Seq, srvs[owner].Registry(), srvs[replica].Registry()
+	f.ownerSeq, f.ownerPoints = e.Seq, e.Points
+	f.ownerReg, f.replica = srvs[owner].Registry(), srvs[replica].Registry()
 	f.waitReplica(b, f.ownerSeq())
 	return f
 }
@@ -159,11 +172,14 @@ func Benchmark_fleet_learn_replicated(b *testing.B) {
 			f = bootLagFleet(b)
 			b.StartTimer()
 		}
-		before := f.ownerSeq()
+		before, points := f.ownerSeq(), f.ownerPoints()
 		if _, err := f.owner.Eval(ctx, "lag", client.EvalRequest{
 			Input: lagPoint(j), Seed: int64(j + 1),
 		}); err != nil {
 			b.Fatalf("learn eval: %v", err)
+		}
+		if n := f.ownerPoints(); n <= points {
+			b.Fatalf("op %d: learning at fresh point %d (x0 = %g) left the owner's training points at %d", i, j, lagSpacing*float64(j), n)
 		}
 		after := f.ownerSeq()
 		if after == before {

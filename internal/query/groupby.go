@@ -106,7 +106,7 @@ func (g *GroupBy) build() error {
 		}
 		g.state.seq++
 	}
-	out, err := FinishGroupPartials(g.Spec, f.out)
+	out, err := FinishGroupPartials(g.Spec, f.Groups())
 	if err != nil {
 		return g.state.fail("group-by", err)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"olgapro/internal/core"
 	"olgapro/internal/dist"
+	"olgapro/internal/ecdf"
 	"olgapro/internal/mc"
 )
 
@@ -328,27 +329,47 @@ func InputVectorFor(t *Tuple, inputs []string) (dist.Vector, error) {
 // derive their intervals from it, so plans feeding those must keep it.
 // Under a predicate the retained envelope stays the untruncated one: the
 // enveloped statistic bounds it yields are computed before conditioning,
-// which keeps them sound for every function in the envelope.
+// which keeps them sound for every function in the envelope. The truncated
+// distribution is a view of out's support (see ResultValue), which the
+// attached metadata holds anyway, so out's support must not change after.
 func AttachResult(t *Tuple, out *core.Output, name string, pred *mc.Predicate, keepEnvelope bool) *Tuple {
-	if out.Filtered {
+	v, ok := ResultValue(out, pred, nil)
+	if !ok {
 		return nil
 	}
-	d := out.Dist
-	tep := out.TEPUpper
-	if pred != nil && d != nil {
-		truncated, mass := d.Truncate(pred.A, pred.B)
-		if mass < pred.Theta {
-			return nil
-		}
-		d, tep = truncated, mass
-	}
-	v := Result(d, tep)
 	meta := *out
 	if !keepEnvelope {
 		meta.Envelope = nil
 	}
 	v.Out = &meta
 	return t.With(name, v)
+}
+
+// ResultValue is the result value AttachResult attaches, and whether the
+// tuple survives, without any copy: the value's Out is out itself, envelope
+// included, and under a predicate its distribution is the part of out's
+// support inside [A, B], viewed through trunc (a new ECDF when trunc is
+// nil). It is valid as long as out is, so a worker holding a borrowed
+// output (Borrowed) consumes it before the engine's next evaluation.
+func ResultValue(out *core.Output, pred *mc.Predicate, trunc *ecdf.ECDF) (Value, bool) {
+	if out.Filtered {
+		return Value{}, false
+	}
+	d := out.Dist
+	tep := out.TEPUpper
+	if pred != nil && d != nil {
+		if trunc == nil {
+			trunc = new(ecdf.ECDF)
+		}
+		var mass float64
+		if d, mass = d.TruncateInto(trunc, pred.A, pred.B); mass < pred.Theta {
+			return Value{}, false
+		}
+		tep = mass
+	}
+	v := Result(d, tep)
+	v.Out = out
+	return v, true
 }
 
 // --- Catalog helpers ---

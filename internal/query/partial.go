@@ -216,52 +216,105 @@ type GroupPartial struct {
 // their ascending global ordinals (len(ords) == len(tuples)). Groups are
 // returned in first-seen order.
 func GroupPartialsOf(tuples []*Tuple, ords []int64, spec GroupBySpec) ([]*GroupPartial, error) {
-	if err := spec.validate(); err != nil {
-		return nil, fmt.Errorf("query: group-by: %w", err)
+	f, err := NewGroupFold(spec)
+	if err != nil {
+		return nil, err
 	}
 	if len(ords) != len(tuples) {
 		return nil, fmt.Errorf("query: group-by: %d ordinals for %d tuples", len(ords), len(tuples))
 	}
-	f := newGroupFold(spec)
 	for i, t := range tuples {
 		if err := f.observe(t, ords[i]); err != nil {
 			return nil, fmt.Errorf("query: group-by: %w", err)
 		}
 	}
-	return f.out, nil
+	return f.Groups(), nil
 }
 
-// groupFold partitions tuples by their certain key attributes into one
-// GroupPartial per group, in first-seen order: the fold behind both the
-// serial GroupBy and a shard's GroupPartialsOf.
-type groupFold struct {
+// GroupFold partitions tuples by their certain key attributes into one
+// GroupPartial per group, in first-seen order: the fold behind the serial
+// GroupBy, GroupPartialsOf and a serving shard's partials. A caller whose
+// tuples do not outlive their evaluation (a worker refilling one row view
+// per item) splits a tuple's fold in two: KeyAndItems and KeyVals on the
+// tuple, in the worker, and Fold on what they returned, in ordinal order.
+type GroupFold struct {
 	spec   GroupBySpec
 	groups map[string]*GroupPartial
 	out    []*GroupPartial
 	key    []byte // the current tuple's key encoding
 }
 
-func newGroupFold(spec GroupBySpec) *groupFold {
-	return &groupFold{spec: spec, groups: map[string]*GroupPartial{}}
+// NewGroupFold returns an empty fold under spec.
+func NewGroupFold(spec GroupBySpec) (*GroupFold, error) {
+	if err := spec.validate(); err != nil {
+		return nil, fmt.Errorf("query: group-by: %w", err)
+	}
+	return newGroupFold(spec), nil
 }
 
-// observe folds tuple t, at global ordinal ord, into its group. Only a
-// group's first tuple allocates its key.
-func (f *groupFold) observe(t *Tuple, ord int64) error {
-	var err error
-	if f.key, err = appendGroupKey(f.key[:0], t, f.spec.Keys); err != nil {
+func newGroupFold(spec GroupBySpec) *GroupFold {
+	return &GroupFold{spec: spec, groups: map[string]*GroupPartial{}}
+}
+
+// Groups returns the groups folded so far, in first-seen order.
+func (f *GroupFold) Groups() []*GroupPartial { return f.out }
+
+// observe folds tuple t, at global ordinal ord, into its group. Its items
+// stay on the stack for up to eight aggregates, and only a group's first
+// tuple reads its key values.
+func (f *GroupFold) observe(t *Tuple, ord int64) error {
+	var itemBuf [8]PartialItem
+	key, items, err := f.spec.KeyAndItems(t, ord, f.key[:0], itemBuf[:0])
+	f.key = key
+	if err != nil {
 		return err
 	}
-	gp, ok := f.groups[string(f.key)]
+	if vals := f.Fold(key, items, ord); vals != nil {
+		f.spec.KeyVals(t, vals[:0])
+	}
+	return nil
+}
+
+// KeyAndItems is tuple t's part in the group-by at global ordinal ord: it
+// appends t's collision-free group key encoding to key and its item for
+// each aggregate, in spec order, to items.
+func (s GroupBySpec) KeyAndItems(t *Tuple, ord int64, key []byte, items []PartialItem) ([]byte, []PartialItem, error) {
+	start := len(key)
+	var err error
+	if key, err = appendGroupKey(key, t, s.Keys); err != nil {
+		return key, items, err
+	}
+	for _, a := range s.Aggs {
+		it, err := PartialItemOf(t, a, ord)
+		if err != nil {
+			return key, items, fmt.Errorf("group %s: %w", key[start:], err)
+		}
+		items = append(items, it)
+	}
+	return key, items, nil
+}
+
+// KeyVals appends t's key attribute values, in spec order, to vals.
+func (s GroupBySpec) KeyVals(t *Tuple, vals []Value) []Value {
+	for _, k := range s.Keys {
+		vals = append(vals, t.MustGet(k))
+	}
+	return vals
+}
+
+// Fold folds one tuple's key encoding and items (see KeyAndItems) at
+// global ordinal ord into its group; tuples arrive in ascending ordinal
+// order. When the tuple opens its group, Fold returns the group's key
+// values for the caller to fill (see KeyVals), and nil otherwise. Only a
+// group's first tuple allocates its key.
+func (f *GroupFold) Fold(key []byte, items []PartialItem, ord int64) []Value {
+	gp, ok := f.groups[string(key)]
 	if !ok {
 		gp = &GroupPartial{
-			Key:  string(f.key),
+			Key:  string(key),
 			Vals: make([]Value, len(f.spec.Keys)),
 			Ord:  ord,
 			Aggs: make([]*Partial, len(f.spec.Aggs)),
-		}
-		for i, k := range f.spec.Keys {
-			gp.Vals[i] = t.MustGet(k)
 		}
 		for j, a := range f.spec.Aggs {
 			gp.Aggs[j] = NewPartial(a.Kind)
@@ -269,14 +322,13 @@ func (f *groupFold) observe(t *Tuple, ord int64) error {
 		f.groups[gp.Key] = gp
 		f.out = append(f.out, gp)
 	}
-	for j, a := range f.spec.Aggs {
-		it, err := PartialItemOf(t, a, ord)
-		if err != nil {
-			return fmt.Errorf("group %s: %w", gp.Key, err)
-		}
+	for j, it := range items {
 		gp.Aggs[j].Observe(it)
 	}
-	return nil
+	if ok {
+		return nil
+	}
+	return gp.Vals
 }
 
 // MergeGroupPartials merges per-shard group lists into one list ordered by

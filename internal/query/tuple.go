@@ -211,6 +211,11 @@ func (t *Tuple) With(name string, v Value) *Tuple {
 	return out
 }
 
+// Set overwrites the value at position i in place. Tuples are immutable by
+// convention, so Set is only for a scratch tuple its caller owns outright:
+// a row view that one worker refills for every item and hands to no one.
+func (t *Tuple) Set(i int, v Value) { t.vals[i] = v }
+
 // Concat merges two tuples, prefixing attribute names to avoid collisions
 // (used by joins: "g1.redshift", "g2.redshift").
 func Concat(left *Tuple, leftPrefix string, right *Tuple, rightPrefix string) (*Tuple, error) {

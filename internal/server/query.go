@@ -21,7 +21,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"sort"
 	"strconv"
@@ -29,6 +31,8 @@ import (
 	"sync"
 
 	"olgapro/internal/core"
+	"olgapro/internal/dist"
+	"olgapro/internal/ecdf"
 	"olgapro/internal/exec"
 	"olgapro/internal/mc"
 	"olgapro/internal/query"
@@ -399,22 +403,9 @@ func (s *Server) partials(ctx context.Context, req *wire.QueryPartialsRequest) (
 			req.UDF, seq, req.MinSeq)
 	}
 	dim := e.def.entry.Dim
-	tuples := make([]*query.Tuple, len(req.Rows))
-	ords := make([]int64, len(req.Rows))
-	for i, row := range req.Rows {
-		if i > 0 && row.Ord <= ords[i-1] {
-			return nil, Errorf(http.StatusBadRequest, wire.CodeBadSpec, "row %d: ordinal %d not above predecessor %d", i, row.Ord, ords[i-1])
-		}
-		if len(row.Input) != dim {
-			return nil, Errorf(http.StatusBadRequest, wire.CodeBadSpec, "row %d has %d attributes, UDF %q wants %d",
-				i, len(row.Input), e.spec.Name, dim)
-		}
-		t, err := row.Input.Tuple(row.Ord)
-		if err != nil {
-			return nil, Errorf(http.StatusBadRequest, wire.CodeBadSpec, "row %d: %v", i, err)
-		}
-		tuples[i] = t.With("g", query.Str(row.Group))
-		ords[i] = row.Ord
+	slots, ords, err := partialSlots(req.Rows, dim, e.spec.Name)
+	if err != nil {
+		return nil, err
 	}
 
 	// One admission token covers the whole sub-plan: it is a single bounded
@@ -430,87 +421,240 @@ func (s *Server) partials(ctx context.Context, req *wire.QueryPartialsRequest) (
 	}
 	defer release()
 
-	// Each tuple's RNG stream comes from its global ordinal, so this
-	// instance evaluates its subset exactly as the whole union relation
-	// would.
-	opts := exec.Options{Ctx: ctx, Seed: req.Seed, Ords: ords, Predicate: st.pred, KeepEnvelope: true}
-	pe := pool.Apply(query.NewScan(tuples), wire.AttrNames(dim), "y", opts)
+	// Each row's RNG stream comes from its global ordinal, so this instance
+	// evaluates its subset exactly as the whole union relation would. A
+	// worker evaluates a row on its clone's borrowed output and has the
+	// stage take what it folds from the row's view; the stage folds the
+	// rows in ordinal order.
+	resp := &wire.QueryPartials{UDF: req.UDF, ModelSeq: seq}
+	stage, foldErr := partialStageOf(st, e.cfg.Eps, resp)
+	names := append(append([]string{"id"}, wire.AttrNames(dim)...), "g", "y")
+	views := make(chan *rowView, pool.Workers())
+	for range pool.Workers() {
+		views <- &rowView{pred: st.pred, take: stage.take, t: query.MustTuple(names, make([]query.Value, len(names)))}
+	}
+	pe := exec.Map(pool, &slotIter{slots: slots}, "y", func(eng query.Engine, sl *partialSlot, rng *rand.Rand) (*partialSlot, error) {
+		v := <-views
+		defer func() { views <- v }()
+		return v.eval(eng, sl, rng)
+	}, exec.Options{Ctx: ctx, Seed: req.Seed, Ords: ords})
 	defer pe.Close()
-	survivors, err := query.Drain(pe)
-	if err != nil {
-		return nil, err
-	}
-	e.served.Add(int64(len(req.Rows)))
-
-	resp := &wire.QueryPartials{UDF: req.UDF, ModelSeq: seq, Dropped: pe.Dropped}
-	survOrds := make([]int64, len(survivors))
-	for i, t := range survivors {
-		survOrds[i] = t.MustGet("id").I
-	}
-	encode := func(i int) ([]wire.QueryValue, error) {
-		row, err := encodeQueryTuple(survivors[i], e.cfg.Eps)
-		if err != nil {
-			return nil, Errorf(http.StatusInternalServerError, wire.CodeInternal, "encode tuple %d: %v", survOrds[i], err)
+	for {
+		sl, err := pe.Next()
+		if err == io.EOF {
+			break
 		}
-		return row, nil
-	}
-	switch {
-	case st.window != nil:
-		for i, t := range survivors {
-			pr := wire.PartialRow{Ord: survOrds[i]}
-			for _, agg := range st.window.Aggs {
-				it, err := query.PartialItemOf(t, agg, survOrds[i])
-				if err != nil {
-					return nil, fmt.Errorf("window item for tuple %d: %w", survOrds[i], err)
-				}
-				pr.Items = append(pr.Items, wire.ItemOf(it))
-			}
-			resp.Rows = append(resp.Rows, pr)
-		}
-	case st.groupBy != nil:
-		groups, err := query.GroupPartialsOf(survivors, survOrds, *st.groupBy)
 		if err != nil {
 			return nil, err
 		}
-		for _, gp := range groups {
-			g, err := wire.GroupPartialOf(gp)
-			if err != nil {
-				return nil, Errorf(http.StatusInternalServerError, wire.CodeInternal, "%v", err)
+		// The first stage error in ordinal order is the request's, unless a
+		// later row fails to evaluate.
+		if foldErr == nil {
+			if foldErr = sl.err; foldErr == nil {
+				stage.fold(sl)
 			}
-			resp.Groups = append(resp.Groups, g)
 		}
-	case st.topK != nil:
-		keys := make([]query.RankKey, len(survivors))
-		for i, t := range survivors {
-			if keys[i], err = query.RankKeyOf(t, *st.topK, survOrds[i]); err != nil {
-				return nil, fmt.Errorf("rank key for tuple %d: %w", survOrds[i], err)
+	}
+	e.served.Add(int64(len(req.Rows)))
+	if foldErr != nil {
+		return nil, foldErr
+	}
+	resp.Dropped = pe.Dropped
+	if stage.finish != nil {
+		if err := stage.finish(); err != nil {
+			return nil, err
+		}
+	}
+	return resp, nil
+}
+
+// partialStage is a sub-plan stage's part in a partials request: take
+// computes, in a worker, what the stage folds from a surviving row's view;
+// fold folds it into the response in ordinal order; finish, when set,
+// completes the response after the last row.
+type partialStage struct {
+	take   func(v *rowView, sl *partialSlot) error
+	fold   func(sl *partialSlot)
+	finish func() error
+}
+
+// partialStageOf picks the stage's take, fold and finish once per request,
+// writing into resp. Its error is the stage's own (a group-by spec the
+// fold refuses), which an evaluation error anywhere in the sub-plan
+// overrides, as a row's stage error is.
+func partialStageOf(st stages, eps float64, resp *wire.QueryPartials) (partialStage, error) {
+	encode := func(v *rowView, sl *partialSlot) (err error) {
+		if sl.row, err = encodeQueryTuple(v.t, eps); err != nil {
+			return Errorf(http.StatusInternalServerError, wire.CodeInternal, "encode tuple %d: %v", sl.ord, err)
+		}
+		return nil
+	}
+	emit := func(sl *partialSlot) { resp.Rows = append(resp.Rows, wire.PartialRow{Ord: sl.ord, Row: sl.row}) }
+	switch {
+	case st.window != nil:
+		var items []wire.AggItemJSON // every row's items, cut from one growing array
+		take := func(v *rowView, sl *partialSlot) error {
+			start := len(v.items)
+			for _, agg := range st.window.Aggs {
+				it, err := query.PartialItemOf(v.t, agg, sl.ord)
+				if err != nil {
+					return fmt.Errorf("window item for tuple %d: %w", sl.ord, err)
+				}
+				v.items = append(v.items, it)
 			}
+			sl.items = v.items[start:]
+			return nil
+		}
+		return partialStage{take: take, fold: func(sl *partialSlot) {
+			start := len(items)
+			for _, it := range sl.items {
+				items = append(items, wire.ItemOf(it))
+			}
+			resp.Rows = append(resp.Rows, wire.PartialRow{Ord: sl.ord, Items: items[start:]})
+		}}, nil
+	case st.groupBy != nil:
+		fold, err := query.NewGroupFold(*st.groupBy)
+		take := func(v *rowView, sl *partialSlot) (err error) {
+			k, n, m := len(v.key), len(v.vals), len(v.items)
+			if v.key, v.items, err = st.groupBy.KeyAndItems(v.t, sl.ord, v.key, v.items); err != nil {
+				return fmt.Errorf("query: group-by: %w", err)
+			}
+			v.vals = st.groupBy.KeyVals(v.t, v.vals)
+			sl.key, sl.vals, sl.items = v.key[k:], v.vals[n:], v.items[m:]
+			return nil
+		}
+		finish := func() error {
+			for _, gp := range fold.Groups() {
+				g, err := wire.GroupPartialOf(gp)
+				if err != nil {
+					return Errorf(http.StatusInternalServerError, wire.CodeInternal, "%v", err)
+				}
+				resp.Groups = append(resp.Groups, g)
+			}
+			return nil
+		}
+		return partialStage{take: take, fold: func(sl *partialSlot) { copy(fold.Fold(sl.key, sl.items, sl.ord), sl.vals) }, finish: finish}, err
+	case st.topK != nil:
+		var keys []query.RankKey
+		take := func(v *rowView, sl *partialSlot) (err error) {
+			if sl.rank, err = query.RankKeyOf(v.t, *st.topK, sl.ord); err != nil {
+				return fmt.Errorf("rank key for tuple %d: %w", sl.ord, err)
+			}
+			return encode(v, sl)
 		}
 		// Prune answer payloads the merge cannot use: a tuple already beaten
 		// by k certainly-existing local rivals is certainly outside the
 		// global top k too (rivals only accumulate across instances), so
 		// only its rank key travels.
-		certAbove := query.CertAbove(keys)
-		for i := range survivors {
-			rk := wire.RankKeyOf(keys[i])
-			pr := wire.PartialRow{Ord: survOrds[i], Rank: &rk}
-			if st.topK.K <= 0 || certAbove[i] < st.topK.K {
-				if pr.Row, err = encode(i); err != nil {
-					return nil, err
+		finish := func() error {
+			certAbove := query.CertAbove(keys)
+			ranks := make([]wire.RankKeyJSON, len(keys))
+			for i := range resp.Rows {
+				ranks[i] = wire.RankKeyOf(keys[i])
+				resp.Rows[i].Rank = &ranks[i]
+				if st.topK.K > 0 && certAbove[i] >= st.topK.K {
+					resp.Rows[i].Row = nil
 				}
 			}
-			resp.Rows = append(resp.Rows, pr)
+			return nil
 		}
-	default:
-		for i := range survivors {
-			row, err := encode(i)
-			if err != nil {
-				return nil, err
-			}
-			resp.Rows = append(resp.Rows, wire.PartialRow{Ord: survOrds[i], Row: row})
-		}
+		return partialStage{take: take, fold: func(sl *partialSlot) { keys = append(keys, sl.rank); emit(sl) }, finish: finish}, nil
 	}
-	return resp, nil
+	return partialStage{take: encode, fold: emit}, nil
+}
+
+// partialSlots validates a partials request's rows up front, with the
+// request's 400 refusals, into one slot per row, and returns the rows'
+// global ordinals. The rows' input distributions are cut from one array.
+func partialSlots(rows []wire.PartialRowSpec, dim int, udf string) ([]partialSlot, []int64, error) {
+	slots := make([]partialSlot, len(rows))
+	ords := make([]int64, len(rows))
+	comps := make([]dist.Dist, 0, len(rows)*dim)
+	for i, row := range rows {
+		if i > 0 && row.Ord <= ords[i-1] {
+			return nil, nil, Errorf(http.StatusBadRequest, wire.CodeBadSpec, "row %d: ordinal %d not above predecessor %d", i, row.Ord, ords[i-1])
+		}
+		if len(row.Input) != dim {
+			return nil, nil, Errorf(http.StatusBadRequest, wire.CodeBadSpec, "row %d has %d attributes, UDF %q wants %d",
+				i, len(row.Input), udf, dim)
+		}
+		var err error
+		if comps, err = row.Input.AppendDists(comps); err != nil {
+			return nil, nil, Errorf(http.StatusBadRequest, wire.CodeBadSpec, "row %d: %v", i, err)
+		}
+		slots[i] = partialSlot{ord: row.Ord, group: row.Group, comps: comps[i*dim:]}
+		ords[i] = row.Ord
+	}
+	return slots, ords, nil
+}
+
+// partialSlot is one row of a partials request: its ordinal, group and
+// input distributions, what a worker took from its evaluation for the
+// stage (window items; group key, key values and items; rank key and
+// encoded row; or the encoded row alone), and the row's stage error.
+type partialSlot struct {
+	ord   int64
+	group string
+	comps []dist.Dist
+	items []query.PartialItem
+	key   []byte
+	vals  []query.Value
+	rank  query.RankKey
+	row   []wire.QueryValue
+	err   error
+}
+
+// slotIter feeds a request's slots to the executor in row order.
+type slotIter struct {
+	slots []partialSlot
+	next  int
+}
+
+func (it *slotIter) Next() (*partialSlot, error) {
+	if it.next == len(it.slots) {
+		return nil, io.EOF
+	}
+	it.next++
+	return &it.slots[it.next-1], nil
+}
+
+// rowView is one worker's scratch for a partials request: the input vector
+// it evaluates, the view of a truncated output support, the row view — the
+// tuple (id, x0…, g, y) a row would be on the serial plan, refilled in
+// place for every row — and the append-only arrays the stage cuts the
+// rows' group keys, key values and items from.
+type rowView struct {
+	pred  *mc.Predicate
+	take  func(*rowView, *partialSlot) error
+	vec   dist.Independent
+	trunc ecdf.ECDF
+	t     *query.Tuple
+	key   []byte
+	vals  []query.Value
+	items []query.PartialItem
+}
+
+// eval evaluates one row on the worker's engine and, while the engine's
+// borrowed output is valid, refills the row view and takes the stage's
+// part of it. A row the §5.5 filter drops returns nil.
+func (v *rowView) eval(eng query.Engine, sl *partialSlot, rng *rand.Rand) (*partialSlot, error) {
+	v.vec.SetComponents(sl.comps)
+	out, err := query.Borrowed(eng, &v.vec, rng)
+	if err != nil {
+		return nil, err
+	}
+	y, ok := query.ResultValue(out, v.pred, &v.trunc)
+	if !ok {
+		return nil, nil
+	}
+	v.t.Set(0, query.Int(sl.ord))
+	for i, d := range sl.comps {
+		v.t.Set(1+i, query.Uncertain(d))
+	}
+	v.t.Set(len(sl.comps)+1, query.Str(sl.group))
+	v.t.Set(len(sl.comps)+2, y)
+	sl.err = v.take(v, sl)
+	return sl, nil
 }
 
 // encodeQueryTuple flattens one answer tuple into ordered wire values.

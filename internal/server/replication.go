@@ -23,7 +23,7 @@ import (
 // registry version.
 func (s *Server) handleReplicationList(w http.ResponseWriter, r *http.Request) {
 	since := int64(-1)
-	if v := r.URL.Query().Get("since_version"); v != "" {
+	if v := queryOf(r).Get("since_version"); v != "" {
 		n, err := strconv.ParseInt(v, 10, 64)
 		if err != nil {
 			s.fail(w, http.StatusBadRequest, wire.CodeBadSpec, "bad since_version %q", v)
@@ -88,7 +88,7 @@ func (s *Server) handleSnapshotFetch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	minSeq := int64(-1)
-	if v := r.URL.Query().Get("min_seq"); v != "" {
+	if v := queryOf(r).Get("min_seq"); v != "" {
 		n, err := strconv.ParseInt(v, 10, 64)
 		if err != nil {
 			s.fail(w, http.StatusBadRequest, wire.CodeBadSpec, "bad min_seq %q", v)

@@ -12,6 +12,7 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
+	"net/url"
 	"os"
 	"runtime"
 	"slices"
@@ -179,7 +180,7 @@ func (s *Server) handle(pattern string, h http.HandlerFunc) {
 			return
 		}
 		timeout := s.cfg.RequestTimeout
-		if ms := r.URL.Query().Get("timeout_ms"); ms != "" {
+		if ms := queryOf(r).Get("timeout_ms"); ms != "" {
 			if v, err := strconv.Atoi(ms); err == nil && v > 0 && time.Duration(v)*time.Millisecond < timeout {
 				timeout = time.Duration(v) * time.Millisecond
 			}
@@ -188,6 +189,15 @@ func (s *Server) handle(pattern string, h http.HandlerFunc) {
 		defer cancel()
 		h(w, r.WithContext(ctx))
 	})
+}
+
+// queryOf parses r's query string, or returns nil (whose Get answers "")
+// when there is none: parsing allocates a map even for an empty string.
+func queryOf(r *http.Request) url.Values {
+	if r.URL.RawQuery == "" {
+		return nil
+	}
+	return r.URL.Query()
 }
 
 func (s *Server) routes() {
@@ -658,7 +668,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	q := r.URL.Query()
+	q := queryOf(r)
 	learn := q.Get("learn") != "false"
 	var seed int64
 	if sv := q.Get("seed"); sv != "" {

@@ -72,6 +72,13 @@ func getJSON(t *testing.T, url string, v any) *http.Response {
 // warm-up batch, returning its instance name.
 func registerSmooth(t *testing.T, baseURL string) string {
 	t.Helper()
+	return registerSmoothAs(t, baseURL, "", 77)
+}
+
+// registerSmoothAs registers registerSmooth's UDF under name (the default
+// name when empty), warmed up under warmupSeed.
+func registerSmoothAs(t *testing.T, baseURL, name string, warmupSeed int64) string {
+	t.Helper()
 	warmup := make([]wire.InputSpec, 8)
 	rng := rand.New(rand.NewSource(5))
 	for i := range warmup {
@@ -80,10 +87,14 @@ func registerSmooth(t *testing.T, baseURL string) string {
 			{Type: "normal", Mu: 0.3 + 0.4*rng.Float64(), Sigma: 0.15},
 		}
 	}
-	resp, body := postJSON(t, baseURL+"/v1/udfs", map[string]any{
+	spec := map[string]any{
 		"udf": "poly/smooth2d", "eps": 0.2, "delta": 0.1,
-		"warmup": warmup, "warmup_seed": 77,
-	})
+		"warmup": warmup, "warmup_seed": warmupSeed,
+	}
+	if name != "" {
+		spec["name"] = name
+	}
+	resp, body := postJSON(t, baseURL+"/v1/udfs", spec)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("register: %d %s", resp.StatusCode, body)
 	}
