@@ -122,16 +122,20 @@ cover:
 # fuzz-smoke runs each native fuzz target briefly: long enough to execute the
 # committed seed corpus plus tens of thousands of mutated inputs against the
 # envelope/bound invariants, the support sort's stable reference, the query
-# merge over hostile shard partials, snapshot restore over arbitrary bytes,
-# the request decode of stream lines and eval bodies against encoding/json's
-# strict decode, and the result-line encoder against encoding/json, short
-# enough for every CI run.
+# merge over hostile shard partials, any /v1/query body through the shard's
+# handler (a 200 answer or a known error envelope), snapshot restore over
+# arbitrary bytes, the request decode of stream lines and eval bodies
+# against encoding/json's strict decode, and the result-line encoder against
+# encoding/json, short enough for every CI run. FuzzQueryRequest spends one
+# run minimizing each new input: its seeds are kilobyte query bodies, and
+# the default 60 s minimization of one of them would use up the whole 10 s.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDiscrepancyBound -fuzztime=10s ./internal/ecdf
 	$(GO) test -run='^$$' -fuzz=FuzzEnvelopeOf -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzSortWithPerm -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzReadSnapshot -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzQueryMerge -fuzztime=10s ./internal/server
+	$(GO) test -run='^$$' -fuzz=FuzzQueryRequest -fuzztime=10s -fuzzminimizetime=1x ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeStreamLine -fuzztime=10s ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeEvalBody -fuzztime=10s ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzAppendEvalResult -fuzztime=10s ./internal/server/wire

@@ -3,7 +3,7 @@ package olgapro
 // One benchmark per table and figure of the paper's evaluation (§6). Each
 // benchmark regenerates the corresponding artifact through the experiment
 // harness at a reduced scale; run `go run ./cmd/experiments` for the
-// full-scale tables recorded in EXPERIMENTS.md.
+// full-scale tables.
 
 import (
 	"testing"
@@ -83,6 +83,3 @@ func BenchmarkAblation2(b *testing.B) { runFigure(b, "ablation2") }
 
 // BenchmarkAblation3 measures guarded vs. unguarded filtering (A3).
 func BenchmarkAblation3(b *testing.B) { runFigure(b, "ablation3") }
-
-// BenchmarkThroughput measures parallel-executor tuples/sec (PR 3).
-func BenchmarkThroughput(b *testing.B) { runFigure(b, "throughput") }

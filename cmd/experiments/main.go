@@ -24,7 +24,6 @@ func main() {
 	runName := flag.String("run", "", "run a single experiment by name")
 	inputs := flag.Int("inputs", 0, "override the number of inputs per configuration")
 	seed := flag.Int64("seed", 1, "random seed")
-	workers := flag.Int("workers", 0, "parallel-executor workers for the throughput experiment (0 = GOMAXPROCS)")
 	list := flag.Bool("list", false, "list experiment names and exit")
 	flag.Parse()
 
@@ -40,7 +39,6 @@ func main() {
 		sc = bench.QuickScale()
 	}
 	sc.Seed = *seed
-	sc.Workers = *workers
 	if *inputs > 0 {
 		sc.Inputs = *inputs
 	}

@@ -15,9 +15,8 @@ import (
 	"olgapro/internal/udf"
 )
 
-// Ablations for the design choices DESIGN.md calls out. These go beyond the
-// paper's figures: each isolates one mechanism of OLGAPRO and measures what
-// it buys.
+// Ablations of OLGAPRO's design choices. These go beyond the paper's
+// figures: each isolates one mechanism of OLGAPRO and measures what it buys.
 
 // AblationIncremental quantifies the O(n²) bordered Cholesky update of
 // online tuning (§5.2) against refactorizing from scratch at O(n³) — the

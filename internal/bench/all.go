@@ -54,8 +54,6 @@ func Experiments() []Experiment {
 		{Name: "ablation1", Figures: "design ablation: incremental updates", Run: one(AblationIncremental)},
 		{Name: "ablation2", Figures: "design ablation: sub-box γ refinement", Run: one(AblationSubBoxes)},
 		{Name: "ablation3", Figures: "design ablation: guarded filtering", Run: one(AblationFilterVerify)},
-		{Name: "throughput", Figures: "parallel executor throughput (PR 3)", Run: one(ThroughputParallel)},
-		{Name: "algebra", Figures: "bounded relational algebra (PR 6)", Run: one(QueryAlgebra)},
 		{Name: "fig6a", Figures: "Fig 6(a)", Run: one(Fig6a)},
 		{Name: "fig6bcd", Figures: "Fig 6(b), 6(c), 6(d)", Run: Fig6bcd},
 	}

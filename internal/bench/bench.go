@@ -4,11 +4,11 @@
 // bench_test.go at the module root exposes one testing.B benchmark per
 // figure.
 //
-// Timing model: following DESIGN.md, UDF invocations are charged to a
-// virtual clock at their nominal cost T while the algorithms' own
-// computation is measured in wall time, so the reported totals reproduce
-// the paper's cost model (algorithm time + #UDF-calls × T) without needing
-// hours of real sleeping for T = 1 s sweeps.
+// Timing model: UDF invocations are charged to a virtual clock (package
+// vclock) at their nominal cost T while the algorithms' own computation is
+// measured in wall time, so the reported totals reproduce the paper's cost
+// model (algorithm time + #UDF-calls × T) without needing hours of real
+// sleeping for T = 1 s sweeps.
 package bench
 
 import (
@@ -35,9 +35,6 @@ type Scale struct {
 	Seed   int64
 	Inputs int // uncertain inputs per configuration
 	Truth  int // ground-truth samples per input when actual error is needed
-	// Workers sizes the parallel-executor pool in the throughput
-	// experiment (0 = GOMAXPROCS); cmd/experiments wires -workers here.
-	Workers int
 }
 
 // DefaultScale is used by cmd/experiments.

@@ -72,7 +72,7 @@ func TestExperimentsHaveUniqueNames(t *testing.T) {
 }
 
 // Smoke: every experiment runs at tiny scale and produces non-empty tables.
-// The full-scale shape checks live in EXPERIMENTS.md / cmd/experiments.
+// Full-scale tables come from cmd/experiments.
 func TestAllExperimentsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("smoke suite skipped in -short mode")

@@ -285,11 +285,3 @@ func growFloats(buf []float64, n int) []float64 {
 	}
 	return buf[:n]
 }
-
-// KSBound returns the KS-metric error bound of Proposition 4.2:
-// the KS distance between Ŷ′ and the envelope output is maximized when the
-// emulated function sits on an envelope boundary, so the bound is
-// max(KS(Ŷ′, Y′_S), KS(Ŷ′, Y′_L)).
-func (e Envelope) KSBound() float64 {
-	return math.Max(KS(e.Mean, e.Lower), KS(e.Mean, e.Upper))
-}

@@ -154,17 +154,6 @@ func (e *ECDF) Max() float64 {
 	return e.xs[len(e.xs)-1]
 }
 
-// Range returns Max − Min.
-func (e *ECDF) Range() float64 { return e.Max() - e.Min() }
-
-// IntervalProb returns Pr[a < Y ≤ b] = CDF(b) − CDF(a).
-func (e *ECDF) IntervalProb(a, b float64) float64 {
-	if b < a {
-		return 0
-	}
-	return e.CDF(b) - e.CDF(a)
-}
-
 // Histogram bins the sample into n equal-width bins over [Min, Max] and
 // returns the bin left edges and normalized densities (integrating to 1).
 // It is used to render output PDFs such as Fig. 6(a).

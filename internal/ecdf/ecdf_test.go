@@ -21,20 +21,14 @@ func TestECDFBasics(t *testing.T) {
 			t.Errorf("CDF(%g) = %g, want %g", c.y, got, c.want)
 		}
 	}
-	if e.Min() != 1 || e.Max() != 3 || e.Range() != 2 {
-		t.Errorf("Min/Max/Range = %g/%g/%g", e.Min(), e.Max(), e.Range())
+	if e.Min() != 1 || e.Max() != 3 {
+		t.Errorf("Min/Max = %g/%g", e.Min(), e.Max())
 	}
 	if got := e.Mean(); got != 2 {
 		t.Errorf("Mean = %g, want 2", got)
 	}
 	if got := e.Variance(); math.Abs(got-0.5) > 1e-12 {
 		t.Errorf("Variance = %g, want 0.5", got)
-	}
-	if got := e.IntervalProb(1, 2); got != 0.5 {
-		t.Errorf("IntervalProb(1,2) = %g, want 0.5", got)
-	}
-	if got := e.IntervalProb(2, 1); got != 0 {
-		t.Errorf("IntervalProb(2,1) = %g, want 0", got)
 	}
 }
 
@@ -92,7 +86,7 @@ func TestHistogramIntegratesToOne(t *testing.T) {
 	if len(edges) != 32 || len(dens) != 32 {
 		t.Fatalf("histogram sizes %d/%d", len(edges), len(dens))
 	}
-	w := e.Range() / 32
+	w := (e.Max() - e.Min()) / 32
 	var total float64
 	for _, d := range dens {
 		total += d * w
@@ -358,21 +352,16 @@ func TestIntervalBounds(t *testing.T) {
 	}
 }
 
+// TestKSBound checks Proposition 4.2: the KS distance between Ŷ′ and the
+// output of any function inside the envelope is at most
+// max(KS(Ŷ′, Y′_S), KS(Ŷ′, Y′_L)), the distance to a boundary.
 func TestKSBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	env := makeEnvelope(rng, 150)
-	bound := env.KSBound()
+	bound := math.Max(KS(env.Mean, env.Lower), KS(env.Mean, env.Upper))
 	if bound < 0 || bound > 1 {
-		t.Fatalf("KSBound = %g out of range", bound)
+		t.Fatalf("KS bound = %g out of range", bound)
 	}
-	// A boundary function's KS must be ≤ the bound by definition.
-	if ks := KS(env.Mean, env.Lower); ks > bound+1e-15 {
-		t.Fatalf("KS(mean,lower) = %g > bound %g", ks, bound)
-	}
-	if ks := KS(env.Mean, env.Upper); ks > bound+1e-15 {
-		t.Fatalf("KS(mean,upper) = %g > bound %g", ks, bound)
-	}
-	// Interior functions are also dominated (Prop 4.2).
 	vals := env.Mean.Values()
 	lo := env.Lower.Values()
 	hi := env.Upper.Values()
@@ -392,9 +381,6 @@ func TestDegenerateEnvelopeZeroBound(t *testing.T) {
 	env := Envelope{Mean: New(xs), Lower: New(xs), Upper: New(xs)}
 	if got := env.DiscrepancyBound(0.1); got != 0 {
 		t.Fatalf("zero-width envelope bound = %g, want 0", got)
-	}
-	if got := env.KSBound(); got != 0 {
-		t.Fatalf("zero-width envelope KS bound = %g, want 0", got)
 	}
 }
 

@@ -25,8 +25,6 @@ import (
 // MemberView holds a process's current fleet membership and the placement
 // ring derived from it. All methods are safe for concurrent use.
 type MemberView struct {
-	vnodes int
-
 	mu   sync.RWMutex
 	cur  wire.Membership
 	ring *Ring
@@ -35,19 +33,18 @@ type MemberView struct {
 
 // NewMemberView builds a view over the boot-time membership. The shard list
 // is sorted (placement is order-insensitive, but a canonical order keeps
-// every member's advertised list byte-identical); vnodes ≤ 0 uses the ring
-// default.
-func NewMemberView(m wire.Membership, vnodes int) (*MemberView, error) {
+// every member's advertised list byte-identical). Every view places with
+// the ring's default virtual-node count, so routers and shards agree.
+func NewMemberView(m wire.Membership) (*MemberView, error) {
 	shards := append([]string(nil), m.Shards...)
 	sort.Strings(shards)
-	ring, err := NewRing(shards, vnodes)
+	ring, err := NewRing(shards, 0)
 	if err != nil {
 		return nil, err
 	}
 	return &MemberView{
-		vnodes: vnodes,
-		cur:    wire.Membership{Epoch: m.Epoch, Shards: shards},
-		ring:   ring,
+		cur:  wire.Membership{Epoch: m.Epoch, Shards: shards},
+		ring: ring,
 	}, nil
 }
 
@@ -95,7 +92,7 @@ func (v *MemberView) Adopt(m wire.Membership) (bool, error) {
 	}
 	shards := append([]string(nil), m.Shards...)
 	sort.Strings(shards)
-	ring, err := NewRing(shards, v.vnodes)
+	ring, err := NewRing(shards, 0)
 	if err != nil {
 		return false, err
 	}
@@ -103,32 +100,4 @@ func (v *MemberView) Adopt(m wire.Membership) (bool, error) {
 	v.ring = ring
 	v.cur = wire.Membership{Epoch: m.Epoch, Shards: shards}
 	return true, nil
-}
-
-// replicaSetEqual reports whether two replica sets hold the same shards in
-// the same order (placement order matters: the first entry is the owner).
-func replicaSetEqual(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// PlacementChanged reports, for each name, whether its replica set differs
-// between the two rings — the exact set of names a membership change
-// actually moves. Everything else keeps its placement and is never
-// re-pulled.
-func PlacementChanged(oldRing, newRing *Ring, names []string, replicas int) []string {
-	var changed []string
-	for _, name := range names {
-		if !replicaSetEqual(oldRing.Replicas(name, replicas), newRing.Replicas(name, replicas)) {
-			changed = append(changed, name)
-		}
-	}
-	return changed
 }

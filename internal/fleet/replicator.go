@@ -29,8 +29,6 @@ type ReplicatorConfig struct {
 	// Replicas is the replication factor: this shard pulls a UDF only when
 	// ring placement makes it one of the UDF's replica set. Default 2.
 	Replicas int
-	// VNodes is the ring's virtual-node count (must match the router's).
-	VNodes int
 	// Interval is the retry backoff after a peer error and the failed-ingest
 	// re-queue tick; deltas propagate faster than this because the peer
 	// list call long-polls and wakes on every model-seq bump. Default 500ms.
@@ -102,7 +100,7 @@ type Replicator struct {
 // StartReplicator builds the membership view (epoch 0 = the boot shard
 // list) and starts the puller and tick goroutines.
 func StartReplicator(cfg ReplicatorConfig) (*Replicator, error) {
-	view, err := NewMemberView(wire.Membership{Epoch: 0, Shards: cfg.Shards}, cfg.VNodes)
+	view, err := NewMemberView(wire.Membership{Epoch: 0, Shards: cfg.Shards})
 	if err != nil {
 		return nil, err
 	}

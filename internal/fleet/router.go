@@ -30,8 +30,6 @@ type Config struct {
 	// Replicas-1 ring successors. Default 2, capped at the fleet size by
 	// ring placement itself.
 	Replicas int
-	// VNodes is the ring's virtual-node count per shard (≤ 0 = default).
-	VNodes int
 	// AuthToken, when non-empty, is required from clients (Bearer) and
 	// attached to every outbound shard request — one credential for the
 	// whole fleet.
@@ -82,7 +80,7 @@ type Router struct {
 // NewRouter builds a router over the fleet and starts its gossip loop;
 // callers must Close it.
 func NewRouter(cfg Config) (*Router, error) {
-	view, err := NewMemberView(wire.Membership{Epoch: 0, Shards: cfg.Shards}, cfg.VNodes)
+	view, err := NewMemberView(wire.Membership{Epoch: 0, Shards: cfg.Shards})
 	if err != nil {
 		return nil, err
 	}
@@ -736,9 +734,9 @@ func forwardableQuery(r *http.Request) url.Values {
 
 func (rt *Router) handleStream(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	body, err := io.ReadAll(r.Body)
+	body, err := server.ReadBody(r, nil)
 	if err != nil {
-		rt.fail(w, http.StatusBadRequest, wire.CodeBadSpec, "read body: %v", err)
+		server.WriteError(w, err)
 		return
 	}
 	q := forwardableQuery(r)

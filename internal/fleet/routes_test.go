@@ -111,7 +111,7 @@ func TestRouterRequestBodyCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rt.Close()
-	for _, path := range []string{"/v1/udfs", "/v1/udfs/x/eval", "/v1/query", "/v1/fleet/members"} {
+	for _, path := range []string{"/v1/udfs", "/v1/udfs/x/eval", "/v1/udfs/x/stream", "/v1/query", "/v1/fleet/members"} {
 		body := &countingBody{size: 2 * wire.MaxRequestBytes}
 		rec := httptest.NewRecorder()
 		rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, body))

@@ -25,13 +25,15 @@
 // learner's pairs lands on the learner's jitter and on its factor and α bit
 // for bit, and a snapshot needs only the pairs and the hyperparameters.
 //
-// Inference is the per-sample hot path of the whole system (~10⁴ predictions
-// per input tuple), so every predict entry point has a scratch-buffer form
-// that performs no heap allocation in the steady state: see Scratch,
-// PredictWith, and PredictBatchWith. Mutating methods (Add, Fit, Train,
-// Grad/GradHess) reuse GP-owned scratch and must not be called concurrently;
-// read-only prediction with caller-owned Scratch values is safe from
-// multiple goroutines.
+// Every predict entry point has a scratch-buffer form that performs no heap
+// allocation in the steady state: see Scratch, PredictWith, and
+// PredictBatchWith. The evaluator's per-sample predictions (~10⁴ per input
+// tuple) do not go through them on an exact GP: core predicts on its local
+// factor (localCtx.predictRange) and greedy tuning uses its own rank-1 pass.
+// A Sparse model is predicted through Sparse.PredictWith. Mutating methods
+// (Add, Fit, Train, Grad/GradHess) reuse GP-owned scratch and must not be
+// called concurrently; read-only prediction with caller-owned Scratch values
+// is safe from multiple goroutines.
 package gp
 
 import (
@@ -272,7 +274,7 @@ func (g *GP) Fit() error {
 
 // Predict returns the posterior mean and variance at x (Eq. 2).
 // With no training data it returns the prior (0, k(x,x)).
-// This convenience form allocates; the hot path uses PredictWith.
+// This convenience form allocates; PredictWith takes caller scratch.
 func (g *GP) Predict(x []float64) (mean, variance float64) {
 	var s Scratch
 	return g.PredictWith(&s, x)
@@ -297,7 +299,7 @@ func (g *GP) PredictWith(s *Scratch, x []float64) (mean, variance float64) {
 }
 
 // PosteriorCov returns the posterior covariance between test points x and y.
-// This convenience form allocates; the hot path uses PosteriorCovWith.
+// This convenience form allocates; PosteriorCovWith takes caller scratch.
 func (g *GP) PosteriorCov(x, y []float64) float64 {
 	var s Scratch
 	return g.PosteriorCovWith(&s, x, y)

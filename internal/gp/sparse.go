@@ -611,7 +611,7 @@ func (s *Sparse) rebuild() error {
 }
 
 // Predict returns the posterior mean and variance at x. This convenience
-// form allocates; the hot path uses PredictWith.
+// form allocates; the evaluator's hot path uses PredictWith.
 func (s *Sparse) Predict(x []float64) (mean, variance float64) {
 	var sc Scratch
 	return s.PredictWith(&sc, x)

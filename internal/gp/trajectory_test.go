@@ -52,8 +52,9 @@ func Benchmark_predict_batch_steady(b *testing.B) {
 }
 
 // Benchmark_predict_batch_scratch measures the same loop through the
-// caller-provided-scratch entry point, the form the evaluator hot path
-// uses: steady state must be zero allocations per op.
+// caller-provided-scratch entry point: steady state must be zero
+// allocations per op. (The evaluator predicts an exact GP on core's local
+// factor instead; this row tracks the gp package's own batch form.)
 func Benchmark_predict_batch_scratch(b *testing.B) {
 	g := trainedGP(400)
 	xs, means, vars := predictInputs()

@@ -3,8 +3,6 @@ package kernel
 import (
 	"fmt"
 	"math"
-
-	"olgapro/internal/mat"
 )
 
 // SqExpARD is the squared-exponential kernel with Automatic Relevance
@@ -183,19 +181,4 @@ func (k *SqExpARD) Clone() Kernel {
 // String describes the kernel.
 func (k *SqExpARD) String() string {
 	return fmt.Sprintf("SqExpARD(σf=%.4g, ℓ=%v)", k.SigmaF, k.Lens)
-}
-
-// Relevances returns 1/ℓ_j² per dimension, normalized to sum to 1 — a
-// standard reading of which inputs the learned function actually depends on.
-func (k *SqExpARD) Relevances() []float64 {
-	out := make([]float64, len(k.Lens))
-	var total float64
-	for j, l := range k.Lens {
-		out[j] = 1 / (l * l)
-		total += out[j]
-	}
-	if total > 0 {
-		mat.ScaleVec(1/total, out)
-	}
-	return out
 }

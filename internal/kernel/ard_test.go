@@ -94,14 +94,6 @@ func TestARDSpectralMomentConservative(t *testing.T) {
 	}
 }
 
-func TestARDRelevances(t *testing.T) {
-	k := NewSqExpARD(1, []float64{1, 2}) // relevance 1 vs 0.25 → 0.8/0.2
-	r := k.Relevances()
-	if math.Abs(r[0]-0.8) > 1e-12 || math.Abs(r[1]-0.2) > 1e-12 {
-		t.Fatalf("Relevances = %v", r)
-	}
-}
-
 func TestARDCloneIndependent(t *testing.T) {
 	k := NewSqExpARD(1, []float64{1, 1})
 	c := k.Clone().(*SqExpARD)

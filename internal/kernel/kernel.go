@@ -50,8 +50,8 @@ type Kernel interface {
 // into a tight squared-distance pass (mat.SqDistRowsTo) followed by a tight
 // transform pass — the restructuring that lets the compiler keep both loops
 // branch-free. CrossVec and GramInto use it automatically, which is how the
-// speedup reaches gp.PredictBatchWith, local inference, and online tuning
-// without any caller changes. Implementations must produce values identical
+// speedup reaches the evaluator's local inference (core's predictRange),
+// online tuning and the gp package's predictions without any caller changes. Implementations must produce values identical
 // to per-pair Eval calls.
 type BatchEvaler interface {
 	// EvalBatch fills dst[i] = k(xs[i], y); len(dst) must equal len(xs).

@@ -279,18 +279,6 @@ func (c *Cholesky) LogDet() float64 {
 	return 2 * s
 }
 
-// Quadratic returns bᵀ A⁻¹ b using one forward solve (allocating).
-func (c *Cholesky) Quadratic(b []float64) float64 {
-	return c.QuadraticTo(make([]float64, c.n), b)
-}
-
-// QuadraticTo returns bᵀ A⁻¹ b using dst (length Size) as the forward-solve
-// scratch buffer; dst may alias b.
-func (c *Cholesky) QuadraticTo(dst, b []float64) float64 {
-	c.ForwardSolveTo(dst, b)
-	return Dot(dst, dst)
-}
-
 // Extend grows the factorization of A to that of the bordered matrix
 //
 //	A' = [ A  k ]
@@ -357,58 +345,6 @@ func (c *Cholesky) Rank1Update(v []float64) error {
 		}
 	}
 	return nil
-}
-
-// BorderedInverse computes the inverse of the bordered matrix
-//
-//	A' = [ A  k ]
-//	     [ kᵀ κ ]
-//
-// from inv = A⁻¹ using the block-matrix inversion formula (paper §5.2):
-// with u = A⁻¹k and s = κ − kᵀu,
-//
-//	A'⁻¹ = [ A⁻¹ + uuᵀ/s   −u/s ]
-//	       [ −uᵀ/s          1/s ]
-//
-// It returns ErrNotSPD when the Schur complement s is non-positive.
-func BorderedInverse(inv *Matrix, k []float64, kappa float64) (*Matrix, error) {
-	n := inv.Rows()
-	if inv.Cols() != n {
-		panic(fmt.Sprintf("mat: bordered inverse of non-square %d×%d", inv.Rows(), inv.Cols()))
-	}
-	if len(k) != n {
-		panic(fmt.Sprintf("mat: bordered inverse border length %d ≠ %d", len(k), n))
-	}
-	u := inv.MulVec(k)
-	s := kappa - Dot(k, u)
-	if s <= 0 || math.IsNaN(s) {
-		return nil, fmt.Errorf("%w: bordered Schur complement %g", ErrNotSPD, s)
-	}
-	out := New(n+1, n+1)
-	invS := 1 / s
-	for i := 0; i < n; i++ {
-		row := out.Row(i)
-		irow := inv.Row(i)
-		for j := 0; j < n; j++ {
-			row[j] = irow[j] + u[i]*u[j]*invS
-		}
-		row[n] = -u[i] * invS
-	}
-	last := out.Row(n)
-	for j := 0; j < n; j++ {
-		last[j] = -u[j] * invS
-	}
-	last[n] = invS
-	return out, nil
-}
-
-// SolveSPD factorizes a and solves a x = b in one call.
-func SolveSPD(a *Matrix, b []float64) ([]float64, error) {
-	var c Cholesky
-	if err := c.Factorize(a); err != nil {
-		return nil, err
-	}
-	return c.SolveVec(b), nil
 }
 
 // Clone returns an independent copy of the factorization, so that

@@ -33,11 +33,6 @@ func TestSolveToVariantsZeroAllocs(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("SolveVecTo allocates %.1f per run, want 0", allocs)
 	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		c.QuadraticTo(dst, b)
-	}); allocs != 0 {
-		t.Fatalf("QuadraticTo allocates %.1f per run, want 0", allocs)
-	}
 	d1, d2, d3 := make([]float64, n), make([]float64, n), make([]float64, n)
 	if allocs := testing.AllocsPerRun(100, func() {
 		c.ForwardSolve4To(dst, d1, d2, d3, b, b, b, b)
@@ -233,16 +228,6 @@ func TestInverseToMatchesInverse(t *testing.T) {
 		c.InverseTo(dst)
 	}); allocs != 0 {
 		t.Fatalf("InverseTo allocates %.1f per run, want 0", allocs)
-	}
-}
-
-func TestTraceProductSym(t *testing.T) {
-	rng := rand.New(rand.NewSource(26))
-	a := randomSPD(rng, 6)
-	b := randomSPD(rng, 6)
-	want := Mul(a, b).Trace()
-	if got := TraceProductSym(a, b); !almostEqual(got, want, 1e-9*math.Abs(want)) {
-		t.Fatalf("TraceProductSym = %g, want %g", got, want)
 	}
 }
 

@@ -99,20 +99,6 @@ func TestCholeskyLogDet(t *testing.T) {
 	}
 }
 
-func TestCholeskyQuadratic(t *testing.T) {
-	a := NewFromData(2, 2, []float64{2, 0, 0, 5})
-	var c Cholesky
-	if err := c.Factorize(a); err != nil {
-		t.Fatal(err)
-	}
-	// bᵀ A⁻¹ b = 1²/2 + 2²/5.
-	got := c.Quadratic([]float64{1, 2})
-	want := 0.5 + 0.8
-	if !almostEqual(got, want, 1e-12) {
-		t.Fatalf("Quadratic = %g, want %g", got, want)
-	}
-}
-
 func TestCholeskyExtendMatchesRefactorize(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	n := 6
@@ -170,35 +156,6 @@ func TestCholeskyExtendRejectsNonSPD(t *testing.T) {
 	}
 }
 
-func TestBorderedInverseMatchesFullInverse(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	n := 5
-	full := randomSPD(rng, n+1)
-	sub := New(n, n)
-	for i := 0; i < n; i++ {
-		copy(sub.Row(i), full.Row(i)[:n])
-	}
-	var c Cholesky
-	if err := c.Factorize(sub); err != nil {
-		t.Fatal(err)
-	}
-	k := make([]float64, n)
-	for i := 0; i < n; i++ {
-		k[i] = full.At(i, n)
-	}
-	got, err := BorderedInverse(c.Inverse(), k, full.At(n, n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cf Cholesky
-	if err := cf.Factorize(full); err != nil {
-		t.Fatal(err)
-	}
-	if !Equal(got, cf.Inverse(), 1e-7) {
-		t.Fatalf("bordered inverse ≠ batch inverse")
-	}
-}
-
 func TestFactorizeJittered(t *testing.T) {
 	// Singular matrix becomes SPD with jitter.
 	a := NewFromData(2, 2, []float64{1, 1, 1, 1})
@@ -215,56 +172,6 @@ func TestFactorizeJittered(t *testing.T) {
 	jit, err = c.FactorizeJittered(spd, 1e-10, 12)
 	if err != nil || jit != 0 {
 		t.Fatalf("SPD case: jit=%g err=%v", jit, err)
-	}
-}
-
-func TestSolveSPD(t *testing.T) {
-	a := NewFromData(2, 2, []float64{4, 1, 1, 3})
-	x, err := SolveSPD(a, []float64{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := a.MulVec(x)
-	if !almostEqual(res[0], 1, 1e-12) || !almostEqual(res[1], 2, 1e-12) {
-		t.Fatalf("residual: %v", res)
-	}
-	if _, err := SolveSPD(NewFromData(1, 1, []float64{-1}), []float64{1}); !errors.Is(err, ErrNotSPD) {
-		t.Fatalf("expected ErrNotSPD, got %v", err)
-	}
-}
-
-// Property: for random SPD matrices the incremental bordered inverse always
-// matches the batch inverse. This is the correctness contract behind
-// OLGAPRO's O(n²) online-tuning update (paper §5.2).
-func TestQuickBorderedInverse(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(8)
-		full := randomSPD(r, n+1)
-		sub := New(n, n)
-		for i := 0; i < n; i++ {
-			copy(sub.Row(i), full.Row(i)[:n])
-		}
-		var c Cholesky
-		if err := c.Factorize(sub); err != nil {
-			return false
-		}
-		k := make([]float64, n)
-		for i := 0; i < n; i++ {
-			k[i] = full.At(i, n)
-		}
-		got, err := BorderedInverse(c.Inverse(), k, full.At(n, n))
-		if err != nil {
-			return false
-		}
-		var cf Cholesky
-		if err := cf.Factorize(full); err != nil {
-			return false
-		}
-		return Equal(got, cf.Inverse(), 1e-6)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -326,15 +233,6 @@ func TestVectorHelpers(t *testing.T) {
 	}
 	if got := MeanVec(nil); got != 0 {
 		t.Fatalf("MeanVec(nil) = %g", got)
-	}
-	mn, mx := MinMax([]float64{2, -1, 5})
-	if mn != -1 || mx != 5 {
-		t.Fatalf("MinMax = (%g,%g)", mn, mx)
-	}
-	o := Outer([]float64{1, 2}, []float64{3, 4})
-	want := NewFromData(2, 2, []float64{3, 4, 6, 8})
-	if !Equal(o, want, 0) {
-		t.Fatalf("Outer = %v", o)
 	}
 	c := CloneVec(x)
 	c[0] = 99

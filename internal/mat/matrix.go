@@ -142,28 +142,6 @@ func (m *Matrix) Scale(s float64) *Matrix {
 	return m
 }
 
-// AddMat adds b into m element-wise in place and returns m.
-func (m *Matrix) AddMat(b *Matrix) *Matrix {
-	if m.rows != b.rows || m.cols != b.cols {
-		panic(fmt.Sprintf("mat: add dims %d×%d ≠ %d×%d", m.rows, m.cols, b.rows, b.cols))
-	}
-	for i := range m.data {
-		m.data[i] += b.data[i]
-	}
-	return m
-}
-
-// SubMat subtracts b from m element-wise in place and returns m.
-func (m *Matrix) SubMat(b *Matrix) *Matrix {
-	if m.rows != b.rows || m.cols != b.cols {
-		panic(fmt.Sprintf("mat: sub dims %d×%d ≠ %d×%d", m.rows, m.cols, b.rows, b.cols))
-	}
-	for i := range m.data {
-		m.data[i] -= b.data[i]
-	}
-	return m
-}
-
 // T returns the transpose of m as a new matrix.
 func (m *Matrix) T() *Matrix {
 	out := New(m.cols, m.rows)
@@ -208,66 +186,6 @@ func (m *Matrix) MulVec(x []float64) []float64 {
 		out[i] = Dot(m.Row(i), x)
 	}
 	return out
-}
-
-// MulVecT returns mᵀ*x without forming the transpose.
-func (m *Matrix) MulVecT(x []float64) []float64 {
-	if m.rows != len(x) {
-		panic(fmt.Sprintf("mat: mulvecT dims %d×%d ᵀ× %d", m.rows, m.cols, len(x)))
-	}
-	out := make([]float64, m.cols)
-	for i, xi := range x {
-		if xi == 0 {
-			continue
-		}
-		row := m.Row(i)
-		for j, v := range row {
-			out[j] += xi * v
-		}
-	}
-	return out
-}
-
-// Trace returns the sum of diagonal elements of a square matrix.
-func (m *Matrix) Trace() float64 {
-	if m.rows != m.cols {
-		panic(fmt.Sprintf("mat: trace of non-square %d×%d matrix", m.rows, m.cols))
-	}
-	var t float64
-	for i := 0; i < m.rows; i++ {
-		t += m.data[i*m.cols+i]
-	}
-	return t
-}
-
-// TraceProductSym returns tr(A·B) for square matrices of which at least one
-// is symmetric: tr(AB) = Σ_{i,l} A_il·B_li = Σ_{i,l} A_il·B_il when B = Bᵀ.
-// Both operands are walked row-contiguously, unlike the textbook
-// tr(AB) = Σ_i (AB)_ii which strides down a column of B for every row of A.
-func TraceProductSym(a, b *Matrix) float64 {
-	if a.rows != a.cols || b.rows != b.cols || a.rows != b.rows {
-		panic(fmt.Sprintf("mat: trace product dims %d×%d × %d×%d", a.rows, a.cols, b.rows, b.cols))
-	}
-	var s float64
-	for i := range a.data {
-		s += a.data[i] * b.data[i]
-	}
-	return s
-}
-
-// Symmetrize replaces m with (m + mᵀ)/2 in place; m must be square.
-func (m *Matrix) Symmetrize() *Matrix {
-	if m.rows != m.cols {
-		panic(fmt.Sprintf("mat: symmetrize non-square %d×%d matrix", m.rows, m.cols))
-	}
-	for i := 0; i < m.rows; i++ {
-		for j := i + 1; j < m.cols; j++ {
-			v := (m.data[i*m.cols+j] + m.data[j*m.cols+i]) / 2
-			m.data[i*m.cols+j] = v
-			m.data[j*m.cols+i] = v
-		}
-	}
-	return m
 }
 
 // MaxAbs returns the largest absolute element value, or 0 for empty matrices.

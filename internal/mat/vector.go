@@ -104,33 +104,3 @@ func MeanVec(x []float64) float64 {
 	}
 	return SumVec(x) / float64(len(x))
 }
-
-// Outer returns the outer product x yᵀ as a len(x)×len(y) matrix.
-func Outer(x, y []float64) *Matrix {
-	out := New(len(x), len(y))
-	for i, xi := range x {
-		row := out.Row(i)
-		for j, yj := range y {
-			row[j] = xi * yj
-		}
-	}
-	return out
-}
-
-// MinMax returns the smallest and largest values in x.
-// It panics on an empty slice.
-func MinMax(x []float64) (min, max float64) {
-	if len(x) == 0 {
-		panic("mat: MinMax of empty slice")
-	}
-	min, max = x[0], x[0]
-	for _, v := range x[1:] {
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
-	}
-	return min, max
-}

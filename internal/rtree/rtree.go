@@ -86,26 +86,6 @@ func (r Rect) Margin() float64 {
 	return s
 }
 
-// Area returns the d-dimensional volume of r.
-func (r Rect) Area() float64 {
-	a := 1.0
-	for i := range r.Lo {
-		a *= r.Hi[i] - r.Lo[i]
-	}
-	return a
-}
-
-// Expand returns r grown by delta in every direction.
-func (r Rect) Expand(delta float64) Rect {
-	lo := make([]float64, len(r.Lo))
-	hi := make([]float64, len(r.Hi))
-	for i := range lo {
-		lo[i] = r.Lo[i] - delta
-		hi[i] = r.Hi[i] + delta
-	}
-	return Rect{Lo: lo, Hi: hi}
-}
-
 // MinDist returns the Euclidean distance from point p to the rectangle
 // (0 if p is inside). This is the distance to the paper's x_near.
 func (r Rect) MinDist(p []float64) float64 {
@@ -442,17 +422,4 @@ func (t *Tree) all(n *node, fn func(id int, p []float64) bool) bool {
 		}
 	}
 	return true
-}
-
-// Depth returns the height of the tree (0 when empty).
-func (t *Tree) Depth() int {
-	d := 0
-	for n := t.root; n != nil; {
-		d++
-		if n.leaf || len(n.entries) == 0 {
-			break
-		}
-		n = n.entries[0].child
-	}
-	return d
 }

@@ -17,9 +17,6 @@ func TestRectBasics(t *testing.T) {
 	if !r.Contains([]float64{1, 1}) || r.Contains([]float64{3, 1}) {
 		t.Error("Contains wrong")
 	}
-	if got := r.Area(); got != 8 {
-		t.Errorf("Area = %g, want 8", got)
-	}
 	if got := r.Margin(); got != 6 {
 		t.Errorf("Margin = %g, want 6", got)
 	}
@@ -88,14 +85,6 @@ func TestRectDist(t *testing.T) {
 	}
 	if got := RectDist(a, a); got != 0 {
 		t.Errorf("RectDist(self) = %g", got)
-	}
-}
-
-func TestExpand(t *testing.T) {
-	r, _ := NewRect([]float64{0, 0}, []float64{1, 1})
-	e := r.Expand(0.5)
-	if e.Lo[0] != -0.5 || e.Hi[1] != 1.5 {
-		t.Errorf("Expand = %+v", e)
 	}
 }
 
@@ -188,6 +177,19 @@ func TestSearchEarlyStop(t *testing.T) {
 	}
 }
 
+// depth returns the height of the tree (0 when empty).
+func depth(t *Tree) int {
+	d := 0
+	for n := t.root; n != nil; {
+		d++
+		if n.leaf || len(n.entries) == 0 {
+			break
+		}
+		n = n.entries[0].child
+	}
+	return d
+}
+
 func TestDepthGrows(t *testing.T) {
 	var tr Tree
 	rng := rand.New(rand.NewSource(1))
@@ -196,7 +198,7 @@ func TestDepthGrows(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if d := tr.Depth(); d < 2 {
+	if d := depth(&tr); d < 2 {
 		t.Fatalf("Depth = %d after 500 inserts", d)
 	}
 	if tr.Len() != 500 {

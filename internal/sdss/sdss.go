@@ -4,7 +4,7 @@
 // modeled as Gaussians, the representation the paper itself adopts ("the
 // objects ... are commonly Gaussian distributions", §1).
 //
-// Substitution note (see DESIGN.md): the real SDSS archive is not available
+// Substitution note: the real SDSS archive is not available
 // offline, so the catalog is synthetic, but the algorithms only ever consume
 // the per-tuple distributions, whose family and spread this generator
 // matches.

@@ -21,7 +21,7 @@ import (
 
 // newTestServer boots a server (optionally with a snapshot dir) and returns
 // it with its HTTP test harness.
-func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	s, err := New(cfg)
 	if err != nil {
@@ -35,7 +35,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
+func postJSON(t testing.TB, url string, body any) (*http.Response, []byte) {
 	t.Helper()
 	b, err := json.Marshal(body)
 	if err != nil {
@@ -77,7 +77,7 @@ func registerSmooth(t *testing.T, baseURL string) string {
 
 // registerSmoothAs registers registerSmooth's UDF under name (the default
 // name when empty), warmed up under warmupSeed.
-func registerSmoothAs(t *testing.T, baseURL, name string, warmupSeed int64) string {
+func registerSmoothAs(t testing.TB, baseURL, name string, warmupSeed int64) string {
 	t.Helper()
 	warmup := make([]wire.InputSpec, 8)
 	rng := rand.New(rand.NewSource(5))

@@ -29,11 +29,6 @@ func (s PredicateSpec) Predicate() (*mc.Predicate, error) {
 	return &mc.Predicate{A: s.A, B: s.B, Theta: s.Theta}, nil
 }
 
-// SpecOfPredicate is the inverse of Predicate.
-func SpecOfPredicate(p *mc.Predicate) PredicateSpec {
-	return PredicateSpec{A: p.A, B: p.B, Theta: p.Theta}
-}
-
 // SparseSpec is the wire form of the budgeted sparse emulator knobs
 // (core.Config.Sparse*): a positive budget replaces the exact O(n²)-per-add
 // GP with the inducing-point approximation whose per-add and per-predict
@@ -92,14 +87,6 @@ func (s StatSpec) Stat() (query.Stat, error) {
 	}
 }
 
-// SpecOfStat is the inverse of Stat.
-func SpecOfStat(s query.Stat) StatSpec {
-	if s.Kind == query.StatQuantile {
-		return StatSpec{Kind: "quantile", P: s.P}
-	}
-	return StatSpec{Kind: "mean"}
-}
-
 // AggSpec is the wire form of one aggregate column:
 //
 //	{"kind": "count"}
@@ -139,16 +126,6 @@ func (s AggSpec) Agg() (query.Agg, error) {
 	return a, nil
 }
 
-// SpecOfAgg is the inverse of Agg.
-func SpecOfAgg(a query.Agg) AggSpec {
-	s := AggSpec{Kind: a.Kind.String(), Attr: a.Attr, As: a.As}
-	if a.Kind != query.AggCount {
-		st := SpecOfStat(a.Stat)
-		s.Stat = &st
-	}
-	return s
-}
-
 // TopKSpec is the wire form of a bounded top-k / order-by stage:
 //
 //	{"k": 5, "by": "y", "stat": {"kind": "mean"}, "desc": true, "as": "rank"}
@@ -176,12 +153,6 @@ func (s TopKSpec) Spec() (query.RankSpec, error) {
 		r.Stat = st
 	}
 	return r, nil
-}
-
-// SpecOfTopK is the inverse of Spec.
-func SpecOfTopK(r query.RankSpec) TopKSpec {
-	st := SpecOfStat(r.Stat)
-	return TopKSpec{K: r.K, By: r.By, Stat: &st, Desc: r.Desc, As: r.As}
 }
 
 // WindowSpec is the wire form of a sliding-window aggregate stage:
@@ -212,15 +183,6 @@ func (s WindowSpec) Spec() (query.WindowSpec, error) {
 	return w, nil
 }
 
-// SpecOfWindow is the inverse of Spec.
-func SpecOfWindow(w query.WindowSpec) WindowSpec {
-	s := WindowSpec{Size: w.Size, Step: w.Step}
-	for _, a := range w.Aggs {
-		s.Aggs = append(s.Aggs, SpecOfAgg(a))
-	}
-	return s
-}
-
 // GroupBySpec is the wire form of a grouped aggregate stage:
 //
 //	{"keys": ["g"], "aggs": [{"kind": "count"}, {"kind": "max", "attr": "y"}]}
@@ -246,15 +208,6 @@ func (s GroupBySpec) Spec() (query.GroupBySpec, error) {
 		g.Aggs = append(g.Aggs, a)
 	}
 	return g, nil
-}
-
-// SpecOfGroupBy is the inverse of Spec.
-func SpecOfGroupBy(g query.GroupBySpec) GroupBySpec {
-	s := GroupBySpec{Keys: append([]string(nil), g.Keys...)}
-	for _, a := range g.Aggs {
-		s.Aggs = append(s.Aggs, SpecOfAgg(a))
-	}
-	return s
 }
 
 // BoundedJSON is the deterministic wire form of a [certain, possible]

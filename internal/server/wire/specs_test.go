@@ -9,8 +9,8 @@ import (
 	"olgapro/internal/query"
 )
 
-// TestPredicateSpecRoundTrip: JSON → spec → predicate → spec → JSON is the
-// identity, and invalid specs are rejected before reaching the engine.
+// TestPredicateSpecRoundTrip: JSON → spec → predicate carries every field,
+// and invalid specs are rejected before reaching the engine.
 func TestPredicateSpecRoundTrip(t *testing.T) {
 	var s PredicateSpec
 	if err := json.Unmarshal([]byte(`{"a": 0, "b": 25, "theta": 0.2}`), &s); err != nil {
@@ -22,9 +22,6 @@ func TestPredicateSpecRoundTrip(t *testing.T) {
 	}
 	if *p != (mc.Predicate{A: 0, B: 25, Theta: 0.2}) {
 		t.Fatalf("predicate: %+v", p)
-	}
-	if SpecOfPredicate(p) != s {
-		t.Fatalf("round trip: %+v", SpecOfPredicate(p))
 	}
 	for _, bad := range []PredicateSpec{
 		{A: 2, B: 1, Theta: 0.5},
@@ -55,11 +52,6 @@ func TestStatSpecRoundTrip(t *testing.T) {
 		if st != c.want {
 			t.Fatalf("%+v → %+v, want %+v", c.spec, st, c.want)
 		}
-		// The inverse normalizes the empty kind to "mean".
-		back, err := SpecOfStat(st).Stat()
-		if err != nil || back != st {
-			t.Fatalf("round trip of %+v: %+v, %v", st, back, err)
-		}
 	}
 	if _, err := (StatSpec{Kind: "median"}).Stat(); err == nil {
 		t.Error("unknown stat kind should fail")
@@ -70,20 +62,28 @@ func TestStatSpecRoundTrip(t *testing.T) {
 }
 
 func TestAggSpecRoundTrip(t *testing.T) {
-	aggs := []query.Agg{
-		query.Count(),
-		query.Sum("y"),
-		query.Avg("y").WithStat(query.QuantileStat(0.5)).Named("med_avg"),
-		query.Min("y"),
-		query.Max("y").Named("peak"),
+	cases := []struct {
+		raw  string
+		want query.Agg
+	}{
+		{`{"kind": "count"}`, query.Count()},
+		{`{"kind": "sum", "attr": "y", "stat": {"kind": "mean"}}`, query.Sum("y")},
+		{`{"kind": "avg", "attr": "y", "stat": {"kind": "quantile", "p": 0.5}, "as": "med_avg"}`,
+			query.Avg("y").WithStat(query.QuantileStat(0.5)).Named("med_avg")},
+		{`{"kind": "min", "attr": "y"}`, query.Min("y")},
+		{`{"kind": "max", "attr": "y", "as": "peak"}`, query.Max("y").Named("peak")},
 	}
-	for _, a := range aggs {
-		got, err := SpecOfAgg(a).Agg()
+	for _, c := range cases {
+		var s AggSpec
+		if err := json.Unmarshal([]byte(c.raw), &s); err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.Agg()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != a {
-			t.Fatalf("round trip: %+v → %+v", a, got)
+		if got != c.want {
+			t.Fatalf("%s → %+v, want %+v", c.raw, got, c.want)
 		}
 	}
 	if _, err := (AggSpec{Kind: "median"}).Agg(); err == nil {
@@ -108,9 +108,6 @@ func TestTopKSpecRoundTrip(t *testing.T) {
 	if spec != want {
 		t.Fatalf("spec: %+v", spec)
 	}
-	if got := SpecOfTopK(spec); !reflect.DeepEqual(got, s) {
-		t.Fatalf("round trip: %+v vs %+v", got, s)
-	}
 	if _, err := (TopKSpec{K: 3}).Spec(); err == nil {
 		t.Error("top-k without by should fail")
 	}
@@ -126,12 +123,9 @@ func TestWindowSpecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.Size != 10 || spec.Step != 5 || len(spec.Aggs) != 2 {
-		t.Fatalf("spec: %+v", spec)
-	}
-	back, err := SpecOfWindow(spec).Spec()
-	if err != nil || !reflect.DeepEqual(back, spec) {
-		t.Fatalf("round trip: %+v, %v", back, err)
+	want := query.WindowSpec{Size: 10, Step: 5, Aggs: []query.Agg{query.Count(), query.Avg("y")}}
+	if !reflect.DeepEqual(spec, want) {
+		t.Fatalf("spec: %+v, want %+v", spec, want)
 	}
 	if _, err := (WindowSpec{Size: 0, Aggs: s.Aggs}).Spec(); err == nil {
 		t.Error("size 0 should fail")
@@ -154,12 +148,9 @@ func TestGroupBySpecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(spec.Keys) != 1 || spec.Keys[0] != "g" || len(spec.Aggs) != 2 {
-		t.Fatalf("spec: %+v", spec)
-	}
-	back, err := SpecOfGroupBy(spec).Spec()
-	if err != nil || !reflect.DeepEqual(back, spec) {
-		t.Fatalf("round trip: %+v, %v", back, err)
+	want := query.GroupBySpec{Keys: []string{"g"}, Aggs: []query.Agg{query.Count(), query.Max("y")}}
+	if !reflect.DeepEqual(spec, want) {
+		t.Fatalf("spec: %+v, want %+v", spec, want)
 	}
 	if _, err := (GroupBySpec{Aggs: s.Aggs}).Spec(); err == nil {
 		t.Error("no keys should fail")

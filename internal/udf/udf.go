@@ -70,9 +70,6 @@ func (c *Counter) Eval(x []float64) float64 {
 // Calls returns the number of evaluations so far.
 func (c *Counter) Calls() int { return int(atomic.LoadInt64(&c.n)) }
 
-// ResetCalls zeroes the evaluation counter.
-func (c *Counter) ResetCalls() { atomic.StoreInt64(&c.n, 0) }
-
 // Slow wraps a Func and busy-waits for Delay on every call, emulating an
 // expensive UDF with real wall-clock cost (used by examples; the benchmark
 // harness prefers Counter + vclock).

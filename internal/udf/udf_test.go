@@ -31,10 +31,6 @@ func TestCounterCountsAndCharges(t *testing.T) {
 	if got := clk.Charged(); got != 10*time.Millisecond {
 		t.Fatalf("Charged = %v", got)
 	}
-	c.ResetCalls()
-	if c.Calls() != 0 {
-		t.Fatalf("ResetCalls failed")
-	}
 	if c.Dim() != 1 {
 		t.Fatalf("Dim = %d", c.Dim())
 	}

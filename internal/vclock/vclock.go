@@ -11,7 +11,6 @@
 //
 // which is exactly the cost model behind the paper's GP-vs-MC tradeoff: the
 // GP approach wins when UDF calls dominate; MC wins when they are free.
-// The substitution is recorded in DESIGN.md.
 package vclock
 
 import (
