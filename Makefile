@@ -8,7 +8,7 @@ GO ?= go
 # BENCH_REF defaults to HEAD: the gate measures the working tree against
 # what is committed. Once the change is committed, name its base instead
 # (CI passes the pull request's base or the push's previous tip).
-BENCH_OUT ?= BENCH_PR28.json
+BENCH_OUT ?= BENCH_PR30.json
 BENCH_REF ?= HEAD
 BENCH_MAX_REGRESS ?= 0.35
 
@@ -123,10 +123,11 @@ cover:
 # committed seed corpus plus tens of thousands of mutated inputs against the
 # envelope/bound invariants, the support sort's stable reference, the query
 # merge over hostile shard partials, any /v1/query body through the shard's
+# handler and any membership gossip body through a fleet-mode shard's
 # handler (a 200 answer or a known error envelope), snapshot restore over
-# arbitrary bytes, the request decode of stream lines and eval bodies
-# against encoding/json's strict decode, and the result-line encoder against
-# encoding/json, short enough for every CI run. FuzzQueryRequest spends one
+# arbitrary bytes, the request decode of stream lines, eval bodies, query
+# bodies and partials bodies against encoding/json's strict decode, and the
+# result-line encoder against encoding/json, short enough for every CI run. FuzzQueryRequest spends one
 # run minimizing each new input: its seeds are kilobyte query bodies, and
 # the default 60 s minimization of one of them would use up the whole 10 s.
 fuzz-smoke:
@@ -138,6 +139,9 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzQueryRequest -fuzztime=10s -fuzzminimizetime=1x ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeStreamLine -fuzztime=10s ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeEvalBody -fuzztime=10s ./internal/server
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeQueryRequest -fuzztime=10s ./internal/server
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeQueryPartials -fuzztime=10s ./internal/server
+	$(GO) test -run='^$$' -fuzz=FuzzMembershipPost -fuzztime=10s ./internal/fleet
 	$(GO) test -run='^$$' -fuzz=FuzzAppendEvalResult -fuzztime=10s ./internal/server/wire
 
 # e2e builds the olgaprod binary, boots it on a loopback port, and drives

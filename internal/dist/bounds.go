@@ -20,43 +20,51 @@ const (
 // by bounding the sampler's own arithmetic with the variate bounds above:
 // rounding is monotone, so a bound that stays finite keeps every draw
 // finite. A mixture is finite when each component is; a family this
-// package does not define is reported as not finite.
+// package does not define is reported as not finite. A family's value and
+// a pointer to it answer alike.
 func SamplesFinite(d Dist) bool {
-	switch d := d.(type) {
-	case Normal:
-		return finite(math.Abs(d.Mu) + math.Abs(d.Sigma)*maxNormVariate)
-	case Uniform:
-		// A + u(B−A) for u in [0, 1) stays finite when the endpoints are
-		// within half the float64 range.
-		const half = math.MaxFloat64 / 2
-		return d.A >= -half && d.A <= half && d.B >= -half && d.B <= half
-	case Gamma:
-		if d.degenerate() {
-			return finite(d.Loc)
-		}
-		// Loc + Theta·boost·d·v, boost ≤ 1, v = (1 + c·x)³ for a normal x.
-		k := d.K
-		if k < 1 {
-			k++
-		}
-		dd := k - 1.0/3.0
-		c := 1 / math.Sqrt(9*dd)
-		v := 1 + c*maxNormVariate
-		v = v * v * v
-		return finite(d.Loc) && finite(math.Abs(d.Loc)+d.Theta*dd*v)
-	case Exponential:
-		return d.Rate <= 0 || finite(maxExpVariate/d.Rate)
-	case Constant:
-		return finite(d.V)
-	case *Mixture:
-		for _, c := range d.comps {
-			if !SamplesFinite(c) {
-				return false
-			}
-		}
-		return true
+	f, ok := d.(interface{ samplesFinite() bool })
+	return ok && f.samplesFinite()
+}
+
+func (n Normal) samplesFinite() bool {
+	return finite(math.Abs(n.Mu) + math.Abs(n.Sigma)*maxNormVariate)
+}
+
+// A + u(B−A) for u in [0, 1) stays finite when the endpoints are within
+// half the float64 range.
+func (u Uniform) samplesFinite() bool {
+	const half = math.MaxFloat64 / 2
+	return u.A >= -half && u.A <= half && u.B >= -half && u.B <= half
+}
+
+func (g Gamma) samplesFinite() bool {
+	if g.degenerate() {
+		return finite(g.Loc)
 	}
-	return false
+	// Loc + Theta·boost·d·v, boost ≤ 1, v = (1 + c·x)³ for a normal x.
+	k := g.K
+	if k < 1 {
+		k++
+	}
+	dd := k - 1.0/3.0
+	c := 1 / math.Sqrt(9*dd)
+	v := 1 + c*maxNormVariate
+	v = v * v * v
+	return finite(g.Loc) && finite(math.Abs(g.Loc)+g.Theta*dd*v)
+}
+
+func (e Exponential) samplesFinite() bool { return e.Rate <= 0 || finite(maxExpVariate/e.Rate) }
+
+func (c Constant) samplesFinite() bool { return finite(c.V) }
+
+func (m *Mixture) samplesFinite() bool {
+	for _, c := range m.comps {
+		if !SamplesFinite(c) {
+			return false
+		}
+	}
+	return true
 }
 
 func finite(x float64) bool { return !math.IsInf(x, 0) && !math.IsNaN(x) }

@@ -312,10 +312,14 @@ func (rt *Router) fail(w http.ResponseWriter, status int, code wire.ErrorCode, f
 // failFrom writes the envelope refusalOf makes of a client-side error.
 func (rt *Router) failFrom(w http.ResponseWriter, err error) { server.WriteError(w, refusalOf(err)) }
 
-// refusalOf relays a client-side error: a decoded shard envelope passes
-// through with its original status and code; transport failures become 502
-// unavailable.
+// refusalOf relays a client-side error: a refusal of the router's own
+// (a shard answer over the cap) and a decoded shard envelope pass through
+// with their status and code; transport failures become 502 unavailable.
 func refusalOf(err error) error {
+	var se *server.Error
+	if errors.As(err, &se) {
+		return se
+	}
 	var ae *client.APIError
 	if errors.As(err, &ae) {
 		return &server.Error{Status: ae.Status, Detail: wire.ErrorDetail{
@@ -335,16 +339,27 @@ type shardResp struct {
 	body   []byte
 }
 
+// maxShardResponseBytes caps one buffered shard response. It is the
+// request body cap: a 4096-row partials answer is a few megabytes, and a
+// frozen stream answer over it is refused whole rather than buffered.
+const maxShardResponseBytes = wire.MaxRequestBytes
+
 // forward sends one request to a shard through its client, buffers the
-// response, and feeds the health ledger.
+// response, reading at most maxShardResponseBytes+1 bytes of it, and feeds
+// the health ledger. A response over the cap is a 413 over_capacity
+// refusal; the shard answered, so it is not marked down.
 func (rt *Router) forward(ctx context.Context, addr, method, path string, q url.Values, body []byte, ct string) (*shardResp, error) {
 	resp, err := rt.clientFor(addr).Do(ctx, method, path, q, body, ct)
 	if err != nil {
 		rt.health.MarkDown(addr)
 		return nil, err
 	}
-	b, err := io.ReadAll(resp.Body)
+	b, over, err := server.ReadCapped(resp.Body, resp.ContentLength, nil, maxShardResponseBytes)
 	resp.Body.Close()
+	if over {
+		return nil, server.Errorf(http.StatusRequestEntityTooLarge, wire.CodeOverCapacity,
+			"shard %s answered over %d bytes (send a smaller request, or stream straight to the shard)", addr, maxShardResponseBytes)
+	}
 	if err != nil {
 		rt.health.MarkDown(addr)
 		return nil, err
@@ -432,12 +447,18 @@ func (rt *Router) replicasFor(name string) []string {
 // fanFrozen tries fn against each replica candidate until one returns a
 // non-retryable response. Transport failures and retryable envelopes move
 // on to the next candidate; the last response (or error) is surfaced when
-// every candidate fails.
+// every candidate fails. An answer over the response cap ends the fan:
+// a frozen answer is a function of the request, so every replica's is as
+// large.
 func (rt *Router) fanFrozen(name string, fn func(addr string) (*shardResp, bool, error)) (*shardResp, error) {
 	var lastResp *shardResp
 	var lastErr error
 	for _, addr := range rt.replicasFor(name) {
 		sr, retryable, err := fn(addr)
+		var se *server.Error
+		if errors.As(err, &se) {
+			return nil, err
+		}
 		if err != nil {
 			rt.cfg.Logf("shard %s failed, trying next replica: %v", addr, err)
 			lastErr = err

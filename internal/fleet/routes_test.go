@@ -1,11 +1,13 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"olgapro/internal/server/wire"
@@ -121,5 +123,52 @@ func TestRouterRequestBodyCap(t *testing.T) {
 			t.Errorf("POST %s over the cap: %d %q after reading %d bytes, want 413 over_capacity after ≤ %d",
 				path, rec.Code, rec.Body.String(), body.read, wire.MaxRequestBytes+1)
 		}
+	}
+}
+
+// TestRouterShardResponseCap: the router reads a shard's answer only up to
+// its response cap. Two hostile replicas stream 32 MiB of whitespace as
+// their answer to a frozen eval; the client gets a 413 over_capacity
+// envelope, at most the cap, plus what the connection buffers, is taken
+// from the replica asked before the router hangs up, and the other replica
+// is not asked, since its frozen answer would be as large.
+func TestRouterShardResponseCap(t *testing.T) {
+	const hostile = 32 << 20
+	var wrote, asked atomic.Int64
+	hostileShard := func() *httptest.Server {
+		return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			asked.Add(1)
+			w.Header().Set("Content-Type", "application/json")
+			chunk := bytes.Repeat([]byte{' '}, 64<<10)
+			for n := int64(0); n < hostile; {
+				k, err := w.Write(chunk)
+				n += int64(k)
+				wrote.Add(int64(k))
+				if err != nil {
+					return
+				}
+			}
+		}))
+	}
+	a, b := hostileShard(), hostileShard()
+	rt, err := NewRouter(Config{Shards: []string{a.URL, b.URL}, Replicas: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	rec := httptest.NewRecorder()
+	rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/udfs/x/eval",
+		strings.NewReader(`{"input":[{"type":"normal","mu":0.5,"sigma":0.1}],"learn":false}`)))
+	a.Close() // waits for the handlers, so wrote and asked are final
+	b.Close()
+	var env wire.ErrorEnvelope
+	if json.Unmarshal(rec.Body.Bytes(), &env) != nil || rec.Code != http.StatusRequestEntityTooLarge || env.Error.Code != wire.CodeOverCapacity {
+		t.Errorf("hostile shard answer: %d, %d bytes %.200q, want 413 over_capacity", rec.Code, rec.Body.Len(), rec.Body.String())
+	}
+	if n := wrote.Load(); n >= hostile {
+		t.Errorf("router took all %d bytes of the hostile answer, cap is %d", n, maxShardResponseBytes)
+	}
+	if n := asked.Load(); n != 1 {
+		t.Errorf("%d replicas asked after an answer over the cap, want 1", n)
 	}
 }

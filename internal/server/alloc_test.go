@@ -43,15 +43,14 @@ type replayBody struct{ bytes.Reader }
 func (*replayBody) Close() error { return nil }
 
 // handlerAllocs returns the fewest heap allocations one request through
-// Server.Handler made in runs measured requests, after checking the
-// request answers 200 with a non-empty body. A stray allocation (a pooled
+// h made in runs measured requests, after checking the request answers
+// 200 with a non-empty body. A stray allocation (a pooled
 // value the race detector dropped, or the runtime's own) only ever adds to
 // a request's count, so the least count is the request's steady cost, and
 // a per-item figure taken as the difference of two of them cannot be
 // pushed up by one.
-func handlerAllocs(t *testing.T, s *Server, target string, payload []byte, runs int) float64 {
+func handlerAllocs(t *testing.T, h http.Handler, target string, payload []byte, runs int) float64 {
 	t.Helper()
-	h := s.Handler()
 	body := &replayBody{}
 	req := httptest.NewRequest(http.MethodPost, target, body)
 	w := &discardWriter{h: make(http.Header)}
@@ -76,14 +75,18 @@ func handlerAllocs(t *testing.T, s *Server, target string, payload []byte, runs 
 // cost of a frozen and of a learning stream (the difference between the
 // least counts of a long and a short stream, so the per-request costs
 // cancel; a repeated learning stream adds no training points, so its count
-// is steady). Each ceiling is its measured least count, the same with and
-// without the race detector: the frozen eval 10, the frozen stream 3.0 per
-// tuple, since its items go through the executor themselves
-// (docs/performance.md, "Reuse"), and the learning stream 2.0.
+// is steady). No path boxes an input distribution: every input vector is
+// built into reused typed storage (wire.Dists). Each ceiling is its
+// measured least count: the frozen eval 8, and the learning stream 0.0
+// per tuple, with and without the race detector. The frozen stream reads
+// 1.1 per tuple (1.3 under the race detector), rounded up to 2: that is
+// not a per-tuple cost but the fill of the stream's item pool, since its
+// items go through the executor themselves (docs/performance.md, "Reuse")
+// and a long stream keeps more of them in flight than a short one.
 const (
-	maxFrozenEvalAllocs        = 10
-	maxFrozenStreamTupleAllocs = 3
-	maxLearnStreamTupleAllocs  = 2
+	maxFrozenEvalAllocs        = 8
+	maxFrozenStreamTupleAllocs = 2
+	maxLearnStreamTupleAllocs  = 0
 )
 
 func TestFrozenServingAllocs(t *testing.T) {
@@ -94,7 +97,7 @@ func TestFrozenServingAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	evalAllocs := handlerAllocs(t, s, fmt.Sprintf("/v1/udfs/%s/eval", name), evalBody, 50)
+	evalAllocs := handlerAllocs(t, s.Handler(), fmt.Sprintf("/v1/udfs/%s/eval", name), evalBody, 50)
 
 	stream := func(n int) []byte {
 		var buf bytes.Buffer
@@ -110,8 +113,8 @@ func TestFrozenServingAllocs(t *testing.T) {
 	}
 	const short, long = 8, 40
 	perTuple := func(target string) float64 {
-		shortAllocs := handlerAllocs(t, s, target, stream(short), 10)
-		longAllocs := handlerAllocs(t, s, target, stream(long), 10)
+		shortAllocs := handlerAllocs(t, s.Handler(), target, stream(short), 10)
+		longAllocs := handlerAllocs(t, s.Handler(), target, stream(long), 10)
 		return (longAllocs - shortAllocs) / (long - short)
 	}
 	frozenTuple := perTuple(fmt.Sprintf("/v1/udfs/%s/stream?learn=false&seed=3", name))
@@ -133,13 +136,15 @@ func TestFrozenServingAllocs(t *testing.T) {
 // maxPartialsRowAllocs is the allocation ceiling of one row of a group-by
 // partials request (a TEP predicate, then count and avg per group) through
 // Server.Handler: the difference between the least counts of a long and a
-// short request, so the per-request costs cancel. It is the measured 6.4
-// (6.4 to 6.5 under the race detector) rounded up to a whole allocation:
-// the row's JSON decode, its two input distributions, and the growth of
-// the workers' scratch and of the groups' item lists. The tuple path
-// measured 43.8 per row here, building three tuples, an owned output and
-// a truncated support copy per row.
-const maxPartialsRowAllocs = 7
+// short request, so the per-request costs cancel. It is the measured 0.5
+// (the same under the race detector) rounded up to a whole allocation:
+// the growth of the request's row and spec arrays, of the workers' scratch
+// and of the groups' item lists. The row's decode and its two input
+// distributions allocate nothing (wire.DecodeQueryPartialsRequest,
+// wire.Dists); with encoding/json and boxed distributions the row
+// measured 6.4, and the tuple path before that 43.8, building three
+// tuples, an owned output and a truncated support copy per row.
+const maxPartialsRowAllocs = 1
 
 func TestQueryPartialsRowAllocs(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2})
@@ -160,8 +165,8 @@ func TestQueryPartialsRowAllocs(t *testing.T) {
 		return b
 	}
 	const short, long = 16, 80
-	shortAllocs := handlerAllocs(t, s, "/v1/query/partials", body(short), 10)
-	longAllocs := handlerAllocs(t, s, "/v1/query/partials", body(long), 10)
+	shortAllocs := handlerAllocs(t, s.Handler(), "/v1/query/partials", body(short), 10)
+	longAllocs := handlerAllocs(t, s.Handler(), "/v1/query/partials", body(long), 10)
 	perRow := (longAllocs - shortAllocs) / (long - short)
 	t.Logf("group-by partials: %.1f allocs/row (%.0f at %d rows, %.0f at %d)", perRow, shortAllocs, short, longAllocs, long)
 	if perRow > maxPartialsRowAllocs {

@@ -18,6 +18,7 @@ package server
 // bytes replay across snapshot→restart, exactly like ?learn=false streams.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -52,12 +53,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // The response carries the model sequence it was computed at, in the body
 // and the Olgapro-Model-Seq header.
 func (s *Server) handleQueryPartials(w http.ResponseWriter, r *http.Request) {
-	var req wire.QueryPartialsRequest
-	if err := decodeBody(r, "partials request", &req); err != nil {
+	var b queryBody[wire.QueryPartialsRequest]
+	if err := b.decode(r, "partials request", wire.DecodeQueryPartialsRequest); err != nil {
 		WriteError(w, err)
 		return
 	}
-	resp, err := s.partials(r.Context(), &req)
+	resp, err := s.partials(r.Context(), &b.req)
 	if err != nil {
 		WriteError(w, err)
 		return
@@ -72,12 +73,12 @@ func (s *Server) handleQueryPartials(w http.ResponseWriter, r *http.Request) {
 // goes out, so one that cannot be encoded is a 500 internal envelope
 // rather than a 200 with an empty body.
 func ServeQuery(w http.ResponseWriter, r *http.Request, fetch PartialsFunc) {
-	var req wire.QueryRequest
-	if err := decodeBody(r, "query request", &req); err != nil {
+	var b queryBody[wire.QueryRequest]
+	if err := b.decode(r, "query request", wire.DecodeQueryRequest); err != nil {
 		WriteError(w, err)
 		return
 	}
-	resp, seqs, err := RunQuery(r.Context(), &req, fetch)
+	resp, seqs, err := RunQuery(r.Context(), &b.req, fetch)
 	var body []byte
 	if err == nil {
 		if body, err = json.Marshal(resp); err != nil {
@@ -92,6 +93,32 @@ func ServeQuery(w http.ResponseWriter, r *http.Request, fetch PartialsFunc) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	w.Write(append(body, '\n'))
+}
+
+// queryBody is one query or partials request's decode target, the scratch
+// its rows are cut from, and the reader encoding/json decodes through.
+type queryBody[T any] struct {
+	rd  bytes.Reader
+	sc  wire.QueryScratch
+	req T
+}
+
+// decode reads a query or partials body and decodes it into b.req: by the
+// fast path when it accepts the body, else by encoding/json, which refuses
+// the body with its own error.
+func (b *queryBody[T]) decode(r *http.Request, what string, fast func([]byte, *T, *wire.QueryScratch) bool) error {
+	body, err := ReadBody(r, nil)
+	if err != nil {
+		return err
+	}
+	if fast(body, &b.req, &b.sc) {
+		return nil
+	}
+	b.rd.Reset(body)
+	if err := decodeStrict(&b.rd, &b.req); err != nil {
+		return Errorf(http.StatusBadRequest, wire.CodeBadSpec, "bad %s: %v", what, err)
+	}
+	return nil
 }
 
 // RunQuery answers one bounded query: validate, split the rows by UDF
@@ -565,11 +592,16 @@ func partialStageOf(st stages, eps float64, resp *wire.QueryPartials) (partialSt
 
 // partialSlots validates a partials request's rows up front, with the
 // request's 400 refusals, into one slot per row, and returns the rows'
-// global ordinals. The rows' input distributions are cut from one array.
+// global ordinals. The rows' input distributions are cut from one array
+// and point into one typed array per family.
 func partialSlots(rows []wire.PartialRowSpec, dim int, udf string) ([]partialSlot, []int64, error) {
 	slots := make([]partialSlot, len(rows))
 	ords := make([]int64, len(rows))
 	comps := make([]dist.Dist, 0, len(rows)*dim)
+	dists := new(wire.Dists)
+	for i := range rows {
+		dists.Reserve(rows[i].Input)
+	}
 	for i, row := range rows {
 		if i > 0 && row.Ord <= ords[i-1] {
 			return nil, nil, Errorf(http.StatusBadRequest, wire.CodeBadSpec, "row %d: ordinal %d not above predecessor %d", i, row.Ord, ords[i-1])
@@ -579,7 +611,7 @@ func partialSlots(rows []wire.PartialRowSpec, dim int, udf string) ([]partialSlo
 				i, len(row.Input), udf, dim)
 		}
 		var err error
-		if comps, err = row.Input.AppendDists(comps); err != nil {
+		if comps, err = row.Input.AppendDists(comps, dists); err != nil {
 			return nil, nil, Errorf(http.StatusBadRequest, wire.CodeBadSpec, "row %d: %v", i, err)
 		}
 		slots[i] = partialSlot{ord: row.Ord, group: row.Group, comps: comps[i*dim:]}

@@ -13,6 +13,7 @@ package server
 import (
 	"encoding/json"
 	"net/http"
+	"net/url"
 	"strconv"
 
 	"olgapro/internal/server/wire"
@@ -21,9 +22,9 @@ import (
 // handleReplicationList serves the shard's hosted-UDF list, long-polling
 // under the request deadline when ?since_version= matches the current
 // registry version.
-func (s *Server) handleReplicationList(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleReplicationList(w http.ResponseWriter, r *http.Request, q url.Values) {
 	since := int64(-1)
-	if v := queryOf(r).Get("since_version"); v != "" {
+	if v := q.Get("since_version"); v != "" {
 		n, err := strconv.ParseInt(v, 10, 64)
 		if err != nil {
 			s.fail(w, http.StatusBadRequest, wire.CodeBadSpec, "bad since_version %q", v)
@@ -82,13 +83,13 @@ func (s *Server) handleMembershipPost(w http.ResponseWriter, r *http.Request) {
 // handleSnapshotFetch serves the named UDF's current model as raw versioned
 // snapshot bytes, with the model sequence and registration spec in response
 // headers so a replica can install it without a second round trip.
-func (s *Server) handleSnapshotFetch(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleSnapshotFetch(w http.ResponseWriter, r *http.Request, q url.Values) {
 	e, ok := s.entryFor(w, r)
 	if !ok {
 		return
 	}
 	minSeq := int64(-1)
-	if v := queryOf(r).Get("min_seq"); v != "" {
+	if v := q.Get("min_seq"); v != "" {
 		n, err := strconv.ParseInt(v, 10, 64)
 		if err != nil {
 			s.fail(w, http.StatusBadRequest, wire.CodeBadSpec, "bad min_seq %q", v)

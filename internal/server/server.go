@@ -165,10 +165,17 @@ func NotFound(w http.ResponseWriter, r *http.Request) {
 	WriteError(w, Errorf(http.StatusNotFound, wire.CodeNotFound, "no route %s %s", r.Method, r.URL.Path))
 }
 
-// handle registers h for pattern behind the cross-cutting policies, in
-// order: bearer auth (every route but health checks), drain refusal, and
-// the per-request deadline.
+// handle registers h for pattern behind the cross-cutting policies of
+// handleParams.
 func (s *Server) handle(pattern string, h http.HandlerFunc) {
+	s.handleParams(pattern, func(w http.ResponseWriter, r *http.Request, _ url.Values) { h(w, r) })
+}
+
+// handleParams registers h for pattern behind the cross-cutting policies,
+// in order: bearer auth (every route but health checks), drain refusal,
+// and the per-request deadline. The query string is parsed once, for the
+// deadline, and handed to h.
+func (s *Server) handleParams(pattern string, h func(http.ResponseWriter, *http.Request, url.Values)) {
 	authed := pattern != "GET "+healthPath
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		if tok := s.cfg.AuthToken; authed && tok != "" && !CheckBearer(r, tok) {
@@ -180,14 +187,15 @@ func (s *Server) handle(pattern string, h http.HandlerFunc) {
 			return
 		}
 		timeout := s.cfg.RequestTimeout
-		if ms := queryOf(r).Get("timeout_ms"); ms != "" {
+		q := queryOf(r)
+		if ms := q.Get("timeout_ms"); ms != "" {
 			if v, err := strconv.Atoi(ms); err == nil && v > 0 && time.Duration(v)*time.Millisecond < timeout {
 				timeout = time.Duration(v) * time.Millisecond
 			}
 		}
 		ctx, cancel := context.WithTimeout(r.Context(), timeout)
 		defer cancel()
-		h(w, r.WithContext(ctx))
+		h(w, r.WithContext(ctx), q)
 	})
 }
 
@@ -209,13 +217,13 @@ func (s *Server) routes() {
 	s.handle("GET /v1/udfs", s.handleListUDFs)
 	s.handle("POST /v1/udfs", s.handleRegister)
 	s.handle("POST /v1/udfs/{name}/eval", s.handleEval)
-	s.handle("POST /v1/udfs/{name}/stream", s.handleStream)
+	s.handleParams("POST /v1/udfs/{name}/stream", s.handleStream)
 	s.handle("POST /v1/udfs/{name}/snapshot", s.handleSnapshotOne)
 	s.handle("POST /v1/snapshot", s.handleSnapshotAll)
 	s.handle("POST /v1/query", s.handleQuery)
 	s.handle("POST /v1/query/partials", s.handleQueryPartials)
-	s.handle("GET /v1/replication/udfs", s.handleReplicationList)
-	s.handle("GET /v1/udfs/{name}/snapshot", s.handleSnapshotFetch)
+	s.handleParams("GET /v1/replication/udfs", s.handleReplicationList)
+	s.handleParams("GET /v1/udfs/{name}/snapshot", s.handleSnapshotFetch)
 	s.handle("GET /v1/replication/members", s.handleMembershipGet)
 	s.handle("POST /v1/replication/members", s.handleMembershipPost)
 }
@@ -257,35 +265,48 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 // ReadBody reads r's body into buf's storage, reading at most
 // wire.MaxRequestBytes+1 bytes: a body over the cap is refused 413
 // over_capacity, a failed read 400 bad_spec. Shard and router read every
-// non-stream JSON body through it. A declared Content-Length sizes the
-// buffer up to maxBodyPrealloc, so a claimed length alone cannot make it
-// allocate more.
+// non-stream JSON body through it.
 func ReadBody(r *http.Request, buf []byte) ([]byte, error) {
+	body, over, err := ReadCapped(r.Body, r.ContentLength, buf, wire.MaxRequestBytes)
+	switch {
+	case over:
+		return body, Errorf(http.StatusRequestEntityTooLarge, wire.CodeOverCapacity,
+			"request body over %d bytes", wire.MaxRequestBytes)
+	case err != nil:
+		return body, Errorf(http.StatusBadRequest, wire.CodeBadSpec, "read body: %v", err)
+	}
+	return body, nil
+}
+
+// ReadCapped reads rd to its end into buf's storage, reading at most
+// limit+1 bytes, and reports whether it read past limit. A declared
+// length n (−1 when unknown) sizes the buffer up to maxBodyPrealloc, so a
+// claimed length alone cannot make it allocate more.
+func ReadCapped(rd io.Reader, n int64, buf []byte, limit int) ([]byte, bool, error) {
 	body := buf[:0]
-	if n := r.ContentLength; n >= int64(cap(body)) {
+	if n >= int64(cap(body)) {
 		body = make([]byte, 0, min(n, maxBodyPrealloc)+1)
 	} else if cap(body) == 0 {
 		body = make([]byte, 0, 512)
 	}
 	for {
 		if len(body) == cap(body) {
-			body = slices.Grow(body, cap(body))
+			body = slices.Grow(body, min(cap(body), limit+1-len(body)))
 		}
-		n, err := r.Body.Read(body[len(body):min(cap(body), wire.MaxRequestBytes+1)])
-		body = body[:len(body)+n]
+		k, err := rd.Read(body[len(body):min(cap(body), limit+1)])
+		body = body[:len(body)+k]
 		switch {
-		case len(body) > wire.MaxRequestBytes:
-			return body, Errorf(http.StatusRequestEntityTooLarge, wire.CodeOverCapacity,
-				"request body over %d bytes", wire.MaxRequestBytes)
+		case len(body) > limit:
+			return body, true, nil
 		case err == io.EOF:
-			return body, nil
+			return body, false, nil
 		case err != nil:
-			return body, Errorf(http.StatusBadRequest, wire.CodeBadSpec, "read body: %v", err)
+			return body, false, err
 		}
 	}
 }
 
-// maxBodyPrealloc bounds what ReadBody allocates on a declared
+// maxBodyPrealloc bounds what ReadCapped allocates on a declared
 // Content-Length before the bytes arrive.
 const maxBodyPrealloc = 1 << 20
 
@@ -663,12 +684,11 @@ func (b *evalBody) release() {
 // snapshot-restored server replays a session bit-identically. The default
 // learn mode evaluates every tuple on the learning evaluator, under its
 // one-token lock, with the same per-line seed derivation.
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, q url.Values) {
 	e, ok := s.entryFor(w, r)
 	if !ok {
 		return
 	}
-	q := queryOf(r)
 	learn := q.Get("learn") != "false"
 	var seed int64
 	if sv := q.Get("seed"); sv != "" {
@@ -849,12 +869,14 @@ type streamItem struct {
 }
 
 // inputVec is a reused input vector: the per-dimension distributions of
-// one input spec and the independent joint over them. Setting it allocates
-// for the distributions and nothing else, and a vector handed to the
-// evaluator is not kept past the evaluation, so the next input may reuse
-// it.
+// one input spec, the typed storage they are built into, and the
+// independent joint over them. Setting it boxes no distribution and, once
+// its storage has grown to an input's size, allocates nothing; a vector
+// handed to the evaluator is not kept past the evaluation, so the next
+// input may reuse it.
 type inputVec struct {
 	comps []dist.Dist
+	dists wire.Dists
 	vec   dist.Independent
 }
 
@@ -862,7 +884,9 @@ type inputVec struct {
 // error the returned vector is not to be used.
 func (v *inputVec) set(spec wire.InputSpec) (dist.Vector, error) {
 	var err error
-	v.comps, err = spec.AppendDists(v.comps[:0])
+	v.dists.Reset()
+	v.dists.Reserve(spec)
+	v.comps, err = spec.AppendDists(v.comps[:0], &v.dists)
 	v.vec.SetComponents(v.comps)
 	return &v.vec, err
 }
