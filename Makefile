@@ -89,8 +89,8 @@ bench-json:
 bench-diff:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	mkdir "$$tmp/ref"; git archive $(BENCH_REF) | tar -x -C "$$tmp/ref"; \
-	pkgs=$$( { grep -rl --include='*_test.go' '^func Benchmark_' . ; \
-		cd "$$tmp/ref" && grep -rl --include='*_test.go' '^func Benchmark_' . ; } | xargs -n1 dirname | sort -u); \
+	pkgs=$$( { grep -rl --include='*_test.go' --exclude-dir=testdata '^func Benchmark_' . ; \
+		cd "$$tmp/ref" && grep -rl --include='*_test.go' --exclude-dir=testdata '^func Benchmark_' . ; } | xargs -n1 dirname | sort -u); \
 	for r in $$(seq $(BENCH_ROUNDS)); do \
 		order="ref cur"; [ $$((r % 2)) = 1 ] || order="cur ref"; \
 		for pkg in $$pkgs; do \

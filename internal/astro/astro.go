@@ -27,21 +27,15 @@ type Cosmology struct {
 	H0     float64 // Hubble constant, km/s/Mpc
 	OmegaM float64 // matter density parameter Ω_m
 	OmegaL float64 // dark-energy density parameter Ω_Λ
-	// quadrature tolerance; zero selects a default of 1e-9
-	Tol float64
 }
+
+// quadTol is the tolerance of the distance and age quadratures.
+const quadTol = 1e-9
 
 // Default returns the concordance cosmology (H0=70, Ωm=0.3, ΩΛ=0.7) used by
 // the IDL Astronomy Library defaults.
 func Default() Cosmology {
 	return Cosmology{H0: 70, OmegaM: 0.3, OmegaL: 0.7}
-}
-
-func (c Cosmology) tol() float64 {
-	if c.Tol > 0 {
-		return c.Tol
-	}
-	return 1e-9
 }
 
 // omegaK returns the curvature density Ω_k = 1 − Ω_m − Ω_Λ.
@@ -64,7 +58,7 @@ func (c Cosmology) ComovingDistance(z float64) float64 {
 	}
 	integral := adaptiveSimpson(func(zz float64) float64 {
 		return 1 / c.efunc(zz)
-	}, 0, z, c.tol())
+	}, 0, z, quadTol)
 	return c.HubbleDistance() * integral
 }
 
@@ -103,7 +97,7 @@ func (c Cosmology) GalAge(z float64) float64 {
 	integral := adaptiveSimpson(func(u float64) float64 {
 		u2 := u * u
 		return 2 * u2 / math.Sqrt(c.OmegaM+ok*u2+c.OmegaL*u2*u2*u2)
-	}, 0, math.Sqrt(a), c.tol())
+	}, 0, math.Sqrt(a), quadTol)
 	return HubbleTimeGyrPerH0 / c.H0 * integral
 }
 

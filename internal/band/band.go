@@ -19,11 +19,11 @@
 //
 //	L_j = λ₂^{j/2} · Σ_{|J|=j} Π_{i∈J} s_i.
 //
-// ZAlpha solves E[φ(A_z)] = α/2 per tail by bisection and never returns less
-// than the pointwise quantile. For the GP posterior the standardized error
-// field is not exactly stationary; λ₂ is taken from the prior kernel, the
-// standard practice for this approximation, and coverage is validated
-// empirically in the tests.
+// ZAlphaForKernel solves E[φ(A_z)] = α/2 per tail by bisection and never
+// returns less than the pointwise quantile. For the GP posterior the
+// standardized error field is not exactly stationary; λ₂ is taken from the
+// prior kernel, the standard practice for this approximation, and coverage
+// is validated empirically in the tests.
 package band
 
 import (
@@ -100,23 +100,11 @@ func upcross(l, c []float64, z float64) float64 {
 	return p
 }
 
-// UpcrossProb returns the expected-Euler-characteristic approximation to
-// Pr[sup_X Z(x) ≥ z] for a unit-variance field on a box with the given side
-// lengths and second spectral moment lambda2.
-func UpcrossProb(z float64, sides []float64, lambda2 float64) float64 {
-	l, c := ecTerms(make([]float64, 2*len(sides)+2), sides, lambda2)
-	return upcross(l, c, z)
-}
-
-// ZAlpha returns the half-width multiplier z_α such that the band
+// zAlpha returns the half-width multiplier z_α such that the band
 // f̂ ± z_α σ contains the whole function with probability ≈ 1−α on the box
-// with the given side lengths. It is always at least the pointwise
-// two-sided quantile Φ⁻¹(1−α/2).
-func ZAlpha(alpha float64, sides []float64, lambda2 float64) float64 {
-	return zAlpha(alpha, sides, lambda2, make([]float64, 2*len(sides)+2))
-}
-
-// zAlpha is ZAlpha with caller-provided scratch for ecTerms.
+// with the given side lengths, using buf (at least 2(d+1) long) as the
+// scratch of ecTerms. It is always at least the pointwise two-sided
+// quantile Φ⁻¹(1−α/2).
 func zAlpha(alpha float64, sides []float64, lambda2 float64, buf []float64) float64 {
 	if alpha <= 0 {
 		return math.Inf(1)

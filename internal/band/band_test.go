@@ -128,7 +128,7 @@ func TestSimultaneousCoverage(t *testing.T) {
 	for i := range grid {
 		grid[i] = []float64{10 * float64(i) / (gridN - 1)}
 	}
-	means, vars := g.PredictBatch(grid, nil, nil)
+	means, vars := predictGrid(g, grid)
 	const alpha = 0.10
 	z := ZAlphaForKernel(alpha, k, []float64{0}, []float64{10})
 	const trials = 500
@@ -173,7 +173,7 @@ func TestPointwiseBandIsInsufficient(t *testing.T) {
 	for i := range grid {
 		grid[i] = []float64{10 * float64(i) / (gridN - 1)}
 	}
-	means, vars := g.PredictBatch(grid, nil, nil)
+	means, vars := predictGrid(g, grid)
 	const alpha = 0.10
 	pw := dist.StdNormalQuantile(1 - alpha/2)
 	const trials = 300
@@ -314,4 +314,29 @@ func TestZAlphaForKernelAllocs(t *testing.T) {
 			t.Fatalf("d=%d: ZAlphaForKernel allocates %v times, want 0", d, allocs)
 		}
 	}
+}
+
+// predictGrid returns the posterior means and variances of g on grid.
+func predictGrid(g *gp.GP, grid [][]float64) (means, vars []float64) {
+	means, vars = make([]float64, len(grid)), make([]float64, len(grid))
+	for i, x := range grid {
+		means[i], vars[i] = g.Predict(x)
+	}
+	return means, vars
+}
+
+// ZAlpha returns the half-width multiplier z_α such that the band
+// f̂ ± z_α σ contains the whole function with probability ≈ 1−α on the box
+// with the given side lengths. It is always at least the pointwise
+// two-sided quantile Φ⁻¹(1−α/2).
+func ZAlpha(alpha float64, sides []float64, lambda2 float64) float64 {
+	return zAlpha(alpha, sides, lambda2, make([]float64, 2*len(sides)+2))
+}
+
+// UpcrossProb returns the expected-Euler-characteristic approximation to
+// Pr[sup_X Z(x) ≥ z] for a unit-variance field on a box with the given side
+// lengths and second spectral moment lambda2.
+func UpcrossProb(z float64, sides []float64, lambda2 float64) float64 {
+	l, c := ecTerms(make([]float64, 2*len(sides)+2), sides, lambda2)
+	return upcross(l, c, z)
 }

@@ -97,15 +97,11 @@ type Config struct {
 	// (Profile 3 finds 0.7 performs well).
 	MCFrac float64
 	// Lambda is the minimum interval length λ of the λ-discrepancy. When 0,
-	// LambdaFrac of the observed output range is used.
+	// 1% of the observed output range is used.
 	Lambda float64
-	// LambdaFrac is the relative λ (default 0.01).
-	LambdaFrac float64
-	// Gamma is the local-inference error threshold Γ. When 0, GammaFrac of
-	// the observed output range is used.
+	// Gamma is the local-inference error threshold Γ. When 0, 5% of the
+	// observed output range is used.
 	Gamma float64
-	// GammaFrac is the relative Γ (default 0.05).
-	GammaFrac float64
 	// GlobalInference disables local inference, using every training point
 	// (the paper's "global inference" baseline in Expt 1).
 	GlobalInference bool
@@ -126,18 +122,12 @@ type Config struct {
 	// DeltaTheta is the Newton-step threshold Δθ for RetrainThreshold
 	// (default 0.05, the paper's conservative recommendation).
 	DeltaTheta float64
-	// TrainMaxIter caps gradient-ascent iterations per retraining
-	// (default 30).
-	TrainMaxIter int
 	// Kernel is the GP covariance function (default SqExp(1, 1)).
 	Kernel kernel.Kernel
 	// Noise is the GP jitter variance (default gp.DefaultNoise).
 	Noise float64
 	// Predicate enables online filtering (§5.5) when non-nil.
 	Predicate *mc.Predicate
-	// FilterChunk is the number of samples per incremental inference chunk
-	// when filtering (default 64).
-	FilterChunk int
 	// Parallelism fans GP inference over the Monte-Carlo samples out across
 	// this many goroutines (the O(m·l²) dominant cost). 0 or 1 is
 	// sequential; negative uses GOMAXPROCS. Model updates (online tuning,
@@ -174,6 +164,21 @@ type Config struct {
 	FilterTrustModel bool
 }
 
+// Implementation defaults that no configuration changes.
+const (
+	// lambdaFrac is λ relative to the observed output range when
+	// Config.Lambda is 0.
+	lambdaFrac = 0.01
+	// gammaFrac is Γ relative to the observed output range when
+	// Config.Gamma is 0.
+	gammaFrac = 0.05
+	// trainMaxIter caps gradient-ascent iterations per retraining.
+	trainMaxIter = 30
+	// filterChunk is the number of samples per incremental inference chunk
+	// when filtering.
+	filterChunk = 64
+)
+
 func (c Config) normalize() (Config, error) {
 	if c.Eps <= 0 {
 		c.Eps = 0.1
@@ -187,12 +192,6 @@ func (c Config) normalize() (Config, error) {
 	if c.MCFrac <= 0 || c.MCFrac >= 1 {
 		c.MCFrac = 0.7
 	}
-	if c.LambdaFrac <= 0 {
-		c.LambdaFrac = 0.01
-	}
-	if c.GammaFrac <= 0 {
-		c.GammaFrac = 0.05
-	}
 	if c.MaxAddPerInput == 0 {
 		c.MaxAddPerInput = 10
 	} else if c.MaxAddPerInput < 0 {
@@ -201,14 +200,8 @@ func (c Config) normalize() (Config, error) {
 	if c.DeltaTheta <= 0 {
 		c.DeltaTheta = 0.05
 	}
-	if c.TrainMaxIter <= 0 {
-		c.TrainMaxIter = 30
-	}
 	if c.Kernel == nil {
 		c.Kernel = kernel.NewSqExp(1, 1)
-	}
-	if c.FilterChunk <= 0 {
-		c.FilterChunk = 64
 	}
 	if c.SparseBudget < 0 {
 		c.SparseBudget = 0

@@ -232,7 +232,7 @@ func TestSparseDifferentialMeans(t *testing.T) {
 		// means the tuner has trained near). The pinned property is the one
 		// ε_GP validity actually needs: at every query the sparse mean is
 		// either inside its own inflated band around the exact mean, or its
-		// absolute gap is a small fraction of λ = LambdaFrac·range — too
+		// absolute gap is a small fraction of λ = 1% of the range — too
 		// small to move any envelope straddle of the λ-grid. Pointwise
 		// z-scores alone are the wrong metric: where the basis is locally
 		// dense, DTC variance shrinks to the jitter floor while a budgeted

@@ -177,7 +177,7 @@ func (e *Evaluator) gammaThreshold() float64 {
 	if e.cfg.Gamma > 0 {
 		return e.cfg.Gamma
 	}
-	return e.cfg.GammaFrac * e.outputRange()
+	return gammaFrac * e.outputRange()
 }
 
 func (e *Evaluator) lambda(means []float64) float64 {
@@ -193,7 +193,7 @@ func (e *Evaluator) lambda(means []float64) float64 {
 		}
 		r = math.Max(r, hi-lo)
 	}
-	return math.Max(e.cfg.LambdaFrac*r, 1e-12)
+	return math.Max(lambdaFrac*r, 1e-12)
 }
 
 // zAlpha computes the simultaneous band multiplier over the sample box.
@@ -312,7 +312,7 @@ func (e *Evaluator) evalSamples(samples [][]float64, rng *rand.Rand) (*Output, e
 		pred := e.cfg.Predicate
 		checking := true
 		for processed < m {
-			hi := processed + e.cfg.FilterChunk
+			hi := processed + filterChunk
 			if hi > m {
 				hi = m
 			}
@@ -402,7 +402,7 @@ func (e *Evaluator) evalSamples(samples [][]float64, rng *rand.Rand) (*Output, e
 			retrain = e.model.NewtonStep() > e.cfg.DeltaTheta
 		}
 		if retrain {
-			if _, err := e.model.Train(gp.TrainConfig{MaxIter: e.cfg.TrainMaxIter}); err != nil {
+			if _, err := e.model.Train(gp.TrainConfig{MaxIter: trainMaxIter}); err != nil {
 				return nil, fmt.Errorf("core: retrain: %w", err)
 			}
 			e.stats.Retrainings++

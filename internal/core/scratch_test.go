@@ -134,7 +134,8 @@ func TestLocalExtendFailureRebuilds(t *testing.T) {
 	var bad localCtx
 	bad.ids = append(bad.ids, 0)
 	bad.xs = append(bad.xs, e.GP().X(0))
-	gram := mat.NewFromData(1, 1, []float64{e.Config().Kernel.Eval(e.GP().X(0), e.GP().X(0))})
+	gram := mat.New(1, 1)
+	gram.Set(0, 0, e.Config().Kernel.Eval(e.GP().X(0), e.GP().X(0)))
 	if err := bad.chol.Factorize(gram); err != nil {
 		t.Fatal(err)
 	}

@@ -205,7 +205,7 @@ func TestGreedyPickInsideEval(t *testing.T) {
 }
 
 // greedyBestClone is the reference implementation the rank-1 fast path
-// replaced: per candidate it clones the local Cholesky factor, extends it
+// replaced: per candidate it copies the local Cholesky factor, extends it
 // with the candidate, re-solves for the trial weights, and re-predicts every
 // evaluation point through the bordered factor — O(eval·l²) per candidate.
 // It is kept here as the ground truth for the old-vs-new equivalence tests.
@@ -222,8 +222,10 @@ func (e *Evaluator) greedyBestClone(samples [][]float64, means, vars []float64,
 	v2 := resizeFloats(&sc.tuneVars, len(evalIdx))
 	for _, ci := range cands {
 		xc := samples[ci]
-		// Extend a copy of the local factorization with the candidate.
-		trial := lc.chol.Clone()
+		// Extend a copy of the local factorization with the candidate:
+		// Extend only appends a row past the ones the copy shares with
+		// lc.chol, so the local factor is left as it was.
+		trial := lc.chol
 		kvec := kernel.CrossVec(e.cfg.Kernel, lc.xs, xc, kbuf)
 		kbuf = kvec
 		if err := trial.Extend(kvec, e.cfg.Kernel.Eval(xc, xc)+e.g.Noise()); err != nil {

@@ -35,7 +35,7 @@ func referenceClone(t *testing.T, e *Evaluator) *Evaluator {
 		t.Fatal(err)
 	}
 	if e.sg != nil {
-		sg, err := e.sg.Clone(cfg.Kernel)
+		sg, err := gp.NewSparseFromState(cfg.Kernel, e.sg.Noise(), e.sg.Config(), e.sg.Inputs(), e.sg.Outputs(), e.sg.Inducing())
 		if err != nil {
 			t.Fatal(err)
 		}

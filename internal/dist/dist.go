@@ -39,14 +39,3 @@ type Dist interface {
 	// sides are ±Inf.
 	Support() (lo, hi float64)
 }
-
-// Sample draws n independent values from d using rng. It is the small
-// convenience the generators and tests use to build sample sets without an
-// explicit loop.
-func Sample(d Dist, n int, rng *rand.Rand) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = d.Sample(rng)
-	}
-	return out
-}

@@ -368,8 +368,8 @@ func TestIndependentVector(t *testing.T) {
 			t.Fatalf("MeanVec = %v, want %v", m, want)
 		}
 	}
-	if c, ok := v.Component(1).(Uniform); !ok || c.B != 2 {
-		t.Fatalf("Component(1) = %#v", v.Component(1))
+	if c, ok := v.comps[1].(Uniform); !ok || c.B != 2 {
+		t.Fatalf("component 1 = %#v", v.comps[1])
 	}
 
 	rng := rand.New(rand.NewSource(3))
@@ -393,7 +393,7 @@ func TestIndependentCopiesComponents(t *testing.T) {
 	comps := []Dist{Normal{Mu: 0, Sigma: 1}}
 	v := NewIndependent(comps...)
 	comps[0] = Constant{V: 99}
-	if _, ok := v.Component(0).(Normal); !ok {
+	if _, ok := v.comps[0].(Normal); !ok {
 		t.Fatal("NewIndependent must copy the component slice")
 	}
 }
@@ -407,9 +407,9 @@ func TestIsoGaussianVec(t *testing.T) {
 		t.Fatalf("Dim = %d", v.Dim())
 	}
 	for i, mu := range []float64{1, 2, 3} {
-		n, ok := v.Component(i).(Normal)
+		n, ok := v.comps[i].(Normal)
 		if !ok || n.Mu != mu || n.Sigma != 0.5 {
-			t.Fatalf("component %d = %#v", i, v.Component(i))
+			t.Fatalf("component %d = %#v", i, v.comps[i])
 		}
 	}
 	if _, err := IsoGaussianVec([]float64{1}, 0); err == nil {
@@ -516,4 +516,15 @@ func BenchmarkStdNormalQuantile(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		StdNormalQuantile(0.975)
 	}
+}
+
+// Sample draws n independent values from d using rng. It is the small
+// convenience the generators and tests use to build sample sets without an
+// explicit loop.
+func Sample(d Dist, n int, rng *rand.Rand) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = d.Sample(rng)
+	}
+	return out
 }

@@ -40,9 +40,6 @@ func (v *Independent) SetComponents(components []Dist) { v.comps = components }
 // Dim returns the number of components.
 func (v *Independent) Dim() int { return len(v.comps) }
 
-// Component returns the i-th scalar marginal.
-func (v *Independent) Component(i int) Dist { return v.comps[i] }
-
 // SampleVec draws each component independently.
 func (v *Independent) SampleVec(rng *rand.Rand, buf []float64) []float64 {
 	if len(buf) != len(v.comps) {

@@ -199,7 +199,7 @@ func (h *chaosHarness) converged() bool {
 func (h *chaosHarness) describe() string {
 	var b bytes.Buffer
 	ring := h.ring()
-	fmt.Fprintf(&b, "members=%v dead=%q router_epoch=%d\n", h.memberURLs(), h.dead, h.router.Membership().Epoch)
+	fmt.Fprintf(&b, "members=%v dead=%q router_epoch=%d\n", h.memberURLs(), h.dead, h.router.view.Current().Epoch)
 	for _, name := range h.names {
 		fmt.Fprintf(&b, "  %s owner=%s placed=%v:", name, ring.Owner(name), ring.Replicas(name, 2))
 		for u, sh := range h.members {
@@ -216,7 +216,7 @@ func (h *chaosHarness) describe() string {
 		fmt.Fprintf(&b, " epochs:")
 		for u, sh := range h.members {
 			if u != h.dead {
-				fmt.Fprintf(&b, " %s=%d", u, sh.repl.View().Epoch())
+				fmt.Fprintf(&b, " %s=%d", u, sh.repl.view.Epoch())
 			}
 		}
 		b.WriteString("\n")

@@ -5,19 +5,12 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 
 	"olgapro/internal/server"
 	"olgapro/internal/server/wire"
 )
-
-// wireErrorCodes is wire's table of error codes.
-var wireErrorCodes = map[wire.ErrorCode]bool{
-	wire.CodeBadSpec: true, wire.CodeUnauthorized: true, wire.CodeNotFound: true,
-	wire.CodeAlreadyExists: true, wire.CodeModelCold: true, wire.CodeNotOwner: true,
-	wire.CodeOverCapacity: true, wire.CodeInternal: true, wire.CodeNotReplicated: true,
-	wire.CodeUnavailable: true, wire.CodeDraining: true, wire.CodeDeadlineExceeded: true,
-}
 
 // FuzzMembershipPost sends arbitrary bytes as a POST
 // /v1/replication/members body, the membership gossip a router broadcasts,
@@ -25,7 +18,7 @@ var wireErrorCodes = map[wire.ErrorCode]bool{
 // MemberView, the rule its replicator adopts by, without the replicator's
 // pullers, so no fuzzed shard address is ever dialed. The handler must
 // never panic, and must answer either 200 with the membership it holds or
-// a /v1 error envelope whose code is in wire's table. The seed corpus
+// a /v1 error envelope whose code is in wire.ErrorCodes. The seed corpus
 // holds a join, a stale epoch, duplicate and empty shard lists, null,
 // case-variant and unknown keys, and trailing bytes.
 func FuzzMembershipPost(f *testing.F) {
@@ -51,7 +44,7 @@ func FuzzMembershipPost(f *testing.F) {
 			return
 		}
 		var env wire.ErrorEnvelope
-		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || !wireErrorCodes[env.Error.Code] {
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || !slices.Contains(wire.ErrorCodes, env.Error.Code) {
 			t.Fatalf("%d answer is not a /v1 error envelope with a known code: %s", rec.Code, rec.Body)
 		}
 	})

@@ -3,7 +3,6 @@ package fleet
 import (
 	"bytes"
 	"context"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,8 +34,6 @@ type ReplicatorConfig struct {
 	Interval time.Duration
 	// AuthToken is the fleet bearer credential.
 	AuthToken string
-	// HTTPClient overrides the outbound transport (fleet TLS trust).
-	HTTPClient *http.Client
 	// Logf, when non-nil, receives one line per replication event.
 	Logf func(format string, args ...any)
 
@@ -139,17 +136,8 @@ func (r *Replicator) Close() {
 	r.wg.Wait()
 }
 
-// View exposes the replicator's membership view (the server's fleet hooks
-// and tests read it).
-func (r *Replicator) View() *MemberView { return r.view }
-
 // Membership returns the current membership (server hook).
 func (r *Replicator) Membership() wire.Membership { return r.view.Current() }
-
-// Fetches returns how many snapshot deltas have been installed — the
-// counter the rebalance tests use to prove un-moved names are not
-// re-fetched.
-func (r *Replicator) Fetches() int64 { return r.fetches.Load() }
 
 // AdoptMembership offers a membership (server hook + router broadcast
 // target). A strictly higher epoch rebuilds the ring and restarts the
@@ -180,9 +168,6 @@ func (r *Replicator) clientFor(addr string) *client.Client {
 	opts := []client.Option{client.WithRetries(1)}
 	if r.cfg.AuthToken != "" {
 		opts = append(opts, client.WithToken(r.cfg.AuthToken))
-	}
-	if r.cfg.HTTPClient != nil {
-		opts = append(opts, client.WithHTTPClient(r.cfg.HTTPClient))
 	}
 	c := client.New(addr, opts...)
 	r.clients[addr] = c

@@ -157,9 +157,9 @@ func TestReplicatorIngestIdempotent(t *testing.T) {
 	}
 
 	entry, _ := sB.Registry().Get(name)
-	verBefore := sB.Registry().Version()
+	verBefore := replVersion(sB.Registry())
 	seqBefore := entry.Seq()
-	fetchesBefore := repl.Fetches()
+	fetchesBefore := repl.fetches.Load()
 	peer := client.New(tsA.URL)
 
 	// Duplicate delta: the peer re-advertises the seq we already hold.
@@ -178,10 +178,10 @@ func TestReplicatorIngestIdempotent(t *testing.T) {
 	}
 	fetchMode.Store(0)
 
-	if got := repl.Fetches(); got != fetchesBefore {
+	if got := repl.fetches.Load(); got != fetchesBefore {
 		t.Fatalf("installs moved %d → %d on no-op deltas", fetchesBefore, got)
 	}
-	if got := sB.Registry().Version(); got != verBefore {
+	if got := replVersion(sB.Registry()); got != verBefore {
 		t.Fatalf("registry version moved %d → %d on no-op deltas", verBefore, got)
 	}
 	after, ok := sB.Registry().Get(name)
@@ -252,7 +252,7 @@ func TestReplicaCatchesUpWithinRoundTrip(t *testing.T) {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 		defer cancel()
 		for {
-			ver := replica.Version()
+			ver := replVersion(replica)
 			if replicaSeq() >= seq {
 				return time.Since(start)
 			}
@@ -303,4 +303,10 @@ func TestReplicaCatchesUpWithinRoundTrip(t *testing.T) {
 	if n := snapshotGETs[1].Load(); n != 0 {
 		t.Fatalf("the replica served %d snapshot GETs for a UDF it does not own", n)
 	}
+}
+
+// replVersion returns reg's current replication version: WaitReplication
+// with a negative since returns it at once.
+func replVersion(reg *server.Registry) int64 {
+	return reg.WaitReplication(context.Background(), -1)
 }

@@ -114,9 +114,6 @@ func (rt *Router) Close() {
 	rt.wg.Wait()
 }
 
-// Membership returns the router's current membership view.
-func (rt *Router) Membership() wire.Membership { return rt.view.Current() }
-
 // clientFor returns (building on first use) the cached client for a shard.
 func (rt *Router) clientFor(addr string) *client.Client {
 	rt.clientMu.Lock()
@@ -210,9 +207,7 @@ func (rt *Router) handle(pattern string, h http.HandlerFunc) {
 // --- membership admin ---
 
 func (rt *Router) handleFleetMembersGet(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	json.NewEncoder(w).Encode(rt.view.Current())
+	server.WriteJSON(w, http.StatusOK, rt.view.Current())
 }
 
 // handleFleetMembersPost mints the next membership epoch: op "join" adds a
@@ -223,14 +218,9 @@ func (rt *Router) handleFleetMembersGet(w http.ResponseWriter, r *http.Request) 
 // the union of the old and new shard sets, departing shard included, so it
 // demotes gracefully.
 func (rt *Router) handleFleetMembersPost(w http.ResponseWriter, r *http.Request) {
-	body, err := server.ReadBody(r, nil)
-	if err != nil {
-		server.WriteError(w, err)
-		return
-	}
 	var req wire.FleetMembersRequest
-	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
-		rt.fail(w, http.StatusBadRequest, wire.CodeBadSpec, "bad members request: %v", err)
+	if err := server.DecodeBody(r, "members request", &req); err != nil {
+		server.WriteError(w, err)
 		return
 	}
 	if req.Shard == "" {
@@ -294,9 +284,7 @@ func (rt *Router) handleFleetMembersPost(w http.ResponseWriter, r *http.Request)
 			rt.cfg.Logf("membership: offer epoch %d to %s: %v", m.Epoch, addr, err)
 		}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	json.NewEncoder(w).Encode(m)
+	server.WriteJSON(w, http.StatusOK, m)
 }
 
 // Handler returns the router's HTTP handler (bearer auth applied, health
@@ -512,9 +500,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		}(i, addr)
 	}
 	wg.Wait()
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	json.NewEncoder(w).Encode(resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (rt *Router) handleCatalog(w http.ResponseWriter, r *http.Request) {
@@ -530,15 +516,11 @@ func (rt *Router) handleCatalog(w http.ResponseWriter, r *http.Request) {
 
 func (rt *Router) handleListUDFs(w http.ResponseWriter, r *http.Request) {
 	merged := make(map[string]wire.UDFInfo)
-	reached := false
-	for _, addr := range rt.view.Ring().Addrs() {
-		list, err := rt.clientFor(addr).ListUDFs(r.Context())
+	if !rt.eachShard(w, rt.view.Ring().Addrs(), func(addr string, c *client.Client) error {
+		list, err := c.ListUDFs(r.Context())
 		if err != nil {
-			rt.health.MarkDown(addr)
-			continue
+			return err
 		}
-		rt.health.MarkUp(addr)
-		reached = true
 		for _, info := range list.UDFs {
 			// The owner's record wins: it carries the freshest model
 			// sequence and the authoritative training-point count.
@@ -546,9 +528,8 @@ func (rt *Router) handleListUDFs(w http.ResponseWriter, r *http.Request) {
 				merged[info.Name] = info
 			}
 		}
-	}
-	if !reached {
-		rt.fail(w, http.StatusBadGateway, wire.CodeUnavailable, "no shard reachable")
+		return nil
+	}) {
 		return
 	}
 	resp := wire.UDFList{UDFs: make([]wire.UDFInfo, 0, len(merged))}
@@ -556,9 +537,26 @@ func (rt *Router) handleListUDFs(w http.ResponseWriter, r *http.Request) {
 		resp.UDFs = append(resp.UDFs, info)
 	}
 	sortUDFInfos(resp.UDFs)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	json.NewEncoder(w).Encode(resp)
+	server.WriteJSON(w, http.StatusOK, resp)
+}
+
+// eachShard calls fn with the client of every shard in addrs, marking each
+// shard up or down in the health ledger by whether fn failed. When no
+// shard answered it writes the 502 unavailable refusal and returns false.
+func (rt *Router) eachShard(w http.ResponseWriter, addrs []string, fn func(addr string, c *client.Client) error) bool {
+	reached := false
+	for _, addr := range addrs {
+		if err := fn(addr, rt.clientFor(addr)); err != nil {
+			rt.health.MarkDown(addr)
+			continue
+		}
+		rt.health.MarkUp(addr)
+		reached = true
+	}
+	if !reached {
+		rt.fail(w, http.StatusBadGateway, wire.CodeUnavailable, "no shard reachable")
+	}
+	return reached
 }
 
 func sortUDFInfos(infos []wire.UDFInfo) {
@@ -579,16 +577,12 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	merged := make(map[string]*acc)
 	var order []string
-	reached := false
 	ring := rt.view.Ring()
-	for _, addr := range ring.Addrs() {
-		st, err := rt.clientFor(addr).Stats(r.Context())
+	if !rt.eachShard(w, ring.Addrs(), func(addr string, c *client.Client) error {
+		st, err := c.Stats(r.Context())
 		if err != nil {
-			rt.health.MarkDown(addr)
-			continue
+			return err
 		}
-		rt.health.MarkUp(addr)
-		reached = true
 		for _, s := range st.UDFs {
 			isOwner := ring.Owner(s.Name) == addr
 			a, ok := merged[s.Name]
@@ -610,9 +604,8 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 				a.st.UDFCalls += s.UDFCalls
 			}
 		}
-	}
-	if !reached {
-		rt.fail(w, http.StatusBadGateway, wire.CodeUnavailable, "no shard reachable")
+		return nil
+	}) {
 		return
 	}
 	resp := wire.StatsResponse{}
@@ -631,9 +624,7 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	if totalMC > 0 {
 		resp.TotalSavingsRatio = float64(resp.TotalSavedCalls) / float64(totalMC)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	json.NewEncoder(w).Encode(resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 // --- write endpoints (owner-routed) ---
@@ -653,47 +644,42 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if name == "" {
 		name = server.DefaultInstanceName(req.UDF)
 	}
-	owner := rt.view.Ring().Owner(name)
-	sr, err := rt.forward(r.Context(), owner, http.MethodPost, "/v1/udfs", nil, body, "application/json")
+	if owner, sr := rt.relayOwner(w, r, name, "/v1/udfs", nil, body, "application/json"); sr != nil {
+		rt.cfg.Logf("register %q → owner %s (%d)", name, owner, sr.status)
+	}
+}
+
+// relayOwner forwards a POST to name's owner and relays its answer, or
+// writes the refusal the forward failed with (sr is then nil).
+func (rt *Router) relayOwner(w http.ResponseWriter, r *http.Request, name, path string, q url.Values, body []byte, ct string) (owner string, sr *shardResp) {
+	owner = rt.view.Ring().Owner(name)
+	sr, err := rt.forward(r.Context(), owner, http.MethodPost, path, q, body, ct)
 	if err != nil {
 		rt.failFrom(w, err)
-		return
+		return owner, nil
 	}
-	rt.cfg.Logf("register %q → owner %s (%d)", name, owner, sr.status)
 	relay(w, sr)
+	return owner, sr
 }
 
 func (rt *Router) handleSnapshotOne(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	owner := rt.view.Ring().Owner(name)
-	sr, err := rt.forward(r.Context(), owner, http.MethodPost, "/v1/udfs/"+url.PathEscape(name)+"/snapshot", nil, nil, "")
-	if err != nil {
-		rt.failFrom(w, err)
-		return
-	}
-	relay(w, sr)
+	rt.relayOwner(w, r, name, "/v1/udfs/"+url.PathEscape(name)+"/snapshot", nil, nil, "")
 }
 
 func (rt *Router) handleSnapshotAll(w http.ResponseWriter, r *http.Request) {
 	var resp wire.SnapshotResponse
-	reached := false
-	for _, addr := range rt.view.Ring().Addrs() {
-		snaps, err := rt.clientFor(addr).SnapshotAll(r.Context())
+	if !rt.eachShard(w, rt.view.Ring().Addrs(), func(addr string, c *client.Client) error {
+		snaps, err := c.SnapshotAll(r.Context())
 		if err != nil {
-			rt.health.MarkDown(addr)
-			continue
+			return err
 		}
-		rt.health.MarkUp(addr)
-		reached = true
 		resp.Snapshots = append(resp.Snapshots, snaps.Snapshots...)
-	}
-	if !reached {
-		rt.fail(w, http.StatusBadGateway, wire.CodeUnavailable, "no shard reachable")
+		return nil
+	}) {
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	json.NewEncoder(w).Encode(resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 // --- evaluation ---
@@ -713,13 +699,7 @@ func (rt *Router) handleEval(w http.ResponseWriter, r *http.Request) {
 	path := "/v1/udfs/" + url.PathEscape(name) + "/eval"
 	q := forwardableQuery(r)
 	if req.Learn == nil || *req.Learn {
-		owner := rt.view.Ring().Owner(name)
-		sr, err := rt.forward(r.Context(), owner, http.MethodPost, path, q, body, "application/json")
-		if err != nil {
-			rt.failFrom(w, err)
-			return
-		}
-		relay(w, sr)
+		rt.relayOwner(w, r, name, path, q, body, "application/json")
 		return
 	}
 	sr, err := rt.fanFrozen(name, func(addr string) (*shardResp, bool, error) {

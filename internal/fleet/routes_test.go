@@ -126,6 +126,39 @@ func TestRouterRequestBodyCap(t *testing.T) {
 	}
 }
 
+// TestRouterMembersPostStrict: POST /v1/fleet/members decodes its body
+// strictly, as every shard body is: an unknown field or trailing data is a
+// 400 bad_spec and mints no epoch, while a well-formed join is adopted.
+func TestRouterMembersPostStrict(t *testing.T) {
+	rt, err := NewRouter(Config{Shards: []string{"http://127.0.0.1:1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	post := func(body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/fleet/members", strings.NewReader(body)))
+		return rec
+	}
+	for _, body := range []string{
+		`{"op":"join","shard":"http://x","epoch":5}`,
+		`{"op":"join","shard":"http://x"} {"op":"leave"}`,
+		`{"op":"join","shard":"http://x"}garbage`,
+	} {
+		rec := post(body)
+		var env wire.ErrorEnvelope
+		if json.Unmarshal(rec.Body.Bytes(), &env) != nil || rec.Code != http.StatusBadRequest || env.Error.Code != wire.CodeBadSpec {
+			t.Errorf("POST %s: %d %q, want 400 bad_spec", body, rec.Code, rec.Body.String())
+		}
+	}
+	if got := rt.view.Current().Epoch; got != 0 {
+		t.Fatalf("refused bodies minted epoch %d", got)
+	}
+	if rec := post(`{"op":"join","shard":"http://127.0.0.1:2"}`); rec.Code != http.StatusOK || rt.view.Current().Epoch != 1 {
+		t.Fatalf("well-formed join: %d %q, epoch %d", rec.Code, rec.Body.String(), rt.view.Current().Epoch)
+	}
+}
+
 // TestRouterShardResponseCap: the router reads a shard's answer only up to
 // its response cap. Two hostile replicas stream 32 MiB of whitespace as
 // their answer to a frozen eval; the client gets a 413 over_capacity

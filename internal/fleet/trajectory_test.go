@@ -129,7 +129,7 @@ func (f *lagFleet) waitReplica(b *testing.B, seq int64) {
 	ctx, cancel := context.WithTimeout(context.Background(), lagCatchUp)
 	defer cancel()
 	for {
-		ver := f.replica.Version()
+		ver := replVersion(f.replica)
 		replicaSeq := int64(-1)
 		if e, ok := f.replica.Get("lag"); ok {
 			replicaSeq = e.Seq()
@@ -139,7 +139,7 @@ func (f *lagFleet) waitReplica(b *testing.B, seq int64) {
 		}
 		if ctx.Err() != nil {
 			b.Fatalf("replica at model seq %d after %v, want %d (owner at %d); registry versions: owner %d, replica %d",
-				replicaSeq, lagCatchUp, seq, f.ownerSeq(), f.ownerReg.Version(), ver)
+				replicaSeq, lagCatchUp, seq, f.ownerSeq(), replVersion(f.ownerReg), ver)
 		}
 		f.replica.WaitReplication(ctx, ver)
 	}

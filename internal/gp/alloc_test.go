@@ -36,26 +36,6 @@ func TestPredictWithZeroAllocs(t *testing.T) {
 	}
 }
 
-// PredictBatch with caller-provided buffers (scratch + output slices) must
-// be allocation-free across the whole batch.
-func TestPredictBatchWithZeroAllocs(t *testing.T) {
-	g := buildGP(t, 64)
-	rng := rand.New(rand.NewSource(32))
-	xs := make([][]float64, 200)
-	for i := range xs {
-		xs[i] = []float64{rng.Float64() * 10, rng.Float64() * 10}
-	}
-	means := make([]float64, len(xs))
-	vars := make([]float64, len(xs))
-	var s Scratch
-	g.PredictBatchWith(&s, xs, means, vars) // warm the scratch
-	if allocs := testing.AllocsPerRun(20, func() {
-		g.PredictBatchWith(&s, xs, means, vars)
-	}); allocs != 0 {
-		t.Fatalf("PredictBatchWith allocates %.1f per run, want 0", allocs)
-	}
-}
-
 // The scratch variants must agree exactly with the allocating forms.
 func TestPredictWithMatchesPredict(t *testing.T) {
 	g := buildGP(t, 48)

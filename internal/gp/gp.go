@@ -26,8 +26,8 @@
 // for bit, and a snapshot needs only the pairs and the hyperparameters.
 //
 // Every predict entry point has a scratch-buffer form that performs no heap
-// allocation in the steady state: see Scratch, PredictWith, and
-// PredictBatchWith. The evaluator's per-sample predictions (~10⁴ per input
+// allocation in the steady state: see Scratch, PredictWith and
+// PosteriorCovWith. The evaluator's per-sample predictions (~10⁴ per input
 // tuple) do not go through them on an exact GP: core predicts on its local
 // factor (localCtx.predictRange) and greedy tuning uses its own rank-1 pass.
 // A Sparse model is predicted through Sparse.PredictWith. Mutating methods
@@ -343,32 +343,6 @@ func (g *GP) PredictMean(x []float64) float64 {
 		s += g.kern.Eval(xi, x) * g.alpha[i]
 	}
 	return s
-}
-
-// PredictBatch fills means[i], vars[i] for each test point. Slices may be
-// nil; they are allocated as needed and returned. Internal buffers are
-// reused across the batch, so the cost is two small allocations per call
-// regardless of batch size; PredictBatchWith eliminates those too.
-func (g *GP) PredictBatch(xs [][]float64, means, vars []float64) ([]float64, []float64) {
-	var s Scratch
-	return g.PredictBatchWith(&s, xs, means, vars)
-}
-
-// PredictBatchWith is PredictBatch with caller-provided scratch: with means
-// and vars of sufficient capacity it performs zero heap allocations in the
-// steady state.
-func (g *GP) PredictBatchWith(s *Scratch, xs [][]float64, means, vars []float64) ([]float64, []float64) {
-	if cap(means) < len(xs) {
-		means = make([]float64, len(xs))
-	}
-	if cap(vars) < len(xs) {
-		vars = make([]float64, len(xs))
-	}
-	means, vars = means[:len(xs)], vars[:len(xs)]
-	for i, x := range xs {
-		means[i], vars[i] = g.PredictWith(s, x)
-	}
-	return means, vars
 }
 
 // LogLikelihood returns the log marginal likelihood

@@ -116,27 +116,6 @@ func TestPredictMeanMatchesPredict(t *testing.T) {
 	}
 }
 
-func TestPredictBatchMatchesPredict(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	g := New(kernel.NewSqExp(1, 1), 1e-8)
-	for i := 0; i < 12; i++ {
-		if err := g.Add([]float64{rng.Float64() * 5, rng.Float64() * 5}, rng.NormFloat64()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	tests := make([][]float64, 30)
-	for i := range tests {
-		tests[i] = []float64{rng.Float64() * 5, rng.Float64() * 5}
-	}
-	means, vars := g.PredictBatch(tests, nil, nil)
-	for i, x := range tests {
-		m, v := g.Predict(x)
-		if math.Abs(m-means[i]) > 1e-12 || math.Abs(v-vars[i]) > 1e-12 {
-			t.Fatalf("batch disagrees at %d", i)
-		}
-	}
-}
-
 func TestAddMatchesBatchFit(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	xs := make([][]float64, 20)
@@ -373,7 +352,10 @@ func TestSamplePosteriorCoverage(t *testing.T) {
 		}
 	}
 	probe := [][]float64{{1.5}, {4.5}}
-	means, vars := g.PredictBatch(probe, nil, nil)
+	means, vars := make([]float64, len(probe)), make([]float64, len(probe))
+	for i, x := range probe {
+		means[i], vars[i] = g.Predict(x)
+	}
 	const trials = 400
 	within := 0
 	for trial := 0; trial < trials; trial++ {

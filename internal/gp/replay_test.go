@@ -40,9 +40,9 @@ func TestReplayMatchesAddLoop(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if rep.Len() != add.Len() || rep.chol.Size() != add.chol.Size() {
+				if rep.Len() != add.Len() || rep.chol.L().Rows() != add.chol.L().Rows() {
 					t.Fatalf("n=%d: replay holds %d points (factor %d), Add loop %d (%d)",
-						n, rep.Len(), rep.chol.Size(), add.Len(), add.chol.Size())
+						n, rep.Len(), rep.chol.L().Rows(), add.Len(), add.chol.L().Rows())
 				}
 				for i := 0; i < n; i++ {
 					ra, aa := rep.chol.LRow(i), add.chol.LRow(i)
@@ -128,8 +128,8 @@ func TestReplayMatchesJitteredRefitThenAdds(t *testing.T) {
 	if math.Float64bits(rep.jitter) != math.Float64bits(g.jitter) {
 		t.Fatalf("replay jitter %g, learner %g", rep.jitter, g.jitter)
 	}
-	if rep.chol.Size() != g.chol.Size() {
-		t.Fatalf("replay factor %d, learner %d", rep.chol.Size(), g.chol.Size())
+	if rep.chol.L().Rows() != g.chol.L().Rows() {
+		t.Fatalf("replay factor %d, learner %d", rep.chol.L().Rows(), g.chol.L().Rows())
 	}
 	for i := 0; i < g.Len(); i++ {
 		ra, ga := rep.chol.LRow(i), g.chol.LRow(i)

@@ -204,19 +204,6 @@ func NewSparseFromState(k kernel.Kernel, noise float64, cfg SparseConfig, xs [][
 	return s, nil
 }
 
-// Clone returns an independent copy for frozen read replicas. The factors
-// are not copied but canonically rebuilt from (xs, ys, inducing set), so a
-// clone of a live model and a clone of the same model restored from a
-// snapshot predict bit-identically — incremental rank-1 round-off never
-// leaks into replica answers. k, when non-nil, replaces the kernel (it must
-// have identical parameters); nil shares the original kernel.
-func (s *Sparse) Clone(k kernel.Kernel) (*Sparse, error) {
-	if k == nil {
-		k = s.kern
-	}
-	return NewSparseFromState(k, s.noise, s.cfg, s.xs, s.ys, s.zidx)
-}
-
 // Kernel returns the model's kernel (shared, not a copy).
 func (s *Sparse) Kernel() kernel.Kernel { return s.kern }
 
@@ -639,22 +626,6 @@ func (s *Sparse) PredictWith(sc *Scratch, x []float64) (mean, variance float64) 
 		variance = 0
 	}
 	return mean, variance
-}
-
-// PredictBatchWith fills means[i], vars[i] for each test point, reusing the
-// caller's scratch: zero heap allocations with sufficient capacity.
-func (s *Sparse) PredictBatchWith(sc *Scratch, xs [][]float64, means, vars []float64) ([]float64, []float64) {
-	if cap(means) < len(xs) {
-		means = make([]float64, len(xs))
-	}
-	if cap(vars) < len(xs) {
-		vars = make([]float64, len(xs))
-	}
-	means, vars = means[:len(xs)], vars[:len(xs)]
-	for i, x := range xs {
-		means[i], vars[i] = s.PredictWith(sc, x)
-	}
-	return means, vars
 }
 
 // ensureSub (re)builds the subset-of-data trainer: an exact GP over just the

@@ -12,27 +12,21 @@ import (
 type TrainConfig struct {
 	// MaxIter bounds the number of gradient-ascent iterations (default 50).
 	MaxIter int
-	// GradTol stops training when ‖∇L‖ falls below it (default 1e-4).
-	GradTol float64
-	// InitStep is the initial step size in log-parameter space (default 0.1).
-	InitStep float64
-	// ParamBound clamps |log θ_j| to keep hyperparameters in a sane range
-	// (default 10, i.e. θ within [e⁻¹⁰, e¹⁰]).
-	ParamBound float64
 }
+
+const (
+	// trainGradTol stops training when ‖∇L‖ falls below it.
+	trainGradTol = 1e-4
+	// trainInitStep is the initial step size in log-parameter space.
+	trainInitStep = 0.1
+	// trainParamBound clamps |log θ_j| to keep hyperparameters in a sane
+	// range: θ within [e⁻¹⁰, e¹⁰].
+	trainParamBound = 10
+)
 
 func (c TrainConfig) normalize() TrainConfig {
 	if c.MaxIter <= 0 {
 		c.MaxIter = 50
-	}
-	if c.GradTol <= 0 {
-		c.GradTol = 1e-4
-	}
-	if c.InitStep <= 0 {
-		c.InitStep = 0.1
-	}
-	if c.ParamBound <= 0 {
-		c.ParamBound = 10
 	}
 	return c
 }
@@ -61,13 +55,13 @@ func (g *GP) Train(cfg TrainConfig) (TrainResult, error) {
 	cur := g.LogLikelihood()
 	res.InitialLogLik = cur
 	params := g.kern.Params(nil)
-	step := cfg.InitStep
+	step := trainInitStep
 	var grad []float64
 	for iter := 0; iter < cfg.MaxIter; iter++ {
 		grad = g.Grad()
 		gn := mat.Norm2(grad)
 		res.GradNorm = gn
-		if gn < cfg.GradTol {
+		if gn < trainGradTol {
 			break
 		}
 		// Normalized ascent direction, scaled by step.
@@ -75,7 +69,7 @@ func (g *GP) Train(cfg TrainConfig) (TrainResult, error) {
 		for attempt := 0; attempt < 12; attempt++ {
 			trial := make([]float64, len(params))
 			for j := range trial {
-				trial[j] = clamp(params[j]+step*grad[j]/gn, cfg.ParamBound)
+				trial[j] = clamp(params[j]+step*grad[j]/gn, trainParamBound)
 			}
 			g.kern.SetParams(trial)
 			if err := g.Fit(); err != nil {

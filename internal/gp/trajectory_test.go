@@ -41,28 +41,34 @@ func predictInputs() (xs [][]float64, means, vars []float64) {
 }
 
 // Benchmark_predict_batch_steady measures steady-state batch inference
-// with caller-provided output buffers: the per-sample loop of Algorithm 5.
+// with caller-provided output buffers, the per-sample loop of Algorithm 5,
+// over a fresh Scratch per batch.
 func Benchmark_predict_batch_steady(b *testing.B) {
 	g := trainedGP(400)
 	xs, means, vars := predictInputs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.PredictBatch(xs, means, vars)
+		var s Scratch
+		for j, x := range xs {
+			means[j], vars[j] = g.PredictWith(&s, x)
+		}
 	}
 }
 
-// Benchmark_predict_batch_scratch measures the same loop through the
-// caller-provided-scratch entry point: steady state must be zero
-// allocations per op. (The evaluator predicts an exact GP on core's local
-// factor instead; this row tracks the gp package's own batch form.)
+// Benchmark_predict_batch_scratch measures the same loop over one Scratch
+// reused across batches: steady state must be zero allocations per op.
+// (The evaluator predicts an exact GP on core's local factor instead; this
+// row tracks the gp package's own PredictWith.)
 func Benchmark_predict_batch_scratch(b *testing.B) {
 	g := trainedGP(400)
 	xs, means, vars := predictInputs()
 	var s Scratch
-	g.PredictBatchWith(&s, xs, means, vars) // warm
+	g.PredictWith(&s, xs[0]) // warm
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.PredictBatchWith(&s, xs, means, vars)
+		for j, x := range xs {
+			means[j], vars[j] = g.PredictWith(&s, x)
+		}
 	}
 }
 
@@ -143,10 +149,12 @@ func Benchmark_gp_sparse_predict_steady(b *testing.B) {
 	means := make([]float64, m)
 	vars := make([]float64, m)
 	var sc Scratch
-	s.PredictBatchWith(&sc, qs, means, vars) // warm
+	s.PredictWith(&sc, qs[0]) // warm
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.PredictBatchWith(&sc, qs, means, vars)
+		for j, x := range qs {
+			means[j], vars[j] = s.PredictWith(&sc, x)
+		}
 	}
 }
 

@@ -125,9 +125,6 @@ func (c *Cholesky) FactorizeJittered(a *Matrix, jitter0 float64, maxTries int) (
 	return 0, fmt.Errorf("%w after %d jitter attempts (max jitter %g)", ErrNotSPD, maxTries, jit/10)
 }
 
-// Size returns the dimension of the factored matrix.
-func (c *Cholesky) Size() int { return c.n }
-
 // L returns the lower-triangular factor as a freshly allocated dense matrix.
 // Use LRow for allocation-free access to one row of the packed factor.
 func (c *Cholesky) L() *Matrix {
@@ -345,15 +342,4 @@ func (c *Cholesky) Rank1Update(v []float64) error {
 		}
 	}
 	return nil
-}
-
-// Clone returns an independent copy of the factorization, so that
-// speculative Extend calls do not disturb the original.
-func (c *Cholesky) Clone() Cholesky {
-	out := Cholesky{n: c.n}
-	if len(c.data) > 0 {
-		out.data = make([]float64, len(c.data))
-		copy(out.data, c.data)
-	}
-	return out
 }

@@ -234,7 +234,7 @@ func TestInverseToMatchesInverse(t *testing.T) {
 func TestMatrixReset(t *testing.T) {
 	m := New(3, 4)
 	m.Set(1, 2, 5)
-	data := m.Data()
+	data := m.data
 	m.Reset(2, 2)
 	if r, c := m.Dims(); r != 2 || c != 2 {
 		t.Fatalf("Reset dims = %d×%d", r, c)
@@ -246,7 +246,7 @@ func TestMatrixReset(t *testing.T) {
 			}
 		}
 	}
-	if &m.Data()[0] != &data[0] {
+	if &m.data[0] != &data[0] {
 		t.Fatalf("Reset reallocated despite sufficient capacity")
 	}
 	m.Reset(10, 10) // must grow

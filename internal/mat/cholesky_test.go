@@ -225,15 +225,6 @@ func TestVectorHelpers(t *testing.T) {
 	if y[0] != 3.5 || y[1] != 4.5 {
 		t.Fatalf("ScaleVec = %v", y)
 	}
-	if got := SumVec(y); !almostEqual(got, 8, 1e-12) {
-		t.Fatalf("SumVec = %g", got)
-	}
-	if got := MeanVec(y); !almostEqual(got, 4, 1e-12) {
-		t.Fatalf("MeanVec = %g", got)
-	}
-	if got := MeanVec(nil); got != 0 {
-		t.Fatalf("MeanVec(nil) = %g", got)
-	}
 	c := CloneVec(x)
 	c[0] = 99
 	if x[0] != 3 {
@@ -418,4 +409,20 @@ func TestForwardSolve4ToMatchesForwardSolveTo(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Test accessors: production code never copies a factor or asks its size.
+
+// Size returns the dimension of the factored matrix.
+func (c *Cholesky) Size() int { return c.n }
+
+// Clone returns an independent copy of the factorization, so that
+// speculative Extend calls do not disturb the original.
+func (c *Cholesky) Clone() Cholesky {
+	out := Cholesky{n: c.n}
+	if len(c.data) > 0 {
+		out.data = make([]float64, len(c.data))
+		copy(out.data, c.data)
+	}
+	return out
 }

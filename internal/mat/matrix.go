@@ -12,7 +12,6 @@ package mat
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -29,24 +28,6 @@ func New(r, c int) *Matrix {
 		panic(fmt.Sprintf("mat: negative dimension %d×%d", r, c))
 	}
 	return &Matrix{rows: r, cols: c, data: make([]float64, r*c)}
-}
-
-// NewFromData returns an r×c matrix backed by data (not copied).
-// len(data) must equal r*c.
-func NewFromData(r, c int, data []float64) *Matrix {
-	if len(data) != r*c {
-		panic(fmt.Sprintf("mat: data length %d does not match %d×%d", len(data), r, c))
-	}
-	return &Matrix{rows: r, cols: c, data: data}
-}
-
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := New(n, n)
-	for i := 0; i < n; i++ {
-		m.data[i*n+i] = 1
-	}
-	return m
 }
 
 // Dims returns the number of rows and columns.
@@ -103,13 +84,6 @@ func (m *Matrix) Col(j int) []float64 {
 	return out
 }
 
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	out := New(m.rows, m.cols)
-	copy(out.data, m.data)
-	return out
-}
-
 // Reset resizes m to r×c, reusing the backing store when it has capacity,
 // and zeroes every element. It returns m. This is the scratch-buffer hook
 // the inference hot path uses to avoid re-allocating Gram and work matrices
@@ -129,29 +103,6 @@ func (m *Matrix) Reset(r, c int) *Matrix {
 	}
 	m.rows, m.cols = r, c
 	return m
-}
-
-// Data returns the backing slice of m (row-major).
-func (m *Matrix) Data() []float64 { return m.data }
-
-// Scale multiplies every element of m by s in place and returns m.
-func (m *Matrix) Scale(s float64) *Matrix {
-	for i := range m.data {
-		m.data[i] *= s
-	}
-	return m
-}
-
-// T returns the transpose of m as a new matrix.
-func (m *Matrix) T() *Matrix {
-	out := New(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			out.data[j*m.rows+i] = v
-		}
-	}
-	return out
 }
 
 // Mul returns the matrix product a*b.
@@ -186,31 +137,6 @@ func (m *Matrix) MulVec(x []float64) []float64 {
 		out[i] = Dot(m.Row(i), x)
 	}
 	return out
-}
-
-// MaxAbs returns the largest absolute element value, or 0 for empty matrices.
-func (m *Matrix) MaxAbs() float64 {
-	var max float64
-	for _, v := range m.data {
-		if a := math.Abs(v); a > max {
-			max = a
-		}
-	}
-	return max
-}
-
-// Equal reports whether a and b have the same shape and all elements within
-// tol of each other.
-func Equal(a, b *Matrix, tol float64) bool {
-	if a.rows != b.rows || a.cols != b.cols {
-		return false
-	}
-	for i := range a.data {
-		if math.Abs(a.data[i]-b.data[i]) > tol {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders the matrix for debugging.

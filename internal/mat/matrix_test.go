@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -122,15 +123,6 @@ func TestTransposeInvolution(t *testing.T) {
 	}
 }
 
-func TestScale(t *testing.T) {
-	a := NewFromData(2, 2, []float64{1, 2, 3, 4})
-	a.Scale(2)
-	want := NewFromData(2, 2, []float64{2, 4, 6, 8})
-	if !Equal(a, want, 0) {
-		t.Fatalf("Scale(2) = %v, want %v", a, want)
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	a := NewFromData(1, 2, []float64{1, 2})
 	b := a.Clone()
@@ -240,4 +232,69 @@ func BenchmarkMulVec256(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		a.MulVec(x)
 	}
+}
+
+// Test constructors and comparisons: production code builds matrices with
+// New and Reset and never compares or copies whole matrices.
+
+// NewFromData returns an r×c matrix backed by data (not copied).
+// len(data) must equal r*c.
+func NewFromData(r, c int, data []float64) *Matrix {
+	if len(data) != r*c {
+		panic(fmt.Sprintf("mat: data length %d does not match %d×%d", len(data), r, c))
+	}
+	return &Matrix{rows: r, cols: c, data: data}
+}
+
+// Identity returns the n×n identity matrix.
+func Identity(n int) *Matrix {
+	m := New(n, n)
+	for i := 0; i < n; i++ {
+		m.data[i*n+i] = 1
+	}
+	return m
+}
+
+// Clone returns a deep copy of m.
+func (m *Matrix) Clone() *Matrix {
+	out := New(m.rows, m.cols)
+	copy(out.data, m.data)
+	return out
+}
+
+// T returns the transpose of m as a new matrix.
+func (m *Matrix) T() *Matrix {
+	out := New(m.cols, m.rows)
+	for i := 0; i < m.rows; i++ {
+		row := m.Row(i)
+		for j, v := range row {
+			out.data[j*m.rows+i] = v
+		}
+	}
+	return out
+}
+
+// MaxAbs returns the largest absolute element value, or 0 for empty matrices.
+func (m *Matrix) MaxAbs() float64 {
+	var max float64
+	for _, v := range m.data {
+		if a := math.Abs(v); a > max {
+			max = a
+		}
+	}
+	return max
+}
+
+// Equal reports whether a and b have the same shape and all elements within
+// tol of each other.
+func Equal(a, b *Matrix, tol float64) bool {
+	if a.rows != b.rows || a.cols != b.cols {
+		return false
+	}
+	for i := range a.data {
+		if math.Abs(a.data[i]-b.data[i]) > tol {
+			return false
+		}
+	}
+	return true
 }

@@ -87,20 +87,3 @@ func CloneVec(x []float64) []float64 {
 	copy(out, x)
 	return out
 }
-
-// SumVec returns the sum of the elements of x.
-func SumVec(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += v
-	}
-	return s
-}
-
-// MeanVec returns the arithmetic mean of x, or 0 for an empty slice.
-func MeanVec(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	return SumVec(x) / float64(len(x))
-}

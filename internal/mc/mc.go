@@ -72,10 +72,11 @@ type Config struct {
 
 	// Predicate enables online filtering when non-nil.
 	Predicate *Predicate
-	// FilterCheckEvery is how many samples to draw between filter checks
-	// (default 64).
-	FilterCheckEvery int
 }
+
+// filterCheckEvery is how many samples Evaluate draws between filter
+// checks.
+const filterCheckEvery = 64
 
 func (c Config) normalize() Config {
 	if c.Eps <= 0 {
@@ -83,9 +84,6 @@ func (c Config) normalize() Config {
 	}
 	if c.Delta <= 0 {
 		c.Delta = 0.05
-	}
-	if c.FilterCheckEvery <= 0 {
-		c.FilterCheckEvery = 64
 	}
 	return c
 }
@@ -109,7 +107,7 @@ type Result struct {
 // Evaluate runs Algorithm 1 on one uncertain input: it draws the required
 // number of samples from input, evaluates f on each, and returns the
 // empirical output CDF. With a predicate configured it checks the Hoeffding
-// interval every FilterCheckEvery samples and stops early once the tuple is
+// interval every filterCheckEvery samples and stops early once the tuple is
 // confidently below the TEP threshold.
 func Evaluate(f udf.Func, input dist.Vector, cfg Config, rng *rand.Rand) (Result, error) {
 	if f.Dim() != input.Dim() {
@@ -129,7 +127,7 @@ func Evaluate(f udf.Func, input dist.Vector, cfg Config, rng *rand.Rand) (Result
 			if y >= cfg.Predicate.A && y <= cfg.Predicate.B {
 				hits++
 			}
-			if (i+1)%cfg.FilterCheckEvery == 0 {
+			if (i+1)%filterCheckEvery == 0 {
 				rho := float64(hits) / float64(i+1)
 				if rho+HoeffdingRadius(i+1, cfg.Delta) < cfg.Predicate.Theta {
 					res.Filtered = true

@@ -16,19 +16,6 @@ type Rect struct {
 	Lo, Hi []float64
 }
 
-// NewRect returns a rectangle, validating lo ≤ hi component-wise.
-func NewRect(lo, hi []float64) (Rect, error) {
-	if len(lo) != len(hi) {
-		return Rect{}, fmt.Errorf("rtree: rect dims %d ≠ %d", len(lo), len(hi))
-	}
-	for i := range lo {
-		if lo[i] > hi[i] {
-			return Rect{}, fmt.Errorf("rtree: rect lo[%d]=%g > hi[%d]=%g", i, lo[i], i, hi[i])
-		}
-	}
-	return Rect{Lo: lo, Hi: hi}, nil
-}
-
 // BoundingBox returns the smallest rectangle covering all points.
 // It panics on an empty input, since an empty box has no dimension.
 func BoundingBox(points [][]float64) Rect {
@@ -51,29 +38,6 @@ func BoundingBox(points [][]float64) Rect {
 		}
 	}
 	return Rect{Lo: lo, Hi: hi}
-}
-
-// Dim returns the dimensionality of the rectangle.
-func (r Rect) Dim() int { return len(r.Lo) }
-
-// Contains reports whether point p lies inside r (inclusive).
-func (r Rect) Contains(p []float64) bool {
-	for i, v := range p {
-		if v < r.Lo[i] || v > r.Hi[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Intersects reports whether r and s overlap (inclusive).
-func (r Rect) Intersects(s Rect) bool {
-	for i := range r.Lo {
-		if r.Hi[i] < s.Lo[i] || s.Hi[i] < r.Lo[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Margin returns the sum of edge lengths, the "size" used to pick cheap
@@ -155,12 +119,6 @@ type Tree struct {
 	dim  int
 	size int
 }
-
-// Len returns the number of points in the tree.
-func (t *Tree) Len() int { return t.size }
-
-// Dim returns the dimensionality of inserted points (0 when empty).
-func (t *Tree) Dim() int { return t.dim }
 
 // Insert adds a point with the given id. The point slice is copied.
 func (t *Tree) Insert(p []float64, id int) error {
@@ -336,30 +294,6 @@ func splitNode(n *node) *node {
 	}
 	n.entries = g1
 	return &node{leaf: n.leaf, entries: g2}
-}
-
-// Search calls fn for every point inside rect; returning false stops early.
-func (t *Tree) Search(rect Rect, fn func(id int, p []float64) bool) {
-	if t.root == nil {
-		return
-	}
-	t.search(t.root, rect, fn)
-}
-
-func (t *Tree) search(n *node, rect Rect, fn func(id int, p []float64) bool) bool {
-	for _, e := range n.entries {
-		if !rect.Intersects(e.rect) {
-			continue
-		}
-		if n.leaf {
-			if rect.Contains(e.point) && !fn(e.id, e.point) {
-				return false
-			}
-		} else if !t.search(e.child, rect, fn) {
-			return false
-		}
-	}
-	return true
 }
 
 // SearchNear calls fn for every point whose Euclidean distance to rect is at

@@ -20,9 +20,6 @@ func TestRectBasics(t *testing.T) {
 	if got := r.Margin(); got != 6 {
 		t.Errorf("Margin = %g, want 6", got)
 	}
-	if r.Dim() != 2 {
-		t.Errorf("Dim = %d", r.Dim())
-	}
 }
 
 func TestNewRectErrors(t *testing.T) {
@@ -37,7 +34,7 @@ func TestNewRectErrors(t *testing.T) {
 func TestRectUnionIntersects(t *testing.T) {
 	a, _ := NewRect([]float64{0, 0}, []float64{1, 1})
 	b, _ := NewRect([]float64{2, 2}, []float64{3, 3})
-	if a.Intersects(b) {
+	if RectDist(a, b) == 0 {
 		t.Error("disjoint rects intersect")
 	}
 	u := a.union(b)
@@ -45,12 +42,12 @@ func TestRectUnionIntersects(t *testing.T) {
 		t.Errorf("Union = %+v", u)
 	}
 	c, _ := NewRect([]float64{0.5, 0.5}, []float64{2.5, 2.5})
-	if !a.Intersects(c) || !b.Intersects(c) {
+	if RectDist(a, c) != 0 || RectDist(b, c) != 0 {
 		t.Error("overlapping rects do not intersect")
 	}
 	// Touching boundaries count as intersecting.
 	d, _ := NewRect([]float64{1, 0}, []float64{2, 1})
-	if !a.Intersects(d) {
+	if RectDist(a, d) != 0 {
 		t.Error("touching rects should intersect")
 	}
 }
@@ -110,12 +107,12 @@ func TestInsertAndSearchSmall(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if tr.Len() != 5 {
-		t.Fatalf("Len = %d", tr.Len())
+	if tr.size != 5 {
+		t.Fatalf("Len = %d", tr.size)
 	}
 	q, _ := NewRect([]float64{0.5, 0.5}, []float64{3.5, 3.5})
 	var got []int
-	tr.Search(q, func(id int, _ []float64) bool {
+	tr.SearchNear(q, 0, func(id int, _ []float64) bool {
 		got = append(got, id)
 		return true
 	})
@@ -150,7 +147,7 @@ func TestInsertCopiesPoint(t *testing.T) {
 	p[0] = 99
 	q, _ := NewRect([]float64{0, 0}, []float64{3, 3})
 	found := false
-	tr.Search(q, func(_ int, pt []float64) bool {
+	tr.SearchNear(q, 0, func(_ int, pt []float64) bool {
 		found = pt[0] == 1
 		return true
 	})
@@ -168,7 +165,7 @@ func TestSearchEarlyStop(t *testing.T) {
 	}
 	q, _ := NewRect([]float64{0}, []float64{100})
 	count := 0
-	tr.Search(q, func(_ int, _ []float64) bool {
+	tr.SearchNear(q, 0, func(_ int, _ []float64) bool {
 		count++
 		return count < 5
 	})
@@ -201,8 +198,8 @@ func TestDepthGrows(t *testing.T) {
 	if d := depth(&tr); d < 2 {
 		t.Fatalf("Depth = %d after 500 inserts", d)
 	}
-	if tr.Len() != 500 {
-		t.Fatalf("Len = %d", tr.Len())
+	if tr.size != 500 {
+		t.Fatalf("Len = %d", tr.size)
 	}
 	// All must visit every point exactly once.
 	seen := make(map[int]bool)
@@ -243,7 +240,7 @@ func TestQuickSearchMatchesBruteForce(t *testing.T) {
 		}
 		q := Rect{Lo: lo, Hi: hi}
 		var got []int
-		tr.Search(q, func(id int, _ []float64) bool {
+		tr.SearchNear(q, 0, func(id int, _ []float64) bool {
 			got = append(got, id)
 			return true
 		})
@@ -606,8 +603,8 @@ func TestInPlaceInsertMatchesUnionPath(t *testing.T) {
 			}
 			rect := Rect{Lo: lo, Hi: hi}
 			var gs, rs []int
-			got.Search(rect, func(id int, _ []float64) bool { gs = append(gs, id); return true })
-			ref.Search(rect, func(id int, _ []float64) bool { rs = append(rs, id); return true })
+			got.SearchNear(rect, 0, func(id int, _ []float64) bool { gs = append(gs, id); return true })
+			ref.SearchNear(rect, 0, func(id int, _ []float64) bool { rs = append(rs, id); return true })
 			delta := rng.Float64() * 5
 			gn := got.AppendIDsNear(nil, rect, delta)
 			rn := ref.AppendIDsNear(nil, rect, delta)
@@ -636,8 +633,32 @@ func TestInsertAllocs(t *testing.T) {
 		}
 		i++
 	})
-	t.Logf("Insert: %.2f allocs/op at n=%d", allocs, tr.Len())
+	t.Logf("Insert: %.2f allocs/op at n=%d", allocs, tr.size)
 	if allocs > 3 {
 		t.Fatalf("Insert allocates %.2f/op, want ≤ 3", allocs)
 	}
+}
+
+// Contains is the brute-force membership test the search tests compare
+// SearchNear at distance 0 against.
+func (r Rect) Contains(p []float64) bool {
+	for i, v := range p {
+		if v < r.Lo[i] || v > r.Hi[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// NewRect returns a rectangle, validating lo ≤ hi component-wise.
+func NewRect(lo, hi []float64) (Rect, error) {
+	if len(lo) != len(hi) {
+		return Rect{}, fmt.Errorf("rtree: rect dims %d ≠ %d", len(lo), len(hi))
+	}
+	for i := range lo {
+		if lo[i] > hi[i] {
+			return Rect{}, fmt.Errorf("rtree: rect lo[%d]=%g > hi[%d]=%g", i, lo[i], i, hi[i])
+		}
+	}
+	return Rect{Lo: lo, Hi: hi}, nil
 }

@@ -50,71 +50,46 @@ type Catalog struct {
 }
 
 // GenerateConfig controls synthetic catalog generation. The zero value is
-// usable and mirrors an SDSS-like stripe.
+// usable and draws 1000 galaxies.
 type GenerateConfig struct {
 	N    int   // number of galaxies (default 1000)
 	Seed int64 // RNG seed
-
-	// Field extents (defaults: RA ∈ [150,200), Dec ∈ [0,40)).
-	RAMin, RAMax   float64
-	DecMin, DecMax float64
-
-	// Redshift distribution: Gamma(shape, scale) + floor, defaulting to
-	// shape 2.2, scale 0.09, floor 0.01, giving the bulk in z ∈ [0.05, 0.6].
-	ZShape, ZScale, ZFloor float64
-
-	// Relative errors: position error in arcsec (default 0.1–0.5″) and
-	// redshift error as a fraction of z (default 2–8 %).
-	PosErrArcsecMin, PosErrArcsecMax float64
-	ZRelErrMin, ZRelErrMax           float64
 }
 
-func (c GenerateConfig) normalize() GenerateConfig {
-	if c.N <= 0 {
-		c.N = 1000
-	}
-	if c.RAMax <= c.RAMin {
-		c.RAMin, c.RAMax = 150, 200
-	}
-	if c.DecMax <= c.DecMin {
-		c.DecMin, c.DecMax = 0, 40
-	}
-	if c.ZShape <= 0 {
-		c.ZShape = 2.2
-	}
-	if c.ZScale <= 0 {
-		c.ZScale = 0.09
-	}
-	if c.ZFloor <= 0 {
-		c.ZFloor = 0.01
-	}
-	if c.PosErrArcsecMax <= c.PosErrArcsecMin || c.PosErrArcsecMin <= 0 {
-		c.PosErrArcsecMin, c.PosErrArcsecMax = 0.1, 0.5
-	}
-	if c.ZRelErrMax <= c.ZRelErrMin || c.ZRelErrMin <= 0 {
-		c.ZRelErrMin, c.ZRelErrMax = 0.02, 0.08
-	}
-	return c
-}
+// The catalog's shape: an SDSS-like stripe with RA ∈ [150,200) and
+// Dec ∈ [0,40) degrees; redshifts Gamma(2.2, 0.09) + 0.01, which puts the
+// bulk in z ∈ [0.05, 0.6]; position errors of 0.1–0.5″ and redshift errors
+// of 2–8 % of z. The constants are typed so each difference below rounds
+// to float64 as a run-time subtraction would: the catalog's bits, which
+// TestGenerateDigest pins, depend on it.
+const (
+	raMin, raMax                     float64 = 150, 200
+	decMin, decMax                   float64 = 0, 40
+	zShape, zScale, zFloor           float64 = 2.2, 0.09, 0.01
+	posErrArcsecMin, posErrArcsecMax float64 = 0.1, 0.5
+	zRelErrMin, zRelErrMax           float64 = 0.02, 0.08
+)
 
 // Generate builds a synthetic catalog.
 func Generate(cfg GenerateConfig) *Catalog {
-	cfg = cfg.normalize()
+	if cfg.N <= 0 {
+		cfg.N = 1000
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	zdist := dist.Gamma{K: cfg.ZShape, Theta: cfg.ZScale, Loc: cfg.ZFloor}
+	zdist := dist.Gamma{K: zShape, Theta: zScale, Loc: zFloor}
 	cat := &Catalog{Galaxies: make([]Galaxy, cfg.N)}
 	for i := range cat.Galaxies {
 		z := zdist.Sample(rng)
-		posErrDeg := (cfg.PosErrArcsecMin +
-			rng.Float64()*(cfg.PosErrArcsecMax-cfg.PosErrArcsecMin)) / 3600
+		posErrDeg := (posErrArcsecMin +
+			rng.Float64()*(posErrArcsecMax-posErrArcsecMin)) / 3600
 		cat.Galaxies[i] = Galaxy{
 			ObjID:       1_000_000 + int64(i),
-			RA:          cfg.RAMin + rng.Float64()*(cfg.RAMax-cfg.RAMin),
-			Dec:         cfg.DecMin + rng.Float64()*(cfg.DecMax-cfg.DecMin),
+			RA:          raMin + rng.Float64()*(raMax-raMin),
+			Dec:         decMin + rng.Float64()*(decMax-decMin),
 			RAErr:       posErrDeg,
 			DecErr:      posErrDeg,
 			Redshift:    z,
-			RedshiftErr: z * (cfg.ZRelErrMin + rng.Float64()*(cfg.ZRelErrMax-cfg.ZRelErrMin)),
+			RedshiftErr: z * (zRelErrMin + rng.Float64()*(zRelErrMax-zRelErrMin)),
 		}
 	}
 	return cat

@@ -2,6 +2,8 @@ package sdss
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"strings"
 	"testing"
@@ -111,5 +113,35 @@ func TestReadCSVEmptyCatalog(t *testing.T) {
 	}
 	if len(cat.Galaxies) != 0 {
 		t.Fatalf("expected empty catalog, got %d", len(cat.Galaxies))
+	}
+}
+
+// TestGenerateDigest pins every bit of the catalogs Generate draws, which
+// feed the Q1 workloads and goldens: a change to the field extents, the
+// redshift law or the error ranges, or to the order of the arithmetic that
+// applies them, moves the digest.
+func TestGenerateDigest(t *testing.T) {
+	for _, c := range []struct {
+		n    int
+		seed int64
+		want uint64
+	}{
+		{1000, 0, 0xc46ba8e9a689c1ef},
+		{4000, 1, 0xa0f8d4500c3d2366},
+		{257, 42, 0x73678ac5a0b0e4af},
+	} {
+		h := fnv.New64a()
+		var b [8]byte
+		for _, g := range Generate(GenerateConfig{N: c.n, Seed: c.seed}).Galaxies {
+			binary.LittleEndian.PutUint64(b[:], uint64(g.ObjID))
+			h.Write(b[:])
+			for _, v := range []float64{g.RA, g.Dec, g.RAErr, g.DecErr, g.Redshift, g.RedshiftErr} {
+				binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+				h.Write(b[:])
+			}
+		}
+		if got := h.Sum64(); got != c.want {
+			t.Errorf("Generate(N=%d, Seed=%d) digest %#x, want %#x", c.n, c.seed, got, c.want)
+		}
 	}
 }

@@ -64,7 +64,7 @@ func (s *Server) handleQueryPartials(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set(wire.HeaderModelSeq, strconv.FormatInt(resp.ModelSeq, 10))
-	s.writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // ServeQuery is POST /v1/query on shard and router alike: decode the

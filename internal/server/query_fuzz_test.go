@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 
 	"olgapro/internal/server/wire"
@@ -52,21 +53,13 @@ func FuzzQueryMerge(f *testing.F) {
 	})
 }
 
-// wireErrorCodes is wire's table of error codes.
-var wireErrorCodes = map[wire.ErrorCode]bool{
-	wire.CodeBadSpec: true, wire.CodeUnauthorized: true, wire.CodeNotFound: true,
-	wire.CodeAlreadyExists: true, wire.CodeModelCold: true, wire.CodeNotOwner: true,
-	wire.CodeOverCapacity: true, wire.CodeInternal: true, wire.CodeNotReplicated: true,
-	wire.CodeUnavailable: true, wire.CodeDraining: true, wire.CodeDeadlineExceeded: true,
-}
-
 // FuzzQueryRequest sends arbitrary bytes as a POST /v1/query body through
 // Server.Handler, on a server holding one warmed poly/smooth2d instance
 // named "smooth". The handler must never panic, and must answer either 200
-// with a query answer or a /v1 error envelope whose code is in wire's
-// table. The seed corpus holds the plans TestQueryMatchesSerialPlan runs
-// over one instance: no stage, a predicate, a window, a group-by, a top-k,
-// and a group-by followed by a top-k.
+// with a query answer or a /v1 error envelope whose code is in
+// wire.ErrorCodes. The seed corpus holds the plans TestQueryMatchesSerialPlan
+// runs over one instance: no stage, a predicate, a window, a group-by, a
+// top-k, and a group-by followed by a top-k.
 func FuzzQueryRequest(f *testing.F) {
 	s, ts := newTestServer(f, Config{})
 	registerSmoothAs(f, ts.URL, "smooth", 77)
@@ -82,7 +75,7 @@ func FuzzQueryRequest(f *testing.F) {
 			return
 		}
 		var env wire.ErrorEnvelope
-		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || !wireErrorCodes[env.Error.Code] {
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || !slices.Contains(wire.ErrorCodes, env.Error.Code) {
 			t.Fatalf("%d answer is not a /v1 error envelope with a known code: %s", rec.Code, rec.Body)
 		}
 	})

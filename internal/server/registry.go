@@ -543,9 +543,6 @@ func (r *Registry) bumpVersion() {
 	r.watchMu.Unlock()
 }
 
-// Version returns the current replication version.
-func (r *Registry) Version() int64 { return r.version.Load() }
-
 // WaitReplication blocks until the replication version exceeds since or
 // ctx fires, returning the version seen. since < 0 returns immediately.
 // The version and the channel its next bump closes are read in one watchMu

@@ -174,7 +174,7 @@ func TestWaitReplicationNoLostWakeup(t *testing.T) {
 	}()
 	const deadline = 2 * time.Second
 	for round := int64(1); round <= rounds; round++ {
-		since := r.Version()
+		since := r.version.Load()
 		ctx, cancel := context.WithTimeout(context.Background(), deadline)
 		start.Store(round)
 		got := r.WaitReplication(ctx, since)

@@ -45,7 +45,7 @@ func (s *Server) handleReplicationList(w http.ResponseWriter, r *http.Request, q
 		list.Epoch = m.Epoch
 		list.Shards = m.Shards
 	}
-	s.writeJSON(w, http.StatusOK, list)
+	WriteJSON(w, http.StatusOK, list)
 }
 
 // handleMembershipGet reports the shard's current membership view.
@@ -55,7 +55,7 @@ func (s *Server) handleMembershipGet(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusServiceUnavailable, wire.CodeNotReplicated, "not running in fleet mode")
 		return
 	}
-	s.writeJSON(w, http.StatusOK, h.Membership())
+	WriteJSON(w, http.StatusOK, h.Membership())
 }
 
 // handleMembershipPost offers the shard a membership; a strictly higher
@@ -69,7 +69,7 @@ func (s *Server) handleMembershipPost(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var m wire.Membership
-	if err := decodeBody(r, "membership", &m); err != nil {
+	if err := DecodeBody(r, "membership", &m); err != nil {
 		WriteError(w, err)
 		return
 	}
@@ -77,7 +77,7 @@ func (s *Server) handleMembershipPost(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, wire.CodeBadSpec, "adopt membership: %v", err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, h.Membership())
+	WriteJSON(w, http.StatusOK, h.Membership())
 }
 
 // handleSnapshotFetch serves the named UDF's current model as raw versioned

@@ -256,7 +256,8 @@ func (s *Server) release() { <-s.inflight }
 
 // --- JSON plumbing ---
 
-func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as a JSON response with status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
@@ -310,9 +311,10 @@ func ReadCapped(rd io.Reader, n int64, buf []byte, limit int) ([]byte, bool, err
 // Content-Length before the bytes arrive.
 const maxBodyPrealloc = 1 << 20
 
-// decodeBody reads r's body with ReadBody and decodes it strictly into v.
-// A refusal is an *Error: ReadBody's, or 400 bad_spec "bad <what>: …".
-func decodeBody(r *http.Request, what string, v any) error {
+// DecodeBody reads r's body with ReadBody and decodes it strictly into v:
+// unknown fields and trailing data are refused. A refusal is an *Error:
+// ReadBody's, or 400 bad_spec "bad <what>: …".
+func DecodeBody(r *http.Request, what string, v any) error {
 	body, err := ReadBody(r, nil)
 	if err != nil {
 		return err
@@ -372,9 +374,6 @@ func supportSum(vals []float64) uint64 {
 	}
 	return h
 }
-
-// supportHash is supportSum as the wire's support_hash.
-func supportHash(vals []float64) string { return hashHex(supportSum(vals)) }
 
 // hashHex spells a support digest as 16 zero-padded hex digits.
 func hashHex(h uint64) string {
@@ -457,7 +456,7 @@ func writeResult(w http.ResponseWriter, line []byte) {
 // --- basic endpoints ---
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, wire.HealthResponse{
+	WriteJSON(w, http.StatusOK, wire.HealthResponse{
 		Status:    "ok",
 		UptimeSec: time.Since(s.start).Seconds(),
 		UDFs:      len(s.reg.List()),
@@ -472,7 +471,7 @@ func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
 	for i, c := range entries {
 		resp.UDFs[i] = wire.CatalogUDF{Name: c.Name, Dim: c.Dim, Description: c.Description}
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -492,7 +491,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if totalMC > 0 {
 		resp.TotalSavingsRatio = float64(resp.TotalSavedCalls) / float64(totalMC)
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // --- registration ---
@@ -518,12 +517,12 @@ func (s *Server) handleListUDFs(w http.ResponseWriter, r *http.Request) {
 	for i, e := range entries {
 		resp.UDFs[i] = infoOf(e)
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req wire.RegisterRequest
-	if err := decodeBody(r, "register request", &req); err != nil {
+	if err := DecodeBody(r, "register request", &req); err != nil {
 		WriteError(w, err)
 		return
 	}
@@ -567,7 +566,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	s.cfg.Logf("registered UDF %q (catalog %s, ε=%g δ=%g, %d warm-up tuples)",
 		e.spec.Name, e.spec.UDF, e.cfg.Eps, e.cfg.Delta, len(req.Warmup))
-	s.writeJSON(w, http.StatusCreated, infoOf(e))
+	WriteJSON(w, http.StatusCreated, infoOf(e))
 }
 
 // --- evaluation ---

@@ -741,7 +741,7 @@ func TestInstallReplicaValidatesSwapSpec(t *testing.T) {
 		}
 		return got
 	}
-	seq, ev, ver := re.Seq(), evOf(), replica.reg.Version()
+	seq, ev, ver := re.Seq(), evOf(), replica.reg.version.Load()
 
 	negEps := e.Spec()
 	negEps.Eps = -1
@@ -751,9 +751,9 @@ func TestInstallReplicaValidatesSwapSpec(t *testing.T) {
 		if err := replica.reg.InstallReplica(spec, readSnap(1)); err == nil {
 			t.Errorf("%s: swap accepted, want refused", label)
 		}
-		if re.Seq() != seq || evOf() != ev || replica.reg.Version() != ver {
+		if re.Seq() != seq || evOf() != ev || replica.reg.version.Load() != ver {
 			t.Fatalf("%s: refused swap moved the replica (seq %d → %d, version %d → %d, evaluator swapped %v)",
-				label, seq, re.Seq(), ver, replica.reg.Version(), evOf() != ev)
+				label, seq, re.Seq(), ver, replica.reg.version.Load(), evOf() != ev)
 		}
 	}
 
@@ -763,7 +763,7 @@ func TestInstallReplicaValidatesSwapSpec(t *testing.T) {
 	if re.Seq() != seq+1 || evOf() == ev {
 		t.Fatalf("valid swap: seq %d → %d, evaluator swapped %v", seq, re.Seq(), evOf() != ev)
 	}
-	if got := replica.reg.Version(); got != ver+1 {
+	if got := replica.reg.version.Load(); got != ver+1 {
 		t.Fatalf("valid swap moved the registry version %d → %d, want one bump", ver, got)
 	}
 }

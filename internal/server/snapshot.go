@@ -207,7 +207,7 @@ func (s *Server) handleSnapshotOne(w http.ResponseWriter, r *http.Request) {
 		s.failErr(w, err, "%v", err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, info)
+	WriteJSON(w, http.StatusOK, info)
 }
 
 func (s *Server) handleSnapshotAll(w http.ResponseWriter, r *http.Request) {
@@ -220,7 +220,7 @@ func (s *Server) handleSnapshotAll(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Snapshots = append(resp.Snapshots, info)
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // newestSnapshot returns the path of the UDF's most recent snapshot file.

@@ -67,3 +67,6 @@ func TestSupportHashMatchesFNV(t *testing.T) {
 		t.Fatal("found no digest with a leading zero nibble")
 	}
 }
+
+// supportHash is supportSum as the wire's support_hash.
+func supportHash(vals []float64) string { return hashHex(supportSum(vals)) }

@@ -15,7 +15,8 @@ const APIVersion = "v1"
 
 // --- error envelope ---
 
-// ErrorCode is a stable, machine-readable failure class. Codes are part of
+// ErrorCode is a stable, machine-readable failure class; ErrorCodes lists
+// every one. Codes are part of
 // the wire contract: clients dispatch on them (retry, re-register, warm the
 // model) instead of parsing English messages.
 type ErrorCode string

@@ -380,7 +380,7 @@ type Route struct {
 // Routes is the canonical /v1 surface — one entry per endpoint the shard
 // server and the fleet router register. Conformance tests pin it in both
 // directions: every entry resolves on the serving muxes, and every entry
-// (and every ErrorCode) appears in docs/api.md.
+// appears in docs/api.md.
 var Routes = []Route{
 	{Method: "GET", Path: "/v1/healthz", Scope: ScopeBoth},
 	{Method: "GET", Path: "/v1/stats", Scope: ScopeBoth},
@@ -399,4 +399,13 @@ var Routes = []Route{
 	{Method: "POST", Path: "/v1/replication/members", Scope: ScopeShard},
 	{Method: "GET", Path: "/v1/fleet/members", Scope: ScopeRouter},
 	{Method: "POST", Path: "/v1/fleet/members", Scope: ScopeRouter},
+}
+
+// ErrorCodes is every ErrorCode a /v1 error envelope carries. Conformance
+// tests pin it: each code appears in docs/api.md, and the handler fuzz
+// targets accept an error envelope only with a code from this table.
+var ErrorCodes = []ErrorCode{
+	CodeBadSpec, CodeUnauthorized, CodeNotFound, CodeAlreadyExists,
+	CodeModelCold, CodeNotOwner, CodeOverCapacity, CodeInternal,
+	CodeNotReplicated, CodeUnavailable, CodeDraining, CodeDeadlineExceeded,
 }

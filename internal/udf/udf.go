@@ -5,9 +5,7 @@
 //
 // A UDF is a scalar function of a d-dimensional input; the system never
 // inspects its body, only calls Eval. Counter wraps a Func to count
-// evaluations and charge their nominal cost to a virtual clock, and Slow
-// wraps a Func to burn real CPU time, for end-to-end demos that do not use
-// the virtual clock.
+// evaluations and charge their nominal cost to a virtual clock.
 package udf
 
 import (
@@ -70,26 +68,6 @@ func (c *Counter) Eval(x []float64) float64 {
 // Calls returns the number of evaluations so far.
 func (c *Counter) Calls() int { return int(atomic.LoadInt64(&c.n)) }
 
-// Slow wraps a Func and busy-waits for Delay on every call, emulating an
-// expensive UDF with real wall-clock cost (used by examples; the benchmark
-// harness prefers Counter + vclock).
-type Slow struct {
-	F     Func
-	Delay time.Duration
-}
-
-// Dim returns the wrapped function's dimensionality.
-func (s Slow) Dim() int { return s.F.Dim() }
-
-// Eval evaluates the wrapped function after burning Delay of CPU time.
-func (s Slow) Eval(x []float64) float64 {
-	deadline := time.Now().Add(s.Delay)
-	for time.Now().Before(deadline) {
-		// Busy-wait: sleeping would understate CPU cost for sub-ms delays.
-	}
-	return s.F.Eval(x)
-}
-
 // Mixture is a Gaussian-mixture test function
 //
 //	f(x) = Σ_i w_i exp(−‖x − c_i‖² / (2 s_i²))
@@ -111,9 +89,12 @@ type MixtureConfig struct {
 	Components int     // number of Gaussian bumps
 	Lo, Hi     float64 // domain [Lo,Hi]^d the centers are drawn from
 	Spread     float64 // component spread s (same for all components)
-	MinWeight  float64 // component weights drawn from [MinWeight, 1]
 	Seed       int64
 }
+
+// minWeight is the lower end of the range [minWeight, 1] component weights
+// are drawn from.
+const minWeight = 0.5
 
 // NewMixture draws a random mixture function per the config.
 func NewMixture(cfg MixtureConfig) (*Mixture, error) {
@@ -126,9 +107,6 @@ func NewMixture(cfg MixtureConfig) (*Mixture, error) {
 	if cfg.Hi <= cfg.Lo {
 		return nil, fmt.Errorf("udf: mixture domain [%g,%g] empty", cfg.Lo, cfg.Hi)
 	}
-	if cfg.MinWeight <= 0 || cfg.MinWeight > 1 {
-		cfg.MinWeight = 0.5
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	m := &Mixture{dim: cfg.Dim}
 	for i := 0; i < cfg.Components; i++ {
@@ -139,7 +117,7 @@ func NewMixture(cfg MixtureConfig) (*Mixture, error) {
 			c[j] = cfg.Lo + margin + rng.Float64()*(cfg.Hi-cfg.Lo-2*margin)
 		}
 		m.centers = append(m.centers, c)
-		m.weights = append(m.weights, cfg.MinWeight+rng.Float64()*(1-cfg.MinWeight))
+		m.weights = append(m.weights, minWeight+rng.Float64()*(1-minWeight))
 		m.spreads = append(m.spreads, cfg.Spread)
 	}
 	return m, nil
@@ -162,9 +140,6 @@ func (m *Mixture) Eval(x []float64) float64 {
 	}
 	return s
 }
-
-// Components returns the number of mixture components.
-func (m *Mixture) Components() int { return len(m.centers) }
 
 // StandardDomain is the default function domain [L,U] = [0,10] (§6.1).
 const (

@@ -47,21 +47,6 @@ func TestCounterWithoutClock(t *testing.T) {
 	}
 }
 
-func TestSlowBurnsTime(t *testing.T) {
-	f := FuncOf{D: 1, F: func(x []float64) float64 { return x[0] }}
-	s := Slow{F: f, Delay: 3 * time.Millisecond}
-	start := time.Now()
-	if got := s.Eval([]float64{7}); got != 7 {
-		t.Fatalf("Eval = %g", got)
-	}
-	if elapsed := time.Since(start); elapsed < 2*time.Millisecond {
-		t.Fatalf("Slow returned in %v", elapsed)
-	}
-	if s.Dim() != 1 {
-		t.Fatalf("Dim = %d", s.Dim())
-	}
-}
-
 func TestNewMixtureValidation(t *testing.T) {
 	bad := []MixtureConfig{
 		{Dim: 0, Components: 1, Lo: 0, Hi: 1, Spread: 1},
@@ -83,8 +68,8 @@ func TestMixtureShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Dim() != 2 || m.Components() != 3 {
-		t.Fatalf("Dim/Components = %d/%d", m.Dim(), m.Components())
+	if m.Dim() != 2 || len(m.centers) != 3 {
+		t.Fatalf("Dim/components = %d/%d", m.Dim(), len(m.centers))
 	}
 	// Values near a center are larger than values far from all centers.
 	center := m.centers[0]
@@ -121,8 +106,8 @@ func TestStandardFamily(t *testing.T) {
 	if len(suite) != 4 {
 		t.Fatalf("suite size %d", len(suite))
 	}
-	if suite[0].Components() != 1 || suite[1].Components() != 1 ||
-		suite[2].Components() != 5 || suite[3].Components() != 5 {
+	if len(suite[0].centers) != 1 || len(suite[1].centers) != 1 ||
+		len(suite[2].centers) != 5 || len(suite[3].centers) != 5 {
 		t.Fatalf("component counts wrong")
 	}
 	// F4 (small spread) must vary faster than F1 (large spread): compare

@@ -19,24 +19,15 @@ import (
 )
 
 // Clock accumulates real (measured) and simulated (charged) durations.
-// It is safe for concurrent use. The zero value is a reset clock.
+// It is safe for concurrent use. The zero value is a clock at zero.
 type Clock struct {
 	measuredNs int64
 	chargedNs  int64
-	udfCalls   int64
-}
-
-// Reset zeroes all counters.
-func (c *Clock) Reset() {
-	atomic.StoreInt64(&c.measuredNs, 0)
-	atomic.StoreInt64(&c.chargedNs, 0)
-	atomic.StoreInt64(&c.udfCalls, 0)
 }
 
 // Charge records n UDF invocations at per cost each on the simulated clock.
 func (c *Clock) Charge(n int, per time.Duration) {
 	atomic.AddInt64(&c.chargedNs, int64(n)*int64(per))
-	atomic.AddInt64(&c.udfCalls, int64(n))
 }
 
 // AddMeasured records an externally measured duration.
@@ -59,11 +50,6 @@ func (c *Clock) Measured() time.Duration {
 // Charged returns the accumulated simulated UDF evaluation time.
 func (c *Clock) Charged() time.Duration {
 	return time.Duration(atomic.LoadInt64(&c.chargedNs))
-}
-
-// UDFCalls returns the number of UDF invocations charged so far.
-func (c *Clock) UDFCalls() int {
-	return int(atomic.LoadInt64(&c.udfCalls))
 }
 
 // Total returns measured + charged time, the quantity the paper plots.

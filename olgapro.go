@@ -220,7 +220,7 @@ func ComoveVolUDF(c Cosmology, areaSqDeg float64) UDF {
 func AngDistUDF(refRA, refDec float64) UDF { return astro.AngDistFunc(refRA, refDec) }
 
 // GenerateCatalog returns a synthetic SDSS-like galaxy catalog with n
-// objects (see internal/sdss for knobs).
+// objects drawn from seed.
 func GenerateCatalog(n int, seed int64) *Catalog {
 	return sdss.Generate(sdss.GenerateConfig{N: n, Seed: seed})
 }
