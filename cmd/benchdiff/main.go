@@ -7,7 +7,7 @@
 // Usage:
 //
 //	go run ./cmd/benchdiff -current cur.txt [-baseline ref.txt] [-out BENCH_PRn.json]
-//	       [-max-regress 0.35] [-exempt '^(parallel|server|fleet)_']
+//	       [-max-regress 0.35]
 //
 // `make bench-diff` is the intended caller: it runs the Benchmark_<name>
 // rows of a reference commit (BENCH_REF, default HEAD: what is committed)
@@ -17,20 +17,20 @@
 // Rules, applied to every benchmark name present in the baseline:
 //
 //   - ns/op: fail when current > baseline × (1 + max-regress);
-//   - allocs/op: fail on any increase beyond ⌊base × alloc-slack⌋ (default
-//     0.5%), which is zero — the original hard gate — for every benchmark
+//   - allocs/op: fail on any increase beyond ⌊base × allocSlack⌋ (0.5%),
+//     which is zero — the original hard gate — for every benchmark
 //     with fewer than 200 baseline allocs/op: the zero-allocation hot-path
 //     invariant stays strict, while multi-second single-iteration
 //     benchmarks absorb the handful of background runtime allocations that
 //     vary with process composition;
 //   - a baseline benchmark missing from the current run fails, so a
 //     benchmark cannot silently vanish from the gate;
-//   - names matching -exempt (default ^(parallel|server|fleet)_) skip the
+//   - names matching exemptNames (^(parallel|server|fleet)_) skip the
 //     ns/op rule: throughput and replication-lag timings depend on the
 //     host's core count, scheduler, and network stack, and spread too
 //     widely between runs of one commit to gate. Their allocs/op rule
 //     still applies, so an allocation regression on the serving path fails
-//     the gate. Its slack is 4% instead of alloc-slack, since their counts
+//     the gate. Its slack is 4% instead of allocSlack, since their counts
 //     vary with goroutine scheduling and with how many iterations amortize
 //     setup (sized in internal/benchfmt);
 //   - benchmarks present in the current run but missing from the baseline
@@ -54,22 +54,23 @@ import (
 	"olgapro/internal/benchfmt"
 )
 
+// allocSlack is the fractional allocs/op increase allowed, floored per
+// benchmark (0 for baselines below 1/allocSlack, keeping low-count gates
+// strict); exemptNames matches the benchmarks exempt from the ns/op rule.
+const (
+	allocSlack  = 0.005
+	exemptNames = "^(parallel|server|fleet)_"
+)
+
 func main() {
 	baseline := flag.String("baseline", "", "reference `go test -bench` output or BENCH_*.json run; gate -current against it")
 	current := flag.String("current", "", "`go test -bench` output or BENCH_*.json run to report and gate (required)")
 	out := flag.String("out", "", "write the current run's per-name medians to this BENCH_*.json file")
 	maxRegress := flag.Float64("max-regress", 0.35, "allowed fractional ns/op regression")
-	allocSlack := flag.Float64("alloc-slack", 0.005, "allowed fractional allocs/op increase, floored per benchmark (0 for baselines < 1/slack, keeping low-count gates strict)")
-	exempt := flag.String("exempt", "^(parallel|server|fleet)_", "regexp of benchmark names exempt from the ns/op rule (allocs/op is still gated)")
 	flag.Parse()
 
 	if *current == "" {
 		fmt.Fprintln(os.Stderr, "benchdiff: -current is required")
-		os.Exit(2)
-	}
-	exemptRe, err := regexp.Compile(*exempt)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchdiff: bad -exempt: %v\n", err)
 		os.Exit(2)
 	}
 	cur, err := benchfmt.ReadRun(*current)
@@ -95,8 +96,8 @@ func main() {
 
 	entries, failures, added := benchfmt.Diff(base, cur, benchfmt.DiffOptions{
 		MaxRegress: *maxRegress,
-		AllocSlack: *allocSlack,
-		Exempt:     exemptRe,
+		AllocSlack: allocSlack,
+		Exempt:     regexp.MustCompile(exemptNames),
 	})
 	fmt.Printf("benchdiff: %s (baseline) vs %s  [max ns/op regression %.0f%%]\n",
 		*baseline, *current, *maxRegress*100)

@@ -42,7 +42,6 @@ import (
 	"olgapro/internal/mc"
 	"olgapro/internal/query"
 	"olgapro/internal/sdss"
-	"olgapro/internal/server/wire"
 )
 
 func main() {
@@ -79,9 +78,7 @@ func run(queryName, engine string, n int, eps, delta float64, seed int64, worker
 	} else {
 		cat = sdss.Generate(sdss.GenerateConfig{N: n, Seed: seed})
 	}
-	// Catalog → uncertain relation through the shared wire codec, the same
-	// construction the network service applies.
-	rel := wire.GalaxyRelation(cat)
+	rel := galaxyRelation(cat)
 	rng := rand.New(rand.NewSource(seed))
 	cosmo := astro.Default()
 	if workers <= 0 {
@@ -227,6 +224,17 @@ func run(queryName, engine string, n int, eps, delta float64, seed int64, worker
 	}
 	fmt.Printf("elapsed: %s\n", time.Since(start).Round(time.Millisecond))
 	return nil
+}
+
+// galaxyRelation converts a catalog into the uncertain relation of queries
+// Q1/Q2: one tuple per galaxy with Gaussian position and redshift
+// attributes.
+func galaxyRelation(cat *sdss.Catalog) []*query.Tuple {
+	rel := make([]*query.Tuple, len(cat.Galaxies))
+	for i, g := range cat.Galaxies {
+		rel[i] = query.GalaxyTuple(g.ObjID, g.RA, g.Dec, g.RAErr, g.DecErr, g.Redshift, g.RedshiftErr)
+	}
+	return rel
 }
 
 func printResults(results []*query.Tuple, cols []string, limit int) {

@@ -43,10 +43,8 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -101,7 +99,7 @@ func run(o options) error {
 		RequestTimeout: o.timeout,
 		Workers:        o.workers,
 		AuthToken:      o.authToken,
-		Logf:           func(format string, args ...any) { logger.Printf(format, args...) },
+		Logf:           logger.Printf,
 	})
 	if err != nil {
 		return err
@@ -116,24 +114,19 @@ func run(o options) error {
 	fmt.Printf("olgaprod listening on %s\n", ln.Addr())
 	os.Stdout.Sync()
 
-	var repl *fleet.Replicator
+	var closers []func()
 	if o.fleet != "" {
-		var shards []string
-		for _, s := range strings.Split(o.fleet, ",") {
-			if s = strings.TrimSpace(s); s != "" {
-				shards = append(shards, s)
-			}
-		}
+		shards := fleet.ParseShards(o.fleet)
 		if o.self == "" {
 			return errors.New("olgaprod: -fleet requires -self (this shard's base URL)")
 		}
-		repl, err = fleet.StartReplicator(fleet.ReplicatorConfig{
+		repl, err := fleet.StartReplicator(fleet.ReplicatorConfig{
 			Self:      o.self,
 			Shards:    shards,
 			Registry:  srv.Registry(),
 			Replicas:  o.replicas,
 			AuthToken: o.authToken,
-			Logf:      func(format string, args ...any) { logger.Printf(format, args...) },
+			Logf:      logger.Printf,
 		})
 		if err != nil {
 			return err
@@ -145,43 +138,11 @@ func run(o options) error {
 			Membership:      repl.Membership,
 			AdoptMembership: repl.AdoptMembership,
 		})
+		closers = append(closers, repl.Close)
 		logger.Printf("fleet replication on: %d shards, self=%s, factor %d", len(shards), o.self, o.replicas)
-	}
-
-	httpSrv := &http.Server{
-		Handler:           srv.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
-	errCh := make(chan error, 1)
-	go func() {
-		if o.tlsCert != "" || o.tlsKey != "" {
-			errCh <- httpSrv.ServeTLS(ln, o.tlsCert, o.tlsKey)
-		} else {
-			errCh <- httpSrv.Serve(ln)
-		}
-	}()
-
-	select {
-	case err := <-errCh:
-		return err
-	case <-ctx.Done():
-	}
-	logger.Printf("signal received; draining (budget %s)", o.drainTimeout)
-	drainCtx, cancel := context.WithTimeout(context.Background(), o.drainTimeout)
-	defer cancel()
-	if err := httpSrv.Shutdown(drainCtx); err != nil {
-		logger.Printf("drain incomplete: %v", err)
-	}
-	if repl != nil {
-		repl.Close()
-	}
-	srv.Close()
-	if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	logger.Printf("shutdown complete")
-	return nil
+	return server.Serve(ctx, ln, srv.Handler(), o.tlsCert, o.tlsKey, o.drainTimeout, logger.Printf, append(closers, srv.Close)...)
 }

@@ -33,11 +33,11 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"olgapro/internal/fleet"
+	"olgapro/internal/server"
 )
 
 func main() {
@@ -59,12 +59,7 @@ func main() {
 
 func run(addr, shards string, replicas int, authToken, tlsCert, tlsKey string, insecureShards bool, drainTimeout time.Duration) error {
 	logger := log.New(os.Stderr, "olgarouter: ", log.LstdFlags)
-	var shardList []string
-	for _, s := range strings.Split(shards, ",") {
-		if s = strings.TrimSpace(s); s != "" {
-			shardList = append(shardList, s)
-		}
-	}
+	shardList := fleet.ParseShards(shards)
 	if len(shardList) == 0 {
 		return errors.New("olgarouter: -shards is required (comma-separated base URLs)")
 	}
@@ -72,7 +67,7 @@ func run(addr, shards string, replicas int, authToken, tlsCert, tlsKey string, i
 		Shards:    shardList,
 		Replicas:  replicas,
 		AuthToken: authToken,
-		Logf:      func(format string, args ...any) { logger.Printf(format, args...) },
+		Logf:      logger.Printf,
 	}
 	if insecureShards {
 		cfg.HTTPClient = &http.Client{Transport: &http.Transport{
@@ -93,37 +88,7 @@ func run(addr, shards string, replicas int, authToken, tlsCert, tlsKey string, i
 	fmt.Printf("olgarouter listening on %s\n", ln.Addr())
 	os.Stdout.Sync()
 
-	httpSrv := &http.Server{
-		Handler:           rt.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
-	errCh := make(chan error, 1)
-	go func() {
-		if tlsCert != "" || tlsKey != "" {
-			errCh <- httpSrv.ServeTLS(ln, tlsCert, tlsKey)
-		} else {
-			errCh <- httpSrv.Serve(ln)
-		}
-	}()
-
-	select {
-	case err := <-errCh:
-		return err
-	case <-ctx.Done():
-	}
-	logger.Printf("signal received; draining (budget %s)", drainTimeout)
-	drainCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-	defer cancel()
-	if err := httpSrv.Shutdown(drainCtx); err != nil {
-		logger.Printf("drain incomplete: %v", err)
-	}
-	rt.Close()
-	if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	logger.Printf("shutdown complete")
-	return nil
+	return server.Serve(ctx, ln, rt.Handler(), tlsCert, tlsKey, drainTimeout, logger.Printf, rt.Close)
 }

@@ -17,10 +17,23 @@ package fleet
 
 import (
 	"sort"
+	"strings"
 	"sync"
 
 	"olgapro/internal/server/wire"
 )
+
+// ParseShards splits a comma-separated list of shard base URLs, the form
+// of olgaprod's -fleet and olgarouter's -shards, dropping blank entries.
+func ParseShards(list string) []string {
+	var shards []string
+	for _, s := range strings.Split(list, ",") {
+		if s = strings.TrimSpace(s); s != "" {
+			shards = append(shards, s)
+		}
+	}
+	return shards
+}
 
 // MemberView holds a process's current fleet membership and the placement
 // ring derived from it. All methods are safe for concurrent use.

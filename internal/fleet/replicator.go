@@ -83,7 +83,7 @@ type Replicator struct {
 
 	mu         sync.Mutex
 	pullCancel context.CancelFunc // current puller generation
-	clients    map[string]*client.Client
+	clients    *clients
 	retries    map[retryKey]int64 // failed ingests → peer seq to retry
 	lastOwner  map[string]string  // UDF name → last peer that advertised ownership
 	ownerSeq   map[string]int64   // UDF name → that advert's model seq
@@ -116,7 +116,7 @@ func StartReplicator(cfg ReplicatorConfig) (*Replicator, error) {
 		view:      view,
 		root:      ctx,
 		cancel:    cancel,
-		clients:   make(map[string]*client.Client),
+		clients:   newClients(1, cfg.AuthToken, nil),
 		retries:   make(map[retryKey]int64),
 		lastOwner: make(map[string]string),
 		ownerSeq:  make(map[string]int64),
@@ -156,22 +156,6 @@ func (r *Replicator) AdoptMembership(m wire.Membership) (bool, error) {
 	r.startPullersLocked()
 	r.mu.Unlock()
 	return true, nil
-}
-
-// clientFor returns (building on first use) the cached client for a peer.
-func (r *Replicator) clientFor(addr string) *client.Client {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok := r.clients[addr]; ok {
-		return c
-	}
-	opts := []client.Option{client.WithRetries(1)}
-	if r.cfg.AuthToken != "" {
-		opts = append(opts, client.WithToken(r.cfg.AuthToken))
-	}
-	c := client.New(addr, opts...)
-	r.clients[addr] = c
-	return c
 }
 
 // startPullersLocked (r.mu held) cancels the current puller generation and
@@ -219,7 +203,7 @@ func (r *Replicator) memberOf(addr string) bool {
 // newer models placed here, repeat.
 func (r *Replicator) pull(ctx context.Context, addr string) {
 	defer r.wg.Done()
-	peer := r.clientFor(addr)
+	peer := r.clients.get(addr)
 	since := int64(-1)
 	for ctx.Err() == nil {
 		list, err := peer.ReplicationList(ctx, since)
@@ -362,7 +346,7 @@ func (r *Replicator) retryFailed(ctx context.Context) {
 			r.mu.Unlock()
 			continue
 		}
-		if err := r.ingest(ctx, k.addr, r.clientFor(k.addr), k.name, seq); err != nil {
+		if err := r.ingest(ctx, k.addr, r.clients.get(k.addr), k.name, seq); err != nil {
 			if ctx.Err() == nil {
 				r.cfg.Logf("retry %q from %s: %v", k.name, k.addr, err)
 			}
@@ -402,7 +386,7 @@ func (r *Replicator) reconcile(ctx context.Context) {
 			if st.Seq < oseq {
 				continue // still catching up; the pull loop closes the gap
 			}
-			installed, err := r.install(ctx, owner, r.clientFor(owner), st.Name, st.Seq+1)
+			installed, err := r.install(ctx, owner, r.clients.get(owner), st.Name, st.Seq+1)
 			if err != nil {
 				if ctx.Err() == nil {
 					r.cfg.Logf("handoff: confirm %q with %s: %v", st.Name, owner, err)

@@ -68,8 +68,7 @@ type Router struct {
 	mux    *http.ServeMux
 	start  time.Time
 
-	clientMu sync.Mutex
-	clients  map[string]*client.Client
+	clients *clients
 
 	adminMu sync.Mutex // serializes epoch minting
 
@@ -97,7 +96,7 @@ func NewRouter(cfg Config) (*Router, error) {
 		cfg:     cfg,
 		view:    view,
 		health:  NewHealth(cfg.Cooldown),
-		clients: make(map[string]*client.Client, len(cfg.Shards)),
+		clients: newClients(0, cfg.AuthToken, cfg.HTTPClient), // the router is the retry layer
 		start:   time.Now(),
 	}
 	rt.routes()
@@ -114,23 +113,34 @@ func (rt *Router) Close() {
 	rt.wg.Wait()
 }
 
-// clientFor returns (building on first use) the cached client for a shard.
-func (rt *Router) clientFor(addr string) *client.Client {
-	rt.clientMu.Lock()
-	defer rt.clientMu.Unlock()
-	if c, ok := rt.clients[addr]; ok {
-		return c
+// clients caches one client per shard base URL, all built with the same
+// options: the router's and the replicator's connections to the fleet.
+type clients struct {
+	opts []client.Option
+	mu   sync.Mutex
+	m    map[string]*client.Client
+}
+
+// newClients makes a cache whose clients retry a 429 retries times, send
+// the bearer token (when non-empty) and use hc (when non-nil).
+func newClients(retries int, token string, hc *http.Client) *clients {
+	opts := []client.Option{client.WithRetries(retries), client.WithToken(token)}
+	if hc != nil {
+		opts = append(opts, client.WithHTTPClient(hc))
 	}
-	opts := []client.Option{client.WithRetries(0)} // the router is the retry layer
-	if rt.cfg.AuthToken != "" {
-		opts = append(opts, client.WithToken(rt.cfg.AuthToken))
+	return &clients{opts: opts, m: make(map[string]*client.Client)}
+}
+
+// get returns addr's client, building it on first use.
+func (c *clients) get(addr string) *client.Client {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	cl, ok := c.m[addr]
+	if !ok {
+		cl = client.New(addr, c.opts...)
+		c.m[addr] = cl
 	}
-	if rt.cfg.HTTPClient != nil {
-		opts = append(opts, client.WithHTTPClient(rt.cfg.HTTPClient))
-	}
-	c := client.New(addr, opts...)
-	rt.clients[addr] = c
-	return c
+	return cl
 }
 
 // gossip is the router's membership anti-entropy loop: every interval it
@@ -151,7 +161,7 @@ func (rt *Router) gossip(ctx context.Context) {
 		cur := rt.view.Current()
 		for _, addr := range cur.Shards {
 			cctx, cancel := context.WithTimeout(ctx, rt.cfg.GossipInterval)
-			m, err := rt.clientFor(addr).Membership(cctx)
+			m, err := rt.clients.get(addr).Membership(cctx)
 			cancel()
 			if err != nil {
 				continue
@@ -164,7 +174,7 @@ func (rt *Router) gossip(ctx context.Context) {
 				cur = rt.view.Current()
 			case m.Epoch < cur.Epoch:
 				cctx, cancel := context.WithTimeout(ctx, rt.cfg.GossipInterval)
-				rt.clientFor(addr).OfferMembership(cctx, cur)
+				rt.clients.get(addr).OfferMembership(cctx, cur)
 				cancel()
 			}
 		}
@@ -195,7 +205,7 @@ func (rt *Router) handle(pattern string, h http.HandlerFunc) {
 		inner := h
 		h = func(w http.ResponseWriter, r *http.Request) {
 			if !server.CheckBearer(r, tok) {
-				rt.fail(w, http.StatusUnauthorized, wire.CodeUnauthorized, "missing or invalid bearer token")
+				server.WriteError(w, server.Errorf(http.StatusUnauthorized, wire.CodeUnauthorized, "missing or invalid bearer token"))
 				return
 			}
 			inner(w, r)
@@ -224,7 +234,7 @@ func (rt *Router) handleFleetMembersPost(w http.ResponseWriter, r *http.Request)
 		return
 	}
 	if req.Shard == "" {
-		rt.fail(w, http.StatusBadRequest, wire.CodeBadSpec, "members request needs a shard address")
+		server.WriteError(w, server.Errorf(http.StatusBadRequest, wire.CodeBadSpec, "members request needs a shard address"))
 		return
 	}
 	rt.adminMu.Lock()
@@ -240,17 +250,17 @@ func (rt *Router) handleFleetMembersPost(w http.ResponseWriter, r *http.Request)
 	switch req.Op {
 	case "join":
 		if member {
-			rt.fail(w, http.StatusConflict, wire.CodeAlreadyExists, "shard %q is already a member", req.Shard)
+			server.WriteError(w, server.Errorf(http.StatusConflict, wire.CodeAlreadyExists, "shard %q is already a member", req.Shard))
 			return
 		}
 		next = append(append([]string(nil), cur.Shards...), req.Shard)
 	case "leave":
 		if !member {
-			rt.fail(w, http.StatusNotFound, wire.CodeNotFound, "shard %q is not a member", req.Shard)
+			server.WriteError(w, server.Errorf(http.StatusNotFound, wire.CodeNotFound, "shard %q is not a member", req.Shard))
 			return
 		}
 		if len(cur.Shards) == 1 {
-			rt.fail(w, http.StatusBadRequest, wire.CodeBadSpec, "cannot remove the last shard")
+			server.WriteError(w, server.Errorf(http.StatusBadRequest, wire.CodeBadSpec, "cannot remove the last shard"))
 			return
 		}
 		for _, s := range cur.Shards {
@@ -259,12 +269,12 @@ func (rt *Router) handleFleetMembersPost(w http.ResponseWriter, r *http.Request)
 			}
 		}
 	default:
-		rt.fail(w, http.StatusBadRequest, wire.CodeBadSpec, "op must be \"join\" or \"leave\", got %q", req.Op)
+		server.WriteError(w, server.Errorf(http.StatusBadRequest, wire.CodeBadSpec, "op must be \"join\" or \"leave\", got %q", req.Op))
 		return
 	}
 	m := wire.Membership{Epoch: cur.Epoch + 1, Shards: next}
 	if _, err := rt.view.Adopt(m); err != nil {
-		rt.fail(w, http.StatusBadRequest, wire.CodeBadSpec, "adopt: %v", err)
+		server.WriteError(w, server.Errorf(http.StatusBadRequest, wire.CodeBadSpec, "adopt: %v", err))
 		return
 	}
 	m = rt.view.Current() // canonical (sorted) shard list
@@ -278,7 +288,7 @@ func (rt *Router) handleFleetMembersPost(w http.ResponseWriter, r *http.Request)
 	}
 	for _, addr := range targets {
 		bctx, cancel := context.WithTimeout(r.Context(), 2*time.Second)
-		_, err := rt.clientFor(addr).OfferMembership(bctx, m)
+		_, err := rt.clients.get(addr).OfferMembership(bctx, m)
 		cancel()
 		if err != nil {
 			rt.cfg.Logf("membership: offer epoch %d to %s: %v", m.Epoch, addr, err)
@@ -291,14 +301,6 @@ func (rt *Router) handleFleetMembersPost(w http.ResponseWriter, r *http.Request)
 // checks exempt, unknown routes refused with the not_found envelope), which
 // routes each request once.
 func (rt *Router) Handler() http.Handler { return rt.mux }
-
-// fail writes the structured error envelope.
-func (rt *Router) fail(w http.ResponseWriter, status int, code wire.ErrorCode, format string, args ...any) {
-	server.WriteError(w, server.Errorf(status, code, format, args...))
-}
-
-// failFrom writes the envelope refusalOf makes of a client-side error.
-func (rt *Router) failFrom(w http.ResponseWriter, err error) { server.WriteError(w, refusalOf(err)) }
 
 // refusalOf relays a client-side error: a refusal of the router's own
 // (a shard answer over the cap) and a decoded shard envelope pass through
@@ -337,7 +339,7 @@ const maxShardResponseBytes = wire.MaxRequestBytes
 // the health ledger. A response over the cap is a 413 over_capacity
 // refusal; the shard answered, so it is not marked down.
 func (rt *Router) forward(ctx context.Context, addr, method, path string, q url.Values, body []byte, ct string) (*shardResp, error) {
-	resp, err := rt.clientFor(addr).Do(ctx, method, path, q, body, ct)
+	resp, err := rt.clients.get(addr).Do(ctx, method, path, q, body, ct)
 	if err != nil {
 		rt.health.MarkDown(addr)
 		return nil, err
@@ -484,7 +486,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(r.Context(), time.Second)
 			defer cancel()
-			h, err := rt.clientFor(addr).Healthz(ctx)
+			h, err := rt.clients.get(addr).Healthz(ctx)
 			up := err == nil && h.Status == "ok"
 			mu.Lock()
 			resp.Shards[i] = wire.ShardHealth{Addr: addr, Up: up}
@@ -511,7 +513,7 @@ func (rt *Router) handleCatalog(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	rt.fail(w, http.StatusBadGateway, wire.CodeUnavailable, "no shard reachable for catalog")
+	server.WriteError(w, server.Errorf(http.StatusBadGateway, wire.CodeUnavailable, "no shard reachable for catalog"))
 }
 
 func (rt *Router) handleListUDFs(w http.ResponseWriter, r *http.Request) {
@@ -546,7 +548,7 @@ func (rt *Router) handleListUDFs(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) eachShard(w http.ResponseWriter, addrs []string, fn func(addr string, c *client.Client) error) bool {
 	reached := false
 	for _, addr := range addrs {
-		if err := fn(addr, rt.clientFor(addr)); err != nil {
+		if err := fn(addr, rt.clients.get(addr)); err != nil {
 			rt.health.MarkDown(addr)
 			continue
 		}
@@ -554,7 +556,7 @@ func (rt *Router) eachShard(w http.ResponseWriter, addrs []string, fn func(addr 
 		reached = true
 	}
 	if !reached {
-		rt.fail(w, http.StatusBadGateway, wire.CodeUnavailable, "no shard reachable")
+		server.WriteError(w, server.Errorf(http.StatusBadGateway, wire.CodeUnavailable, "no shard reachable"))
 	}
 	return reached
 }
@@ -637,7 +639,7 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	var req wire.RegisterRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		rt.fail(w, http.StatusBadRequest, wire.CodeBadSpec, "bad register request: %v", err)
+		server.WriteError(w, server.Errorf(http.StatusBadRequest, wire.CodeBadSpec, "bad register request: %v", err))
 		return
 	}
 	name := req.Name
@@ -655,7 +657,7 @@ func (rt *Router) relayOwner(w http.ResponseWriter, r *http.Request, name, path 
 	owner = rt.view.Ring().Owner(name)
 	sr, err := rt.forward(r.Context(), owner, http.MethodPost, path, q, body, ct)
 	if err != nil {
-		rt.failFrom(w, err)
+		server.WriteError(w, refusalOf(err))
 		return owner, nil
 	}
 	relay(w, sr)
@@ -693,7 +695,7 @@ func (rt *Router) handleEval(w http.ResponseWriter, r *http.Request) {
 	}
 	var req wire.EvalRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		rt.fail(w, http.StatusBadRequest, wire.CodeBadSpec, "bad eval request: %v", err)
+		server.WriteError(w, server.Errorf(http.StatusBadRequest, wire.CodeBadSpec, "bad eval request: %v", err))
 		return
 	}
 	path := "/v1/udfs/" + url.PathEscape(name) + "/eval"
@@ -710,7 +712,7 @@ func (rt *Router) handleEval(w http.ResponseWriter, r *http.Request) {
 		return sr, retryableEnvelope(sr.status, sr.body), nil
 	})
 	if err != nil {
-		rt.failFrom(w, err)
+		server.WriteError(w, refusalOf(err))
 		return
 	}
 	relay(w, sr)
@@ -746,10 +748,10 @@ func (rt *Router) handleStream(w http.ResponseWriter, r *http.Request) {
 		// Learning stream: single writer, no retry (a replay would re-learn
 		// the prefix), response streamed through incrementally.
 		owner := rt.view.Ring().Owner(name)
-		rc, err := rt.clientFor(owner).OpenStream(r.Context(), name, q, body)
+		rc, err := rt.clients.get(owner).OpenStream(r.Context(), name, q, body)
 		if err != nil {
 			rt.health.MarkDown(owner)
-			rt.failFrom(w, err)
+			server.WriteError(w, refusalOf(err))
 			return
 		}
 		defer rc.Close()
@@ -774,7 +776,7 @@ func (rt *Router) handleStream(w http.ResponseWriter, r *http.Request) {
 		return sr, retryableStream(sr.body), nil
 	})
 	if err != nil {
-		rt.failFrom(w, err)
+		server.WriteError(w, refusalOf(err))
 		return
 	}
 	relay(w, sr)

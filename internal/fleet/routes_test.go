@@ -205,3 +205,54 @@ func TestRouterShardResponseCap(t *testing.T) {
 		t.Errorf("%d replicas asked after an answer over the cap, want 1", n)
 	}
 }
+
+// TestRouterRefusalEnvelopes pins the router's own refusals byte for byte:
+// status, code, exact message and no backoff hint. The membership admin
+// refuses a missing shard, an unknown op, a join of a member, a leave of a
+// non-member and a leave of the last shard; a read no shard answers is a
+// 502 unavailable.
+func TestRouterRefusalEnvelopes(t *testing.T) {
+	const dead = "http://127.0.0.1:1"
+	rt, err := NewRouter(Config{Shards: []string{dead}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	cases := []struct {
+		label, method, path, body string
+		status                    int
+		code                      wire.ErrorCode
+		message                   string
+	}{
+		{"members: no shard", "POST", "/v1/fleet/members", `{"op":"join"}`, 400, wire.CodeBadSpec,
+			"members request needs a shard address"},
+		{"members: bad op", "POST", "/v1/fleet/members", `{"op":"move","shard":"http://x"}`, 400, wire.CodeBadSpec,
+			`op must be "join" or "leave", got "move"`},
+		{"members: join of a member", "POST", "/v1/fleet/members", `{"op":"join","shard":"` + dead + `"}`, 409, wire.CodeAlreadyExists,
+			`shard "` + dead + `" is already a member`},
+		{"members: leave of a non-member", "POST", "/v1/fleet/members", `{"op":"leave","shard":"http://x"}`, 404, wire.CodeNotFound,
+			`shard "http://x" is not a member`},
+		{"members: leave of the last shard", "POST", "/v1/fleet/members", `{"op":"leave","shard":"` + dead + `"}`, 400, wire.CodeBadSpec,
+			"cannot remove the last shard"},
+		{"catalog: no shard reachable", "GET", "/v1/catalog", "", 502, wire.CodeUnavailable,
+			"no shard reachable for catalog"},
+		{"udfs: no shard reachable", "GET", "/v1/udfs", "", 502, wire.CodeUnavailable,
+			"no shard reachable"},
+	}
+	for _, c := range cases {
+		rec := httptest.NewRecorder()
+		rt.Handler().ServeHTTP(rec, httptest.NewRequest(c.method, c.path, strings.NewReader(c.body)))
+		var env wire.ErrorEnvelope
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || rec.Code != c.status || env.Error.Code != c.code ||
+			env.Error.Message != c.message || env.Error.RetryAfterMS != 0 || rec.Header().Get("Retry-After") != "" {
+			t.Errorf("%s: %d %q (Retry-After %q), want %d %s %q and no backoff hint",
+				c.label, rec.Code, rec.Body.String(), rec.Header().Get("Retry-After"), c.status, c.code, c.message)
+		}
+		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%s: Content-Type %q", c.label, ct)
+		}
+	}
+	if got := rt.view.Current().Epoch; got != 0 {
+		t.Fatalf("refused membership requests minted epoch %d", got)
+	}
+}

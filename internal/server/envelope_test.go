@@ -63,7 +63,8 @@ func do(t *testing.T, method, url, contentType, body string) (*http.Response, []
 }
 
 // TestErrorEnvelopeConformance sweeps every handler's failure paths and
-// asserts each one produces a decodable envelope with its documented code.
+// asserts each one produces a decodable envelope with its documented code,
+// its exact message and its Retry-After header (none for these refusals).
 func TestErrorEnvelopeConformance(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	name := registerSmooth(t, ts.URL)
@@ -74,40 +75,66 @@ func TestErrorEnvelopeConformance(t *testing.T) {
 	}
 
 	cases := []struct {
-		label  string
-		method string
-		path   string
-		body   string
-		status int
-		code   wire.ErrorCode
+		label   string
+		method  string
+		path    string
+		body    string
+		status  int
+		code    wire.ErrorCode
+		message string
 	}{
-		{"register garbage", "POST", "/v1/udfs", `not json`, 400, wire.CodeBadSpec},
-		{"register unknown UDF", "POST", "/v1/udfs", `{"udf":"nope/missing"}`, 400, wire.CodeBadSpec},
-		{"register duplicate", "POST", "/v1/udfs", `{"udf":"poly/smooth2d"}`, 409, wire.CodeAlreadyExists},
-		{"eval unknown instance", "POST", "/v1/udfs/ghost/eval", `{"input":[]}`, 404, wire.CodeNotFound},
-		{"eval garbage", "POST", "/v1/udfs/" + name + "/eval", `{{{`, 400, wire.CodeBadSpec},
+		{"register garbage", "POST", "/v1/udfs", `not json`, 400, wire.CodeBadSpec,
+			"bad register request: invalid character 'o' in literal null (expecting 'u')"},
+		{"register unknown UDF", "POST", "/v1/udfs", `{"udf":"nope/missing"}`, 400, wire.CodeBadSpec,
+			`server: unknown catalog UDF "nope/missing" (see GET /catalog)`},
+		{"register duplicate", "POST", "/v1/udfs", `{"udf":"poly/smooth2d"}`, 409, wire.CodeAlreadyExists,
+			`server: UDF "poly-smooth2d" already registered`},
+		{"register warm-up of the wrong dimension", "POST", "/v1/udfs",
+			`{"udf":"poly/smooth2d","name":"w","warmup":[[{"type":"normal","mu":1,"sigma":1}]]}`, 400, wire.CodeBadSpec,
+			"warmup[0]: dim 1 ≠ UDF dim 2"},
+		{"eval unknown instance", "POST", "/v1/udfs/ghost/eval", `{"input":[]}`, 404, wire.CodeNotFound,
+			`no UDF "ghost" registered`},
+		{"eval garbage", "POST", "/v1/udfs/" + name + "/eval", `{{{`, 400, wire.CodeBadSpec,
+			"bad eval request: invalid character '{' looking for beginning of object key string"},
 		{"eval wrong arity", "POST", "/v1/udfs/" + name + "/eval",
-			`{"input":[{"type":"normal","mu":1,"sigma":1}]}`, 400, wire.CodeBadSpec},
+			`{"input":[{"type":"normal","mu":1,"sigma":1}]}`, 400, wire.CodeBadSpec,
+			`input has 1 attributes, UDF "poly-smooth2d" wants 2`},
 		{"frozen eval on cold model", "POST", "/v1/udfs/cold/eval",
 			`{"input":[{"type":"normal","mu":1,"sigma":1},{"type":"normal","mu":1,"sigma":1}],"learn":false}`,
-			409, wire.CodeModelCold},
-		{"stream bad seed", "POST", "/v1/udfs/" + name + "/stream?seed=abc", "", 400, wire.CodeBadSpec},
-		{"stream unknown instance", "POST", "/v1/udfs/ghost/stream", "", 404, wire.CodeNotFound},
-		{"snapshot unknown instance", "POST", "/v1/udfs/ghost/snapshot", "", 404, wire.CodeNotFound},
-		{"snapshot without dir", "POST", "/v1/udfs/" + name + "/snapshot", "", 500, wire.CodeInternal},
-		{"query garbage", "POST", "/v1/query", `{{{`, 400, wire.CodeBadSpec},
+			409, wire.CodeModelCold, "server: model not warm yet — run learning traffic or restore a snapshot first"},
+		{"stream bad seed", "POST", "/v1/udfs/" + name + "/stream?seed=abc", "", 400, wire.CodeBadSpec,
+			`bad seed "abc"`},
+		{"stream unknown instance", "POST", "/v1/udfs/ghost/stream", "", 404, wire.CodeNotFound,
+			`no UDF "ghost" registered`},
+		{"snapshot unknown instance", "POST", "/v1/udfs/ghost/snapshot", "", 404, wire.CodeNotFound,
+			`no UDF "ghost" registered`},
+		{"snapshot without dir", "POST", "/v1/udfs/" + name + "/snapshot", "", 500, wire.CodeInternal,
+			"server: no -snapshot-dir configured"},
+		{"snapshot all without dir", "POST", "/v1/snapshot", "", 500, wire.CodeInternal,
+			`snapshot "cold": server: no -snapshot-dir configured`},
+		{"query garbage", "POST", "/v1/query", `{{{`, 400, wire.CodeBadSpec,
+			"bad query request: invalid character '{' looking for beginning of object key string"},
 		{"query unknown instance", "POST", "/v1/query",
-			`{"udf":"ghost","rows":[{"input":[{"type":"normal","mu":1,"sigma":1}]}]}`, 404, wire.CodeNotFound},
-		{"replication list bad cursor", "GET", "/v1/replication/udfs?since_version=junk", "", 400, wire.CodeBadSpec},
-		{"snapshot fetch unknown instance", "GET", "/v1/udfs/ghost/snapshot", "", 404, wire.CodeNotFound},
-		{"snapshot fetch bad min_seq", "GET", "/v1/udfs/" + name + "/snapshot?min_seq=junk", "", 400, wire.CodeBadSpec},
+			`{"udf":"ghost","rows":[{"input":[{"type":"normal","mu":1,"sigma":1}]}]}`, 404, wire.CodeNotFound,
+			`no UDF "ghost" registered`},
+		{"replication list bad cursor", "GET", "/v1/replication/udfs?since_version=junk", "", 400, wire.CodeBadSpec,
+			`bad since_version "junk"`},
+		{"snapshot fetch unknown instance", "GET", "/v1/udfs/ghost/snapshot", "", 404, wire.CodeNotFound,
+			`no UDF "ghost" registered`},
+		{"snapshot fetch bad min_seq", "GET", "/v1/udfs/" + name + "/snapshot?min_seq=junk", "", 400, wire.CodeBadSpec,
+			`bad min_seq "junk"`},
 		// Push hints are gone; an older owner's hint gets an unknown route.
-		{"retired push hint", "POST", "/v1/replication/hint", `{"name":"x","seq":1,"from":"http://peer"}`, 404, wire.CodeNotFound},
+		{"retired push hint", "POST", "/v1/replication/hint", `{"name":"x","seq":1,"from":"http://peer"}`, 404, wire.CodeNotFound,
+			"no route POST /v1/replication/hint"},
 	}
 	for _, c := range cases {
 		resp, body := do(t, c.method, ts.URL+c.path, "application/json", c.body)
 		t.Logf("%s: %d %s", c.label, resp.StatusCode, bytes.TrimSpace(body))
-		wantEnvelope(t, resp, body, c.status, c.code)
+		env := wantEnvelope(t, resp, body, c.status, c.code)
+		if env.Error.Message != c.message || env.Error.RetryAfterMS != 0 || resp.Header.Get("Retry-After") != "" {
+			t.Errorf("%s: message %q, retry_after_ms %d, Retry-After %q; want %q and no backoff hint",
+				c.label, env.Error.Message, env.Error.RetryAfterMS, resp.Header.Get("Retry-After"), c.message)
+		}
 	}
 }
 
@@ -124,11 +151,11 @@ func TestEnvelopeOverCapacity(t *testing.T) {
 	resp, body := do(t, "POST", ts.URL+"/v1/udfs/"+name+"/eval", "application/json",
 		`{"input":[{"type":"normal","mu":0.5,"sigma":0.1},{"type":"normal","mu":0.5,"sigma":0.1}]}`)
 	env := wantEnvelope(t, resp, body, http.StatusTooManyRequests, wire.CodeOverCapacity)
-	if env.Error.RetryAfterMS <= 0 {
-		t.Fatalf("429 without retry_after_ms: %s", body)
+	if env.Error.Message != "at capacity (1 tuples in flight)" || env.Error.RetryAfterMS != 1000 {
+		t.Fatalf("429 envelope %s, want the capacity message and retry_after_ms 1000", body)
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("429 without Retry-After header")
+	if got := resp.Header.Get("Retry-After"); got != "1" {
+		t.Fatalf("429 Retry-After %q, want 1", got)
 	}
 }
 

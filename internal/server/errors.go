@@ -27,8 +27,8 @@ import (
 const retryAfterMS = 1000
 
 // Error is a refusal: the HTTP status and the envelope detail it is written
-// with. Code paths that do not own the ResponseWriter (RunQuery and its
-// fetch functions) return one to refuse with a specific status and code.
+// with. Every refusal with a status and code of its own is one, or wraps
+// one.
 type Error struct {
 	Status int
 	Detail wire.ErrorDetail
@@ -47,45 +47,33 @@ func Errorf(status int, code wire.ErrorCode, format string, args ...any) *Error 
 	return e
 }
 
-// WriteError writes err as the error envelope. An *Error keeps its status
-// and detail; any other error is classified by errClass.
+// WriteError writes err as the error envelope: the status and code
+// errClass gives it, err's text as the message, and the backoff hint of the
+// *Error err is or wraps. A prefixed refusal wraps its cause with %w, so it
+// keeps the cause's status and code.
 func WriteError(w http.ResponseWriter, err error) {
+	status, code := errClass(err)
+	detail := wire.ErrorDetail{Code: code, Message: err.Error()}
 	var e *Error
-	if !errors.As(err, &e) {
-		status, code := errClass(err)
-		e = &Error{Status: status, Detail: wire.ErrorDetail{Code: code, Message: err.Error()}}
+	if errors.As(err, &e) {
+		detail.RetryAfterMS = e.Detail.RetryAfterMS
 	}
 	w.Header().Set("Content-Type", "application/json")
-	if ms := e.Detail.RetryAfterMS; ms > 0 {
+	if ms := detail.RetryAfterMS; ms > 0 {
 		w.Header().Set("Retry-After", strconv.FormatInt((ms+999)/1000, 10))
 	}
-	w.WriteHeader(e.Status)
-	json.NewEncoder(w).Encode(wire.ErrorEnvelope{Error: e.Detail})
+	w.WriteHeader(status)
+	json.NewEncoder(w).Encode(wire.ErrorEnvelope{Error: detail})
 }
 
-// fail writes the structured error envelope with the given status and code.
-func (s *Server) fail(w http.ResponseWriter, status int, code wire.ErrorCode, format string, args ...any) {
-	WriteError(w, Errorf(status, code, format, args...))
-}
-
-// badRequest marks a client-side input error (malformed line, arity
-// mismatch) so errClass can map it to 400/bad_spec without string matching.
-type badRequest struct{ msg string }
-
-func (b badRequest) Error() string { return b.msg }
-
-// badReqf builds a badRequest error.
-func badReqf(format string, args ...any) error {
-	return badRequest{msg: fmt.Sprintf(format, args...)}
-}
-
-// errClass maps evaluation-path errors to (HTTP status, envelope code).
-// The mapping is 1:1 with the documented /v1 error surface.
+// errClass maps an error to (HTTP status, envelope code): an *Error's own,
+// else the class of the sentinel it wraps. The mapping is 1:1 with the
+// documented /v1 error surface.
 func errClass(err error) (int, wire.ErrorCode) {
-	var br badRequest
+	var e *Error
 	switch {
-	case errors.As(err, &br):
-		return http.StatusBadRequest, wire.CodeBadSpec
+	case errors.As(err, &e):
+		return e.Status, e.Detail.Code
 	case errors.Is(err, errDraining):
 		return http.StatusServiceUnavailable, wire.CodeDraining
 	case errors.Is(err, errNotWarm):
@@ -101,10 +89,4 @@ func errClass(err error) (int, wire.ErrorCode) {
 	default:
 		return http.StatusInternalServerError, wire.CodeInternal
 	}
-}
-
-// failErr classifies err and writes its envelope.
-func (s *Server) failErr(w http.ResponseWriter, err error, format string, args ...any) {
-	status, code := errClass(err)
-	s.fail(w, status, code, format, args...)
 }

@@ -103,22 +103,14 @@ type queryBody[T any] struct {
 	req T
 }
 
-// decode reads a query or partials body and decodes it into b.req: by the
-// fast path when it accepts the body, else by encoding/json, which refuses
-// the body with its own error.
+// decode reads a query or partials body and decodes it into b.req, by
+// fast when it accepts the body.
 func (b *queryBody[T]) decode(r *http.Request, what string, fast func([]byte, *T, *wire.QueryScratch) bool) error {
 	body, err := ReadBody(r, nil)
 	if err != nil {
 		return err
 	}
-	if fast(body, &b.req, &b.sc) {
-		return nil
-	}
-	b.rd.Reset(body)
-	if err := decodeStrict(&b.rd, &b.req); err != nil {
-		return Errorf(http.StatusBadRequest, wire.CodeBadSpec, "bad %s: %v", what, err)
-	}
-	return nil
+	return decode(&b.rd, body, &b.req, func() bool { return fast(body, &b.req, &b.sc) }, what)
 }
 
 // RunQuery answers one bounded query: validate, split the rows by UDF
@@ -439,7 +431,7 @@ func (s *Server) partials(ctx context.Context, req *wire.QueryPartialsRequest) (
 	// unit of work (≤ MaxQueryRows evaluations on frozen clones), and
 	// per-row tokens could deadlock against the pool's own fan-out.
 	if !s.tryAdmit() {
-		return nil, Errorf(http.StatusTooManyRequests, wire.CodeOverCapacity, "at capacity (%d tuples in flight)", cap(s.inflight))
+		return nil, s.atCapacity()
 	}
 	defer s.release()
 	pool, release, err := e.frozenPool(ctx, s.cfg.Workers)

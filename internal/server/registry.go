@@ -699,26 +699,9 @@ func (r *Registry) InstallReplica(spec RegisterSpec, snap *core.Snapshot) error 
 // Promote flips a replica entry to owner (writer). Used by the fleet
 // handoff path once this shard's replica has caught up to the departing
 // owner's model sequence: the model bytes are already identical, so
-// promotion only changes who accepts learning traffic. The flip runs
-// under the learner token, linearizing it against in-flight learns, and
-// bumps the replication version (not the model sequence — the model did
-// not change) so peers see the new Owned advertisement.
+// promotion only changes who accepts learning traffic.
 func (r *Registry) Promote(ctx context.Context, name string) error {
-	e, ok := r.Get(name)
-	if !ok {
-		return fmt.Errorf("server: promote: UDF %q not hosted here", name)
-	}
-	if !e.Replica() {
-		return nil // already the owner
-	}
-	err := e.withWriter(ctx, func(*core.Evaluator) error {
-		e.replica.Store(false)
-		return nil
-	})
-	if err == nil {
-		r.bumpVersion()
-	}
-	return err
+	return r.setReplica(ctx, "promote", name, false)
 }
 
 // Demote flips an owned entry to replica — the other half of handoff,
@@ -728,15 +711,24 @@ func (r *Registry) Promote(ctx context.Context, name string) error {
 // token), so the final owned sequence the new owner caught up to is
 // genuinely final.
 func (r *Registry) Demote(ctx context.Context, name string) error {
+	return r.setReplica(ctx, "demote", name, true)
+}
+
+// setReplica is the one role flip. It runs under the learner token,
+// linearizing it against in-flight learns, and bumps the replication
+// version (not the model sequence — the model did not change) so peers see
+// the new ownership advertisement. An entry already in the role is left
+// as it is.
+func (r *Registry) setReplica(ctx context.Context, op, name string, replica bool) error {
 	e, ok := r.Get(name)
 	if !ok {
-		return fmt.Errorf("server: demote: UDF %q not hosted here", name)
+		return fmt.Errorf("server: %s: UDF %q not hosted here", op, name)
 	}
-	if e.Replica() {
-		return nil // already a replica
+	if e.Replica() == replica {
+		return nil
 	}
 	err := e.withWriter(ctx, func(*core.Evaluator) error {
-		e.replica.Store(true)
+		e.replica.Store(replica)
 		return nil
 	})
 	if err == nil {

@@ -12,6 +12,7 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -27,7 +28,7 @@ func (s *Server) handleReplicationList(w http.ResponseWriter, r *http.Request, q
 	if v := q.Get("since_version"); v != "" {
 		n, err := strconv.ParseInt(v, 10, 64)
 		if err != nil {
-			s.fail(w, http.StatusBadRequest, wire.CodeBadSpec, "bad since_version %q", v)
+			WriteError(w, Errorf(http.StatusBadRequest, wire.CodeBadSpec, "bad since_version %q", v))
 			return
 		}
 		since = n
@@ -52,7 +53,7 @@ func (s *Server) handleReplicationList(w http.ResponseWriter, r *http.Request, q
 func (s *Server) handleMembershipGet(w http.ResponseWriter, r *http.Request) {
 	h := s.fleet.Load()
 	if h == nil || h.Membership == nil {
-		s.fail(w, http.StatusServiceUnavailable, wire.CodeNotReplicated, "not running in fleet mode")
+		WriteError(w, Errorf(http.StatusServiceUnavailable, wire.CodeNotReplicated, "not running in fleet mode"))
 		return
 	}
 	WriteJSON(w, http.StatusOK, h.Membership())
@@ -65,7 +66,7 @@ func (s *Server) handleMembershipGet(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMembershipPost(w http.ResponseWriter, r *http.Request) {
 	h := s.fleet.Load()
 	if h == nil || h.AdoptMembership == nil || h.Membership == nil {
-		s.fail(w, http.StatusServiceUnavailable, wire.CodeNotReplicated, "not running in fleet mode")
+		WriteError(w, Errorf(http.StatusServiceUnavailable, wire.CodeNotReplicated, "not running in fleet mode"))
 		return
 	}
 	var m wire.Membership
@@ -74,7 +75,7 @@ func (s *Server) handleMembershipPost(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if _, err := h.AdoptMembership(m); err != nil {
-		s.fail(w, http.StatusBadRequest, wire.CodeBadSpec, "adopt membership: %v", err)
+		WriteError(w, Errorf(http.StatusBadRequest, wire.CodeBadSpec, "adopt membership: %v", err))
 		return
 	}
 	WriteJSON(w, http.StatusOK, h.Membership())
@@ -92,7 +93,7 @@ func (s *Server) handleSnapshotFetch(w http.ResponseWriter, r *http.Request, q u
 	if v := q.Get("min_seq"); v != "" {
 		n, err := strconv.ParseInt(v, 10, 64)
 		if err != nil {
-			s.fail(w, http.StatusBadRequest, wire.CodeBadSpec, "bad min_seq %q", v)
+			WriteError(w, Errorf(http.StatusBadRequest, wire.CodeBadSpec, "bad min_seq %q", v))
 			return
 		}
 		minSeq = n
@@ -103,7 +104,7 @@ func (s *Server) handleSnapshotFetch(w http.ResponseWriter, r *http.Request, q u
 	}
 	data, _, seq, err := e.snapshot()
 	if err != nil {
-		s.failErr(w, err, "snapshot %q: %v", e.spec.Name, err)
+		WriteError(w, fmt.Errorf("snapshot %q: %w", e.spec.Name, err))
 		return
 	}
 	if minSeq >= 0 && seq < minSeq {
@@ -112,7 +113,7 @@ func (s *Server) handleSnapshotFetch(w http.ResponseWriter, r *http.Request, q u
 	}
 	specJSON, err := json.Marshal(e.Spec())
 	if err != nil {
-		s.fail(w, http.StatusInternalServerError, wire.CodeInternal, "encode spec: %v", err)
+		WriteError(w, Errorf(http.StatusInternalServerError, wire.CodeInternal, "encode spec: %v", err))
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")

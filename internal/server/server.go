@@ -11,6 +11,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/url"
 	"os"
@@ -140,6 +141,43 @@ func (s *Server) Close() {
 	s.reg.Close()
 }
 
+// Serve serves h on ln, over TLS when certFile or keyFile is set, until ctx
+// is done, then drains: the listener closes, in-flight requests get up to
+// drain to finish, and closers run in order once the HTTP server has shut
+// down. It returns the error serving failed with before ctx was done, or
+// nil after a drain. Shard and router processes both run on it.
+func Serve(ctx context.Context, ln net.Listener, h http.Handler, certFile, keyFile string,
+	drain time.Duration, logf func(format string, args ...any), closers ...func()) error {
+	hs := &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second}
+	errCh := make(chan error, 1)
+	go func() {
+		if certFile != "" || keyFile != "" {
+			errCh <- hs.ServeTLS(ln, certFile, keyFile)
+		} else {
+			errCh <- hs.Serve(ln)
+		}
+	}()
+	select {
+	case err := <-errCh:
+		return err
+	case <-ctx.Done():
+	}
+	logf("signal received; draining (budget %s)", drain)
+	drainCtx, cancel := context.WithTimeout(context.Background(), drain)
+	defer cancel()
+	if err := hs.Shutdown(drainCtx); err != nil {
+		logf("drain incomplete: %v", err)
+	}
+	for _, c := range closers {
+		c()
+	}
+	if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
+		return err
+	}
+	logf("shutdown complete")
+	return nil
+}
+
 // Handler returns the service's HTTP handler: each request is routed once,
 // to a /v1 handler behind the request guard or to the not_found catch-all.
 func (s *Server) Handler() http.Handler { return s.mux }
@@ -179,11 +217,11 @@ func (s *Server) handleParams(pattern string, h func(http.ResponseWriter, *http.
 	authed := pattern != "GET "+healthPath
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		if tok := s.cfg.AuthToken; authed && tok != "" && !CheckBearer(r, tok) {
-			s.fail(w, http.StatusUnauthorized, wire.CodeUnauthorized, "missing or invalid bearer token")
+			WriteError(w, Errorf(http.StatusUnauthorized, wire.CodeUnauthorized, "missing or invalid bearer token"))
 			return
 		}
 		if s.draining.Load() {
-			s.fail(w, http.StatusServiceUnavailable, wire.CodeDraining, "server is draining")
+			WriteError(w, Errorf(http.StatusServiceUnavailable, wire.CodeDraining, "server is draining"))
 			return
 		}
 		timeout := s.cfg.RequestTimeout
@@ -231,7 +269,7 @@ func (s *Server) routes() {
 // --- admission control ---
 
 // tryAdmit takes one in-flight-tuple token without blocking; callers refuse
-// the request with 429 when it fails.
+// the request with atCapacity when it fails.
 func (s *Server) tryAdmit() bool {
 	select {
 	case s.inflight <- struct{}{}:
@@ -253,6 +291,11 @@ func (s *Server) admit(ctx context.Context) error {
 }
 
 func (s *Server) release() { <-s.inflight }
+
+// atCapacity is the 429 refusal of a request tryAdmit turned away.
+func (s *Server) atCapacity() error {
+	return Errorf(http.StatusTooManyRequests, wire.CodeOverCapacity, "at capacity (%d tuples in flight)", cap(s.inflight))
+}
 
 // --- JSON plumbing ---
 
@@ -313,13 +356,27 @@ const maxBodyPrealloc = 1 << 20
 
 // DecodeBody reads r's body with ReadBody and decodes it strictly into v:
 // unknown fields and trailing data are refused. A refusal is an *Error:
-// ReadBody's, or 400 bad_spec "bad <what>: …".
+// ReadBody's, or decode's.
 func DecodeBody(r *http.Request, what string, v any) error {
 	body, err := ReadBody(r, nil)
 	if err != nil {
 		return err
 	}
-	if err := decodeStrict(bytes.NewReader(body), v); err != nil {
+	var rd bytes.Reader
+	return decode(&rd, body, v, nil, what)
+}
+
+// decode is the one request decoder of bodies and stream lines: it decodes
+// doc into v by fast (nil for none) when fast accepts doc, else strictly by
+// encoding/json reading through rd, which is the only source of refusals:
+// 400 bad_spec "bad <what>: …". A fast path fills v's reused storage; the
+// fallback decodes into v as encoding/json alone would.
+func decode(rd *bytes.Reader, doc []byte, v any, fast func() bool, what string) error {
+	if fast != nil && fast() {
+		return nil
+	}
+	rd.Reset(doc)
+	if err := decodeStrict(rd, v); err != nil {
 		return Errorf(http.StatusBadRequest, wire.CodeBadSpec, "bad %s: %v", what, err)
 	}
 	return nil
@@ -481,7 +538,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	for _, e := range entries {
 		st, err := e.stats(r.Context())
 		if err != nil {
-			s.failErr(w, err, "stats for %q: %v", e.Spec().Name, err)
+			WriteError(w, fmt.Errorf("stats for %q: %w", e.Spec().Name, err))
 			return
 		}
 		resp.TotalSavedCalls += st.SavedCalls
@@ -528,39 +585,36 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	e, err := s.reg.Register(req.Spec(), nil)
 	if err != nil {
-		if errors.Is(err, errAlreadyRegistered) || errors.Is(err, errDraining) {
-			s.failErr(w, err, "%v", err)
-		} else {
-			s.fail(w, http.StatusBadRequest, wire.CodeBadSpec, "%v", err)
+		if !errors.Is(err, errAlreadyRegistered) && !errors.Is(err, errDraining) {
+			err = Errorf(http.StatusBadRequest, wire.CodeBadSpec, "%v", err)
 		}
+		WriteError(w, err)
 		return
 	}
 	var in inputVec
-	for i, spec := range req.Warmup {
-		vec, verr := in.set(spec)
-		if verr == nil && vec.Dim() != e.def.entry.Dim {
-			verr = fmt.Errorf("dim %d ≠ UDF dim %d", vec.Dim(), e.def.entry.Dim)
+	warm := func(i int, spec wire.InputSpec) error {
+		vec, err := in.set(spec)
+		if err == nil && vec.Dim() != e.def.entry.Dim {
+			err = fmt.Errorf("dim %d ≠ UDF dim %d", vec.Dim(), e.def.entry.Dim)
 		}
-		if verr != nil {
-			// Roll the registration back: a half-warmed instance the client
-			// thinks failed must not squat on the name.
-			s.reg.remove(e.spec.Name)
-			s.fail(w, http.StatusBadRequest, wire.CodeBadSpec, "warmup[%d]: %v", i, verr)
-			return
+		if err != nil {
+			return Errorf(http.StatusBadRequest, wire.CodeBadSpec, "%v", err)
 		}
 		// Warm-up tuples are in-flight tuples like any other: they take an
 		// admission token each, so concurrent registrations cannot run
 		// unbounded learning work past MaxInFlight.
 		if err := s.admit(r.Context()); err != nil {
-			s.reg.remove(e.spec.Name)
-			s.failErr(w, err, "warmup[%d]: %v", i, err)
-			return
+			return err
 		}
-		err := e.learnEval(r.Context(), vec, query.TupleSeed(req.WarmupSeed, int64(i)), nil)
-		s.release()
-		if err != nil {
+		defer s.release()
+		return e.learnEval(r.Context(), vec, query.TupleSeed(req.WarmupSeed, int64(i)), nil)
+	}
+	for i, spec := range req.Warmup {
+		if err := warm(i, spec); err != nil {
+			// Roll the registration back: a half-warmed instance the client
+			// thinks failed must not squat on the name.
 			s.reg.remove(e.spec.Name)
-			s.failErr(w, err, "warmup[%d]: %v", i, err)
+			WriteError(w, fmt.Errorf("warmup[%d]: %w", i, err))
 			return
 		}
 	}
@@ -575,7 +629,7 @@ func (s *Server) entryFor(w http.ResponseWriter, r *http.Request) (*udfEntry, bo
 	name := r.PathValue("name")
 	e, ok := s.reg.Get(name)
 	if !ok {
-		s.fail(w, http.StatusNotFound, wire.CodeNotFound, "no UDF %q registered", name)
+		WriteError(w, Errorf(http.StatusNotFound, wire.CodeNotFound, "no UDF %q registered", name))
 		return nil, false
 	}
 	return e, true
@@ -594,18 +648,17 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	}
 	req := &body.req
 	if len(req.Input) != e.def.entry.Dim {
-		s.fail(w, http.StatusBadRequest, wire.CodeBadSpec, "input has %d attributes, UDF %q wants %d",
-			len(req.Input), e.spec.Name, e.def.entry.Dim)
+		WriteError(w, Errorf(http.StatusBadRequest, wire.CodeBadSpec, "input has %d attributes, UDF %q wants %d",
+			len(req.Input), e.spec.Name, e.def.entry.Dim))
 		return
 	}
 	vec, err := body.in.set(req.Input)
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, wire.CodeBadSpec, "%v", err)
+		WriteError(w, Errorf(http.StatusBadRequest, wire.CodeBadSpec, "%v", err))
 		return
 	}
 	if !s.tryAdmit() {
-		s.fail(w, http.StatusTooManyRequests, wire.CodeOverCapacity,
-			"at capacity (%d tuples in flight)", cap(s.inflight))
+		WriteError(w, s.atCapacity())
 		return
 	}
 	defer s.release()
@@ -614,7 +667,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		// The line is written while the clone slot is borrowed: it is
 		// encoded from the clone's scratch into the slot's buffer.
 		if err := e.frozenEval(r.Context(), vec, seed, func(line []byte) { writeResult(w, line) }); err != nil {
-			s.failErr(w, err, "%v", err)
+			WriteError(w, err)
 		}
 		return
 	}
@@ -624,7 +677,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	if err := e.learnEval(r.Context(), vec, seed, func(out *core.Output) {
 		line = appendResult(make([]byte, 0, resultLineCap), 0, out, e.cfg.Eps)
 	}); err != nil {
-		s.failErr(w, err, "%v", err)
+		WriteError(w, err)
 		return
 	}
 	writeResult(w, line)
@@ -650,22 +703,12 @@ const (
 	maxPooledSpecs = 64
 )
 
-// decode reads an eval body and decodes it into b.req: by the fast path
-// when it accepts the body, else by encoding/json, which refuses the body
-// with its own error.
-func (b *evalBody) decode(r *http.Request) error {
-	var err error
+// decode reads an eval body into b.buf and decodes it into b.req.
+func (b *evalBody) decode(r *http.Request) (err error) {
 	if b.buf, err = ReadBody(r, b.buf); err != nil {
 		return err
 	}
-	if wire.DecodeEvalRequest(b.buf, &b.req) {
-		return nil
-	}
-	b.rd.Reset(b.buf)
-	if err := decodeStrict(&b.rd, &b.req); err != nil {
-		return Errorf(http.StatusBadRequest, wire.CodeBadSpec, "bad eval request: %v", err)
-	}
-	return nil
+	return decode(&b.rd, b.buf, &b.req, func() bool { return wire.DecodeEvalRequest(b.buf, &b.req) }, "eval request")
 }
 
 func (b *evalBody) release() {
@@ -693,20 +736,20 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, q url.Valu
 	if sv := q.Get("seed"); sv != "" {
 		v, err := strconv.ParseInt(sv, 10, 64)
 		if err != nil {
-			s.fail(w, http.StatusBadRequest, wire.CodeBadSpec, "bad seed %q", sv)
+			WriteError(w, Errorf(http.StatusBadRequest, wire.CodeBadSpec, "bad seed %q", sv))
 			return
 		}
 		seed = v
 	}
 	// Admission probe: a stream is refused up front when the server is at
 	// capacity, but the probe token is returned immediately — the stream's
-	// real footprint is accounted per tuple (decode → emission) by both
-	// modes below, so a stream never holds a standing token on top of its
-	// tuples' tokens. (With a standing token, -max-inflight 1 would
-	// deadlock every stream against its own first tuple.)
+	// real footprint is accounted per tuple, from admission before decode
+	// to emission, by the line source both modes read, so a stream never
+	// holds a standing token on top of its tuples' tokens. (With a
+	// standing token, -max-inflight 1 would deadlock every stream against
+	// its own first tuple.)
 	if !s.tryAdmit() {
-		s.fail(w, http.StatusTooManyRequests, wire.CodeOverCapacity,
-			"at capacity (%d tuples in flight)", cap(s.inflight))
+		WriteError(w, s.atCapacity())
 		return
 	}
 	s.release()
@@ -719,107 +762,73 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, q url.Valu
 		s.cfg.Logf("stream: full duplex unavailable: %v", err)
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	fail := func(seq int64, err error) {
-		_, code := errClass(err)
-		enc.Encode(streamResult{EvalResult: EvalResult{Seq: seq}, Error: err.Error(), ErrorCode: code})
+	src := &lineIter{
+		sc:  bufio.NewScanner(r.Body),
+		dim: e.def.entry.Dim,
+		srv: s,
+		ctx: r.Context(),
 	}
+	src.sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
+	defer src.releaseUnemitted()
+	var err error
 	if learn {
-		s.streamLearn(r.Context(), e, r.Body, seed, w, fail)
+		err = s.streamLearn(r.Context(), e, src, seed, w)
 	} else {
-		s.streamFrozen(r.Context(), e, r.Body, seed, w, fail)
+		err = s.streamFrozen(r.Context(), e, src, seed, w)
+	}
+	if err != nil {
+		_, code := errClass(err)
+		json.NewEncoder(w).Encode(streamResult{EvalResult: EvalResult{Seq: src.emitted}, Error: err.Error(), ErrorCode: code})
 	}
 }
 
-// streamLearn runs the stream sequentially on the learning evaluator,
-// taking one in-flight token per tuple for the duration of its evaluation.
-// Each result line is encoded under the learner token and written after it.
-func (s *Server) streamLearn(ctx context.Context, e *udfEntry, body io.Reader,
-	seed int64, w io.Writer, fail func(int64, error)) {
-	sc := bufio.NewScanner(body)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	var (
-		seq  int64
-		sl   streamLine
-		rd   bytes.Reader
-		in   inputVec
-		line []byte
-	)
-	for sc.Scan() {
-		raw := bytes.TrimSpace(sc.Bytes())
-		if len(raw) == 0 {
-			continue
+// streamLearn runs the stream's lines in order on the learning evaluator.
+// Each result line is encoded under the learner token and written after
+// it. It returns the error that ended the stream, or nil at its end.
+func (s *Server) streamLearn(ctx context.Context, e *udfEntry, src *lineIter, seed int64, w io.Writer) error {
+	for {
+		it, err := src.Next()
+		if err == io.EOF {
+			return nil
 		}
-		if err := decodeStreamLine(&rd, &sl, raw, e.def.entry.Dim); err != nil {
-			fail(seq, err)
-			return
-		}
-		vec, err := in.set(sl.Input)
 		if err != nil {
-			fail(seq, badReqf("%v", err))
-			return
+			return err
 		}
-		if err := s.admit(ctx); err != nil {
-			fail(seq, err)
-			return
+		if err := e.learnEval(ctx, &it.in.vec, query.TupleSeed(seed, it.seq), func(out *core.Output) {
+			it.result = appendResult(it.result[:0], it.seq, out, e.cfg.Eps)
+		}); err != nil {
+			return err
 		}
-		err = e.learnEval(ctx, vec, query.TupleSeed(seed, seq), func(out *core.Output) {
-			line = appendResult(line[:0], seq, out, e.cfg.Eps)
-		})
-		s.release()
-		if err != nil {
-			fail(seq, err)
-			return
-		}
-		w.Write(line)
-		seq++
-	}
-	if err := sc.Err(); err != nil {
-		fail(seq, err)
+		src.emit(w, it)
 	}
 }
 
 // decodeStreamLine parses one request line into sl and validates its arity
-// — the single definition of stream-line semantics, shared by the learn path
-// and the frozen pipeline source so both reject malformed lines
-// identically. The fast path decodes a line it accepts into sl's storage;
-// any other line is decoded by encoding/json, reading through rd, into the
-// emptied sl, so a reused line decodes exactly as a fresh one.
+// — the single definition of stream-line semantics. The fast path decodes a
+// line it accepts into sl's storage; any other line is decoded by
+// encoding/json, reading through rd, into the emptied sl, so a reused line
+// decodes exactly as a fresh one.
 func decodeStreamLine(rd *bytes.Reader, sl *streamLine, line []byte, dim int) error {
-	if !wire.DecodeStreamLine(line, sl) {
-		rd.Reset(line)
-		if err := decodeStrict(rd, sl); err != nil {
-			return badReqf("bad stream line: %v", err)
-		}
+	if err := decode(rd, line, sl, func() bool { return wire.DecodeStreamLine(line, sl) }, "stream line"); err != nil {
+		return err
 	}
 	if len(sl.Input) != dim {
-		return badReqf("input has %d attributes, UDF wants %d", len(sl.Input), dim)
+		return Errorf(http.StatusBadRequest, wire.CodeBadSpec, "input has %d attributes, UDF wants %d", len(sl.Input), dim)
 	}
 	return nil
 }
 
-// streamFrozen maps the stream's items over frozen clones with the exec
-// executor. The NDJSON decode is itself the pipeline source: items are
-// pulled lazily, each one holding an in-flight admission token from decode
-// to emission, so a stream cannot queue unbounded work. Each worker encodes
-// its item's result line from its clone's scratch, and the lines are
-// written in stream order.
-func (s *Server) streamFrozen(ctx context.Context, e *udfEntry, body io.Reader,
-	seed int64, w io.Writer, fail func(int64, error)) {
+// streamFrozen maps the stream's lines over frozen clones with the exec
+// executor, the line source feeding it lazily. Each worker encodes its
+// item's result line from its clone's scratch, and the lines are written
+// in stream order. It returns the error that ended the stream, or nil at
+// its end; either way the executor has stopped pulling lines.
+func (s *Server) streamFrozen(ctx context.Context, e *udfEntry, src *lineIter, seed int64, w io.Writer) error {
 	pool, release, err := e.frozenPool(ctx, s.cfg.Workers)
 	if err != nil {
-		fail(0, err)
-		return
+		return err
 	}
 	defer release()
-
-	src := &lineIter{
-		sc:  bufio.NewScanner(body),
-		dim: e.def.entry.Dim,
-		srv: s,
-		ctx: ctx,
-	}
-	src.sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 	eps := e.cfg.Eps
 	pe := exec.Map(pool, src, "y", func(eng query.Engine, it *streamItem, rng *rand.Rand) (*streamItem, error) {
 		out, err := query.Borrowed(eng, &it.in.vec, rng)
@@ -830,28 +839,16 @@ func (s *Server) streamFrozen(ctx context.Context, e *udfEntry, body io.Reader,
 		return it, nil
 	}, exec.Options{Ctx: ctx, Seed: seed})
 	defer pe.Close()
-	var emitted int64
-	defer func() {
-		// Release the admission tokens of tuples decoded but never emitted
-		// (error/cancellation teardown).
-		for n := src.decoded.Load() - emitted; n > 0; n-- {
-			s.release()
-		}
-	}()
 	for {
 		it, err := pe.Next()
 		if err == io.EOF {
-			return
+			return nil
 		}
 		if err != nil {
-			fail(emitted, err)
-			return
+			return err
 		}
-		w.Write(it.result)
-		emitted++
-		s.release()
+		src.emit(w, it)
 		e.served.Add(1)
-		src.items.put(it)
 	}
 }
 
@@ -920,11 +917,14 @@ func (p *itemPool) put(it *streamItem) {
 	p.free = append(p.free, it)
 }
 
-// lineIter adapts the NDJSON request body to an exec.Source of stream
-// items. Next is called only by the executor's feeder goroutine; the
-// decoded counter is read by the handler during teardown, after the
-// executor has quiesced (ParallelEval.Close waits for the feeder), plus
-// concurrently for token bookkeeping — hence atomic.
+// lineIter is the line source of both stream modes: it adapts the NDJSON
+// request body to an exec.Source of stream items. Each line takes one
+// in-flight admission token before it is decoded and holds it until its
+// result is emitted, so a stream cannot queue unbounded work. Next is
+// called by one goroutine at a time (the frozen executor's feeder, or the
+// learn loop); emit and releaseUnemitted by the handler. The decoded
+// counter is read by the handler while the feeder may still run, hence
+// atomic.
 type lineIter struct {
 	sc      *bufio.Scanner
 	dim     int
@@ -932,6 +932,7 @@ type lineIter struct {
 	ctx     context.Context
 	seq     int64
 	decoded atomic.Int64
+	emitted int64
 	items   itemPool
 }
 
@@ -947,8 +948,6 @@ func (it *lineIter) Next() (*streamItem, error) {
 		if len(line) == 0 {
 			continue
 		}
-		// One admission token per in-flight tuple, held until its result is
-		// emitted (released by the drain loop).
 		if err := it.srv.admit(it.ctx); err != nil {
 			return nil, err
 		}
@@ -958,10 +957,28 @@ func (it *lineIter) Next() (*streamItem, error) {
 			return nil, err
 		}
 		if _, err := item.in.set(item.line.Input); err != nil {
-			return nil, badReqf("%v", err)
+			return nil, Errorf(http.StatusBadRequest, wire.CodeBadSpec, "%v", err)
 		}
 		item.seq = it.seq
 		it.seq++
 		return item, nil
+	}
+}
+
+// emit writes an item's result line, gives back its admission token and
+// recycles the item.
+func (it *lineIter) emit(w io.Writer, item *streamItem) {
+	w.Write(item.result)
+	it.emitted++
+	it.srv.release()
+	it.items.put(item)
+}
+
+// releaseUnemitted gives back the admission tokens of lines decoded but
+// never emitted, once the stream has ended on an error or a cancellation
+// and nothing pulls lines any more.
+func (it *lineIter) releaseUnemitted() {
+	for n := it.decoded.Load() - it.emitted; n > 0; n-- {
+		it.srv.release()
 	}
 }

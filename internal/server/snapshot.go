@@ -204,7 +204,7 @@ func (s *Server) handleSnapshotOne(w http.ResponseWriter, r *http.Request) {
 	}
 	info, err := s.persist(e)
 	if err != nil {
-		s.failErr(w, err, "%v", err)
+		WriteError(w, err)
 		return
 	}
 	WriteJSON(w, http.StatusOK, info)
@@ -215,7 +215,7 @@ func (s *Server) handleSnapshotAll(w http.ResponseWriter, r *http.Request) {
 	for _, e := range s.reg.List() {
 		info, err := s.persist(e)
 		if err != nil {
-			s.failErr(w, err, "snapshot %q: %v", e.Spec().Name, err)
+			WriteError(w, fmt.Errorf("snapshot %q: %w", e.Spec().Name, err))
 			return
 		}
 		resp.Snapshots = append(resp.Snapshots, info)

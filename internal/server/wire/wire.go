@@ -15,7 +15,6 @@ import (
 
 	"olgapro/internal/dist"
 	"olgapro/internal/query"
-	"olgapro/internal/sdss"
 )
 
 // DistSpec is the wire (JSON) form of one uncertain scalar attribute. Type
@@ -282,16 +281,4 @@ func (in InputSpec) Tuple(id int64) (*query.Tuple, error) {
 		return nil, err
 	}
 	return UncertainTuple(id, attrs...), nil
-}
-
-// GalaxyRelation converts a catalog into the uncertain relation of queries
-// Q1/Q2 — one tuple per galaxy with Gaussian position and redshift
-// attributes. Shared by cmd/olgapro and the serving layer so both load
-// catalogs identically.
-func GalaxyRelation(cat *sdss.Catalog) []*query.Tuple {
-	rel := make([]*query.Tuple, len(cat.Galaxies))
-	for i, g := range cat.Galaxies {
-		rel[i] = query.GalaxyTuple(g.ObjID, g.RA, g.Dec, g.RAErr, g.DecErr, g.Redshift, g.RedshiftErr)
-	}
-	return rel
 }

@@ -7,7 +7,6 @@ import (
 
 	"olgapro/internal/dist"
 	"olgapro/internal/query"
-	"olgapro/internal/sdss"
 )
 
 func TestDistSpecRoundTrip(t *testing.T) {
@@ -130,21 +129,5 @@ func TestInputSpecTupleAndVector(t *testing.T) {
 	}
 	if _, err := (InputSpec{{Type: "bogus"}}).Vector(); err == nil {
 		t.Fatal("invalid input spec accepted by Vector")
-	}
-}
-
-func TestGalaxyRelation(t *testing.T) {
-	cat := sdss.Generate(sdss.GenerateConfig{N: 5, Seed: 3})
-	rel := GalaxyRelation(cat)
-	if len(rel) != 5 {
-		t.Fatalf("relation has %d tuples, want 5", len(rel))
-	}
-	for i, tup := range rel {
-		if got := tup.MustGet("objID").I; got != cat.Galaxies[i].ObjID {
-			t.Fatalf("tuple %d objID %d ≠ %d", i, got, cat.Galaxies[i].ObjID)
-		}
-		if tup.MustGet("redshift").Kind != query.KindUncertain {
-			t.Fatalf("tuple %d redshift not uncertain", i)
-		}
 	}
 }
